@@ -851,6 +851,8 @@ def _move_is_legal(backend, net, move, m, used, mode):
     if backend.kind == "generic":
         base = net.labels[insert_at(move.face, move.l, probe)]
         return backend.ti_rel(move.l, base, move.atom)
+    if not backend.s.is_atom(move.atom):
+        return False
     base = backend.atom_of(net, insert_at(move.face, move.l, probe))
     return backend.s.key_of_code(move.l, base) == backend.s.key_of_code(move.l, move.atom)
 
@@ -865,6 +867,8 @@ def _verify_script_artifact(structure, artifact) -> dict:
 
     def walk(node, net):
         move = Move.from_json(node["forall"])
+        if not _move_is_legal(backend, net, move, artifact["node_budget"], set(), "F"):
+            return f"round {node['round']}: illegal Forall move"
         resps = backend.responses(net, move)
         if node["responses"] == "dead-end":
             if resps:

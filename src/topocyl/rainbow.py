@@ -577,7 +577,6 @@ class RainbowStructure:
         self.codes = table.codes
         self.num_atoms = table.count
         self._keys = {}
-        self._groups = {}
         self._kid = None
         self._diag = {}
 
@@ -591,11 +590,13 @@ class RainbowStructure:
             self._keys[0], self._keys[1], self._keys[2] = p12, p02, p01
         return self._keys[i]
 
-    def groups(self, i: int):
-        if i not in self._groups:
-            _, inv = np.unique(self.key_field(i), return_inverse=True)
-            self._groups[i] = inv.astype(np.int64)
-        return self._groups[i]
+    def groups(self, i: int) -> np.ndarray:
+        """T_i class id of every atom: its key field, a value below PAIR_SLOTS.
+
+        The ids are not compact (most of the PAIR_SLOTS values are unused),
+        so ``max() + 1`` is only good as a ``bincount`` ``minlength``.
+        """
+        return self.key_field(i)
 
     def key_of_code(self, i: int, code: int) -> int:
         _, pairs = unpack_atom(code)
@@ -660,9 +661,21 @@ def build_atom_structure(sig: RainbowSignature) -> RainbowStructure:
     return RainbowStructure(enumerate_atoms(sig))
 
 
+# Atoms per block when cyl collects the classes an element meets: a block's
+# selected keys are scattered while still in cache, and no temporary the
+# size of the atom table is allocated.
+CYL_BLOCK = 1 << 16
+
+
 class RainbowComplexAlgebra(bao.Algebra):
-    """Lazy complex algebra over the rainbow structure; elements are numpy
-    bool arrays over the atom table."""
+    """Lazy complex algebra over the rainbow structure.
+
+    An element is a C-contiguous numpy bool array of length num_atoms,
+    indexed in canonical atom order. ``cyl`` marks the T_i classes (key
+    field values) an element meets in a PAIR_SLOTS-entry table, block by
+    block, and reads the table back through the key field.
+    ``random_element`` draws packed random bits, one per atom.
+    """
 
     def __init__(self, structure: RainbowStructure):
         self.structure = structure
@@ -684,9 +697,11 @@ class RainbowComplexAlgebra(bao.Algebra):
         return ~a
 
     def cyl(self, i, x):
-        inv = self.structure.groups(i)
-        hit = np.bincount(inv[x], minlength=int(inv.max()) + 1) > 0
-        return hit[inv]
+        key = self.structure.key_field(i)
+        hit = np.zeros(PAIR_SLOTS, dtype=bool)
+        for lo in range(0, key.shape[0], CYL_BLOCK):
+            hit[key[lo:lo + CYL_BLOCK].compress(x[lo:lo + CYL_BLOCK])] = True
+        return hit[key]
 
     def dg(self, i, j):
         return self.structure.diag_mask(i, j)
@@ -695,8 +710,10 @@ class RainbowComplexAlgebra(bao.Algebra):
         return x
 
     def random_element(self, rng):
+        n = self.structure.num_atoms
         sub = np.random.default_rng(rng.randrange(1 << 32))
-        return sub.random(self.structure.num_atoms) < 0.5
+        packed = np.frombuffer(sub.bytes((n + 7) // 8), dtype=np.uint8)
+        return np.unpackbits(packed, count=n).view(bool)
 
     def atom_singleton(self, code: int):
         x = np.zeros(self.structure.num_atoms, dtype=bool)

@@ -264,3 +264,38 @@ def test_transcript_tampering_detected():
     rec["forall"]["atom"] = (rec["forall"]["atom"] + 1) % 4
     chk = G.verify_transcript(s, doc)
     assert not chk["ok"]
+
+
+def _pair(table, colour, yellow=R.YELLOW_NONE):
+    return table.colour_index[colour] * R.PAIR_BASE + yellow
+
+
+def test_forged_dead_ends_on_non_atom_demands_rejected(rainbow_structure):
+    """A dead-end claimed against a demand that is not an atom proves
+    nothing: both the script walker and the play replay must refuse it."""
+    s = rainbow_structure
+    proof = G.verify_forall_script(s)
+    assert G.verify_transcript(s, proof)["ok"]
+    move = proof["tree"]["forall"]
+    g1 = _pair(s.table, ("g", 1))
+    green_triangle = R.pack_atom(4, {(0, 1): g1, (0, 2): g1, (1, 2): g1})
+    # same T_2 key as the genuine demand (w0 with the full shade on (0,1)),
+    # but two g0 greens over w0 is a forbidden triangle
+    w0_full = _pair(s.table, ("w", 0), 31)
+    two_g0 = R.pack_atom(4, {(0, 1): w0_full,
+                             (0, 2): _pair(s.table, ("g0", 1)),
+                             (1, 2): _pair(s.table, ("g0", 2))})
+    assert s.key_of_code(2, two_g0) == s.key_of_code(2, move["atom"])
+    for bad in (green_triangle, two_g0):
+        assert not s.is_atom(bad)
+        forged = dict(proof, tree={"round": 1, "forall": dict(move, atom=bad),
+                                   "tint": proof["tree"]["tint"],
+                                   "responses": "dead-end"})
+        assert not G.verify_transcript(s, forged)["ok"]
+    _, g = s.table.graph_of(proof["zeroth_atom"])
+    play = [{"round": 0, "forall": {"initial_atom": proof["zeroth_atom"]},
+             "exists": {"network": {"graph": g.to_json()}}},
+            {"round": 1, "forall": G.Move(0, (0, 1), 3, two_g0, 2).to_json(),
+             "exists": "dead-end"}]
+    forged_play = {"mode": "F", "nodes": 4, "principal_play": play}
+    assert not G.verify_transcript(s, forged_play)["ok"]

@@ -148,7 +148,8 @@ def test_graph_json_round_trip(sig):
 
 def test_atom_count_fixture(table):
     assert table.count == ATOM_COUNT_N3
-    assert len(np.unique(table.codes)) == table.count
+    # strictly increasing codes are distinct (and in canonical order)
+    assert (np.diff(table.codes) > 0).all()
 
 
 def test_atom_count_independent_formula(sig):
@@ -264,3 +265,30 @@ def test_structure_relations(structure):
 def test_enumeration_refuses_other_dims():
     with pytest.raises(DimUnsupported):
         R.enumerate_atoms(R.signature(4))
+
+
+def test_cylindrifier_oracle_and_random_elements(structure):
+    """c_i x is the set of atoms whose pair data away from i is met by x.
+
+    The pair field is re-derived here by shifting the packed codes (pair
+    slots are 9 bits wide), independently of RainbowStructure.key_field.
+    Random elements are seeded packed bits, one per atom.
+    """
+    s = structure
+    alg = s.cm()
+    x = alg.random_element(random.Random(3))
+    assert (x == alg.random_element(random.Random(3))).all()
+    assert not (x == alg.random_element(random.Random(4))).all()
+    assert x.dtype == np.bool_ and x.flags.c_contiguous
+    assert x.shape == (s.num_atoms,)
+    assert 0.49 <= x.mean() <= 0.51
+    rng = random.Random(11)
+    elements = [alg.zero, alg.one,
+                alg.random_element(rng), alg.random_element(rng)]
+    for idx in (0, s.num_atoms - 1):   # first block and the partial last one
+        elements.append(alg.atom_singleton(int(s.codes[idx])))
+    for i in range(3):
+        # axis i is opposite the pair (1,2), (0,2), (0,1): slot 0, 1, 2
+        f = (s.codes >> (9 * i)) & (R.PAIR_SLOTS - 1)
+        for x in elements:
+            assert (alg.cyl(i, x) == np.isin(f, f[x], kind="table")).all()
