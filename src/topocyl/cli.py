@@ -19,9 +19,15 @@ from .report import emit, make_report
 def _topology_arg(arg: str, size: int) -> topology.FiniteTopology:
     if arg in ("discrete", "indiscrete"):
         return topology.make_topology(size, preset=arg)
-    doc = json.loads(open(arg, encoding="utf-8").read()) if arg.endswith(".json") \
-        else json.loads(arg)
-    return topology.FiniteTopology.from_json(doc)
+    return topology.FiniteTopology.from_json(_json_arg(arg))
+
+
+def _json_arg(arg: str):
+    """A JSON document given inline or, when arg ends in .json, as a file."""
+    if not arg.endswith(".json"):
+        return json.loads(arg)
+    with open(arg, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _structure_arg(arg: str):
@@ -92,8 +98,7 @@ def cmd_topo_enum(args):
 
 
 def cmd_topo_check(args):
-    doc = json.loads(args.json) if not args.json.endswith(".json") \
-        else json.load(open(args.json, encoding="utf-8"))
+    doc = _json_arg(args.json)
     try:
         t = topology.FiniteTopology.from_json(doc)
         results = {"topology": t.to_json(),
@@ -110,7 +115,8 @@ def cmd_topo_check(args):
 
 def cmd_modal_eval(args):
     f = modal.parse(args.formula)
-    doc = json.load(open(args.model, encoding="utf-8"))
+    with open(args.model, encoding="utf-8") as fh:
+        doc = json.load(fh)
     valuation = {int(k): v for k, v in doc["valuation"].items()}
     if doc["kind"] == "topo":
         m = modal.TopoModel(topology.FiniteTopology.from_json(doc["topology"]), valuation)

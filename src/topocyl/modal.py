@@ -2,13 +2,18 @@
 
 Formulas are tagged tuples: ("atom", k), ("not", f), ("and", f, g),
 ("or", f, g), ("imp", f, g), ("I", f) for the interior box and ("X", f)
-for the temporal next. Satisfaction sets are int bitmasks over points.
+for the temporal next. One walker evaluates every semantics. A satisfaction
+set is an int bitmask over the points of one model, or, for a batch, a bool
+array (V, size) with one row per valuation. `~` on an int also sets every
+bit above the base, so int results are masked once with `full &`.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Dict, Iterable, Optional, Tuple
+from functools import partial
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -238,136 +243,105 @@ class DynamicModel:
         self.valuation = _clean_valuation(valuation, topology.size)
 
 
+def _preimage_bits(fmap, bits: int) -> int:
+    out = 0
+    for x, y in enumerate(fmap):
+        if bits >> y & 1:
+            out |= 1 << x
+    return out
+
+
 def is_continuous(t: FiniteTopology, f) -> bool:
     """Preimage of every open is open."""
     fmap = tuple(f)
-    for o in t.opens:
-        pre = 0
-        for x in range(t.size):
-            if o >> fmap[x] & 1:
-                pre |= 1 << x
-        if not t.is_open_bits(pre):
-            return False
-    return True
+    return all(t.is_open_bits(_preimage_bits(fmap, o)) for o in t.opens)
 
 
-def _eval_bits(f: Formula, val: Dict[int, int], full: int, interior_fn, preimage_fn):
-    if f[0] == "atom":
-        return val.get(f[1], 0)
-    if f[0] == "not":
-        return full & ~_eval_bits(f[1], val, full, interior_fn, preimage_fn)
-    if f[0] == "and":
-        return _eval_bits(f[1], val, full, interior_fn, preimage_fn) & _eval_bits(
-            f[2], val, full, interior_fn, preimage_fn
-        )
-    if f[0] == "or":
-        return _eval_bits(f[1], val, full, interior_fn, preimage_fn) | _eval_bits(
-            f[2], val, full, interior_fn, preimage_fn
-        )
-    if f[0] == "imp":
-        return (full & ~_eval_bits(f[1], val, full, interior_fn, preimage_fn)) | _eval_bits(
-            f[2], val, full, interior_fn, preimage_fn
-        )
-    if f[0] == "I":
-        return interior_fn(_eval_bits(f[1], val, full, interior_fn, preimage_fn))
-    if f[0] == "X":
-        if preimage_fn is None:
+def _eval(f: Formula, val, zero, interior, preimage=None):
+    """Satisfaction set of f from `~`, `&`, `|` and the caller's operators,
+    on either element type of the module docstring; absent atoms are `zero`.
+    Int callers mask the result: `interior` and `preimage` only read bits
+    of the base, so the bits `~` sets above it never reach the base."""
+    op = f[0]
+    if op == "atom":
+        return val.get(f[1], zero)
+    a = _eval(f[1], val, zero, interior, preimage)
+    if op == "not":
+        return ~a
+    if op == "I":
+        return interior(a)
+    if op == "X":
+        if preimage is None:
             raise ValueError("NEXT is only meaningful in dynamic models")
-        return preimage_fn(_eval_bits(f[1], val, full, interior_fn, preimage_fn))
-    raise ValueError(f"bad formula node {f[0]!r}")
+        return preimage(a)
+    if op not in BINARY:
+        raise ValueError(f"bad formula node {op!r}")
+    b = _eval(f[2], val, zero, interior, preimage)
+    if op == "and":
+        return a & b
+    if op == "or":
+        return a | b
+    return ~a | b
+
+
+def _kripke_interior_bits(up, sat: int) -> int:
+    """Points all of whose successors lie in sat."""
+    out = 0
+    for x, succ in enumerate(up):
+        if succ & ~sat == 0:
+            out |= 1 << x
+    return out
+
+
+def _bool_rows(masks, size: int) -> np.ndarray:
+    """Bool matrix whose row r holds the bits of masks[r]."""
+    return (np.array(masks)[:, None] >> np.arange(size) & 1).astype(bool)
+
+
+def _topo_interior_array(t: FiniteTopology):
+    """Union of the opens inside each row; the bool matmuls cannot overflow."""
+    opens = _bool_rows(t.opens, t.size)
+    return lambda sat: ~(~sat @ opens.T) @ opens
+
+
+def _kripke_interior_array(p: Preorder):
+    """Rows' points with no successor outside the row."""
+    reach = _bool_rows(p.up, p.size)
+    return lambda sat: ~(~sat @ reach.T)
 
 
 def eval_topo(m: TopoModel, f: Formula) -> frozenset:
     full = (1 << m.topology.size) - 1
-    return set_of(_eval_bits(f, m.valuation, full, m.topology.interior_bits, None))
+    return set_of(full & _eval(f, m.valuation, 0, m.topology.interior_bits))
 
 
 def eval_kripke(m: KripkeModel, f: Formula) -> frozenset:
-    p = m.preorder
-    full = (1 << p.size) - 1
-
-    def interior_fn(sat):
-        out = 0
-        for x in range(p.size):
-            if p.up[x] & ~sat == 0:
-                out |= 1 << x
-        return out
-
-    return set_of(_eval_bits(f, m.valuation, full, interior_fn, None))
+    full = (1 << m.preorder.size) - 1
+    sat = _eval(f, m.valuation, 0, partial(_kripke_interior_bits, m.preorder.up))
+    return set_of(full & sat)
 
 
 def eval_dynamic(m: DynamicModel, f: Formula) -> frozenset:
-    t = m.topology
-    full = (1 << t.size) - 1
-
-    def preimage_fn(sat):
-        out = 0
-        for x in range(t.size):
-            if sat >> m.f[x] & 1:
-                out |= 1 << x
-        return out
-
-    return set_of(_eval_bits(f, m.valuation, full, t.interior_bits, preimage_fn))
+    full = (1 << m.topology.size) - 1
+    sat = _eval(f, m.valuation, 0, m.topology.interior_bits, partial(_preimage_bits, m.f))
+    return set_of(full & sat)
 
 
 # -- batched evaluation (one pass over many valuations) ------------------
 
 
+def _empty_rows(vals: Dict[int, np.ndarray], size: int) -> np.ndarray:
+    return np.zeros(next(iter(vals.values())).shape if vals else (1, size), dtype=bool)
+
+
 def eval_kripke_batch(p: Preorder, vals: Dict[int, np.ndarray], f: Formula) -> np.ndarray:
     """vals maps atom -> bool array (V, size); returns bool array (V, size)."""
-    reach = np.zeros((p.size, p.size), dtype=np.uint8)
-    for x in range(p.size):
-        for y in range(p.size):
-            reach[x, y] = p.up[x] >> y & 1
-
-    shape = next(iter(vals.values())).shape if vals else (1, p.size)
-
-    def go(g):
-        if g[0] == "atom":
-            return vals.get(g[1], np.zeros(shape, dtype=bool))
-        if g[0] == "not":
-            return ~go(g[1])
-        if g[0] == "and":
-            return go(g[1]) & go(g[2])
-        if g[0] == "or":
-            return go(g[1]) | go(g[2])
-        if g[0] == "imp":
-            return ~go(g[1]) | go(g[2])
-        if g[0] == "I":
-            sat = go(g[1])
-            fail = (~sat).astype(np.uint8) @ reach.T
-            return fail == 0
-        raise ValueError(f"bad node {g[0]!r} for Kripke evaluation")
-
-    return go(f)
+    return _eval(f, vals, _empty_rows(vals, p.size), _kripke_interior_array(p))
 
 
 def eval_topo_batch(t: FiniteTopology, vals: Dict[int, np.ndarray], f: Formula) -> np.ndarray:
-    opens = np.zeros((len(t.opens), t.size), dtype=np.uint8)
-    for i, o in enumerate(t.opens):
-        for x in range(t.size):
-            opens[i, x] = o >> x & 1
-
-    shape = next(iter(vals.values())).shape if vals else (1, t.size)
-
-    def go(g):
-        if g[0] == "atom":
-            return vals.get(g[1], np.zeros(shape, dtype=bool))
-        if g[0] == "not":
-            return ~go(g[1])
-        if g[0] == "and":
-            return go(g[1]) & go(g[2])
-        if g[0] == "or":
-            return go(g[1]) | go(g[2])
-        if g[0] == "imp":
-            return ~go(g[1]) | go(g[2])
-        if g[0] == "I":
-            sat = go(g[1])
-            viol = (~sat).astype(np.uint8) @ opens.T  # (V, k): points of each open outside sat
-            return ((viol == 0).astype(np.uint8) @ opens) > 0
-        raise ValueError(f"bad node {g[0]!r} for topological evaluation")
-
-    return go(f)
+    """vals maps atom -> bool array (V, size); returns bool array (V, size)."""
+    return _eval(f, vals, _empty_rows(vals, t.size), _topo_interior_array(t))
 
 
 # -- countermodel search --------------------------------------------------
@@ -400,18 +374,6 @@ def random_formula(rng: random.Random, atom_count: int, depth: int,
     return gen(depth)
 
 
-def _valuations(size: int, atoms: Tuple[int, ...], exhaustive: bool, rng, samples: int):
-    space = 1 << size
-    if exhaustive:
-        import itertools
-
-        for combo in itertools.product(range(space), repeat=len(atoms)):
-            yield dict(zip(atoms, combo))
-    else:
-        for _ in range(samples):
-            yield {a: rng.randrange(space) for a in atoms}
-
-
 def find_countermodel(
     f: Formula,
     max_size: int,
@@ -421,35 +383,36 @@ def find_countermodel(
 ) -> Optional[dict]:
     """Search models of size <= max_size for a point refuting f.
 
+    Each frame is tried on every valuation of f's atoms when there are at
+    most two, else on `samples` seeded draws, all in one array evaluation;
+    the first refuting valuation and its highest refuted point win.
     Returns {"model": ..., "point": p, "mode": mode} or None if no
     countermodel exists within the bound. Absence is not a validity proof.
     """
-    cap = TOPO_SEARCH_CAP if mode == "topo" else KRIPKE_SEARCH_CAP
+    topo = mode == "topo"
+    cap = TOPO_SEARCH_CAP if topo else KRIPKE_SEARCH_CAP
     if max_size > cap:
         raise SizeTooLarge(f"{mode} search capped at size {cap}")
     alphabet = tuple(sorted(atoms_of(f)))
     exhaustive = len(alphabet) <= 2
+    interior_of = _topo_interior_array if topo else _kripke_interior_array
     rng = random.Random(seed)
     for size in range(1, max_size + 1):
-        full = (1 << size) - 1
-        frames = enumerate_topologies(size) if mode == "topo" else enumerate_preorders(size)
-        for frame in frames:
-            for val in _valuations(size, alphabet, exhaustive, rng, samples):
-                if mode == "topo":
-                    model = TopoModel(frame, val)
-                    satset = _eval_bits(f, model.valuation, full, frame.interior_bits, None)
-                else:
-                    model = KripkeModel(frame, val)
-
-                    def interior_fn(s, _p=frame):
-                        out = 0
-                        for x in range(_p.size):
-                            if _p.up[x] & ~s == 0:
-                                out |= 1 << x
-                        return out
-
-                    satset = _eval_bits(f, model.valuation, full, interior_fn, None)
-                if satset != full:
-                    point = (full & ~satset).bit_length() - 1
-                    return {"model": model, "point": point, "mode": mode}
+        space = 1 << size
+        if exhaustive:
+            grid = np.array(list(itertools.product(range(space), repeat=len(alphabet))))
+        for frame in enumerate_topologies(size) if topo else enumerate_preorders(size):
+            if not exhaustive:
+                draws = [rng.randrange(space) for _ in range(samples * len(alphabet))]
+                grid = np.array(draws, dtype=np.int64).reshape(samples, len(alphabet))
+            # every atom of f has a column, so no atom needs an empty element
+            vals = {a: _bool_rows(grid[:, i], size) for i, a in enumerate(alphabet)}
+            refuted = ~_eval(f, vals, None, interior_of(frame))
+            hits = refuted.any(axis=1)
+            if hits.any():
+                row = int(hits.argmax())
+                point = size - 1 - int(refuted[row, ::-1].argmax())
+                val = {a: int(v) for a, v in zip(alphabet, grid[row])}
+                model = TopoModel(frame, val) if topo else KripkeModel(frame, val)
+                return {"model": model, "point": point, "mode": mode}
     return None

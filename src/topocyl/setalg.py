@@ -90,6 +90,7 @@ class SetAlgebraSpace:
         self.full_bits = (1 << self.ncodes) - 1
         self._fibers = {}
         self._int_tables = {}
+        self._diags = {}
 
     def __eq__(self, other):
         return (
@@ -266,12 +267,14 @@ def diag(i: int, j: int, space: SetAlgebraSpace) -> TupleSet:
     """d_ij: tuples with s_i = s_j."""
     if not (0 <= i < space.dim and 0 <= j < space.dim):
         raise IndexOutOfRange(f"diagonal indices ({i},{j}) outside dimension")
-    bits = 0
-    for code in range(space.ncodes):
-        s = space.decode(code)
-        if s[i] == s[j]:
-            bits |= 1 << code
-    return TupleSet(space, bits)
+    if (i, j) not in space._diags:
+        bits = 0
+        for code in range(space.ncodes):
+            s = space.decode(code)
+            if s[i] == s[j]:
+                bits |= 1 << code
+        space._diags[(i, j)] = bits
+    return TupleSet(space, space._diags[(i, j)])
 
 
 def interior_op(k: int, x: TupleSet, dual: bool = False) -> TupleSet:

@@ -36,6 +36,11 @@ def test_topo_check(tmp_path):
     code, doc = run(tmp_path, "topo", "check",
                     "--json", '{"size":2,"opens":[[],[0]]}')
     assert code == 0 and doc["results"]["verdict"] == "invalid"
+    path = tmp_path / "topology.json"
+    path.write_text('{"size":2,"opens":[[],[0],[0,1]]}')
+    code, doc = run(tmp_path, "topo", "check", "--json", str(path))
+    assert code == 0 and doc["results"]["verdict"] == "valid"
+    assert doc["results"]["topology"] == {"size": 2, "opens": [[], [0], [0, 1]]}
 
 
 def test_modal_eval(tmp_path):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from topocyl import modal as M
@@ -104,6 +105,28 @@ def test_countermodels():
     assert M.find_countermodel(M.parse("I p0 -> p0"), 4, "kripke") is None
     with pytest.raises(SizeTooLarge):
         M.find_countermodel(M.parse("p0"), 5, "topo")
+    # the search order is part of the contract: the same formula, mode and
+    # seed give the same frame, valuation and point (3 atoms are sampled,
+    # up to 2 are enumerated)
+    split = "I(p0 | p1 | p2) -> I p0 | I p1 | I p2"
+    mckinsey = "~I~I p0 -> I~I~p0"
+    pinned = [
+        (split, "topo", 3, {"size": 2, "opens": [[], [0, 1]]}, {0: 1, 1: 1, 2: 2}, 1),
+        (split, "kripke", 3, {"size": 2, "leq": [[0, 0], [1, 0], [1, 1]]},
+         {0: 1, 1: 1, 2: 2}, 1),
+        (mckinsey, "topo", 0, {"size": 3, "opens": [[], [0], [0, 1], [0, 1, 2], [1]]},
+         {0: 1}, 2),
+        (mckinsey, "kripke", 0,
+         {"size": 3, "leq": [[0, 0], [1, 1], [2, 0], [2, 1], [2, 2]]}, {0: 1}, 2),
+        ("(p0 & ~p1) | (p2 -> I p0)", "topo", 11, {"size": 1, "opens": [[], [0]]},
+         {0: 0, 1: 0, 2: 1}, 0),
+    ]
+    for text, mode, seed, frame, valuation, point in pinned:
+        hit = M.find_countermodel(M.parse(text), 4, mode, seed=seed)
+        m = hit["model"]
+        got = m.topology if mode == "topo" else m.preorder
+        assert (got.to_json(), m.valuation, hit["point"], hit["mode"]) == \
+            (frame, valuation, point, mode), (text, mode)
 
 
 def test_s4_axioms_hold_topologically():
@@ -144,3 +167,25 @@ def test_kripke_alexandrov_transfer_size_five():
             val = {a: rng.randrange(32) for a in range(3)}
             assert M.eval_kripke(M.KripkeModel(p, val), f) == \
                 M.eval_topo(M.TopoModel(t, val), f)
+
+
+def test_batches_match_single_models_on_nine_points():
+    """On n points a point lies in up to 2^(n-1) opens, which overflowed a
+    uint8 count in the batched topological interior from n = 9 on."""
+    t = T.make_topology(9, preset="discrete")
+    p = T.specialization_preorder(t)
+    assert M.eval_topo_batch(t, {0: np.ones((1, 9), bool)}, M.parse("I p0")).all()
+    rng = random.Random(9)
+    rows = [511, 0, 255] + [rng.randrange(512) for _ in range(13)]
+    vals = {a: np.array([[bits >> (x + a) & 1 for x in range(9)] for bits in rows], bool)
+            for a in (0, 1)}
+    for text in ("I p0", "~I~p0", "I(p0 -> I p1) | ~p1", "p5 | ~I p5"):
+        f = M.parse(text)
+        topo = M.eval_topo_batch(t, vals, f)
+        kripke = M.eval_kripke_batch(p, vals, f)
+        for r, bits in enumerate(rows):
+            val = {a: [x for x in range(9) if vals[a][r, x]] for a in (0, 1)}
+            want = M.eval_topo(M.TopoModel(t, val), f)
+            assert set(np.flatnonzero(topo[r])) == want, (text, bits)
+            assert set(np.flatnonzero(kripke[r])) == want, (text, bits)
+            assert M.eval_kripke(M.KripkeModel(p, val), f) == want, (text, bits)
