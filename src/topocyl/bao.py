@@ -5,10 +5,17 @@ equation and axiom-suite checking, neat reducts, generated subalgebras,
 and a bounded representation search. Elements of complex algebras and of
 concrete set-algebra views are plain int bitmasks, so Boolean operations
 are machine ops.
+
+An equation holds in A exactly when it holds in a direct power A^B, so
+check_equation checks B environments as one environment of A^B. An element
+of A^B packs B elements into one int, row r from bit r * W on, W being the
+element width rounded up to whole bytes (the bits between rows stay 0); the
+row repunit `rep`, with bit r * W set for every row, replicates constants.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -22,10 +29,12 @@ from .errors import (
     UnboundVariable,
 )
 from . import setalg as sa
-from .topology import enumerate_topologies, make_topology
+from .topology import enumerate_topologies, make_topology, set_of
 
 MATERIALIZE_CAP = 20
 EXHAUSTIVE_CAP = 1 << 24
+# bits per packed batch of environments in check_equation
+BATCH_BITS = 1 << 16
 
 
 class AtomStructure:
@@ -46,6 +55,10 @@ class AtomStructure:
         self.names = list(names) if names is not None else [str(a) for a in range(num_atoms)]
         if len(self.T) != dim:
             raise ValueError("one accessibility relation per index required")
+        full = (1 << num_atoms) - 1
+        for table in self.T + [desc for desc in self.interior if desc is not None]:
+            if len(table) != num_atoms or any(img & ~full for img in table):
+                raise ValueError("a relation table must map every atom to a set of atoms")
         for (i, j) in itertools.product(range(dim), repeat=2):
             if (i, j) not in self.D:
                 raise ValueError(f"missing diagonal atom set D[{i},{j}]")
@@ -62,16 +75,8 @@ class AtomStructure:
                 self.interior_flags.append("flagged")
 
     def _s4_relation(self, table) -> bool:
-        for a in range(self.num_atoms):
-            if not table[a] >> a & 1:
-                return False
-            rest = table[a]
-            b = 0
-            while rest >> b:
-                if rest >> b & 1 and table[b] & ~table[a]:
-                    return False
-                b += 1
-        return True
+        return all(table[a] >> a & 1 and not any(table[b] & ~table[a] for b in set_of(table[a]))
+                   for a in range(self.num_atoms))
 
     @staticmethod
     def from_pairs(dim, num_atoms, pairs_per_i, diag_sets, interior=None, names=None):
@@ -90,27 +95,14 @@ class AtomStructure:
         return AtomStructure(dim, num_atoms, T, D, interior, names)
 
     def to_json(self) -> dict:
-        pairs = []
-        for i in range(self.dim):
-            cur = []
-            for a in range(self.num_atoms):
-                img = self.T[i][a]
-                for b in range(self.num_atoms):
-                    if img >> b & 1:
-                        cur.append([a, b])
-            pairs.append(cur)
+        pairs = [[[a, b] for a, img in enumerate(t) for b in sorted(set_of(img))]
+                 for t in self.T]
         diag = {}
         for (i, j), m in sorted(self.D.items()):
             diag[f"{i},{j}"] = [a for a in range(self.num_atoms) if m >> a & 1]
-        interior = []
-        for desc in self.interior:
-            if desc is None:
-                interior.append("identity")
-            else:
-                interior.append(
-                    {str(a): [b for b in range(self.num_atoms) if desc[a] >> b & 1]
-                     for a in range(self.num_atoms)}
-                )
+        interior = ["identity" if desc is None else
+                    {str(a): sorted(set_of(img)) for a, img in enumerate(desc)}
+                    for desc in self.interior]
         return {
             "dim": self.dim,
             "atoms": self.num_atoms,
@@ -124,9 +116,11 @@ class AtomStructure:
 
 
 class Algebra:
-    """Protocol: dim, zero, one, plus, times, minus, cyl, dg, interior, eq."""
+    """Protocol: dim, zero, one, plus, times, minus, cyl, dg, interior, eq.
+    By default an algebra packs no rows: it is its own power of one row."""
 
     dim: int
+    rows_per_batch = 1
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -155,17 +149,29 @@ class Algebra:
     def random_element(self, rng: random.Random):
         raise NotImplementedError
 
+    def power(self, rows: int) -> "Algebra":
+        return self
 
-class ComplexAlgebra(Algebra):
-    """Complex algebra of a finite atom structure; elements are atom bitmasks."""
+    def pack(self, xs: Sequence):
+        return xs[0]
 
-    def __init__(self, structure: AtomStructure):
-        self.structure = structure
-        self.dim = structure.dim
-        self.num_atoms = structure.num_atoms
+    def rows_differ(self, a, b) -> int:
+        """Bitmask of the rows where a and b differ."""
+        return 0 if self.eq(a, b) else 1
+
+
+class BitmaskAlgebra(Algebra):
+    """Elements are int bitmasks of `width` bits; `power(rows)` is the
+    direct power whose elements pack `rows` of them (module docstring)."""
+
+    rep = 1
+
+    def __init__(self, width: int):
+        self.width = width
+        self.row_bytes = (width + 7) // 8 or 1
+        self.rows_per_batch = max(1, BATCH_BITS // (8 * self.row_bytes))
         self.zero = 0
-        self.one = (1 << structure.num_atoms) - 1
-        self._diag = dict(structure.D)
+        self.one = (1 << width) - 1
 
     def plus(self, a, b):
         return a | b
@@ -176,34 +182,73 @@ class ComplexAlgebra(Algebra):
     def minus(self, a):
         return self.one & ~a
 
+    def random_element(self, rng):
+        return rng.getrandbits(self.width)
+
+    def power(self, rows):
+        p = copy.copy(self)
+        stride = 8 * self.row_bytes
+        p.rep = ((1 << rows * stride) - 1) // ((1 << stride) - 1)
+        p.one = self.one * p.rep
+        return p
+
+    def pack(self, xs):
+        n = self.row_bytes
+        return int.from_bytes(b"".join(map(int.to_bytes, xs, itertools.repeat(n),
+                                           itertools.repeat("little"))), "little")
+
+    def rows_differ(self, a, b):
+        stride = 8 * self.row_bytes
+        bits = format(a ^ b, "b")[::-1]
+        rows = 0
+        pos = bits.find("1")
+        while pos >= 0:
+            rows |= 1 << pos // stride
+            pos = bits.find("1", pos - pos % stride + stride)
+        return rows
+
+
+class ComplexAlgebra(BitmaskAlgebra):
+    """Complex algebra of a finite atom structure; elements are atom bitmasks."""
+
+    def __init__(self, structure: AtomStructure):
+        super().__init__(structure.num_atoms)
+        self.structure = structure
+        self.dim = structure.dim
+        self.num_atoms = structure.num_atoms
+        self._diag = dict(structure.D)
+        # I(X) = -(image of -X under the converse of R); None is the identity
+        self._converse = []
+        for desc in structure.interior:
+            conv = None if desc is None else [0] * self.num_atoms
+            for a, img in enumerate(desc or ()):
+                for b in set_of(img):
+                    conv[b] |= 1 << a
+            self._converse.append(conv)
+
+    def _image(self, table, x):
+        """Union of table[a] over the atoms a of x, in every row."""
+        rep = self.rep
+        out = 0
+        for a, img in enumerate(table):
+            out |= ((x >> a) & rep) * img
+        return out
+
     def cyl(self, i, x):
         if not 0 <= i < self.dim:
             raise IndexOutOfRange(f"index {i} outside dimension {self.dim}")
-        out = 0
-        img = self.structure.T[i]
-        a = 0
-        rest = x
-        while rest:
-            if rest & 1:
-                out |= img[a]
-            rest >>= 1
-            a += 1
-        return out
+        return self._image(self.structure.T[i], x)
 
     def dg(self, i, j):
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexOutOfRange(f"diagonal ({i},{j}) outside dimension")
-        return self._diag[(i, j)]
+        return self._diag[(i, j)] * self.rep
 
     def interior(self, i, x):
-        desc = self.structure.interior[i]
-        if desc is None:
+        conv = self._converse[i]
+        if conv is None:
             return x
-        out = 0
-        for a in range(self.num_atoms):
-            if desc[a] & ~x == 0:
-                out |= 1 << a
-        return out
+        return self.one & ~self._image(conv, self.one & ~x)
 
     def atoms(self):
         return [1 << a for a in range(self.num_atoms)]
@@ -215,48 +260,29 @@ class ComplexAlgebra(Algebra):
             )
         return list(range(self.one + 1))
 
-    def random_element(self, rng):
-        return rng.getrandbits(self.num_atoms)
 
-
-class SetAlgebra(Algebra):
+class SetAlgebra(BitmaskAlgebra):
     """Full set algebra over a space, viewed abstractly; elements are code bitmasks."""
 
     def __init__(self, space: sa.SetAlgebraSpace, boxes: str = "topology"):
+        super().__init__(space.ncodes)
         self.space = space
         self.dim = space.dim
-        self.zero = 0
-        self.one = space.full_bits
-        self.boxes = boxes
-
-    def plus(self, a, b):
-        return a | b
-
-    def times(self, a, b):
-        return a & b
-
-    def minus(self, a):
-        return self.one & ~a
+        self._box = space.box_bits if boxes == "chang" else space.interior_bits
 
     def cyl(self, i, x):
-        return sa.cyl(i, sa.TupleSet(self.space, x)).bits
+        return self.space.cyl_bits(i, x, self.rep)
 
     def dg(self, i, j):
-        return sa.diag(i, j, self.space).bits
+        return self.space.diag_bits(i, j) * self.rep
 
     def interior(self, i, x):
-        t = sa.TupleSet(self.space, x)
-        if self.boxes == "chang":
-            return sa.box_op(i, t).bits
-        return sa.interior_op(i, t).bits
+        return self._box(i, x, self.rep)
 
     def carrier_list(self):
         if self.space.ncodes > MATERIALIZE_CAP:
             raise TooLarge("set algebra carrier too large to enumerate")
         return list(range(self.one + 1))
-
-    def random_element(self, rng):
-        return rng.getrandbits(self.space.ncodes)
 
 
 class SubAlgebra(Algebra):
@@ -309,39 +335,18 @@ class SubAlgebra(Algebra):
 def atom_structure_of(space: sa.SetAlgebraSpace) -> AtomStructure:
     """Dual structure of a full set algebra: atoms are tuple codes."""
     n, k = space.dim, space.ncodes
-    T = []
-    for i in range(n):
-        _, bases, fibermasks = space._axis(i)
-        img = [0] * k
-        for m in fibermasks:
-            rest = m
-            while rest:
-                low = rest & -rest
-                img[low.bit_length() - 1] = m
-                rest &= rest - 1
-        T.append(img)
-    D = {}
-    for i in range(n):
-        for j in range(n):
-            D[(i, j)] = sa.diag(i, j, space).bits
+    T = [[space.cyl_bits(i, 1 << code) for code in range(k)] for i in range(n)]
+    D = {(i, j): space.diag_bits(i, j) for i in range(n) for j in range(n)}
     interior = None
     if space.topology is not None:
+        # R_i[code]: the i-fiber of code restricted to the minimal
+        # neighbourhood of its i-th coordinate
         interior = []
-        minnbhd = space.topology._minnbhd
-        u = space.base_size
         for i in range(n):
-            stride = u ** i
-            table = []
-            for code in range(k):
-                s_i = (code // stride) % u
-                base = code - s_i * stride
-                m = 0
-                nb = minnbhd[s_i]
-                for a in range(u):
-                    if nb >> a & 1:
-                        m |= 1 << (base + a * stride)
-                table.append(m)
-            interior.append(table)
+            stride, masks = space._axis(i)
+            u = len(masks)
+            nbhd = [sum(masks[b] for b in set_of(nb)) for nb in space.topology._minnbhd]
+            interior.append([T[i][code] & nbhd[code // stride % u] for code in range(k)])
     return AtomStructure(n, k, T, D, interior)
 
 
@@ -424,23 +429,14 @@ def check_equation(
     guards: Sequence[Tuple[int, int]] = (),
 ) -> dict:
     """Verdict plus counterexample. guards are (var, k) pairs demanding
-    k not in the dimension set of the environment's value for var."""
-
-    def guard_ok(env):
-        for v, k in guards:
-            x = env[v]
-            if not alg.eq(alg.cyl(k, x), x):
-                return False
-        return True
-
+    k not in the dimension set of the environment's value for var. Each
+    batch of environments is one environment of a direct power of alg."""
     nvars = len(eq.vars)
     if mode == "auto":
         try:
             carrier = alg.carrier_list()
             mode = "exhaustive" if len(carrier) ** max(nvars, 1) <= EXHAUSTIVE_CAP else "sampled"
-        except TooLarge:
-            mode = "sampled"
-        except TooManyAtoms:
+        except (TooLarge, TooManyAtoms):
             mode = "sampled"
     if mode == "exhaustive":
         carrier = alg.carrier_list()
@@ -448,27 +444,36 @@ def check_equation(
             raise TooLargeForExhaustive(
                 f"{len(carrier)}^{nvars} environments exceed the exhaustive cap"
             )
-        tested = 0
-        for combo in itertools.product(carrier, repeat=nvars):
-            env = dict(zip(eq.vars, combo))
-            if not guard_ok(env):
-                continue
-            tested += 1
-            if not eq.holds_in(alg, env):
-                return {"verdict": "fails", "mode": mode, "tested": tested,
-                        "counterexample": env}
-        return {"verdict": "holds" if tested else "vacuous", "mode": mode, "tested": tested}
-    rng = random.Random(seed)
+        envs = itertools.product(carrier, repeat=nvars)
+    elif mode == "sampled":
+        rng = random.Random(seed)
+        # drawn variable by variable, environment by environment
+        draws = map(alg.random_element, itertools.repeat(rng, samples * nvars))
+        envs = zip(*[draws] * nvars) if nvars else itertools.repeat((), samples)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     tested = 0
-    for _ in range(samples):
-        env = {v: alg.random_element(rng) for v in eq.vars}
-        if not guard_ok(env):
+    while True:
+        batch = list(itertools.islice(envs, alg.rows_per_batch))
+        if not batch:
+            return {"verdict": "holds" if tested else "vacuous", "mode": mode, "tested": tested}
+        p = alg.power(len(batch))
+        env = {v: p.pack(col) for v, col in zip(eq.vars, zip(*batch))}
+        skip = 0
+        for v, k in guards:
+            skip |= p.rows_differ(p.cyl(k, env[v]), env[v])
+        if skip == (1 << len(batch)) - 1:
             continue
-        tested += 1
-        if not eq.holds_in(alg, env):
-            return {"verdict": "fails", "mode": "sampled", "tested": tested,
-                    "counterexample": env}
-    return {"verdict": "holds" if tested else "vacuous", "mode": "sampled", "tested": tested}
+        a = eval_term(p, eq.lhs, env)
+        b = eval_term(p, eq.rhs, env)
+        # a <= b iff a . b = a
+        fails = p.rows_differ(p.times(a, b) if eq.rel == "le" else b, a) & ~skip
+        if fails:
+            r = (fails & -fails).bit_length() - 1
+            tested += r + 1 - (skip & ((1 << r) - 1)).bit_count()
+            return {"verdict": "fails", "mode": mode, "tested": tested,
+                    "counterexample": dict(zip(eq.vars, batch[r]))}
+        tested += len(batch) - skip.bit_count()
 
 
 # -- axiom suites -------------------------------------------------------------
@@ -831,7 +836,7 @@ def _search_assignment(alg, atoms, space) -> Optional[Representation]:
     for i in range(alg.dim):
         for j in range(alg.dim):
             diag_alg[(i, j)] = alg.dg(i, j)
-            diag_sp[(i, j)] = sa.diag(i, j, space).bits
+            diag_sp[(i, j)] = space.diag_bits(i, j)
     salg = SetAlgebra(space)
 
     assign = [-1] * k
@@ -843,13 +848,13 @@ def _search_assignment(alg, atoms, space) -> Optional[Representation]:
             in_alg = alg.le(a, diag_alg[key])
             if in_sp != in_alg:
                 return False
+        fibers = [space.cyl_bits(i, 1 << code) for i in range(alg.dim)]
         for c2 in range(code):
             a2 = atoms[assign[c2]]
-            for i in range(alg.dim):
-                same_fiber = _same_fiber(space, i, code, c2)
-                if same_fiber:
-                    if not (alg.le(a2, alg.cyl(i, a)) and alg.le(a, alg.cyl(i, a2))):
-                        return False
+            for i, fiber in enumerate(fibers):
+                if fiber >> c2 & 1 and not (
+                        alg.le(a2, alg.cyl(i, a)) and alg.le(a, alg.cyl(i, a2))):
+                    return False
         return True
 
     def backtrack(code):
@@ -877,12 +882,6 @@ def _search_assignment(alg, atoms, space) -> Optional[Representation]:
         return None
 
     return backtrack(0)
-
-
-def _same_fiber(space, i, c1, c2):
-    u = space.base_size
-    stride = u ** i
-    return (c1 - ((c1 // stride) % u) * stride) == (c2 - ((c2 // stride) % u) * stride)
 
 
 def _verify_embedding(alg, rep, salg) -> bool:

@@ -11,6 +11,7 @@ bit above the base, so int results are masked once with `full &`.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from functools import partial
 from typing import Dict, Iterable, Optional
@@ -211,7 +212,11 @@ def from_json(doc: dict) -> Formula:
 def _clean_valuation(valuation: Dict[int, Iterable], size: int) -> Dict[int, int]:
     out = {}
     for k, pts in valuation.items():
-        out[k] = pts if isinstance(pts, int) else bits_of(pts, size)
+        try:
+            out[k] = (bits_of(map(operator.index, pts), size) if hasattr(pts, "__iter__")
+                      else operator.index(pts))
+        except TypeError:
+            raise ValueError(f"valuation of p{k} is not a bitmask or a list of points") from None
         if out[k] >> size:
             raise ValueError(f"valuation of p{k} not a subset of the base")
     return out

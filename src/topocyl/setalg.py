@@ -4,6 +4,13 @@ An n-tuple s over base 0..u-1 is encoded as the integer sum(s_i * u**i)
 (little-endian in the index) and a TupleSet is an int bitmask over the
 u**n codes. The hard cap u**n <= 2**24 keeps exhaustive operations in
 memory.
+
+Along axis k the codes with s_k = a form the axis mask masks[a], masks[0]
+shifted up by a * u**k: shifting x down by a * u**k and masking with
+masks[0] moves slice a onto slice 0, every k-fiber kept in place, so c_k,
+I_k and the Chang box are a few shifts, ANDs and ORs of whole bitmasks.
+The row repunit `rep` copies masks[0] into every row of a packed direct
+power (see `bao`); one element has rep = 1.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import itertools
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NoChangSystem, NoTopology, NotSubsetOfUnit, TooLarge
-from .topology import FiniteTopology, coproduct, make_topology
+from .topology import FiniteTopology, coproduct, make_topology, set_of
 
 CODE_CAP = 1 << 24
 
@@ -88,8 +95,7 @@ class SetAlgebraSpace:
         self.chang = chang
         self.ncodes = base_size ** dim
         self.full_bits = (1 << self.ncodes) - 1
-        self._fibers = {}
-        self._int_tables = {}
+        self._axes = {}
         self._diags = {}
 
     def __eq__(self, other):
@@ -124,38 +130,75 @@ class SetAlgebraSpace:
         return itertools.product(range(self.base_size), repeat=self.dim)
 
     def _axis(self, k: int):
-        """(stride, rest_count, base codes) for fibers along axis k."""
+        """(stride, masks) for axis k: masks[a] holds the codes with s_k = a."""
         if not 0 <= k < self.dim:
             raise IndexOutOfRange(f"axis {k} outside dimension {self.dim}")
-        if k not in self._fibers:
+        if k not in self._axes:
             u = self.base_size
             stride = u ** k
-            rest = self.ncodes // u
-            bases = []
-            for r in range(rest):
-                low = r % stride
-                high = r // stride
-                bases.append(low + high * stride * u)
-            fibermasks = []
-            for b in bases:
-                m = 0
-                for a in range(u):
-                    m |= 1 << (b + a * stride)
-                fibermasks.append(m)
-            self._fibers[k] = (stride, bases, fibermasks)
-        return self._fibers[k]
+            # low stride bits of every block of stride * u codes
+            low = ((1 << stride) - 1) * (self.full_bits // ((1 << stride * u) - 1))
+            self._axes[k] = (stride, [low << a * stride for a in range(u)])
+        return self._axes[k]
 
-    def _interior_table(self, dual: bool):
+    def _slices(self, k: int, x: int, rep: int):
+        """(stride, masks[0] replicated by rep, slice a of x moved onto
+        slice 0 for every a) along axis k."""
+        stride, masks = self._axis(k)
+        low = masks[0] * rep
+        return stride, low, [(x >> a * stride) & low for a in range(self.base_size)]
+
+    def cyl_bits(self, k: int, x: int, rep: int = 1) -> int:
+        """c_k on bits: fold every slice onto a = 0, then spread it back."""
+        stride, _, fs = self._slices(k, x, rep)
+        hit = 0
+        for f in fs:
+            hit |= f
+        return sum(hit << a * stride for a in range(self.base_size))
+
+    def interior_bits(self, k: int, x: int, rep: int = 1) -> int:
+        """I_k on bits: slice a of the result is the AND of the slices of x
+        at the points of the minimal neighbourhood of a."""
         if self.topology is None:
             raise NoTopology("space has no topology")
-        key = dual
-        if key not in self._int_tables:
-            t = self.topology
-            table = []
-            for m in range(1 << self.base_size):
-                table.append(t.closure_bits(m) if dual else t.interior_bits(m))
-            self._int_tables[key] = table
-        return self._int_tables[key]
+        stride, low, fs = self._slices(k, x, rep)
+        out = 0
+        for a, nb in enumerate(self.topology._minnbhd):
+            y = low
+            for b in set_of(nb):
+                y &= fs[b]
+            out |= y << a * stride
+        return out
+
+    def box_bits(self, k: int, x: int, rep: int = 1) -> int:
+        """Chang box on bits: slice a of the result is the OR over the
+        members F of V(a) of the fibers of x that equal F."""
+        if self.chang is None:
+            raise NoChangSystem("space has no Chang system")
+        stride, low, fs = self._slices(k, x, rep)
+        out = 0
+        for a, family in enumerate(self.chang.families):
+            y = 0
+            for member in family:
+                lit = low
+                for b, f in enumerate(fs):
+                    lit &= f if member >> b & 1 else low ^ f
+                y |= lit
+            out |= y << a * stride
+        return out
+
+    def diag_bits(self, i: int, j: int) -> int:
+        """d_ij on bits, built once per space."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexOutOfRange(f"diagonal indices ({i},{j}) outside dimension")
+        if (i, j) not in self._diags:
+            bits = 0
+            for code in range(self.ncodes):
+                s = self.decode(code)
+                if s[i] == s[j]:
+                    bits |= 1 << code
+            self._diags[(i, j)] = bits
+        return self._diags[(i, j)]
 
     # -- elements ----------------------------------------------------------
 
@@ -254,65 +297,23 @@ class TupleSet:
 
 def cyl(i: int, x: TupleSet) -> TupleSet:
     """c_i X: close X under changing coordinate i."""
-    sp = x.space
-    _, _, fibermasks = sp._axis(i)
-    out = 0
-    for m in fibermasks:
-        if x.bits & m:
-            out |= m
-    return TupleSet(sp, out)
+    return TupleSet(x.space, x.space.cyl_bits(i, x.bits))
 
 
 def diag(i: int, j: int, space: SetAlgebraSpace) -> TupleSet:
     """d_ij: tuples with s_i = s_j."""
-    if not (0 <= i < space.dim and 0 <= j < space.dim):
-        raise IndexOutOfRange(f"diagonal indices ({i},{j}) outside dimension")
-    if (i, j) not in space._diags:
-        bits = 0
-        for code in range(space.ncodes):
-            s = space.decode(code)
-            if s[i] == s[j]:
-                bits |= 1 << code
-        space._diags[(i, j)] = bits
-    return TupleSet(space, space._diags[(i, j)])
+    return TupleSet(space, space.diag_bits(i, j))
 
 
 def interior_op(k: int, x: TupleSet, dual: bool = False) -> TupleSet:
-    """I_k X (or Cl_k X when dual): interior of the k-fiber, pointwise."""
-    sp = x.space
-    table = sp._interior_table(dual)
-    stride, bases, _ = sp._axis(k)
-    u = sp.base_size
-    out = 0
-    for b in bases:
-        fiber = 0
-        for a in range(u):
-            if x.bits >> (b + a * stride) & 1:
-                fiber |= 1 << a
-        hit = table[fiber]
-        for a in range(u):
-            if hit >> a & 1:
-                out |= 1 << (b + a * stride)
-    return TupleSet(sp, out)
+    """I_k X (or Cl_k X = -I_k -X when dual): interior of the k-fiber, pointwise."""
+    flip = x.space.full_bits if dual else 0
+    return TupleSet(x.space, flip ^ x.space.interior_bits(k, flip ^ x.bits))
 
 
 def box_op(k: int, x: TupleSet) -> TupleSet:
     """Chang box: s in the result iff the k-fiber of s belongs to V(s_k)."""
-    sp = x.space
-    if sp.chang is None:
-        raise NoChangSystem("space has no Chang system")
-    stride, bases, _ = sp._axis(k)
-    u = sp.base_size
-    out = 0
-    for b in bases:
-        fiber = 0
-        for a in range(u):
-            if x.bits >> (b + a * stride) & 1:
-                fiber |= 1 << a
-        for a in range(u):
-            if fiber in sp.chang.families[a]:
-                out |= 1 << (b + a * stride)
-    return TupleSet(sp, out)
+    return TupleSet(x.space, x.space.box_bits(k, x.bits))
 
 
 def subst(tau: Sequence[int], x: TupleSet) -> TupleSet:
@@ -342,11 +343,8 @@ def neat_lift(x: TupleSet, extra: int) -> TupleSet:
         raise ValueError("extra must be at least 1")
     sp = x.space
     big = SetAlgebraSpace(sp.dim + extra, sp.base_size, sp.topology, sp.chang)
-    block = sp.ncodes
-    out = 0
-    for h in range(big.ncodes // block):
-        out |= x.bits << (h * block)
-    return TupleSet(big, out)
+    # one copy of x per block of sp.ncodes codes
+    return TupleSet(big, x.bits * (big.full_bits // sp.full_bits))
 
 
 def dimension_set(x: TupleSet) -> frozenset:
@@ -442,16 +440,11 @@ class GeneralizedElement:
         return zip(self.gspace.summands, self.parts)
 
     def op(self, name, *args):
-        out = []
-        for space, bits in self._zip():
-            x = TupleSet(space, bits)
-            if name == "cyl":
-                out.append(cyl(args[0], x).bits)
-            elif name == "interior":
-                out.append(interior_op(args[0], x).bits)
-            else:
-                raise ValueError(name)
-        return GeneralizedElement(self.gspace, tuple(out))
+        kernel = {"cyl": SetAlgebraSpace.cyl_bits, "interior": SetAlgebraSpace.interior_bits}
+        if name not in kernel:
+            raise ValueError(name)
+        return GeneralizedElement(self.gspace, tuple(
+            kernel[name](space, args[0], bits) for space, bits in self._zip()))
 
     def __and__(self, other):
         return GeneralizedElement(

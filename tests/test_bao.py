@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,8 @@ def test_check_equation_modes():
     assert res["verdict"] == "fails" and "counterexample" in res
     res = B.check_equation(alg, bad, mode="sampled", samples=200, seed=1)
     assert res["verdict"] == "fails"
+    with pytest.raises(ValueError):
+        B.check_equation(alg, bad, mode="exhuastive")
 
 
 def test_nonadditivity_imported_as_equation():
@@ -306,3 +312,107 @@ def test_materialization_cap():
     alg = B.ComplexAlgebra(s)
     with pytest.raises(TooManyAtoms):
         alg.carrier_list()
+
+
+def _power_cases():
+    sierpinski = T.make_topology(3, [[], [0], [0, 1], [0, 1, 2]])
+    chang = S.ChangSystem(3, [[[0, 1], [2]], [], [[], [1, 2]]])
+    yield B.SetAlgebra(S.SetAlgebraSpace(2, 3, sierpinski))
+    yield B.SetAlgebra(S.SetAlgebraSpace(3, 2, T.make_topology(2, [[], [0], [0, 1]])))
+    yield B.SetAlgebra(S.SetAlgebraSpace(2, 3, None, chang), boxes="chang")
+    yield B.cm(B.atom_structure_of(S.SetAlgebraSpace(2, 3, sierpinski)))
+    flagged = B.AtomStructure.from_pairs(
+        2, 3, [[(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)], [(0, 0), (1, 1), (2, 2)]],
+        {(0, 0): [0, 1, 2], (0, 1): [0], (1, 0): [0], (1, 1): [0, 1, 2]},
+        interior=[[0b010, 0b100, 0b001], None])
+    assert flagged.interior_flags == ["flagged", "identity"]
+    yield B.cm(flagged)
+
+
+def test_direct_power_is_rowwise():
+    """Every operation of the direct power acts on each row on its own."""
+    rng = random.Random(12)
+    for alg in _power_cases():
+        p = alg.power(5)
+        xs = [alg.random_element(rng) for _ in range(5)]
+        ys = [alg.random_element(rng) for _ in range(5)]
+        xs[1], ys[3] = alg.zero, alg.one
+        x, y = p.pack(xs), p.pack(ys)
+
+        def rowwise(f, *cols):
+            return p.pack([f(*args) for args in zip(*cols)])
+
+        assert p.zero == p.pack([alg.zero] * 5) and p.one == p.pack([alg.one] * 5)
+        assert p.plus(x, y) == rowwise(alg.plus, xs, ys)
+        assert p.times(x, y) == rowwise(alg.times, xs, ys)
+        assert p.minus(x) == rowwise(alg.minus, xs)
+        assert p.xnor(x, y) == rowwise(alg.xnor, xs, ys)
+        for i in range(alg.dim):
+            assert p.cyl(i, x) == rowwise(lambda v: alg.cyl(i, v), xs)
+            assert p.interior(i, x) == rowwise(lambda v: alg.interior(i, v), xs)
+            assert p.q(i, x) == rowwise(lambda v: alg.q(i, v), xs)
+            for j in range(alg.dim):
+                assert p.dg(i, j) == p.pack([alg.dg(i, j)] * 5)
+                assert p.s(i, j, x) == rowwise(lambda v: alg.s(i, j, v), xs)
+        ys[0], ys[2] = xs[0], xs[2]
+        want = sum(1 << r for r in range(5) if xs[r] != ys[r])
+        assert p.rows_differ(x, p.pack(ys)) == want
+
+
+def _pin(res, tested, counterexample):
+    assert (res["verdict"], res["tested"], res["counterexample"]) == \
+        ("fails", tested, counterexample)
+
+
+def test_check_equation_results_pinned():
+    """Verdicts, counts and counterexamples of one-environment-at-a-time
+    checking, recorded before environments were batched."""
+    def space(n, u, preset):
+        return S.SetAlgebraSpace(n, u, T.make_topology(u, preset=preset))
+
+    v0, v1 = B.var(0), B.var(1)
+    alg = B.SetAlgebra(space(3, 3, "discrete"))
+    eq = B.Equation(("cyl", 0, ("cyl", 1, ("cyl", 2, ("times", v0, v1)))), ("one",))
+    _pin(B.check_equation(alg, eq, mode="sampled", samples=20000, seed=0),
+         1819, {0: 0x54a280e, 1: 0x28141b0})
+    _pin(B.check_equation(alg, eq, mode="sampled", samples=20000, seed=4),
+         196, {0: 0x4601d0, 1: 0x5903c04})
+    # the failing environment lies in the fifth batch
+    assert alg.rows_per_batch * 4 < 8244 <= alg.rows_per_batch * 5
+    _pin(B.check_equation(alg, eq, mode="sampled", samples=20000, seed=9),
+         8244, {0: 0x6bb0f69, 1: 0x140b006})
+
+    alg = B.SetAlgebra(space(2, 3, "indiscrete"))
+    eq = B.Equation(("interior", 0, v0), v0)
+    _pin(B.check_equation(alg, eq, mode="sampled", samples=5000, seed=0, guards=((0, 1),)),
+         5, {0: 438})
+    _pin(B.check_equation(alg, eq, mode="exhaustive", guards=((0, 1),)), 2, {0: 73})
+
+    alg = B.cm(B.atom_structure_of(space(2, 2, "discrete")))
+    _pin(B.check_equation(alg, B.Equation(("cyl", 0, v0), v0), mode="exhaustive"),
+         2, {0: 1})
+
+    # guards skip three quarters of the environments; the failing one is
+    # environment 14774 (from 0), in the second batch of 8192
+    alg = B.SetAlgebra(space(2, 2, "discrete"))
+    assert alg.rows_per_batch == 8192
+    all3 = ("times", B.var(1), ("times", B.var(2), B.var(3)))
+    eq = B.Equation(("times", v0, ("q", 0, ("q", 1, all3))), ("zero",), "le")
+    _pin(B.check_equation(alg, eq, mode="sampled", samples=60000, seed=0, guards=((0, 1),)),
+         3683, {0: 15, 1: 15, 2: 15, 3: 15})
+
+    topo = T.make_topology(2, [[], [0], [0, 1]])
+    sp = S.SetAlgebraSpace(2, 2, topo, S.chang_from_topology(topo))
+    rep = B.check_axiom_suite(B.SetAlgebra(sp, boxes="chang"), "S5Chang", mode="exhaustive")
+    failed = [(a["axiom"], a["tested"], a["counterexample"])
+              for a in rep["axioms"] if a["verdict"] != "holds"]
+    assert failed == [("S5Chang6[-B0-p<=B0-B0-p]", 3, {"v0": "2"}),
+                      ("S5Chang6[-B1-p<=B1-B1-p]", 5, {"v0": "4"})]
+
+
+def test_set_algebra_modules_do_not_import_numpy():
+    code = "import sys, topocyl.bao, topocyl.setalg; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(B.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

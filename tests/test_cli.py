@@ -56,6 +56,20 @@ def test_modal_eval(tmp_path):
     assert doc["results"]["satisfying"] == []
 
 
+def test_malformed_valuation_is_a_usage_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    for value in ("ab", None, [0, "x"]):
+        model.write_text(json.dumps({
+            "kind": "topo",
+            "topology": {"size": 2, "opens": [[], [0], [0, 1]]},
+            "valuation": {"0": value},
+        }))
+        code = dispatch(["modal", "eval", "--formula", "p0", "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: valuation of p0") and err.count("\n") == 1
+
+
 def test_modal_equiv(tmp_path):
     code, doc = run(tmp_path, "modal", "equiv", "--max-size", "3",
                     "--depth", "3", "--seed", "7", "--expect", "true")

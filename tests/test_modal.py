@@ -58,6 +58,17 @@ def test_missing_atoms_default_empty():
     assert M.eval_topo(M.TopoModel(dis, {}), M.parse("~p5")) == {0, 1}
 
 
+def test_valuations_accept_integer_bitmasks_and_point_lists():
+    t = T.make_topology(2, [[], [0], [0, 1]])
+    f = M.parse("I p0")
+    want = M.eval_topo(M.TopoModel(t, {0: 1}), f)
+    for value in (np.int64(1), [0], (np.int64(0),)):
+        assert M.eval_topo(M.TopoModel(t, {0: value}), f) == want
+    for value in ("ab", None, [0, "x"], 1.0):
+        with pytest.raises(ValueError, match="p0"):
+            M.TopoModel(t, {0: value})
+
+
 def test_dynamic_examples():
     dis = T.make_topology(2, preset="discrete")
     ind = T.make_topology(2, preset="indiscrete")

@@ -24,6 +24,49 @@ def brute_cyl(sp, i, x):
     return sp.element(out)
 
 
+def _fiber(sp, k, s, members):
+    """Bitmask of the a with s[k := a] in members."""
+    return sum(1 << a for a in range(sp.base_size)
+               if s[:k] + (a,) + s[k + 1:] in members)
+
+
+def brute_interior(sp, k, x):
+    """Oracle: the interior of the base taken on each k-fiber."""
+    members = set(x.members())
+    return sp.element(s for s in sp.tuples()
+                      if sp.topology.interior_bits(_fiber(sp, k, s, members)) >> s[k] & 1)
+
+
+def brute_box(sp, k, x):
+    """Oracle: s is in the box iff its k-fiber belongs to V(s_k)."""
+    members = set(x.members())
+    return sp.element(s for s in sp.tuples()
+                      if _fiber(sp, k, s, members) in sp.chang.families[s[k]])
+
+
+def _samples(sp, rng, count):
+    return [sp.empty(), sp.unit()] + \
+        [sp.from_bits(rng.getrandbits(sp.ncodes)) for _ in range(count)]
+
+
+def test_interior_and_box_match_definitions():
+    rng = random.Random(3)
+    for n, u in ((2, 3), (3, 2), (3, 3)):
+        for topo in T.enumerate_topologies(u):
+            sp = S.SetAlgebraSpace(n, u, topo, S.chang_from_topology(topo))
+            for x in _samples(sp, rng, 4 if n * u == 9 else 8):
+                for k in range(n):
+                    assert S.interior_op(k, x) == brute_interior(sp, k, x)
+                    assert S.box_op(k, x) == brute_box(sp, k, x)
+    # neither topological nor upward closed, and V(1) is empty
+    ch = S.ChangSystem(3, [[[0, 1], [2]], [], [[], [1, 2]]])
+    for n in (2, 3):
+        sp = S.SetAlgebraSpace(n, 3, None, ch)
+        for x in _samples(sp, rng, 12):
+            for k in range(n):
+                assert S.box_op(k, x) == brute_box(sp, k, x)
+
+
 def test_encoding_is_little_endian():
     sp = space(3, 3)
     assert sp.encode((1, 2, 0)) == 1 + 2 * 3
