@@ -80,16 +80,22 @@ class AtomStructure:
 
     @staticmethod
     def from_pairs(dim, num_atoms, pairs_per_i, diag_sets, interior=None, names=None):
+        atoms = range(num_atoms)
         T = []
         for i in range(dim):
             img = [0] * num_atoms
             for a, b in pairs_per_i[i]:
+                if a not in atoms or b not in atoms:
+                    raise ValueError(f"pair {[a, b]} of T[{i}] names an atom outside "
+                                     f"0..{num_atoms - 1}")
                 img[a] |= 1 << b
             T.append(img)
         D = {}
-        for (i, j), atoms in diag_sets.items():
+        for (i, j), diag in diag_sets.items():
             m = 0
-            for a in atoms:
+            for a in diag:
+                if a not in atoms:
+                    raise ValueError(f"D[{i},{j}] names atom {a} outside 0..{num_atoms - 1}")
                 m |= 1 << a
             D[(i, j)] = m
         return AtomStructure(dim, num_atoms, T, D, interior, names)

@@ -53,12 +53,15 @@ def _atom_structure_from_json(doc: dict) -> bao.AtomStructure:
         i, j = (int(p) for p in key.split(","))
         diag[(i, j)] = atoms
     interior = []
-    for desc in doc.get("interior", ["identity"] * dim):
+    for i, desc in enumerate(doc.get("interior", ["identity"] * dim)):
         if desc == "identity":
             interior.append(None)
         else:
             table = [0] * k
             for a, img in desc.items():
+                if int(a) not in range(k) or any(b not in range(k) for b in img):
+                    raise ValueError(f"interior[{i}] entry {a}: {img} names an atom "
+                                     f"outside 0..{k - 1}")
                 m = 0
                 for b in img:
                     m |= 1 << b

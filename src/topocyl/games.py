@@ -1,10 +1,16 @@
 """Atomic networks and the bounded atomic games.
 
 Two backends drive the same engine: a generic one for small explicit atom
-structures (networks map n-tuples of nodes to atom ids; Exists' responses
-come from constraint propagation over the undetermined tuples) and a
-rainbow one where a network is a coloured graph and the atom of a tuple is
-the pullback along it.
+structures and a rainbow one where a network is a coloured graph and the
+atom of a tuple is the pullback along it.
+
+A generic network maps n-tuples of nodes to atom ids. Exists' responses are
+found by backtracking over the undetermined tuples, most constrained first;
+the domain of a tuple is a bitmask of atoms, its diagonal mask narrowed by
+one table row per labelled axis neighbour, and canonical forms are the least
+label vector over node permutations, read through one itemgetter each. The
+tables that depend only on (n, node count) are built on first use and
+shared.
 
 The real game runs for omega rounds; everything here is an r-round
 truncation and says so in its artifacts. In F-mode Forall may pick a node
@@ -15,7 +21,9 @@ demands globally fresh nodes.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import BudgetExceeded, ScriptRefuted
@@ -119,11 +127,39 @@ def validate_network(s: AtomStructure, net: AtomicNetwork) -> dict:
     return {"ok": True}
 
 
+@functools.lru_cache(maxsize=None)
+def _shape_tables(n: int, k: int):
+    """Tables of the tuple space range(k)^n that do not depend on the
+    structure: the tuples in sorted order (a tuple's position is its index),
+    each index's axis neighbours as (i, indices of the tuples that differ
+    from it only at position i), and one itemgetter per node permutation
+    that reads a label vector in the order of the relabelled tuples."""
+    tuples = tuple(itertools.product(range(k), repeat=n))
+    index = {t: j for j, t in enumerate(tuples)}
+    neighbours = tuple(
+        tuple((i, tuple(index[t[:i] + (d,) + t[i + 1:]] for d in range(k) if d != t[i]))
+              for i in range(n))
+        for t in tuples
+    )
+    if k < 2:  # one permutation; itemgetter returns a tuple only for 2+ indices
+        getters = (tuple,)
+    else:
+        getters = tuple(operator.itemgetter(*(index[tuple(p[x] for x in t)] for t in tuples))
+                        for p in itertools.permutations(range(k)))
+    return tuples, neighbours, getters
+
+
 class GenericBackend:
     def __init__(self, structure: AtomStructure):
         self.s = structure
         self.n = structure.dim
         self.kind = "generic"
+        # both[i][b]: the atoms a with T_i(b, a) and T_i(a, b), the labels an
+        # i-neighbour of a tuple labelled b may carry
+        atoms = range(structure.num_atoms)
+        self.both = [[sum(1 << a for a in atoms if t[b] >> a & 1 and t[a] >> b & 1)
+                      for b in atoms] for t in structure.T]
+        self._diags: Dict[int, List[int]] = {}
 
     def atoms(self):
         return range(self.s.num_atoms)
@@ -131,14 +167,29 @@ class GenericBackend:
     def ti_rel(self, i, a, b):
         return bool(self.s.T[i][a] >> b & 1)
 
-    def in_diag(self, a, i, j):
-        return bool(self.s.D[(i, j)] >> a & 1)
+    def _diag_masks(self, k: int) -> List[int]:
+        """Per index of range(k)^n, the atoms meeting every diagonal the
+        tuple lies on."""
+        masks = self._diags.get(k)
+        if masks is None:
+            n, D = self.n, self.s.D
+            full = (1 << self.s.num_atoms) - 1
+            masks = []
+            for t in _shape_tables(n, k)[0]:
+                m = full
+                for i in range(n):
+                    for j in range(n):
+                        if t[i] == t[j]:
+                            m &= D[(i, j)]
+                masks.append(m)
+            self._diags[k] = masks
+        return masks
 
     def initial_networks(self, atom: int, budget: int) -> List[AtomicNetwork]:
         """Minimal networks realizing the atom; dominant for Exists since
         networks are closed under node deletion."""
         n = self.n
-        rel = {(i, j) for i in range(n) for j in range(n) if self.in_diag(atom, i, j)}
+        rel = {(i, j) for i in range(n) for j in range(n) if self.s.D[(i, j)] >> atom & 1}
         symmetric = all((j, i) in rel for (i, j) in rel)
         transitive = all((i, k) in rel
                          for (i, j) in rel for (j2, k) in rel if j == j2)
@@ -161,52 +212,66 @@ class GenericBackend:
 
     def _complete(self, nodes, pinned, cap: Optional[int] = None) -> List[AtomicNetwork]:
         """All total labelings extending `pinned` under the network
-        conditions; most-constrained-first with forward checking."""
-        n = self.n
+        conditions; most-constrained-first with forward checking.
+
+        A tuple's domain is a bitmask of atoms: its diagonal mask ANDed with
+        both[i][b] for every labelled i-neighbour, labelled b."""
+        n, both = self.n, self.both
+        nodes = sorted(nodes)
+        neighbours = _shape_tables(n, len(nodes))[1]
+        where = dict(zip(itertools.product(nodes, repeat=n), range(len(neighbours))))
+        diag = self._diag_masks(len(nodes))
+        assign: List[Optional[int]] = [None] * len(neighbours)
+        # the diagonal test comes first: it also turns away atoms outside the
+        # structure before they index `both`
         for t, a in pinned.items():
-            if not self._local_ok(t, a, pinned):
+            j = where[t]
+            if not diag[j] >> a & 1:
                 return []
-        tuples = sorted(itertools.product(sorted(nodes), repeat=n))
-        assign = dict(pinned)
+            assign[j] = a
+
+        def narrow(dom, j, a):
+            for i, us in neighbours[j]:
+                m = both[i][a]
+                for u in us:
+                    dom[u] &= m
+
+        dom = list(diag)
+        for j, a in enumerate(assign):
+            if a is not None:
+                narrow(dom, j, a)
+        if any(a is not None and not dom[j] >> a & 1 for j, a in enumerate(assign)):
+            return []
         out: List[AtomicNetwork] = []
 
-        def bt():
+        def bt(dom, free):
             if cap is not None and len(out) > cap:
                 raise BudgetExceeded("response enumeration cap exceeded")
-            best, best_dom = None, None
-            for t in tuples:
-                if t in assign:
-                    continue
-                dom = [a for a in self.atoms() if self._local_ok(t, a, assign)]
-                if best_dom is None or len(dom) < len(best_dom):
-                    best, best_dom = t, dom
-                if not dom:
-                    break
-            if best is None:
-                out.append(AtomicNetwork(n, nodes, dict(assign)))
+            if not free:
+                out.append(AtomicNetwork(n, nodes, dict(zip(where, assign))))
                 return
-            for a in best_dom:
-                assign[best] = a
-                bt()
-                del assign[best]
+            best, size = 0, dom[free[0]].bit_count()
+            for p in range(1, len(free)):
+                if not size:
+                    break
+                c = dom[free[p]].bit_count()
+                if c < size:
+                    best, size = p, c
+            j = free[best]
+            rest = free[:best] + free[best + 1:]
+            m = dom[j]
+            while m:
+                low = m & -m
+                a = low.bit_length() - 1
+                m ^= low
+                assign[j] = a
+                sub = dom.copy()
+                narrow(sub, j, a)
+                bt(sub, rest)
+            assign[j] = None
 
-        bt()
+        bt(dom, [j for j, a in enumerate(assign) if a is None])
         return out
-
-    def _local_ok(self, t, a, assign):
-        n = self.n
-        for i in range(n):
-            for j in range(n):
-                if t[i] == t[j] and not self.in_diag(a, i, j):
-                    return False
-        for u, b in assign.items():
-            if u == t:
-                continue
-            for i in range(n):
-                if all(u[x] == t[x] for x in range(n) if x != i):
-                    if not self.ti_rel(i, b, a) or not self.ti_rel(i, a, b):
-                        return False
-        return True
 
     def forall_moves(self, nets, budget, used, mode, cap=None):
         moves = []
@@ -243,16 +308,12 @@ class GenericBackend:
         return self._complete(nodes, pinned, cap=cap)
 
     def canonical(self, net: AtomicNetwork):
+        """The least label vector, in sorted tuple order, over all
+        relabellings of the nodes by 0..k-1."""
         nodes = net.nodes
-        best = None
-        for perm in itertools.permutations(range(len(nodes))):
-            relabel = {v: perm[i] for i, v in enumerate(nodes)}
-            enc = tuple(sorted(
-                (tuple(relabel[x] for x in t), a) for t, a in net.labels.items()
-            ))
-            if best is None or enc < best:
-                best = enc
-        return (len(nodes), best)
+        labels = net.labels
+        vec = [labels[t] for t in itertools.product(nodes, repeat=self.n)]
+        return (len(nodes), min(g(vec) for g in _shape_tables(self.n, len(nodes))[2]))
 
     def atom_ids(self, net):
         return set(net.labels.values())
@@ -440,24 +501,20 @@ class RainbowBackend:
                 out.append(GraphNetwork(g2))
 
     def canonical(self, net: GraphNetwork):
+        """The least (edges, yellows) encoding over all relabellings of the
+        nodes by 0..k-1; node positions and the colour codes of both edge
+        directions are read once, so a permutation relabels ints only."""
         g = net.graph
-        nodes = g.nodes
-        best = None
-        for perm in itertools.permutations(range(len(nodes))):
-            relabel = {v: perm[i] for i, v in enumerate(nodes)}
-            edges = []
-            for (u, v) in g.edges:
-                ru, rv = relabel[u], relabel[v]
-                c = g.edge(u, v) if ru < rv else g.edge(v, u)
-                edges.append(((min(ru, rv), max(ru, rv)), colour_code(c)))
-            yells = [
-                (tuple(sorted(relabel[x] for x in key)), tuple(sorted(S)))
-                for key, S in g.yellows.items()
-            ]
-            enc = (tuple(sorted(edges)), tuple(sorted(yells)))
-            if best is None or enc < best:
-                best = enc
-        return (len(nodes), best)
+        pos = {v: p for p, v in enumerate(g.nodes)}
+        edges = [(pos[u], pos[v], colour_code(g.edge(u, v)), colour_code(g.edge(v, u)))
+                 for (u, v) in g.edges]
+        yells = [([pos[x] for x in key], tuple(sorted(S))) for key, S in g.yellows.items()]
+        return (len(pos), min(
+            (tuple(sorted(((perm[u], perm[v]), fwd) if perm[u] < perm[v]
+                          else ((perm[v], perm[u]), back)
+                          for u, v, fwd, back in edges)),
+             tuple(sorted((tuple(sorted(perm[x] for x in key)), S) for key, S in yells)))
+            for perm in itertools.permutations(range(len(pos)))))
 
     def atom_ids(self, net):
         g = net.graph
@@ -543,6 +600,10 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
                   budget: Optional[SolveBudget] = None, yellow_mode="all") -> dict:
     """Minimax over the r-round truncation with memoization on
     canonicalized states. The report is explicitly a truncation verdict."""
+    if rounds < 0:
+        raise ValueError(f"rounds must be at least 0, got {rounds}")
+    if m < 1:
+        raise ValueError(f"node budget must be at least 1, got {m}")
     if rounds > SOLVE_ROUNDS_CAP:
         raise BudgetExceeded(f"rounds capped at {SOLVE_ROUNDS_CAP}")
     if m > structure.dim + 3:

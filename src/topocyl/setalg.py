@@ -83,6 +83,8 @@ class SetAlgebraSpace:
     ):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
+        if base_size < 1:
+            raise ValueError("base size must be at least 1")
         if topology is not None and topology.size != base_size:
             raise ValueError("topology size must equal the base size")
         if chang is not None and chang.base_size != base_size:

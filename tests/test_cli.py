@@ -70,6 +70,44 @@ def test_malformed_valuation_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("usage error: valuation of p0") and err.count("\n") == 1
 
 
+def test_structure_naming_atoms_out_of_range_is_a_usage_error(tmp_path, capsys):
+    diag = {"0,0": [0, 1], "0,1": [0], "1,0": [0], "1,1": [0, 1]}
+    good_T = [[[0, 0], [1, 1]], [[0, 0], [1, 1]]]
+    cases = [
+        ({"T": [[[5, 0]], [[0, 0]]]}, "pair [5, 0] of T[0]"),
+        ({"T": [[[-1, 0]], [[0, 0]]]}, "pair [-1, 0] of T[0]"),
+        ({"T": good_T, "D": dict(diag, **{"0,1": [2]})}, "D[0,1] names atom 2"),
+        ({"T": good_T, "interior": [{"7": [0]}, "identity"]}, "interior[0] entry 7"),
+        ({"T": good_T, "interior": [{"-1": [0]}, "identity"]}, "interior[0] entry -1"),
+        ({"T": good_T, "interior": ["identity", {"0": [-2]}]}, "interior[1] entry 0"),
+    ]
+    path = tmp_path / "s.json"
+    for fields, named in cases:
+        path.write_text(json.dumps(dict({"dim": 2, "atoms": 2, "D": diag}, **fields)))
+        code = dispatch(["bao", "cm", "--structure", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: ") and named in err and err.count("\n") == 1
+
+
+def test_game_solve_rejects_negative_rounds(tmp_path, capsys):
+    for mode in ("F", "G"):
+        code = dispatch(["game", "solve", "--structure", "fullset:2,2", "--nodes", "3",
+                         "--rounds", "-1", "--mode", mode])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "usage error: rounds must be at least 0, got -1\n"
+    code = dispatch(["game", "solve", "--structure", "fullset:2,2", "--nodes", "0",
+                     "--rounds", "1"])
+    assert code == 2 and "node budget" in capsys.readouterr().err
+
+
+def test_setalg_rejects_empty_base(capsys):
+    code = dispatch(["setalg", "axioms", "--dim", "2", "--base", "0", "--topology",
+                     "discrete", "--suite", "CA", "--samples", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: base size must be at least 1\n"
+
+
 def test_modal_equiv(tmp_path):
     code, doc = run(tmp_path, "modal", "equiv", "--max-size", "3",
                     "--depth", "3", "--seed", "7", "--expect", "true")

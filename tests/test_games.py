@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
@@ -147,10 +150,8 @@ def test_solver_deterministic():
     assert a == b
 
 
-def test_solver_forall_wins_on_broken_structure():
-    """Remove the atom (1,1) from the (2,2) structure: Exists cannot even
-    label the diagonal tuple of a second node consistently once Forall
-    demands the right extension."""
+def broken_structure():
+    """The (2,2) structure without the atom (1,1)."""
     sp = S.SetAlgebraSpace(2, 2, T.make_topology(2, preset="discrete"))
     full = B.atom_structure_of(sp)
     keep = [0, 1, 2]  # atoms (0,0), (1,0), (0,1); drop (1,1)
@@ -168,12 +169,171 @@ def test_solver_forall_wins_on_broken_structure():
         T_rel.append(img)
     for key, m in full.D.items():
         D[key] = sum(1 << remap[a] for a in keep if m >> a & 1)
-    s = B.AtomStructure(2, 3, T_rel, D)
+    return B.AtomStructure(2, 3, T_rel, D)
+
+
+def test_solver_forall_wins_on_broken_structure():
+    """Remove the atom (1,1) from the (2,2) structure: Exists cannot even
+    label the diagonal tuple of a second node consistently once Forall
+    demands the right extension."""
+    s = broken_structure()
     res = G.solve_bounded(s, 4, 2, "F")
     assert res["winner"] == "forall"
     assert res["principal_play"][-1]["exists"] == "dead-end"
     chk = G.verify_transcript(s, res)
     assert chk["ok"], chk
+
+
+def _all_networks(s, nodes, pinned):
+    """Every total labelling of nodes^n extending `pinned` that
+    validate_network accepts, by brute force."""
+    free = [t for t in itertools.product(nodes, repeat=s.dim) if t not in pinned]
+    found = set()
+    for labels in itertools.product(range(s.num_atoms), repeat=len(free)):
+        net = G.AtomicNetwork(s.dim, nodes, {**pinned, **dict(zip(free, labels))})
+        if G.validate_network(s, net)["ok"]:
+            found.add(frozenset(net.labels.items()))
+    return found
+
+
+def loose_structure():
+    """Three atoms: T_0 relates everything, T_1 is reflexive plus 0-1 both
+    ways and 1-2 one way, and only atoms 0 and 1 lie on the 0-1 diagonal.
+    Networks on three nodes number in the hundreds."""
+    return B.AtomStructure.from_pairs(
+        2, 3, [[(a, b) for a in range(3) for b in range(3)],
+               [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2)]],
+        {(0, 0): [0, 1, 2], (1, 1): [0, 1, 2], (0, 1): [0, 1], (1, 0): [0, 1]})
+
+
+def _structure(spec):
+    if spec[0] == "broken":
+        return broken_structure()
+    if spec[0] == "loose":
+        return loose_structure()
+    return fullset_structure(*spec[1:])
+
+
+@pytest.mark.parametrize("structure, nodes, pinned", [
+    (("fullset", 2, 2, "discrete"), (0, 1), {}),
+    (("fullset", 2, 2, "discrete"), (0, 2, 3), {(2, 3): 1}),
+    (("fullset", 2, 2, "discrete"), (0, 1), {(0, 0): 1}),
+    (("fullset", 2, 2, "indiscrete"), (0, 1, 2), {(0, 1): 2}),
+    (("fullset", 3, 2, "discrete"), (0, 1), {(0, 0, 0): 0, (0, 0, 1): 4, (1, 1, 0): 3}),
+    (("broken",), (0, 1, 2), {}),
+    (("loose",), (0, 1, 2), {}),
+    (("loose",), (0, 2, 5), {(2, 5): 1, (5, 5): 0}),
+])
+def test_complete_matches_brute_force(structure, nodes, pinned):
+    s = _structure(structure)
+    nets = G.GenericBackend(s)._complete(nodes, pinned)
+    found = [frozenset(net.labels.items()) for net in nets]
+    assert len(set(found)) == len(found)
+    assert set(found) == _all_networks(s, nodes, pinned)
+    assert all(net.nodes == nodes for net in nets)
+
+
+def test_complete_order_pinned():
+    """The search order (first tuple with the smallest domain, atoms
+    ascending) fixes the order of the networks, which principal plays
+    depend on; the digests were recorded before the domains were bitmasks."""
+    pins = [
+        (("loose",), (0, 1, 2), {}, 512, "c0f9cd56e66883cfc919bd2d149d8d906a964722"),
+        (("loose",), (0, 2, 5), {(2, 5): 1, (5, 5): 0}, 128,
+         "c0d462c20befe5e9190c9da5afd49186fbd7ff74"),
+        (("fullset", 2, 3, "discrete"), (0, 1, 2), {(0, 1): 3}, 3,
+         "3f5378d0df5ae288daed7f2d4813c17bf9774490"),
+    ]
+    for spec, nodes, pinned, count, digest in pins:
+        nets = G.GenericBackend(_structure(spec))._complete(nodes, pinned)
+        doc = [sorted(net.labels.items()) for net in nets]
+        assert len(nets) == count
+        assert hashlib.sha1(json.dumps(doc).encode()).hexdigest() == digest, spec
+
+
+def _relabel_atomic(net, f):
+    return G.AtomicNetwork(net.dim, [f[v] for v in net.nodes],
+                           {tuple(f[x] for x in t): a for t, a in net.labels.items()})
+
+
+def _relabel_graph(net, f):
+    g = net.graph
+    h = R.ColouredGraph(g.sig, [f[v] for v in g.nodes], {}, {})
+    for (u, v), c in g.edges.items():
+        h.set_edge(f[u], f[v], c)
+    for key, shade in g.yellows.items():
+        h.set_yellow(tuple(f[x] for x in key), shade)
+    return G.GraphNetwork(h)
+
+
+def test_canonical_invariant_under_node_relabelling(rainbow_structure):
+    rng = random.Random(5)
+    s = fullset_structure(2, 3, "indiscrete")
+    gb = G.GenericBackend(s)
+    net0 = gb.initial_networks(1, 4)[0]
+    nets = [net0] + [r for mv in gb.forall_moves([net0], 4, set(net0.nodes), "F")[::7]
+                     for r in gb.responses(net0, mv)]
+    assert len({gb.canonical(net) for net in nets}) > 1
+    for net in nets:
+        f = dict(zip(net.nodes, rng.sample(range(10), len(net.nodes))))
+        assert gb.canonical(_relabel_atomic(net, f)) == gb.canonical(net)
+    rb = G.RainbowBackend(rainbow_structure, yellow_mode="dominant")
+    proof = G.verify_forall_script(rainbow_structure)
+    graphs = [G.GraphNetwork(R.ColouredGraph.from_json(proof["zeroth_graph"],
+                                                       rainbow_structure.sig))]
+    graphs += [G.GraphNetwork(R.ColouredGraph.from_json(rec["network"]["graph"],
+                                                        rainbow_structure.sig))
+               for rec in proof["tree"]["responses"]]
+    assert len({rb.canonical(net) for net in graphs}) > 1
+    for net in graphs:
+        f = dict(zip(net.nodes, rng.sample(range(10), len(net.nodes))))
+        assert rb.canonical(_relabel_graph(net, f)) == rb.canonical(net)
+
+
+# (structure, nodes, rounds, mode) -> (states_explored, sha1 of the sorted
+# JSON report), recorded before the generic search used bitmask domains
+SOLVER_PINS = {
+    (("fullset", 2, 2, "discrete"), 3, 2, "F"): (135, "4de9d1c41ed5a5e9c030ba874b1041373369f5cf"),
+    (("fullset", 2, 2, "discrete"), 4, 2, "G"): (183, "d5a74a9d465a75cee28ebbc568df11bd5c595c27"),
+    (("fullset", 2, 2, "indiscrete"), 4, 2, "F"): (199, "d79c443b4a86d129f5d32eb5d0e39ebe751f0259"),
+    (("fullset", 2, 2, "indiscrete"), 3, 3, "G"): (79, "ab4dab4f66c13c690dc2e171ac6ad12ebece16ec"),
+    (("fullset", 2, 3, "discrete"), 3, 2, "F"): (516, "8c6285bf229e85fcd38fa4b73093fd3e71cc51b8"),
+    (("fullset", 2, 3, "indiscrete"), 3, 2, "G"): (246, "8a59c1af06eeff7796edf28c6810c06ccfd8ed0b"),
+    (("fullset", 3, 2, "discrete"), 3, 1, "F"): (70, "468e24bd6c2cf593b93a3e96e7048a437685b33a"),
+    (("fullset", 3, 2, "indiscrete"), 3, 1, "G"): (58, "2e0a05c4e79db1111d21a53bd09e2051dde0300b"),
+    (("broken",), 4, 2, "F"): (4, "741427b6343a2242a7aa1d1a7aa5e503378ba7e3"),
+    (("broken",), 3, 2, "G"): (4, "c776e3e108b6a1f99603abab074f9388f5455761"),
+}
+
+
+def test_solver_results_pinned():
+    for (structure, m, r, mode), (states, digest) in SOLVER_PINS.items():
+        s = _structure(structure)
+        res = G.solve_bounded(s, m, r, mode)
+        assert res["states_explored"] == states, (structure, m, r, mode)
+        got = hashlib.sha1(json.dumps(res, sort_keys=True).encode()).hexdigest()
+        assert got == digest, (structure, m, r, mode)
+
+
+def test_forall_script_trees_pinned(rainbow_structure):
+    pins = {
+        (1, 3, 4, 2): "ae9ce4fd9d13189e7009954a457e20bb4b931d41",
+        (2, 1, 4, 3): "bbe79088f88c9fdcf7d46ebfcf0422d29328ffb1",
+        (4, 3, 2, 1): "3215779f83c289b75d98d8e9f68f8eeb27acadc3",
+    }
+    for tints, digest in pins.items():
+        proof = G.verify_forall_script(rainbow_structure, tints)
+        got = hashlib.sha1(json.dumps(proof["tree"], sort_keys=True).encode()).hexdigest()
+        assert got == digest, tints
+
+
+def test_solver_rejects_negative_rounds_and_empty_budget():
+    s = fullset_structure(2, 2)
+    for mode in "FG":
+        with pytest.raises(ValueError, match="rounds"):
+            G.solve_bounded(s, 3, -1, mode)
+        with pytest.raises(ValueError, match="node budget"):
+            G.solve_bounded(s, 0, 1, mode)
 
 
 def test_certificate_networks_validate():

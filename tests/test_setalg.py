@@ -67,6 +67,12 @@ def test_interior_and_box_match_definitions():
                 assert S.box_op(k, x) == brute_box(sp, k, x)
 
 
+def test_base_must_be_nonempty():
+    for u in (0, -1):
+        with pytest.raises(ValueError, match="base size"):
+            S.SetAlgebraSpace(2, u)
+
+
 def test_encoding_is_little_endian():
     sp = space(3, 3)
     assert sp.encode((1, 2, 0)) == 1 + 2 * 3
