@@ -100,6 +100,9 @@ class AtomStructure:
             D[(i, j)] = m
         return AtomStructure(dim, num_atoms, T, D, interior, names)
 
+    def is_atom(self, a) -> bool:
+        return isinstance(a, int) and 0 <= a < self.num_atoms
+
     def to_json(self) -> dict:
         pairs = [[[a, b] for a, img in enumerate(t) for b in sorted(set_of(img))]
                  for t in self.T]

@@ -1,8 +1,17 @@
 """Atomic networks and the bounded atomic games.
 
 Two backends drive the same engine: a generic one for small explicit atom
-structures and a rainbow one where a network is a coloured graph and the
-atom of a tuple is the pullback along it.
+structures, where a network is an `AtomicNetwork`, and a rainbow one, where a
+network is a `ColouredGraph` itself and the atom of a tuple is the pullback
+of the graph along it. Both answer one contract, so the engine never asks
+which backend it holds:
+
+- `atoms()`: the atoms Forall may open with (the rainbow backend raises
+  BudgetExceeded above 64 atoms);
+- `ti_rel(i, a, b)`: b is an atom and T_i(a, b);
+- `atom_of(net, t)`: the atom the network gives the node tuple t;
+- `initial_networks`, `forall_moves`, `responses`, `canonical`, `validate`,
+  `net_to_json` and `net_from_json`.
 
 A generic network maps n-tuples of nodes to atom ids. Exists' responses are
 found by backtracking over the undetermined tuples, most constrained first;
@@ -153,7 +162,6 @@ class GenericBackend:
     def __init__(self, structure: AtomStructure):
         self.s = structure
         self.n = structure.dim
-        self.kind = "generic"
         # both[i][b]: the atoms a with T_i(b, a) and T_i(a, b), the labels an
         # i-neighbour of a tuple labelled b may carry
         atoms = range(structure.num_atoms)
@@ -167,16 +175,22 @@ class GenericBackend:
     def ti_rel(self, i, a, b):
         return bool(self.s.T[i][a] >> b & 1)
 
+    def atom_of(self, net: AtomicNetwork, t) -> int:
+        return net.labels[tuple(t)]
+
     def _diag_masks(self, k: int) -> List[int]:
         """Per index of range(k)^n, the atoms meeting every diagonal the
-        tuple lies on."""
+        tuple lies on. Only atoms with T_i(a, a) for every i qualify: a
+        tuple is its own i-neighbour."""
         masks = self._diags.get(k)
         if masks is None:
             n, D = self.n, self.s.D
-            full = (1 << self.s.num_atoms) - 1
+            reflexive = (1 << self.s.num_atoms) - 1
+            for t in self.s.T:
+                reflexive &= sum(1 << a for a, img in enumerate(t) if img >> a & 1)
             masks = []
             for t in _shape_tables(n, k)[0]:
-                m = full
+                m = reflexive
                 for i in range(n):
                     for j in range(n):
                         if t[i] == t[j]:
@@ -315,9 +329,6 @@ class GenericBackend:
         vec = [labels[t] for t in itertools.product(nodes, repeat=self.n)]
         return (len(nodes), min(g(vec) for g in _shape_tables(self.n, len(nodes))[2]))
 
-    def atom_ids(self, net):
-        return set(net.labels.values())
-
     def net_to_json(self, net):
         return net.to_json()
 
@@ -344,35 +355,35 @@ def _atom_pairs(code: int):
     return out
 
 
-class GraphNetwork:
-    """A rainbow network is exactly a valid coloured graph on its nodes."""
-
-    def __init__(self, graph: ColouredGraph):
-        self.graph = graph
-        self.nodes = graph.nodes
-
-    def to_json(self):
-        return {"graph": self.graph.to_json()}
-
-
 class RainbowBackend:
     def __init__(self, structure: RainbowStructure, yellow_mode: str = "all"):
         self.s = structure
         self.table = structure.table
         self.sig = structure.sig
         self.n = structure.dim
-        self.kind = "rainbow"
-        self.yellow_mode = yellow_mode
-        self.full_shade = frozenset(range(self.sig.yellow_universe))
+        # the shades a yellow slot left free for Exists may take
+        self.shades = ([frozenset(range(self.sig.yellow_universe))]
+                       if yellow_mode == "dominant" else list(self.sig.yellow_sets()))
 
-    def atom_of(self, net: GraphNetwork, t) -> int:
-        return self.table.atom_of_tuple(net.graph, t)
+    def atoms(self):
+        if self.s.num_atoms > 64:
+            raise BudgetExceeded(
+                "full minimax over the rainbow atom structure exceeds any "
+                "sane budget; use verify_forall_script"
+            )
+        return [int(c) for c in self.s.codes]
 
-    def initial_networks(self, atom_code: int, budget: int) -> List[GraphNetwork]:
+    def ti_rel(self, i, a, b):
+        return self.s.is_atom(b) and self.s.ti_related(i, a, b)
+
+    def atom_of(self, net: ColouredGraph, t) -> int:
+        return self.table.atom_of_tuple(net, t)
+
+    def initial_networks(self, atom_code: int, budget: int) -> List[ColouredGraph]:
         _, g = self.table.graph_of(int(atom_code))
         if len(g.nodes) > budget:
             return []
-        return [GraphNetwork(g)]
+        return [g]
 
     def forall_moves(self, nets, budget, used, mode, cap=2000):
         moves = []
@@ -396,8 +407,10 @@ class RainbowBackend:
         moves.sort(key=Move.key)
         return moves
 
-    def responses(self, net: GraphNetwork, move: Move, cap=None) -> List[GraphNetwork]:
-        """All coloured-graph extensions meeting the move's demand.
+    def responses(self, net: ColouredGraph, move: Move, cap=None) -> List[ColouredGraph]:
+        """All coloured-graph extensions meeting the move's demand, found by
+        one backtracking search that extends and undoes a single working
+        graph; `net` itself is left as it is.
 
         yellow_mode="dominant" fixes every yellow label Exists is free to
         choose to the full shade: only the cone clause reads yellow labels
@@ -405,10 +418,7 @@ class RainbowBackend:
         survives, the full shade survives.
         """
         k = move.k
-        g = net.graph
-        if k in g.nodes:
-            g = g.drop_node(k)
-        g = g.copy()
+        g = net.drop_node(k) if k in net.nodes else net.copy()
         g.nodes = tuple(sorted(set(g.nodes) | {k}))
         demanded = insert_at(move.face, move.l, k)
         for i in range(self.n):
@@ -438,7 +448,7 @@ class RainbowBackend:
                 elif old != S:
                     return []
         free_edges = sorted(v for v in g.nodes if v != k and g.edge(v, k) is None)
-        out: List[GraphNetwork] = []
+        out: List[ColouredGraph] = []
         self._fill_edges(g, k, free_edges, 0, out, cap)
         return out
 
@@ -450,10 +460,10 @@ class RainbowBackend:
             return
         v = free[pos]
         for colour in self.sig.edge_colours():
-            g2 = g.copy()
-            g2.set_edge(v, k, colour)
-            if self._triangles_ok(g2, k, v):
-                self._fill_edges(g2, k, free, pos + 1, out, cap)
+            g.set_edge(v, k, colour)
+            if self._triangles_ok(g, k, v):
+                self._fill_edges(g, k, free, pos + 1, out, cap)
+        del g.edges[(v, k) if v < k else (k, v)]
 
     def _triangles_ok(self, g, k, v):
         for w in g.nodes:
@@ -481,30 +491,19 @@ class RainbowBackend:
             key = tuple(sorted(K))
             if green_free and g.yellows.get(key) is None:
                 slots.append(key)
-        if self.yellow_mode == "dominant":
-            g2 = g.copy()
-            for key in slots:
-                g2.set_yellow(key, self.full_shade)
-            if is_valid_coloured_graph(g2):
-                out.append(GraphNetwork(g2))
-            return
-        universe = self.sig.yellow_universe
-        all_shades = [frozenset(t for t in range(universe) if bits >> t & 1)
-                      for bits in range(1 << universe)]
-        for combo in itertools.product(all_shades, repeat=len(slots)):
+        for combo in itertools.product(self.shades, repeat=len(slots)):
             if cap is not None and len(out) > cap:
                 raise BudgetExceeded("response enumeration cap exceeded")
             g2 = g.copy()
             for key, S in zip(slots, combo):
                 g2.set_yellow(key, S)
             if is_valid_coloured_graph(g2):
-                out.append(GraphNetwork(g2))
+                out.append(g2)
 
-    def canonical(self, net: GraphNetwork):
+    def canonical(self, g: ColouredGraph):
         """The least (edges, yellows) encoding over all relabellings of the
         nodes by 0..k-1; node positions and the colour codes of both edge
         directions are read once, so a permutation relabels ints only."""
-        g = net.graph
         pos = {v: p for p, v in enumerate(g.nodes)}
         edges = [(pos[u], pos[v], colour_code(g.edge(u, v)), colour_code(g.edge(v, u)))
                  for (u, v) in g.edges]
@@ -516,19 +515,14 @@ class RainbowBackend:
              tuple(sorted((tuple(sorted(perm[x] for x in key)), S) for key, S in yells)))
             for perm in itertools.permutations(range(len(pos)))))
 
-    def atom_ids(self, net):
-        g = net.graph
-        return {self.atom_of(net, t)
-                for t in itertools.product(g.nodes, repeat=self.n)}
-
     def net_to_json(self, net):
-        return net.to_json()
+        return {"graph": net.to_json()}
 
     def net_from_json(self, doc):
-        return GraphNetwork(ColouredGraph.from_json(doc["graph"], self.sig))
+        return ColouredGraph.from_json(doc["graph"], self.sig)
 
     def validate(self, net):
-        v = is_valid_coloured_graph(net.graph)
+        v = is_valid_coloured_graph(net)
         return {"ok": bool(v), "kind": v.kind,
                 "witness": list(v.witness) if v.witness else None}
 
@@ -555,8 +549,7 @@ class GameState:
         self.used: set = set()
 
     def play_initial(self, atom) -> List:
-        options = self.backend.initial_networks(atom, self.budget)
-        return options
+        return self.backend.initial_networks(atom, self.budget)
 
     def push(self, net):
         self.history.append(net)
@@ -575,8 +568,7 @@ def legal_forall_moves(state: GameState, cap=None) -> List[Move]:
 
 
 def legal_exists_responses(state: GameState, move: Move, cap=None) -> List:
-    nets = state.history if state.mode == "G" else [state.latest()]
-    net = nets[move.net_index] if state.mode == "G" else state.latest()
+    net = state.history[move.net_index] if state.mode == "G" else state.latest()
     return state.backend.responses(net, move, cap=cap)
 
 
@@ -596,6 +588,15 @@ class SolveBudget:
             raise BudgetExceeded("state budget exceeded")
 
 
+def _state_key(backend, mode, nets, used, remaining):
+    """Memo key of a position. G-mode moves may target any historical
+    network, so the whole history is part of the state there; F-mode
+    compresses to the latest network, which earlier networks restrict."""
+    if mode == "G":
+        return (tuple(backend.canonical(nt) for nt in nets), remaining, len(used))
+    return (backend.canonical(nets[-1]), remaining, None)
+
+
 def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
                   budget: Optional[SolveBudget] = None, yellow_mode="all") -> dict:
     """Minimax over the r-round truncation with memoization on
@@ -611,44 +612,27 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
     backend = backend_for(structure, yellow_mode)
     budget = budget or SolveBudget()
     memo: dict = {}
+    all_atoms = list(backend.atoms())
 
-    if backend.kind == "generic":
-        all_atoms = list(backend.atoms())
-    else:
-        if structure.num_atoms > 64:
-            raise BudgetExceeded(
-                "full minimax over the rainbow atom structure exceeds any "
-                "sane budget; use verify_forall_script"
-            )
-        all_atoms = [int(c) for c in structure.codes]
+    def replies(nets, used):
+        """Forall's moves in order, each with Exists' responses to it,
+        enumerated only when the move is reached."""
+        scope = nets if mode == "G" else nets[-1:]
+        for move in backend.forall_moves(scope, m, used, mode, cap=budget.max_moves):
+            yield move, backend.responses(scope[move.net_index], move,
+                                          cap=budget.max_responses)
 
     def value(nets, used, remaining):
         """True iff Exists survives `remaining` more rounds."""
         budget.tick()
-        # G-mode moves may target any historical network, so the whole
-        # history is part of the state there; F-mode compresses to the
-        # latest network, which earlier networks restrict.
-        if mode == "G":
-            key = (tuple(backend.canonical(nt) for nt in nets), remaining, len(used))
-        else:
-            key = (backend.canonical(nets[-1]), remaining, None)
+        key = _state_key(backend, mode, nets, used, remaining)
         if key in memo:
             return memo[key][0]
         if remaining == 0:
             memo[key] = (True, None, None)
             return True
-        moves = backend.forall_moves(
-            nets if mode == "G" else [nets[-1]],
-            m, used, mode, cap=budget.max_moves)
-        for move in moves:
-            target = nets[move.net_index] if mode == "G" else nets[-1]
-            resps = backend.responses(target, move, cap=budget.max_responses)
-            ok = None
-            for r in resps:
-                if value(nets + [r], used | set(r.nodes), remaining - 1):
-                    ok = r
-                    break
-            if ok is None:
+        for move, resps in replies(nets, used):
+            if not any(value(nets + [r], used | set(r.nodes), remaining - 1) for r in resps):
                 memo[key] = (False, move, resps)
                 return False
         memo[key] = (True, None, None)
@@ -659,16 +643,10 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
     losing_atom = None
     for atom in all_atoms:
         inits = backend.initial_networks(atom, m)
-        survivor = None
-        for net0 in inits:
-            if value([net0], set(net0.nodes), rounds):
-                survivor = net0
-                break
-        if survivor is None:
+        if not any(value([net0], set(net0.nodes), rounds) for net0 in inits):
             winner = "forall"
             losing_atom = atom
-            principal = _principal_play(backend, mode, m, atom, inits, rounds,
-                                        memo, budget)
+            principal = _principal_play(backend, mode, atom, inits, rounds, memo)
             break
     if winner is None:
         winner = "exists"
@@ -680,12 +658,7 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
                       "exists": {"network": backend.net_to_json(survivor)}}]
         nets, used = [survivor], set(survivor.nodes)
         for t in range(rounds):
-            moves = backend.forall_moves(nets if mode == "G" else [nets[-1]],
-                                         m, used, mode, cap=budget.max_moves)
-            played = False
-            for move in moves:
-                target = nets[move.net_index] if mode == "G" else nets[-1]
-                resps = backend.responses(target, move, cap=budget.max_responses)
+            for move, resps in replies(nets, used):
                 keep = next(
                     (r for r in resps
                      if value(nets + [r], used | set(r.nodes), rounds - t - 1)),
@@ -696,9 +669,8 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
                                       "exists": {"network": backend.net_to_json(keep)}})
                     nets.append(keep)
                     used |= set(keep.nodes)
-                    played = True
                     break
-            if not played:
+            else:
                 break
     return {
         "winner": winner,
@@ -712,7 +684,7 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
     }
 
 
-def _principal_play(backend, mode, m, atom, inits, rounds, memo, budget):
+def _principal_play(backend, mode, atom, inits, rounds, memo):
     play = [{"round": 0, "forall": {"initial_atom": int(atom)}}]
     if not inits:
         play[0]["exists"] = "dead-end"
@@ -721,11 +693,7 @@ def _principal_play(backend, mode, m, atom, inits, rounds, memo, budget):
     play[0]["exists"] = {"network": backend.net_to_json(net0)}
     nets, used = [net0], set(net0.nodes)
     for t in range(rounds):
-        if mode == "G":
-            key = (tuple(backend.canonical(nt) for nt in nets), rounds - t, len(used))
-        else:
-            key = (backend.canonical(nets[-1]), rounds - t, None)
-        entry = memo.get(key)
+        entry = memo.get(_state_key(backend, mode, nets, used, rounds - t))
         if entry is None or entry[0]:
             break
         _, move, resps = entry
@@ -794,7 +762,7 @@ def verify_forall_script(structure: RainbowStructure, tints=None,
         cg.set_edge(0, n - 1, ("g0", tint))
         return structure.table.atom_of_tuple(cg, tuple(range(n)))
 
-    def expand(net: GraphNetwork, round_no: int) -> dict:
+    def expand(net: ColouredGraph, round_no: int) -> dict:
         stats["exists_nodes"] += 1
         stats["max_depth"] = max(stats["max_depth"], round_no)
         if round_no - 1 >= len(tints) - 1 or round_no > max_rounds:
@@ -820,7 +788,7 @@ def verify_forall_script(structure: RainbowStructure, tints=None,
             })
         return node
 
-    tree = expand(GraphNetwork(gamma), 1)
+    tree = expand(gamma, 1)
     return {
         "kind": "forall-script",
         "n": n,
@@ -845,34 +813,46 @@ def verify_forall_script(structure: RainbowStructure, tints=None,
 
 
 def verify_transcript(structure, artifact: dict, yellow_mode="all") -> dict:
-    """Replay a game artifact: every Forall move must be legal, every Exists
-    network valid and meeting the demand, and dead-end claims must survive
-    re-enumeration of the legal responses."""
+    """Replay a game artifact. The records must be numbered 0, 1, 2, ... and
+    number at most `rounds` + 1; the initial atom must be an atom and the
+    round-0 network one of its minimal networks; every Forall move must be
+    legal, every Exists network valid and meeting the demand, and dead-end
+    claims must survive re-enumeration of the legal responses."""
     kind = artifact.get("kind", "play")
     if kind == "forall-script":
         return _verify_script_artifact(structure, artifact)
-    backend = backend_for(structure, yellow_mode)
     play = artifact["principal_play"]
     mode = artifact.get("mode", "F")
     m = artifact["nodes"]
     state = GameState(structure, m, mode, yellow_mode)
+    backend = state.backend
     if not play:
         return {"ok": False, "reason": "empty play"}
+    if [rec.get("round") for rec in play] != list(range(len(play))):
+        return {"ok": False, "reason": "records are not numbered 0, 1, 2, ... in order"}
+    rounds = artifact.get("rounds", len(play) - 1)
+    if not isinstance(rounds, int) or len(play) > rounds + 1:
+        return {"ok": False, "reason": f"{len(play)} records for a play of {rounds!r} rounds"}
     first = play[0]
     atom = first["forall"]["initial_atom"]
+    if not structure.is_atom(atom):
+        return {"ok": False, "reason": f"initial atom {atom!r} is not an atom"}
+    inits = backend.initial_networks(atom, m)
     if first["exists"] == "dead-end":
-        if backend.initial_networks(atom, m):
+        if inits:
             return {"ok": False, "reason": "claimed initial dead-end has responses"}
         return {"ok": True, "rounds_checked": 0}
     net = backend.net_from_json(first["exists"]["network"])
     chk = backend.validate(net)
     if not chk["ok"]:
         return {"ok": False, "reason": f"round 0 network invalid: {chk}"}
+    if backend.canonical(net) not in {backend.canonical(x) for x in inits}:
+        return {"ok": False,
+                "reason": "round 0 network is not a minimal network of the initial atom"}
     state.push(net)
     for rec in play[1:]:
         move = Move.from_json(rec["forall"])
-        nets = state.history if mode == "G" else [state.latest()]
-        target = nets[move.net_index if mode == "G" else -1]
+        target = state.history[move.net_index] if mode == "G" else state.latest()
         legal = _move_is_legal(backend, target, move, m, state.used, mode)
         if not legal:
             return {"ok": False, "reason": f"illegal move at round {rec['round']}"}
@@ -887,16 +867,9 @@ def verify_transcript(structure, artifact: dict, yellow_mode="all") -> dict:
         if not chk["ok"]:
             return {"ok": False,
                     "reason": f"round {rec['round']} network invalid: {chk}"}
-        if backend.kind == "generic":
-            demanded = insert_at(move.face, move.l, move.k)
-            if net.label(demanded) != move.atom:
-                return {"ok": False,
-                        "reason": f"round {rec['round']} ignores the demand"}
-        else:
-            demanded = insert_at(move.face, move.l, move.k)
-            if backend.atom_of(net, demanded) != move.atom:
-                return {"ok": False,
-                        "reason": f"round {rec['round']} ignores the demand"}
+        if backend.atom_of(net, insert_at(move.face, move.l, move.k)) != move.atom:
+            return {"ok": False,
+                    "reason": f"round {rec['round']} ignores the demand"}
         state.push(net)
     return {"ok": True, "rounds_checked": len(play) - 1}
 
@@ -908,20 +881,13 @@ def _move_is_legal(backend, net, move, m, used, mode):
         return False
     if any(f not in net.nodes for f in move.face):
         return False
-    probe = net.nodes[0]
-    if backend.kind == "generic":
-        base = net.labels[insert_at(move.face, move.l, probe)]
-        return backend.ti_rel(move.l, base, move.atom)
-    if not backend.s.is_atom(move.atom):
-        return False
-    base = backend.atom_of(net, insert_at(move.face, move.l, probe))
-    return backend.s.key_of_code(move.l, base) == backend.s.key_of_code(move.l, move.atom)
+    base = backend.atom_of(net, insert_at(move.face, move.l, net.nodes[0]))
+    return backend.ti_rel(move.l, base, move.atom)
 
 
 def _verify_script_artifact(structure, artifact) -> dict:
     backend = RainbowBackend(structure, yellow_mode="dominant")
-    sig = structure.sig
-    gamma = ColouredGraph.from_json(artifact["zeroth_graph"], sig)
+    gamma = ColouredGraph.from_json(artifact["zeroth_graph"], structure.sig)
     if not is_valid_coloured_graph(gamma):
         return {"ok": False, "reason": "zeroth graph invalid"}
     leaves = {"count": 0, "max_round": 0}
@@ -940,20 +906,16 @@ def _verify_script_artifact(structure, artifact) -> dict:
         if len(resps) != len(node["responses"]):
             return (f"round {node['round']}: recorded {len(node['responses'])} "
                     f"responses, re-enumeration finds {len(resps)}")
-        recorded = sorted(backend.canonical(GraphNetwork(
-            ColouredGraph.from_json(r["network"]["graph"], sig)))
-            for r in node["responses"])
-        found = sorted(backend.canonical(r) for r in resps)
-        if recorded != found:
+        children = [backend.net_from_json(r["network"]) for r in node["responses"]]
+        if sorted(map(backend.canonical, children)) != sorted(map(backend.canonical, resps)):
             return f"round {node['round']}: response set mismatch"
-        for rec in node["responses"]:
-            child = GraphNetwork(ColouredGraph.from_json(rec["network"]["graph"], sig))
+        for rec, child in zip(node["responses"], children):
             err = walk(rec["subtree"], child)
             if err:
                 return err
         return None
 
-    err = walk(artifact["tree"], GraphNetwork(gamma))
+    err = walk(artifact["tree"], gamma)
     if err:
         return {"ok": False, "reason": err}
     if leaves["max_round"] > artifact["round_bound"]:

@@ -150,10 +150,6 @@ class ColouredGraph:
             return self.yellows.get(tuple(key))
         return self.yellows.get(tuple(sorted(key)))
 
-    def with_node(self, v: int) -> "ColouredGraph":
-        return ColouredGraph(self.sig, self.nodes + (v,), self.edges,
-                             self.yellows, self.strict)
-
     def copy(self) -> "ColouredGraph":
         return ColouredGraph(self.sig, self.nodes, self.edges, self.yellows, self.strict)
 
@@ -172,12 +168,6 @@ class ColouredGraph:
         edges = {k: c for k, c in self.edges.items() if v not in k}
         yellows = {k: s for k, s in self.yellows.items() if v not in k}
         return ColouredGraph(self.sig, nodes, edges, yellows, self.strict)
-
-    def subgraph(self, keep: Iterable[int]) -> "ColouredGraph":
-        ks = set(keep)
-        edges = {k: c for k, c in self.edges.items() if set(k) <= ks}
-        yellows = {k: s for k, s in self.yellows.items() if set(k) <= ks}
-        return ColouredGraph(self.sig, ks, edges, yellows, self.strict)
 
     def to_json(self) -> dict:
         contiguous = self.nodes == tuple(range(len(self.nodes)))

@@ -1,0 +1,38 @@
+"""The benchmark's traced run patches names in `topocyl` from outside; a
+refactor that drops or moves one of them must fail here, not only in a
+traced benchmark run. The benchmark files are read, never edited."""
+
+import importlib.util
+from pathlib import Path
+
+from topocyl import bao, games
+from topocyl import setalg as S
+from topocyl import topology as T
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_and_uninstall():
+    tracing = _load_tracing()
+    sites = [(owner, attr) for _, _, points in tracing.PATCH_POINTS for owner, attr in points]
+    originals = [tracing._lookup(owner, attr) for owner, attr in sites]
+    s = bao.atom_structure_of(S.SetAlgebraSpace(2, 2, T.make_topology(2, preset="discrete")))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert all(tracing._lookup(o, a) is not f for (o, a), f in zip(sites, originals))
+        res = games.solve_bounded(s, 3, 1, "F")
+    finally:
+        tracer.uninstall()
+    assert all(tracing._lookup(o, a) is f for (o, a), f in zip(sites, originals))
+    snap = tracer.snapshot()
+    assert snap["games.solve_bounded.calls"] == 1
+    assert snap["games.states"] == res["states_explored"]
+    assert snap["games.canonical.calls"] > 0 and snap["games.complete.calls"] > 0

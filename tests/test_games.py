@@ -49,7 +49,7 @@ def test_rainbow_network_is_a_valid_coloured_graph(rainbow_structure):
                         {(0, 1): ("w", 0), (0, 2): ("g0", 1), (1, 2): ("g", 1)},
                         {(0, 1): full})
     backend = G.RainbowBackend(s)
-    assert backend.validate(G.GraphNetwork(g))["ok"]
+    assert backend.validate(g)["ok"]
     for t in itertools.product(range(3), repeat=3):
         assert s.is_atom(s.table.atom_of_tuple(g, t))
 
@@ -206,11 +206,21 @@ def loose_structure():
         {(0, 0): [0, 1, 2], (1, 1): [0, 1, 2], (0, 1): [0, 1], (1, 0): [0, 1]})
 
 
+def nonreflexive_structure():
+    """Two atoms where T_0 lacks (1, 1): atom 1 is its own 0-neighbour in
+    any tuple it labels, so only atom 0 can label a network."""
+    return B.AtomStructure.from_pairs(
+        2, 2, [[(0, 0), (0, 1), (1, 0)], [(0, 0), (1, 1), (0, 1), (1, 0)]],
+        {key: [0, 1] for key in itertools.product(range(2), repeat=2)})
+
+
 def _structure(spec):
     if spec[0] == "broken":
         return broken_structure()
     if spec[0] == "loose":
         return loose_structure()
+    if spec[0] == "nonreflexive":
+        return nonreflexive_structure()
     return fullset_structure(*spec[1:])
 
 
@@ -223,6 +233,7 @@ def _structure(spec):
     (("broken",), (0, 1, 2), {}),
     (("loose",), (0, 1, 2), {}),
     (("loose",), (0, 2, 5), {(2, 5): 1, (5, 5): 0}),
+    (("nonreflexive",), (0, 1), {}),
 ])
 def test_complete_matches_brute_force(structure, nodes, pinned):
     s = _structure(structure)
@@ -256,14 +267,13 @@ def _relabel_atomic(net, f):
                            {tuple(f[x] for x in t): a for t, a in net.labels.items()})
 
 
-def _relabel_graph(net, f):
-    g = net.graph
+def _relabel_graph(g, f):
     h = R.ColouredGraph(g.sig, [f[v] for v in g.nodes], {}, {})
     for (u, v), c in g.edges.items():
         h.set_edge(f[u], f[v], c)
     for key, shade in g.yellows.items():
         h.set_yellow(tuple(f[x] for x in key), shade)
-    return G.GraphNetwork(h)
+    return h
 
 
 def test_canonical_invariant_under_node_relabelling(rainbow_structure):
@@ -279,10 +289,8 @@ def test_canonical_invariant_under_node_relabelling(rainbow_structure):
         assert gb.canonical(_relabel_atomic(net, f)) == gb.canonical(net)
     rb = G.RainbowBackend(rainbow_structure, yellow_mode="dominant")
     proof = G.verify_forall_script(rainbow_structure)
-    graphs = [G.GraphNetwork(R.ColouredGraph.from_json(proof["zeroth_graph"],
-                                                       rainbow_structure.sig))]
-    graphs += [G.GraphNetwork(R.ColouredGraph.from_json(rec["network"]["graph"],
-                                                        rainbow_structure.sig))
+    graphs = [R.ColouredGraph.from_json(proof["zeroth_graph"], rainbow_structure.sig)]
+    graphs += [R.ColouredGraph.from_json(rec["network"]["graph"], rainbow_structure.sig)
                for rec in proof["tree"]["responses"]]
     assert len({rb.canonical(net) for net in graphs}) > 1
     for net in graphs:
@@ -404,11 +412,40 @@ def test_apex_edges_forced_red(rainbow_structure):
                            {(0, 1): full})
     b = s.table.atom_of_tuple(cone, (0, 1, 2))
     move = G.Move(0, (0, 1), 3, b, 2)
-    resps = backend.responses(G.GraphNetwork(g), move)
+    resps = backend.responses(g, move)
     assert resps
     for net in resps:
-        c = net.graph.edge(2, 3)
+        c = net.edge(2, 3)
         assert c[0] == "r"
+
+
+def test_responses_extend_a_working_copy(rainbow_structure):
+    """The response search sets and deletes edges on one working graph:
+    the graph it is given stays as it was, and every response is a
+    separate valid coloured graph, whether k is fresh or already a node."""
+    s = rainbow_structure
+    full = frozenset(range(5))
+    g = R.ColouredGraph(s.sig, range(3),
+                        {(0, 1): ("w", 0), (0, 2): ("g0", 1), (1, 2): ("g", 1)},
+                        {(0, 1): full})
+    cone = R.ColouredGraph(s.sig, range(3),
+                           {(0, 1): ("w", 0), (0, 2): ("g0", 3), (1, 2): ("g", 1)},
+                           {(0, 1): full})
+    atom = s.table.atom_of_tuple(cone, (0, 1, 2))
+    for yellow_mode in ("all", "dominant"):
+        backend = G.RainbowBackend(s, yellow_mode=yellow_mode)
+        first = backend.responses(g, G.Move(0, (0, 1), 3, atom, 2))
+        # k = 3 again drops and re-adds a node; k = 4 adds a fifth one
+        cases = [(g, 3), (first[0], 3)]
+        if yellow_mode == "dominant":
+            cases.append((first[-1], 4))
+        for net, k in cases:
+            before = json.dumps(net.to_json(), sort_keys=True)
+            resps = backend.responses(net, G.Move(0, (0, 1), k, atom, 2))
+            assert resps
+            assert json.dumps(net.to_json(), sort_keys=True) == before
+            assert all(R.is_valid_coloured_graph(r) for r in resps)
+            assert len({json.dumps(r.to_json(), sort_keys=True) for r in resps}) == len(resps)
 
 
 def test_rainbow_solver_exceeds_budget(rainbow_structure):
@@ -459,3 +496,45 @@ def test_forged_dead_ends_on_non_atom_demands_rejected(rainbow_structure):
              "exists": "dead-end"}]
     forged_play = {"mode": "F", "nodes": 4, "principal_play": play}
     assert not G.verify_transcript(s, forged_play)["ok"]
+
+
+def test_initial_atom_must_be_an_atom(rainbow_structure):
+    s = fullset_structure(2, 2)
+    # a genuine round-0 dead-end: atom 1 needs two nodes, the budget is one
+    res = G.solve_bounded(s, 1, 1, "F")
+    assert res["principal_play"] == [{"round": 0, "forall": {"initial_atom": 1},
+                                      "exists": "dead-end"}]
+    assert G.verify_transcript(s, res) == {"ok": True, "rounds_checked": 0}
+    for structure, bad in ((s, 99), (s, -1), (rainbow_structure, 1)):
+        forged = {"mode": "F", "nodes": 3, "principal_play": [
+            {"round": 0, "forall": {"initial_atom": bad}, "exists": "dead-end"}]}
+        chk = G.verify_transcript(structure, forged)
+        assert not chk["ok"] and "not an atom" in chk["reason"], bad
+
+
+def test_round_zero_network_bound_to_initial_atom():
+    s = fullset_structure(2, 2)
+    res = G.solve_bounded(s, 3, 2, "F")
+    assert G.verify_transcript(s, res)["ok"]
+    first = res["principal_play"][0]
+    assert first["forall"]["initial_atom"] == 0
+    assert set(first["exists"]["network"]["labels"].values()) == {0}
+    first["forall"]["initial_atom"] = 3
+    chk = G.verify_transcript(s, res)
+    assert not chk["ok"] and "round 0" in chk["reason"]
+
+
+def test_round_numbers_checked():
+    s = fullset_structure(2, 2)
+    res = G.solve_bounded(s, 3, 2, "F")
+    play = res["principal_play"]
+    assert [rec["round"] for rec in play] == [0, 1, 2]
+    assert G.verify_transcript(s, res) == {"ok": True, "rounds_checked": 2}
+    doubled = dict(res, principal_play=play + play[1:])
+    chk = G.verify_transcript(s, doubled)
+    assert not chk["ok"] and "numbered" in chk["reason"]
+    renumbered = [dict(rec, round=t) for t, rec in enumerate(play + play[1:])]
+    chk = G.verify_transcript(s, dict(res, principal_play=renumbered))
+    assert not chk["ok"] and "5 records" in chk["reason"]
+    swapped = [play[0], play[2], play[1]]
+    assert not G.verify_transcript(s, dict(res, principal_play=swapped))["ok"]
