@@ -116,15 +116,22 @@ def cmd_topo_check(args):
 # -- modal ---------------------------------------------------------------
 
 
+MODEL_KINDS = ("topo", "kripke", "dynamic")
+
+
 def cmd_modal_eval(args):
     f = modal.parse(args.formula)
     with open(args.model, encoding="utf-8") as fh:
         doc = json.load(fh)
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"model kind {kind!r}: the model JSON needs \"kind\" "
+                         f"set to one of {', '.join(MODEL_KINDS)}")
     valuation = {int(k): v for k, v in doc["valuation"].items()}
-    if doc["kind"] == "topo":
+    if kind == "topo":
         m = modal.TopoModel(topology.FiniteTopology.from_json(doc["topology"]), valuation)
         sat = modal.eval_topo(m, f)
-    elif doc["kind"] == "kripke":
+    elif kind == "kripke":
         m = modal.KripkeModel(topology.Preorder.from_json(doc["preorder"]), valuation)
         sat = modal.eval_kripke(m, f)
     else:

@@ -852,6 +852,11 @@ def verify_transcript(structure, artifact: dict, yellow_mode="all") -> dict:
     state.push(net)
     for rec in play[1:]:
         move = Move.from_json(rec["forall"])
+        if mode == "G" and not (isinstance(move.net_index, int)
+                                and 0 <= move.net_index < len(state.history)):
+            return {"ok": False,
+                    "reason": f"round {rec['round']} plays on network {move.net_index!r}, "
+                              f"not one of 0 .. {len(state.history) - 1}"}
         target = state.history[move.net_index] if mode == "G" else state.latest()
         legal = _move_is_legal(backend, target, move, m, state.used, mode)
         if not legal:

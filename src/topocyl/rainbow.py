@@ -550,6 +550,30 @@ def enumerate_atoms(sig: RainbowSignature) -> AtomTable:
 
 # -- atom structure and its lazy complex algebra ------------------------------
 
+# Atoms per block in the passes over the atom table that cannot work run by
+# run: building a key field, the kernel field or a run table, and the axis-0
+# cylindrifier, which collects the T_0 classes an element meets and gathers
+# the verdict back through the key field. A block's temporaries stay in
+# cache and none is the size of the atom table; in particular np.take
+# converts a narrow index to intp one block at a time. The run path of axes
+# 1 and 2 allocates nothing that size but its result.
+CYL_BLOCK = 1 << 16
+
+# The i-th cylindrifier key is the 9-bit slot (code >> 9i) & 511. For i >= 1
+# the slot sits above the lowest one, so ascending codes group it into runs
+# of equal keys (68,645 on axis 1, 784 on axis 2) and cyl works on the run
+# table. The lowest slot, axis 0, changes at almost every atom (10,893,996
+# runs for 10,894,256 atoms), so axis 0 gathers through its key field.
+RUN_AXES = (1, 2)
+
+
+def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index] for a narrow index field, block by block."""
+    out = np.empty(index.shape[0], dtype=table.dtype)
+    for lo in range(0, index.shape[0], CYL_BLOCK):
+        np.take(table, index[lo:lo + CYL_BLOCK], out=out[lo:lo + CYL_BLOCK])
+    return out
+
 
 class RainbowStructure:
     """Atom structure of the finite rainbow algebra at n = 3.
@@ -558,6 +582,9 @@ class RainbowStructure:
     cylindrifier key of an atom is literally the pXY field opposite i;
     E_ij holds when the kernel identifies i and j; the interior relations
     are the identity.
+
+    Key fields (uint16), the kernel field (uint8) and the run tables of
+    RUN_AXES are derived from the codes on first use, one at a time.
     """
 
     def __init__(self, table: AtomTable):
@@ -567,18 +594,40 @@ class RainbowStructure:
         self.codes = table.codes
         self.num_atoms = table.count
         self._keys = {}
+        self._runs = {}
         self._kid = None
         self._diag = {}
 
+    def _field(self, shift: int, dtype) -> np.ndarray:
+        """The 9-bit slot (code >> shift) & 511 of every atom, block by block."""
+        codes = self.codes
+        out = np.empty(self.num_atoms, dtype=dtype)
+        for lo in range(0, self.num_atoms, CYL_BLOCK):
+            out[lo:lo + CYL_BLOCK] = (codes[lo:lo + CYL_BLOCK] >> shift) & (PAIR_SLOTS - 1)
+        return out
+
     def key_field(self, i: int) -> np.ndarray:
-        """Packed pair-data away from index i for every atom."""
+        """Packed pair-data away from index i for every atom (uint16)."""
         if i not in self._keys:
-            codes = self.codes
-            p12 = codes % PAIR_SLOTS
-            p02 = (codes // PAIR_SLOTS) % PAIR_SLOTS
-            p01 = (codes // (PAIR_SLOTS * PAIR_SLOTS)) % PAIR_SLOTS
-            self._keys[0], self._keys[1], self._keys[2] = p12, p02, p01
+            if i not in range(self.dim):
+                raise KeyError(i)
+            self._keys[i] = self._field(9 * i, np.uint16)
         return self._keys[i]
+
+    def runs(self, i: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, lengths, keys) of the maximal runs of equal key_field(i)
+        values in code order, for an axis i in RUN_AXES."""
+        if i not in self._runs:
+            codes, shift = self.codes, 9 * i
+            starts = [np.zeros(1, dtype=np.intp)]
+            for lo in range(1, self.num_atoms, CYL_BLOCK):
+                key = (codes[lo - 1:lo + CYL_BLOCK] >> shift) & (PAIR_SLOTS - 1)
+                starts.append(np.flatnonzero(key[1:] != key[:-1]) + lo)
+            starts = np.concatenate(starts)
+            lens = np.diff(starts, append=self.num_atoms)
+            keys = (codes[starts] >> shift) & (PAIR_SLOTS - 1)
+            self._runs[i] = (starts, lens, keys)
+        return self._runs[i]
 
     def groups(self, i: int) -> np.ndarray:
         """T_i class id of every atom: its key field, a value below PAIR_SLOTS.
@@ -597,8 +646,9 @@ class RainbowStructure:
         return self.key_of_code(i, a_code) == self.key_of_code(i, b_code)
 
     def kid_field(self) -> np.ndarray:
+        """Kernel id of every atom (uint8)."""
         if self._kid is None:
-            self._kid = self.codes // (PAIR_SLOTS ** 3)
+            self._kid = self._field(27, np.uint8)
         return self._kid
 
     def diag_mask(self, i: int, j: int) -> np.ndarray:
@@ -608,7 +658,7 @@ class RainbowStructure:
                 self._diag[key] = np.ones(self.num_atoms, dtype=bool)
             else:
                 pattern = np.array([_same_block(k, key[0], key[1]) for k in range(5)])
-                self._diag[key] = pattern[self.kid_field()]
+                self._diag[key] = _take(pattern, self.kid_field())
         return self._diag[key]
 
     def is_diag(self, code: int, i: int, j: int) -> bool:
@@ -651,20 +701,18 @@ def build_atom_structure(sig: RainbowSignature) -> RainbowStructure:
     return RainbowStructure(enumerate_atoms(sig))
 
 
-# Atoms per block when cyl collects the classes an element meets: a block's
-# selected keys are scattered while still in cache, and no temporary the
-# size of the atom table is allocated.
-CYL_BLOCK = 1 << 16
-
-
 class RainbowComplexAlgebra(bao.Algebra):
     """Lazy complex algebra over the rainbow structure.
 
     An element is a C-contiguous numpy bool array of length num_atoms,
     indexed in canonical atom order. ``cyl`` marks the T_i classes (key
-    field values) an element meets in a PAIR_SLOTS-entry table, block by
-    block, and reads the table back through the key field.
-    ``random_element`` draws packed random bits, one per atom.
+    values) an element meets in a PAIR_SLOTS-entry table and reads the
+    table back. The path depends on the axis only: on RUN_AXES the codes
+    sort the key into runs, so one OR per run finds the classes met and
+    each run's verdict is repeated over its length; on axis 0 the classes
+    are collected block by block from the uint16 key field and read back
+    by a blockwise gather. ``random_element`` draws packed random bits,
+    one per atom.
     """
 
     def __init__(self, structure: RainbowStructure):
@@ -687,11 +735,15 @@ class RainbowComplexAlgebra(bao.Algebra):
         return ~a
 
     def cyl(self, i, x):
-        key = self.structure.key_field(i)
         hit = np.zeros(PAIR_SLOTS, dtype=bool)
+        if i in RUN_AXES:
+            starts, lens, keys = self.structure.runs(i)
+            hit[keys[np.logical_or.reduceat(x, starts)]] = True
+            return np.repeat(hit[keys], lens)
+        key = self.structure.key_field(i)
         for lo in range(0, key.shape[0], CYL_BLOCK):
             hit[key[lo:lo + CYL_BLOCK].compress(x[lo:lo + CYL_BLOCK])] = True
-        return hit[key]
+        return _take(hit, key)
 
     def dg(self, i, j):
         return self.structure.diag_mask(i, j)

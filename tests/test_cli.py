@@ -56,6 +56,25 @@ def test_modal_eval(tmp_path):
     assert doc["results"]["satisfying"] == []
 
 
+def test_modal_eval_model_kinds(tmp_path, capsys):
+    """The model JSON's "kind" is topo, kripke or dynamic; a missing or
+    unknown kind is a usage error that names the accepted kinds."""
+    model = tmp_path / "model.json"
+    base = {"topology": {"size": 2, "opens": [[], [0], [0, 1]]},
+            "valuation": {"0": [0]}}
+    for kind in (None, "topx"):
+        doc = dict(base, map=[0, 1]) if kind is None else dict(base, kind=kind)
+        model.write_text(json.dumps(doc))
+        code = dispatch(["modal", "eval", "--formula", "p0", "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"usage error: model kind {kind!r}")
+        assert "topo, kripke, dynamic" in err
+    model.write_text(json.dumps(dict(base, kind="dynamic", map=[0, 0])))
+    code, doc = run(tmp_path, "modal", "eval", "--formula", "X p0", "--model", str(model))
+    assert code == 0 and doc["results"]["satisfying"] == [0, 1]
+
+
 def test_malformed_valuation_is_a_usage_error(tmp_path, capsys):
     model = tmp_path / "model.json"
     for value in ("ab", None, [0, "x"]):

@@ -538,3 +538,16 @@ def test_round_numbers_checked():
     assert not chk["ok"] and "5 records" in chk["reason"]
     swapped = [play[0], play[2], play[1]]
     assert not G.verify_transcript(s, dict(res, principal_play=swapped))["ok"]
+
+
+def test_g_mode_network_index_checked():
+    """A G-mode move names a network of the history by index: an index
+    outside 0 .. len(history) - 1 is refused, not read from the end."""
+    s = fullset_structure(2, 2)
+    res = G.solve_bounded(s, 3, 2, "G")
+    assert G.verify_transcript(s, res) == {"ok": True, "rounds_checked": 2}
+    for bad in (7, -1):
+        forged = json.loads(json.dumps(res))
+        forged["principal_play"][1]["forall"]["network"] = bad
+        chk = G.verify_transcript(s, forged)
+        assert not chk["ok"] and f"network {bad}" in chk["reason"], bad

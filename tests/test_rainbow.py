@@ -271,7 +271,9 @@ def test_cylindrifier_oracle_and_random_elements(structure):
     """c_i x is the set of atoms whose pair data away from i is met by x.
 
     The pair field is re-derived here by shifting the packed codes (pair
-    slots are 9 bits wide), independently of RainbowStructure.key_field.
+    slots are 9 bits wide), independently of RainbowStructure.key_field and
+    of the run tables. Inputs include singletons at both ends of a run of
+    equal keys on axes 1 and 2, and one atom at every axis-2 run start.
     Random elements are seeded packed bits, one per atom.
     """
     s = structure
@@ -285,10 +287,19 @@ def test_cylindrifier_oracle_and_random_elements(structure):
     rng = random.Random(11)
     elements = [alg.zero, alg.one,
                 alg.random_element(rng), alg.random_element(rng)]
-    for idx in (0, s.num_atoms - 1):   # first block and the partial last one
+    # axis i is opposite the pair (1,2), (0,2), (0,1): slot 0, 1, 2
+    fields = [(s.codes >> (9 * i)) & (R.PAIR_SLOTS - 1) for i in range(3)]
+    run_starts = {i: np.flatnonzero(fields[i][1:] != fields[i][:-1]) + 1 for i in (1, 2)}
+    ends = [0, s.num_atoms - 1]   # first block and the partial last one
+    for starts in run_starts.values():
+        mid = len(starts) // 2
+        ends += [int(starts[mid]), int(starts[mid + 1]) - 1]
+    for idx in ends:
         elements.append(alg.atom_singleton(int(s.codes[idx])))
-    for i in range(3):
-        # axis i is opposite the pair (1,2), (0,2), (0,1): slot 0, 1, 2
-        f = (s.codes >> (9 * i)) & (R.PAIR_SLOTS - 1)
+    sparse = alg.zero.copy()
+    sparse[np.r_[0, run_starts[2]]] = True
+    elements.append(sparse)
+    for i, f in enumerate(fields):
+        assert s.key_field(i).dtype == np.uint16 and (s.key_field(i) == f).all()
         for x in elements:
             assert (alg.cyl(i, x) == np.isin(f, f[x], kind="table")).all()
