@@ -45,6 +45,15 @@ def _structure_arg(arg: str):
         return _atom_structure_from_json(json.load(fh))
 
 
+def _explicit_structure_arg(args):
+    """The --structure of a bao command that builds `bao.cm`, which needs
+    the explicit T and D tables a rainbow structure does not carry."""
+    if args.structure.startswith("rainbow:"):
+        raise ValueError(f"bao {args.cmd} needs an explicit atom structure "
+                         f"(fullset:N,U or a JSON file), not {args.structure}")
+    return _structure_arg(args.structure)
+
+
 def _atom_structure_from_json(doc: dict) -> bao.AtomStructure:
     dim, k = doc["dim"], doc["atoms"]
     pairs = [[tuple(p) for p in rel] for rel in doc["T"]]
@@ -127,7 +136,13 @@ def cmd_modal_eval(args):
     if kind not in MODEL_KINDS:
         raise ValueError(f"model kind {kind!r}: the model JSON needs \"kind\" "
                          f"set to one of {', '.join(MODEL_KINDS)}")
-    valuation = {int(k): v for k, v in doc["valuation"].items()}
+    valuation = {}
+    for key, v in doc["valuation"].items():
+        try:
+            valuation[int(key)] = v
+        except ValueError:
+            raise ValueError(f"valuation key {key!r}: keys are variable indices "
+                             "(\"0\" for p0)") from None
     if kind == "topo":
         m = modal.TopoModel(topology.FiniteTopology.from_json(doc["topology"]), valuation)
         sat = modal.eval_topo(m, f)
@@ -283,7 +298,6 @@ def cmd_bao_cm(args):
     if isinstance(s, rainbow.RainbowStructure):
         results = s.to_json_head()
     else:
-        alg = bao.cm(s)
         results = {"dim": s.dim, "atoms": s.num_atoms,
                    "carrier": 1 << s.num_atoms,
                    "interior_flags": s.interior_flags,
@@ -303,16 +317,14 @@ def cmd_bao_check(args):
 
 
 def cmd_bao_nr(args):
-    s = _structure_arg(args.structure)
-    alg = bao.cm(s)
+    alg = bao.cm(_explicit_structure_arg(args))
     sub = bao.nr(args.m, alg)
     results = {"dim": args.m, "carrier_size": len(sub.carrier_list())}
     return _finish(args, results, len(sub.carrier_list()), "bao nr")
 
 
 def cmd_bao_sg(args):
-    s = _structure_arg(args.structure)
-    alg = bao.cm(s)
+    alg = bao.cm(_explicit_structure_arg(args))
     gens = [int(g) for g in args.gens.split(",")] if args.gens else []
     sub = bao.sg(alg, gens)
     results = {"generators": gens, "carrier_size": len(sub.carrier_list())}
@@ -320,8 +332,7 @@ def cmd_bao_sg(args):
 
 
 def cmd_bao_represent(args):
-    s = _structure_arg(args.structure)
-    alg = bao.cm(s)
+    alg = bao.cm(_explicit_structure_arg(args))
     rep = bao.try_represent(alg, max_base=args.max_base)
     results = {"found": rep["found"]}
     if rep["found"]:
@@ -337,13 +348,8 @@ def cmd_bao_represent(args):
 def cmd_rainbow_atoms(args):
     sig = rainbow.signature(args.n)
     table = rainbow.enumerate_atoms(sig)
-    sample = []
-    for code in table.codes[: args.limit]:
-        blocks, g = table.graph_of(int(code))
-        sample.append({"code": int(code), "kernel": [list(b) for b in blocks],
-                       "graph": g.to_json()})
     results = {"signature": sig.summary(), "atom_count": table.count,
-               "first_atoms": sample}
+               "first_atoms": table.first_atoms(args.limit)}
     return _finish(args, results, table.count, "rainbow atoms")
 
 

@@ -9,9 +9,16 @@ which backend it holds:
 - `atoms()`: the atoms Forall may open with (the rainbow backend raises
   BudgetExceeded above 64 atoms);
 - `ti_rel(i, a, b)`: b is an atom and T_i(a, b);
+- `successors(l, a)`: the atoms b with T_l(a, b), ascending, from which one
+  shared loop builds Forall's moves (`forall_moves`);
 - `atom_of(net, t)`: the atom the network gives the node tuple t;
 - `initial_networks`, `forall_moves`, `responses`, `canonical`, `validate`,
   `net_to_json` and `net_from_json`.
+
+The rainbow backend never reads a packed atom code itself: the atom table
+decodes an atom into kernel blocks and a quotient graph (`graph_of`), which
+`responses` lays onto the demanded tuple, and encodes the pullback of a
+graph (`atom_of_tuple`).
 
 A generic network maps n-tuples of nodes to atom ids. Exists' responses are
 found by backtracking over the undetermined tuples, most constrained first;
@@ -44,10 +51,6 @@ from .rainbow import (
     is_green,
     is_valid_coloured_graph,
     triangle_violation,
-    unpack_atom,
-    IDENT_PAIR,
-    PAIR_BASE,
-    YELLOW_NONE,
 )
 
 SOLVE_ROUNDS_CAP = 6
@@ -82,6 +85,30 @@ class Move:
     def __repr__(self):
         return (f"Move(net={self.net_index}, face={self.face}, k={self.k}, "
                 f"atom={self.atom}, l={self.l})")
+
+
+def _forall_moves(backend, nets, budget, used, mode, cap) -> List[Move]:
+    """Every Forall move on the given networks, sorted by Move.key: a face,
+    an axis l, a node k < budget outside the face (and unused in G-mode),
+    and an atom b with T_l(a, b) for the atom a the face gives its first
+    node at l. More than `cap` moves raise BudgetExceeded."""
+    moves = []
+    for idx, net in enumerate(nets):
+        if not net.nodes:
+            continue
+        probe = net.nodes[0]
+        for face in itertools.product(net.nodes, repeat=backend.n - 1):
+            for l in range(backend.n):
+                succ = backend.successors(l, backend.atom_of(net, insert_at(face, l, probe)))
+                for k in range(budget):
+                    if k in face or (mode == "G" and k in used):
+                        continue
+                    for b in succ:
+                        moves.append(Move(idx, face, k, int(b), l))
+                        if cap is not None and len(moves) > cap:
+                            raise BudgetExceeded("move enumeration cap")
+    moves.sort(key=Move.key)
+    return moves
 
 
 # -- generic backend ---------------------------------------------------------
@@ -287,28 +314,11 @@ class GenericBackend:
         bt(dom, [j for j, a in enumerate(assign) if a is None])
         return out
 
+    def successors(self, l: int, a: int) -> List[int]:
+        return [b for b in self.atoms() if self.s.T[l][a] >> b & 1]
+
     def forall_moves(self, nets, budget, used, mode, cap=None):
-        moves = []
-        for idx, net in enumerate(nets):
-            if not net.nodes:
-                continue
-            probe = net.nodes[0]
-            for face in itertools.product(net.nodes, repeat=self.n - 1):
-                for l in range(self.n):
-                    base = net.labels[insert_at(face, l, probe)]
-                    ref = self.s.T[l][base]
-                    for k in range(budget):
-                        if k in face:
-                            continue
-                        if mode == "G" and k in used:
-                            continue
-                        for b in self.atoms():
-                            if ref >> b & 1:
-                                moves.append(Move(idx, face, k, b, l))
-                                if cap is not None and len(moves) > cap:
-                                    raise BudgetExceeded("move enumeration cap")
-        moves.sort(key=Move.key)
-        return moves
+        return _forall_moves(self, nets, budget, used, mode, cap)
 
     def responses(self, net: AtomicNetwork, move: Move, cap=None) -> List[AtomicNetwork]:
         k = move.k
@@ -342,19 +352,6 @@ class GenericBackend:
 # -- rainbow backend ----------------------------------------------------------
 
 
-def _atom_pairs(code: int):
-    """Pair slots of a packed atom as {(i,j): (colour_code_int, yellow_int)}
-    with None entries for identified slots."""
-    _, pairs = unpack_atom(int(code))
-    out = {}
-    for key, p in pairs.items():
-        if p == IDENT_PAIR:
-            out[key] = None
-        else:
-            out[key] = divmod(p, PAIR_BASE)
-    return out
-
-
 class RainbowBackend:
     def __init__(self, structure: RainbowStructure, yellow_mode: str = "all"):
         self.s = structure
@@ -385,32 +382,21 @@ class RainbowBackend:
             return []
         return [g]
 
+    def successors(self, l: int, a: int):
+        return self.s.codes[self.s.key_field(l) == self.s.key_of_code(l, a)]
+
     def forall_moves(self, nets, budget, used, mode, cap=2000):
-        moves = []
-        for idx, net in enumerate(nets):
-            probe = net.nodes[0]
-            for face in itertools.product(net.nodes, repeat=self.n - 1):
-                for l in range(self.n):
-                    base_atom = self.atom_of(net, insert_at(face, l, probe))
-                    key = self.s.key_of_code(l, base_atom)
-                    mask = self.s.key_field(l) == key
-                    candidates = self.s.codes[mask]
-                    for k in range(budget):
-                        if k in face:
-                            continue
-                        if mode == "G" and k in used:
-                            continue
-                        for b in candidates:
-                            moves.append(Move(idx, face, k, int(b), l))
-                            if cap is not None and len(moves) > cap:
-                                raise BudgetExceeded("rainbow move enumeration cap")
-        moves.sort(key=Move.key)
-        return moves
+        return _forall_moves(self, nets, budget, used, mode, cap)
 
     def responses(self, net: ColouredGraph, move: Move, cap=None) -> List[ColouredGraph]:
         """All coloured-graph extensions meeting the move's demand, found by
         one backtracking search that extends and undoes a single working
         graph; `net` itself is left as it is.
+
+        The demanded atom's quotient graph is laid onto the demanded tuple:
+        its kernel blocks must name distinct nodes, one each, and each of
+        its edges and yellows is set on a pair with the new node or must
+        already be there on a pair of old nodes.
 
         yellow_mode="dominant" fixes every yellow label Exists is free to
         choose to the full shade: only the cone clause reads yellow labels
@@ -421,17 +407,16 @@ class RainbowBackend:
         g = net.drop_node(k) if k in net.nodes else net.copy()
         g.nodes = tuple(sorted(set(g.nodes) | {k}))
         demanded = insert_at(move.face, move.l, k)
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                same = demanded[i] == demanded[j]
-                if same != self.s.is_diag(move.atom, i, j):
-                    return []
-        for (i, j), slot in _atom_pairs(move.atom).items():
-            u, v = demanded[i], demanded[j]
-            if u == v:
-                continue
-            colour_idx, yellow = slot
-            colour = self.table.colours[colour_idx]
+        blocks, quotient = self.table.graph_of(move.atom)
+        node = []
+        for block in blocks:
+            if len({demanded[i] for i in block}) > 1:
+                return []
+            node.append(demanded[block[0]])
+        if len(set(node)) < len(node):
+            return []
+        for (a, b), colour in quotient.edges.items():
+            u, v = node[a], node[b]
             existing = g.edge(u, v)
             if existing is None:
                 if k not in (u, v):
@@ -439,14 +424,12 @@ class RainbowBackend:
                 g.set_edge(u, v, colour)
             elif existing != colour:
                 return []
-            if yellow != YELLOW_NONE:
-                S = frozenset(t for t in range(self.sig.yellow_universe)
-                              if yellow >> t & 1)
-                old = g.yellow((u, v))
-                if old is None:
-                    g.set_yellow((u, v), S)
-                elif old != S:
-                    return []
+        for (a, b), shade in quotient.yellows.items():
+            old = g.yellow((node[a], node[b]))
+            if old is None:
+                g.set_yellow((node[a], node[b]), shade)
+            elif old != shade:
+                return []
         free_edges = sorted(v for v in g.nodes if v != k and g.edge(v, k) is None)
         out: List[ColouredGraph] = []
         self._fill_edges(g, k, free_edges, 0, out, cap)
@@ -522,9 +505,7 @@ class RainbowBackend:
         return ColouredGraph.from_json(doc["graph"], self.sig)
 
     def validate(self, net):
-        v = is_valid_coloured_graph(net)
-        return {"ok": bool(v), "kind": v.kind,
-                "witness": list(v.witness) if v.witness else None}
+        return is_valid_coloured_graph(net).to_json()
 
 
 def backend_for(structure, yellow_mode: str = "all"):
@@ -816,8 +797,10 @@ def verify_transcript(structure, artifact: dict, yellow_mode="all") -> dict:
     """Replay a game artifact. The records must be numbered 0, 1, 2, ... and
     number at most `rounds` + 1; the initial atom must be an atom and the
     round-0 network one of its minimal networks; every Forall move must be
-    legal, every Exists network valid and meeting the demand, and dead-end
-    claims must survive re-enumeration of the legal responses."""
+    legal, every Exists network valid, meeting the demand and extending the
+    network it answers (its nodes are that network's plus k, and every tuple
+    of the other nodes keeps its atom), and dead-end claims must survive
+    re-enumeration of the legal responses."""
     kind = artifact.get("kind", "play")
     if kind == "forall-script":
         return _verify_script_artifact(structure, artifact)
@@ -875,6 +858,13 @@ def verify_transcript(structure, artifact: dict, yellow_mode="all") -> dict:
         if backend.atom_of(net, insert_at(move.face, move.l, move.k)) != move.atom:
             return {"ok": False,
                     "reason": f"round {rec['round']} ignores the demand"}
+        kept = [v for v in target.nodes if v != move.k]
+        if set(net.nodes) != set(target.nodes) | {move.k} or any(
+                backend.atom_of(net, t) != backend.atom_of(target, t)
+                for t in itertools.product(kept, repeat=backend.n)):
+            return {"ok": False,
+                    "reason": f"round {rec['round']} network does not extend the "
+                              "network it answers"}
         state.push(net)
     return {"ok": True, "rounds_checked": len(play) - 1}
 
@@ -908,13 +898,13 @@ def _verify_script_artifact(structure, artifact) -> dict:
             leaves["count"] += 1
             leaves["max_round"] = max(leaves["max_round"], node["round"])
             return None
-        if len(resps) != len(node["responses"]):
-            return (f"round {node['round']}: recorded {len(node['responses'])} "
-                    f"responses, re-enumeration finds {len(resps)}")
-        children = [backend.net_from_json(r["network"]) for r in node["responses"]]
-        if sorted(map(backend.canonical, children)) != sorted(map(backend.canonical, resps)):
-            return f"round {node['round']}: response set mismatch"
-        for rec, child in zip(node["responses"], children):
+        recorded = node["responses"]
+        if not (isinstance(recorded, list) and len(recorded) == len(resps)
+                and all(isinstance(rec, dict) and rec.get("network") == backend.net_to_json(r)
+                        for rec, r in zip(recorded, resps))):
+            return (f"round {node['round']}: the recorded responses are not the "
+                    f"{len(resps)} the re-enumeration finds, in its order")
+        for rec, child in zip(recorded, resps):
             err = walk(rec["subtree"], child)
             if err:
                 return err

@@ -11,6 +11,13 @@ Yellow labels live, by default, on unordered (n-1)-sets of distinct nodes
 ("lenient"); the order-sensitive reading ("strict") is available on
 coloured graphs but not for atom enumeration, where it is astronomically
 infeasible.
+
+This module is the only reader and writer of the packed n = 3 atom code:
+`pack_atom` / `unpack_atom`, `AtomTable.graph_of` (an atom as kernel
+blocks plus its quotient coloured graph), `AtomTable.atom_of_tuple` (the
+atom a graph gives a node tuple), `KERNEL_EQ` (which index pairs a kernel
+identifies), and the 9-bit cylindrifier key of each axis (`key_field`,
+`key_of_code`).
 """
 
 from __future__ import annotations
@@ -335,6 +342,13 @@ KERNELS = (
     ((0,), (1,), (2,)),
 )
 
+# the index pairs in the order of their slots, p01 highest
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+# KERNEL_EQ[kid]: whether kernel kid identifies each pair of PAIRS
+KERNEL_EQ = tuple(tuple(any(i in block and j in block for block in blocks) for i, j in PAIRS)
+                  for blocks in KERNELS)
+
 PAIR_BASE = 33
 PAIR_SLOTS = 512
 EDGE_NONE = 13
@@ -351,16 +365,9 @@ def _edge_table(sig: RainbowSignature):
     return colours, index, flip
 
 
-def _same_block(kid: int, i: int, j: int) -> bool:
-    for block in KERNELS[kid]:
-        if i in block:
-            return j in block
-    raise AssertionError
-
-
 def pack_atom(kid: int, pairs: Dict[Tuple[int, int], int]) -> int:
     code = kid
-    for key in ((0, 1), (0, 2), (1, 2)):
+    for key in PAIRS:
         code = code * PAIR_SLOTS + pairs.get(key, IDENT_PAIR)
     return code
 
@@ -503,21 +510,9 @@ class AtomTable:
 
     def atom_of_tuple(self, graph: ColouredGraph, delta: Sequence[int]) -> int:
         """Packed atom code of the pullback of the ambient graph along delta."""
-        kid = None
-        eq = (delta[0] == delta[1], delta[0] == delta[2], delta[1] == delta[2])
-        for cand, kern in enumerate(KERNELS):
-            pattern = (
-                _same_block(cand, 0, 1),
-                _same_block(cand, 0, 2),
-                _same_block(cand, 1, 2),
-            )
-            if pattern == eq:
-                kid = cand
-                break
-        if kid is None:
-            raise ValueError("inconsistent equality pattern")
+        kid = KERNEL_EQ.index(tuple(delta[i] == delta[j] for i, j in PAIRS))
         pairs = {}
-        for i, j in ((0, 1), (0, 2), (1, 2)):
+        for i, j in PAIRS:
             u, v = delta[i], delta[j]
             if u == v:
                 continue
@@ -536,6 +531,15 @@ class AtomTable:
                     y |= 1 << t
             pairs[(i, j)] = e * PAIR_BASE + y
         return pack_atom(kid, pairs)
+
+    def first_atoms(self, limit: int) -> list:
+        """Code, kernel blocks and quotient graph of the first `limit` atoms."""
+        sample = []
+        for code in self.codes[:limit]:
+            blocks, g = self.graph_of(int(code))
+            sample.append({"code": int(code), "kernel": [list(b) for b in blocks],
+                           "graph": g.to_json()})
+        return sample
 
     def valid_atom(self, code: int) -> Verdict:
         _, g = self.graph_of(code)
@@ -638,9 +642,8 @@ class RainbowStructure:
         return self.key_field(i)
 
     def key_of_code(self, i: int, code: int) -> int:
-        _, pairs = unpack_atom(code)
-        opposite = {0: (1, 2), 1: (0, 2), 2: (0, 1)}[i]
-        return pairs[opposite]
+        """The i-th cylindrifier key of one atom, as in key_field."""
+        return (code >> 9 * i) & (PAIR_SLOTS - 1)
 
     def ti_related(self, i: int, a_code: int, b_code: int) -> bool:
         return self.key_of_code(i, a_code) == self.key_of_code(i, b_code)
@@ -657,15 +660,9 @@ class RainbowStructure:
             if i == j:
                 self._diag[key] = np.ones(self.num_atoms, dtype=bool)
             else:
-                pattern = np.array([_same_block(k, key[0], key[1]) for k in range(5)])
+                pattern = np.array([eq[PAIRS.index(key)] for eq in KERNEL_EQ])
                 self._diag[key] = _take(pattern, self.kid_field())
         return self._diag[key]
-
-    def is_diag(self, code: int, i: int, j: int) -> bool:
-        if i == j:
-            return True
-        kid = code // (PAIR_SLOTS ** 3)
-        return _same_block(int(kid), min(i, j), max(i, j))
 
     def index_of(self, code: int) -> int:
         pos = int(np.searchsorted(self.codes, code))
@@ -681,17 +678,11 @@ class RainbowStructure:
         return RainbowComplexAlgebra(self)
 
     def to_json_head(self, limit: int = 16) -> dict:
-        sample = []
-        for code in self.codes[:limit]:
-            blocks, g = self.table.graph_of(int(code))
-            sample.append({"code": int(code),
-                           "kernel": [list(b) for b in blocks],
-                           "graph": g.to_json()})
         return {
             "dim": self.dim,
             "atoms": self.num_atoms,
             "interior": ["identity"] * self.dim,
-            "first_atoms": sample,
+            "first_atoms": self.table.first_atoms(limit),
         }
 
 

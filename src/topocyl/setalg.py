@@ -190,15 +190,14 @@ class SetAlgebraSpace:
         return out
 
     def diag_bits(self, i: int, j: int) -> int:
-        """d_ij on bits, built once per space."""
+        """d_ij on bits, built once per space: the OR over points a of the
+        codes with s_i = a and s_j = a."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexOutOfRange(f"diagonal indices ({i},{j}) outside dimension")
         if (i, j) not in self._diags:
             bits = 0
-            for code in range(self.ncodes):
-                s = self.decode(code)
-                if s[i] == s[j]:
-                    bits |= 1 << code
+            for mi, mj in zip(self._axis(i)[1], self._axis(j)[1]):
+                bits |= mi & mj
             self._diags[(i, j)] = bits
         return self._diags[(i, j)]
 

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from topocyl.cli import dispatch
 from topocyl.report import render
@@ -212,3 +215,44 @@ def test_report_shape(tmp_path):
     assert set(doc) == {"command", "config", "results", "version"}
     assert doc["config"]["seed"] == 3
     assert render(doc).endswith("\n")
+
+
+def test_modal_eval_valuation_keys_are_variable_indices(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "kind": "topo",
+        "topology": {"size": 2, "opens": [[], [0], [0, 1]]},
+        "valuation": {"x": [0]},
+    }))
+    code = dispatch(["modal", "eval", "--formula", "p0", "--model", str(model)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "usage error: valuation key 'x': keys are variable indices (\"0\" for p0)\n"
+
+
+def test_bao_commands_on_rainbow_are_usage_errors(capsys):
+    """nr, sg and represent build the explicit complex algebra, which the
+    rainbow structure does not have."""
+    for argv in (["nr", "--m", "2"], ["sg"], ["represent"]):
+        code = dispatch(["bao", *argv, "--structure", "rainbow:3"])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith(f"usage error: bao {argv[0]} needs an explicit atom structure")
+        assert err.count("\n") == 1
+
+
+# stdout sha1 of rainbow commands, recorded before the CLI and the game
+# script read atoms through the atom table's one decoder
+RAINBOW_STDOUT_PINS = [
+    (["rainbow", "atoms", "--n", "3", "--limit", "2"], "436dd9af779a38aca94859cac2b5fc480d57f03a"),
+    (["rainbow", "structure", "--n", "3", "--limit", "2"],
+     "a862a67c808418032b74e6a52fafcacb06e0dad6"),
+    (["bao", "cm", "--structure", "rainbow:3"], "cb52d82b18e29e7049844f29285cb61b5044f2c1"),
+    (["game", "script", "--n", "3"], "a5ea3450d52a3ece03335d363200b7cf87a96467"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", RAINBOW_STDOUT_PINS)
+def test_rainbow_stdout_pinned(capsys, argv, digest):
+    assert dispatch(argv) == 0
+    assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -551,3 +551,129 @@ def test_g_mode_network_index_checked():
         forged["principal_play"][1]["forall"]["network"] = bad
         chk = G.verify_transcript(s, forged)
         assert not chk["ok"] and f"network {bad}" in chk["reason"], bad
+
+
+def _digest(nets):
+    return hashlib.sha1(json.dumps([net.to_json() for net in nets],
+                                   sort_keys=True).encode()).hexdigest()
+
+
+def test_rainbow_responses_lay_the_demanded_atom(rainbow_structure):
+    """The demanded atom's kernel blocks must name distinct nodes of the
+    demanded tuple, and its edges and yellows must agree with the old
+    pairs they land on. Counts and digests were recorded before the
+    demand was read through the atom table's decoder."""
+    s = rainbow_structure
+    backend = G.RainbowBackend(s, yellow_mode="dominant")
+    full = frozenset(range(5))
+    g = R.ColouredGraph(s.sig, range(3),
+                        {(0, 1): ("w", 0), (0, 2): ("g0", 1), (1, 2): ("g", 1)},
+                        {(0, 1): full})
+    w0 = _pair(s.table, ("w", 0), 31)
+
+    def kernel4(p01):
+        return R.pack_atom(4, {(0, 1): p01, (0, 2): w0, (1, 2): w0})
+
+    two_node = {1: R.pack_atom(1, {(0, 2): w0, (1, 2): w0}),
+                2: R.pack_atom(2, {(0, 1): w0, (1, 2): w0}),
+                3: R.pack_atom(3, {(0, 1): w0, (0, 2): w0})}
+    empty = (0, "97d170e1550eee4afc0af065b78cda302a97674c")
+    cases = [
+        # kernels 1-3 on tuples that repeat the identified node
+        (g, two_node[1], (0, 0), 2, (110, "7844b6961eeae0d332059b92432eace2bd886348")),
+        (g, two_node[2], (0, 0), 1, (110, "7844b6961eeae0d332059b92432eace2bd886348")),
+        (g, two_node[3], (1, 1), 0, (136, "cc9b13be6398981700a05ccf1316204566b9900b")),
+        (g, two_node[3], (0, 0), 0, (110, "7844b6961eeae0d332059b92432eace2bd886348")),
+        # ... and on tuples that do not, or repeat the wrong one
+        (g, two_node[1], (0, 1), 2, empty),
+        (g, two_node[3], (0, 1), 0, empty),
+        (g, two_node[1], (0, 0), 1, empty),
+        # kernel 4 agreeing with the old pair (0, 1), then clashing with its
+        # edge colour, then with its yellow
+        (g, kernel4(w0), (0, 1), 2, (9, "26613d394c38571406b0198402e8c1cd46d72e99")),
+        (g, kernel4(_pair(s.table, ("w", 1), 31)), (0, 1), 2, empty),
+        (g, kernel4(_pair(s.table, ("w", 0), 7)), (0, 1), 2, empty),
+        # an old pair with no edge
+        (R.ColouredGraph(s.sig, range(2), {}, {}), kernel4(w0), (0, 1), 2, empty),
+    ]
+    for net, atom, face, l, (count, digest) in cases:
+        assert s.is_atom(atom)
+        resps = backend.responses(net, G.Move(0, face, 3, atom, l))
+        assert (len(resps), _digest(resps)) == (count, digest), (atom, face, l)
+        for r in resps:
+            assert backend.atom_of(r, G.insert_at(face, l, 3)) == atom
+
+
+def test_rainbow_forall_moves_on_one_node(rainbow_structure):
+    """On the one-node network of the first atom every face is (0, 0):
+    786 atoms share its key on the three axes together, once per node k."""
+    s = rainbow_structure
+    backend = G.RainbowBackend(s)
+    first = int(s.codes[0])
+    _, net = s.table.graph_of(first)
+    assert net.nodes == (0,)
+    head = {"network": 0, "face": [0, 0], "k": 1, "atom": first, "l": 0}
+    for budget, count, last_k in ((2, 786, 1), (3, 1572, 2)):
+        moves = backend.forall_moves([net], budget, {0}, "F")
+        assert len(moves) == count
+        assert moves[0].to_json() == head
+        assert moves[-1].to_json() == dict(head, k=last_k, atom=514807757)
+    with pytest.raises(BudgetExceeded, match="move enumeration cap"):
+        backend.forall_moves([net], 4, {0}, "F")
+
+
+def test_script_certificate_responses_replayed_in_order(rainbow_structure):
+    """A script certificate lists Exists' responses exactly as the
+    re-enumeration gives them: the same responses in another order are
+    refused."""
+    proof = G.verify_forall_script(rainbow_structure)
+    responses = proof["tree"]["responses"]
+    assert len(responses) > 1
+    swapped = json.loads(json.dumps(proof))
+    swapped["tree"]["responses"][:2] = swapped["tree"]["responses"][1::-1]
+    chk = G.verify_transcript(rainbow_structure, swapped)
+    assert not chk["ok"] and chk["reason"].startswith("round 1:")
+    # records of the wrong shape are refused with a message too
+    for bad in ("dead", [1, 2], {"network": None}):
+        malformed = dict(proof, tree=dict(proof["tree"], responses=bad))
+        chk = G.verify_transcript(rainbow_structure, malformed)
+        assert not chk["ok"] and chk["reason"].startswith("round 1:"), bad
+
+
+def test_exists_network_must_extend_the_network_it_answers():
+    """A play's Exists network keeps the nodes and atoms of the network it
+    answers and adds the node k, nothing else."""
+    s = fullset_structure(2, 2)
+    res = G.solve_bounded(s, 3, 2, "F")
+    play = res["principal_play"][:2]
+    assert play[1]["forall"] == {"network": 0, "face": [0], "k": 1, "atom": 0, "l": 0}
+    # all-zero labels on {0, 1, 7}: valid, keeps (0,0) and meets the demand,
+    # but node 7 is outside the budget of 3
+    stray = G.AtomicNetwork(2, (0, 1, 7), {t: 0 for t in itertools.product((0, 1, 7), repeat=2)})
+    assert G.validate_network(s, stray)["ok"]
+    forged = dict(res, principal_play=[play[0], dict(play[1], exists={"network": stray.to_json()})])
+    chk = G.verify_transcript(s, forged)
+    assert not chk["ok"] and "does not extend" in chk["reason"]
+    assert G.verify_transcript(s, dict(res, principal_play=play))["ok"]
+
+    # round 2 adds node 2 at point 0; the forged answer also moves node 1
+    # to point 0, which changes the atoms of the old tuples (0,1), (1,0), (1,1)
+    def points(p):
+        return {"network": G.AtomicNetwork(2, p, {(u, v): p[u] + 2 * p[v] for u in p
+                                                   for v in p}).to_json()}
+
+    play = [{"round": 0, "forall": {"initial_atom": 0}, "exists": points({0: 0})},
+            {"round": 1, "forall": {"network": 0, "face": [0], "k": 1, "atom": 1, "l": 0},
+             "exists": points({0: 0, 1: 1})},
+            {"round": 2, "forall": {"network": 0, "face": [0], "k": 2, "atom": 0, "l": 0},
+             "exists": points({0: 0, 1: 1, 2: 0})}]
+    doc = {"mode": "F", "nodes": 3, "rounds": 2, "principal_play": play}
+    assert G.verify_transcript(s, doc) == {"ok": True, "rounds_checked": 2}
+    play[2]["exists"] = points({0: 0, 1: 0, 2: 0})
+    chk = G.verify_transcript(s, doc)
+    assert not chk["ok"] and chk["reason"].startswith("round 2 ") and "extend" in chk["reason"]
+    # every pinned solver play still replays
+    for (structure, m, r, mode) in SOLVER_PINS:
+        s = _structure(structure)
+        chk = G.verify_transcript(s, G.solve_bounded(s, m, r, mode))
+        assert chk["ok"], (structure, m, r, mode, chk)
