@@ -46,13 +46,12 @@ class AtomStructure:
     operator I_i(X) = {a : R_i[a] subseteq X}.
     """
 
-    def __init__(self, dim: int, num_atoms: int, T, D, interior=None, names=None):
+    def __init__(self, dim: int, num_atoms: int, T, D, interior=None):
         self.dim = dim
         self.num_atoms = num_atoms
         self.T = [list(t) for t in T]
         self.D = dict(D)
         self.interior = list(interior) if interior is not None else [None] * dim
-        self.names = list(names) if names is not None else [str(a) for a in range(num_atoms)]
         if len(self.T) != dim:
             raise ValueError("one accessibility relation per index required")
         full = (1 << num_atoms) - 1
@@ -79,7 +78,7 @@ class AtomStructure:
                    for a in range(self.num_atoms))
 
     @staticmethod
-    def from_pairs(dim, num_atoms, pairs_per_i, diag_sets, interior=None, names=None):
+    def from_pairs(dim, num_atoms, pairs_per_i, diag_sets, interior=None):
         atoms = range(num_atoms)
         T = []
         for i in range(dim):
@@ -98,7 +97,7 @@ class AtomStructure:
                     raise ValueError(f"D[{i},{j}] names atom {a} outside 0..{num_atoms - 1}")
                 m |= 1 << a
             D[(i, j)] = m
-        return AtomStructure(dim, num_atoms, T, D, interior, names)
+        return AtomStructure(dim, num_atoms, T, D, interior)
 
     def is_atom(self, a) -> bool:
         return isinstance(a, int) and 0 <= a < self.num_atoms
@@ -119,6 +118,28 @@ class AtomStructure:
             "D": diag,
             "interior": interior,
         }
+
+    @staticmethod
+    def from_json(doc: dict) -> "AtomStructure":
+        """Inverse of to_json; an omitted "interior" is the identity."""
+        dim, k = doc["dim"], doc["atoms"]
+        diag = {}
+        for key, atoms in doc["D"].items():
+            i, j = (int(p) for p in key.split(","))
+            diag[(i, j)] = atoms
+        interior = []
+        for i, desc in enumerate(doc.get("interior", ["identity"] * dim)):
+            if desc == "identity":
+                interior.append(None)
+                continue
+            table = [0] * k
+            for a, img in desc.items():
+                if int(a) not in range(k) or any(b not in range(k) for b in img):
+                    raise ValueError(f"interior[{i}] entry {a}: {img} names an atom "
+                                     f"outside 0..{k - 1}")
+                table[int(a)] = sum(1 << b for b in set(img))
+            interior.append(table)
+        return AtomStructure.from_pairs(dim, k, doc["T"], diag, interior)
 
 
 # -- algebras ---------------------------------------------------------------
@@ -545,110 +566,62 @@ def _ca_axioms(dim):
     return out
 
 
-def _interior_axioms(dim, prefix):
-    """Items 1-7 of the interior-operator list; also the S4/S5 Chang items."""
+def _box_schemas(b):
+    """The interior/box schemas for box letter b (I for interiors, B for
+    Chang boxes): items 1-7 of the interior-operator list and the S5 item,
+    each mapping its indices to (label, equation, guards). Items 6 and 7
+    take an ordered pair of distinct indices, the others one index."""
     p, q = V0, V1
+
+    def box(i, x):
+        return ("interior", i, x)
+
+    return {
+        1: lambda i: (f"[q{i}(p<->q)<=q{i}({b}{i}p<->{b}{i}q)]",
+                      Equation(("q", i, ("xnor", p, q)),
+                               ("q", i, ("xnor", box(i, p), box(i, q))), "le"), ()),
+        2: lambda i: (f"[{b}{i}p<=p]", Equation(box(i, p), p, "le"), ()),
+        3: lambda i: (f"[{b}{i}p.{b}{i}q={b}{i}(p.q)]",
+                      Equation(("times", box(i, p), box(i, q)), box(i, ("times", p, q))), ()),
+        4: lambda i: (f"[{b}{i}p<={b}{i}{b}{i}p]",
+                      Equation(box(i, p), box(i, box(i, p)), "le"), ()),
+        5: lambda i: (f"[{b}{i}1=1]", Equation(box(i, ("one",)), ("one",)), ()),
+        6: lambda i, k: (f"[c{k}{b}{i}p={b}{i}p; {k} not in dim(p)]",
+                         Equation(("cyl", k, box(i, p)), box(i, p)), ((0, k),)),
+        7: lambda i, j: (f"[s({i}->{j}){b}{i}p={b}{j}s({i}->{j})p; {j} not in dim(p)]",
+                         Equation(("subst", i, j, box(i, p)), box(j, ("subst", i, j, p))),
+                         ((0, j),)),
+        "S5": lambda i: (f"[-{b}{i}-p<={b}{i}-{b}{i}-p]",
+                         Equation(("minus", box(i, ("minus", p))),
+                                  box(i, ("minus", box(i, ("minus", p)))), "le"), ()),
+    }
+
+
+# Per box suite: the box letter and the groups of (name, schema) items. A
+# group runs its items index by index, in its order, before the next group.
+_CHANG = [[("Chang1", 1)], [("Chang2", 7)]]
+_S4CHANG = _CHANG + [[("S4Chang1", 5), ("S4Chang2", 2), ("S4Chang3", 3), ("S4Chang5", 4)],
+                     [("S4Chang4", 6)]]
+_BOX_SUITES = {
+    "TCA": ("I", [[("TCA1", 1), ("TCA2", 2), ("TCA3", 3), ("TCA4", 4), ("TCA5", 5)],
+                  [("TCA6", 6)], [("TCA7", 7)]]),
+    "Chang": ("B", _CHANG),
+    "S4Chang": ("B", _S4CHANG),
+    "S5Chang": ("B", _S4CHANG + [[("S5Chang6", "S5")]]),
+}
+
+
+def _box_axioms(suite, dim):
+    letter, groups = _BOX_SUITES[suite]
+    schemas = _box_schemas(letter)
+    singles = [(i,) for i in range(dim)]
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if j != i]
     out = []
-    for i in range(dim):
-        out.append((
-            f"{prefix}1[q{i}(p<->q)<=q{i}(I{i}p<->I{i}q)]",
-            Equation(("q", i, ("xnor", p, q)),
-                     ("q", i, ("xnor", ("interior", i, p), ("interior", i, q))), "le"),
-            (),
-        ))
-        out.append((f"{prefix}2[I{i}p<=p]", Equation(("interior", i, p), p, "le"), ()))
-        out.append((
-            f"{prefix}3[I{i}p.I{i}q=I{i}(p.q)]",
-            Equation(("times", ("interior", i, p), ("interior", i, q)),
-                     ("interior", i, ("times", p, q))),
-            (),
-        ))
-        out.append((
-            f"{prefix}4[I{i}p<=I{i}I{i}p]",
-            Equation(("interior", i, p), ("interior", i, ("interior", i, p)), "le"),
-            (),
-        ))
-        out.append((f"{prefix}5[I{i}1=1]", Equation(("interior", i, ("one",)), ("one",)), ()))
-    for i in range(dim):
-        for k in range(dim):
-            if k != i:
-                out.append((
-                    f"{prefix}6[c{k}I{i}p=I{i}p; {k} not in dim(p)]",
-                    Equation(("cyl", k, ("interior", i, p)), ("interior", i, p)),
-                    ((0, k),),
-                ))
-    for i in range(dim):
-        for j in range(dim):
-            if j != i:
-                out.append((
-                    f"{prefix}7[s({i}->{j})I{i}p=I{j}s({i}->{j})p; {j} not in dim(p)]",
-                    Equation(("subst", i, j, ("interior", i, p)),
-                             ("interior", j, ("subst", i, j, p))),
-                    ((0, j),),
-                ))
-    return out
-
-
-def _chang_axioms(dim):
-    p, q = V0, V1
-    out = []
-    for i in range(dim):
-        out.append((
-            f"Chang1[q{i}(p<->q)<=q{i}(B{i}p<->B{i}q)]",
-            Equation(("q", i, ("xnor", p, q)),
-                     ("q", i, ("xnor", ("interior", i, p), ("interior", i, q))), "le"),
-            (),
-        ))
-    for i in range(dim):
-        for j in range(dim):
-            if j != i:
-                out.append((
-                    f"Chang2[s({i}->{j})B{i}p=B{j}s({i}->{j})p; {j} not in dim(p)]",
-                    Equation(("subst", i, j, ("interior", i, p)),
-                             ("interior", j, ("subst", i, j, p))),
-                    ((0, j),),
-                ))
-    return out
-
-
-def _s4_extra(dim):
-    p, q = V0, V1
-    out = []
-    for i in range(dim):
-        out.append((f"S4Chang1[B{i}1=1]", Equation(("interior", i, ("one",)), ("one",)), ()))
-        out.append((f"S4Chang2[B{i}p<=p]", Equation(("interior", i, p), p, "le"), ()))
-        out.append((
-            f"S4Chang3[B{i}p.B{i}q=B{i}(p.q)]",
-            Equation(("times", ("interior", i, p), ("interior", i, q)),
-                     ("interior", i, ("times", p, q))),
-            (),
-        ))
-        out.append((
-            f"S4Chang5[B{i}p<=B{i}B{i}p]",
-            Equation(("interior", i, p), ("interior", i, ("interior", i, p)), "le"),
-            (),
-        ))
-    for i in range(dim):
-        for k in range(dim):
-            if k != i:
-                out.append((
-                    f"S4Chang4[c{k}B{i}p=B{i}p; {k} not in dim(p)]",
-                    Equation(("cyl", k, ("interior", i, p)), ("interior", i, p)),
-                    ((0, k),),
-                ))
-    return out
-
-
-def _s5_extra(dim):
-    p = V0
-    out = []
-    for i in range(dim):
-        out.append((
-            f"S5Chang6[-B{i}-p<=B{i}-B{i}-p]",
-            Equation(("minus", ("interior", i, ("minus", p))),
-                     ("interior", i, ("minus", ("interior", i, ("minus", p)))), "le"),
-            (),
-        ))
+    for group in groups:
+        for ix in pairs if group[0][1] in (6, 7) else singles:
+            for name, item in group:
+                label, eq, guards = schemas[item](*ix)
+                out.append((name + label, eq, guards))
     return out
 
 
@@ -658,14 +631,8 @@ SUITES = ("CA", "TCA", "Chang", "S4Chang", "S5Chang")
 def axioms_for(suite: str, dim: int):
     if suite == "CA":
         return _ca_axioms(dim)
-    if suite == "TCA":
-        return _interior_axioms(dim, "TCA")
-    if suite == "Chang":
-        return _chang_axioms(dim)
-    if suite == "S4Chang":
-        return _chang_axioms(dim) + _s4_extra(dim)
-    if suite == "S5Chang":
-        return _chang_axioms(dim) + _s4_extra(dim) + _s5_extra(dim)
+    if suite in _BOX_SUITES:
+        return _box_axioms(suite, dim)
     raise ValueError(f"unknown suite {suite!r}")
 
 
@@ -715,23 +682,15 @@ def nr(m: int, alg: Algebra) -> SubAlgebra:
     carrier = [x for x in alg.carrier_list()
                if dimension_set_abs(alg, x) <= set(range(m))]
     out = SubAlgebra(alg, carrier, dim=m)
-    memb = _membership(alg, carrier)
+    members = set(carrier)
     for x in carrier:
         for i in range(m):
             for val in (alg.cyl(i, x), alg.interior(i, x)):
-                if not memb(val):
+                if val not in members:
                     raise NotClosed(f"neat reduct not closed at index {i}")
-        if not memb(alg.minus(x)):
+        if alg.minus(x) not in members:
             raise NotClosed("neat reduct not closed under complement")
     return out
-
-
-def _membership(alg, carrier):
-    try:
-        s = set(carrier)
-        return lambda v: v in s
-    except TypeError:
-        return lambda v: any(alg.eq(v, c) for c in carrier)
 
 
 def sg(alg: Algebra, gens: Iterable) -> SubAlgebra:
@@ -803,7 +762,7 @@ def _atoms_of_algebra(alg: Algebra, carrier):
     return atoms
 
 
-def try_represent(alg: Algebra, max_base: int = 3, check_suite: bool = True) -> dict:
+def try_represent(alg: Algebra, max_base: int = 3) -> dict:
     """Bounded search for an embedding into a topological set algebra.
 
     Failure is a bounded-search-exhausted report, never a proof of
@@ -812,11 +771,10 @@ def try_represent(alg: Algebra, max_base: int = 3, check_suite: bool = True) -> 
     carrier = alg.carrier_list()
     if len(carrier) > 256:
         raise TooLarge("representation search capped at 256 elements")
-    if check_suite:
-        report = check_axiom_suite(alg, "CA", mode="auto", samples=500)
-        if not report["all_pass"]:
-            bad = [a["axiom"] for a in report["axioms"] if a["verdict"] == "fails"]
-            return {"found": False, "reason": "CA axiom fails", "violated": bad}
+    report = check_axiom_suite(alg, "CA", mode="auto", samples=500)
+    if not report["all_pass"]:
+        bad = [a["axiom"] for a in report["axioms"] if a["verdict"] == "fails"]
+        return {"found": False, "reason": "CA axiom fails", "violated": bad}
     atoms = _atoms_of_algebra(alg, carrier)
     if not atoms:
         return {"found": False, "reason": "no atoms"}

@@ -42,7 +42,7 @@ def _structure_arg(arg: str):
         n = int(arg.split(":", 1)[1])
         return rainbow.build_atom_structure(rainbow.signature(n))
     with open(arg, encoding="utf-8") as fh:
-        return _atom_structure_from_json(json.load(fh))
+        return bao.AtomStructure.from_json(json.load(fh))
 
 
 def _explicit_structure_arg(args):
@@ -52,31 +52,6 @@ def _explicit_structure_arg(args):
         raise ValueError(f"bao {args.cmd} needs an explicit atom structure "
                          f"(fullset:N,U or a JSON file), not {args.structure}")
     return _structure_arg(args.structure)
-
-
-def _atom_structure_from_json(doc: dict) -> bao.AtomStructure:
-    dim, k = doc["dim"], doc["atoms"]
-    pairs = [[tuple(p) for p in rel] for rel in doc["T"]]
-    diag = {}
-    for key, atoms in doc["D"].items():
-        i, j = (int(p) for p in key.split(","))
-        diag[(i, j)] = atoms
-    interior = []
-    for i, desc in enumerate(doc.get("interior", ["identity"] * dim)):
-        if desc == "identity":
-            interior.append(None)
-        else:
-            table = [0] * k
-            for a, img in desc.items():
-                if int(a) not in range(k) or any(b not in range(k) for b in img):
-                    raise ValueError(f"interior[{i}] entry {a}: {img} names an atom "
-                                     f"outside 0..{k - 1}")
-                m = 0
-                for b in img:
-                    m |= 1 << b
-                table[int(a)] = m
-            interior.append(table)
-    return bao.AtomStructure.from_pairs(dim, k, pairs, diag, interior)
 
 
 def _finish(args, results: dict, verdict, command: str) -> int:
@@ -136,6 +111,9 @@ def cmd_modal_eval(args):
     if kind not in MODEL_KINDS:
         raise ValueError(f"model kind {kind!r}: the model JSON needs \"kind\" "
                          f"set to one of {', '.join(MODEL_KINDS)}")
+    if not isinstance(doc.get("valuation"), dict):
+        raise ValueError("\"valuation\": the model JSON needs an object mapping variable "
+                         "indices to points, as in {\"0\": [0, 2]}")
     valuation = {}
     for key, v in doc["valuation"].items():
         try:

@@ -53,7 +53,12 @@ from .rainbow import (
     triangle_violation,
 )
 
+# caps of one solve_bounded call: rounds, positions visited, Forall moves
+# per position and Exists responses per move; past one, BudgetExceeded
 SOLVE_ROUNDS_CAP = 6
+SOLVE_STATES_CAP = 200000
+SOLVE_MOVES_CAP = 5000
+SOLVE_RESPONSES_CAP = 2000
 
 
 def insert_at(face, l: int, k: int) -> Tuple[int, ...]:
@@ -508,9 +513,9 @@ class RainbowBackend:
         return is_valid_coloured_graph(net).to_json()
 
 
-def backend_for(structure, yellow_mode: str = "all"):
+def backend_for(structure):
     if isinstance(structure, RainbowStructure):
-        return RainbowBackend(structure, yellow_mode)
+        return RainbowBackend(structure)
     return GenericBackend(structure)
 
 
@@ -520,10 +525,10 @@ def backend_for(structure, yellow_mode: str = "all"):
 class GameState:
     """History of networks, node budget, and the F/G reuse flag."""
 
-    def __init__(self, structure, budget: int, mode: str = "F", yellow_mode="all"):
+    def __init__(self, structure, budget: int, mode: str = "F"):
         if mode not in ("F", "G"):
             raise ValueError("mode must be 'F' or 'G'")
-        self.backend = backend_for(structure, yellow_mode)
+        self.backend = backend_for(structure)
         self.budget = budget
         self.mode = mode
         self.history: List = []
@@ -540,33 +545,19 @@ class GameState:
         return self.history[-1]
 
 
-def legal_forall_moves(state: GameState, cap=None) -> List[Move]:
+def legal_forall_moves(state: GameState) -> List[Move]:
     if not state.history:
         raise ValueError("no network played yet")
     nets = state.history if state.mode == "G" else [state.latest()]
-    kwargs = {} if cap is None else {"cap": cap}
-    return state.backend.forall_moves(nets, state.budget, state.used, state.mode, **kwargs)
+    return state.backend.forall_moves(nets, state.budget, state.used, state.mode)
 
 
-def legal_exists_responses(state: GameState, move: Move, cap=None) -> List:
+def legal_exists_responses(state: GameState, move: Move) -> List:
     net = state.history[move.net_index] if state.mode == "G" else state.latest()
-    return state.backend.responses(net, move, cap=cap)
+    return state.backend.responses(net, move)
 
 
 # -- bounded solver ------------------------------------------------------------
-
-
-class SolveBudget:
-    def __init__(self, max_states=200000, max_moves=5000, max_responses=2000):
-        self.max_states = max_states
-        self.max_moves = max_moves
-        self.max_responses = max_responses
-        self.states = 0
-
-    def tick(self):
-        self.states += 1
-        if self.states > self.max_states:
-            raise BudgetExceeded("state budget exceeded")
 
 
 def _state_key(backend, mode, nets, used, remaining):
@@ -578,8 +569,7 @@ def _state_key(backend, mode, nets, used, remaining):
     return (backend.canonical(nets[-1]), remaining, None)
 
 
-def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
-                  budget: Optional[SolveBudget] = None, yellow_mode="all") -> dict:
+def solve_bounded(structure, m: int, rounds: int, mode: str = "F") -> dict:
     """Minimax over the r-round truncation with memoization on
     canonicalized states. The report is explicitly a truncation verdict."""
     if rounds < 0:
@@ -590,8 +580,8 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
         raise BudgetExceeded(f"rounds capped at {SOLVE_ROUNDS_CAP}")
     if m > structure.dim + 3:
         raise BudgetExceeded(f"node budget capped at n+3 = {structure.dim + 3}")
-    backend = backend_for(structure, yellow_mode)
-    budget = budget or SolveBudget()
+    backend = backend_for(structure)
+    states = 0
     memo: dict = {}
     all_atoms = list(backend.atoms())
 
@@ -599,13 +589,15 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
         """Forall's moves in order, each with Exists' responses to it,
         enumerated only when the move is reached."""
         scope = nets if mode == "G" else nets[-1:]
-        for move in backend.forall_moves(scope, m, used, mode, cap=budget.max_moves):
-            yield move, backend.responses(scope[move.net_index], move,
-                                          cap=budget.max_responses)
+        for move in backend.forall_moves(scope, m, used, mode, cap=SOLVE_MOVES_CAP):
+            yield move, backend.responses(scope[move.net_index], move, cap=SOLVE_RESPONSES_CAP)
 
     def value(nets, used, remaining):
         """True iff Exists survives `remaining` more rounds."""
-        budget.tick()
+        nonlocal states
+        states += 1
+        if states > SOLVE_STATES_CAP:
+            raise BudgetExceeded("state budget exceeded")
         key = _state_key(backend, mode, nets, used, remaining)
         if key in memo:
             return memo[key][0]
@@ -660,7 +652,7 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F",
         "rounds": rounds,
         "truncation": f"{rounds}-round truncation",
         "losing_atom": None if losing_atom is None else int(losing_atom),
-        "states_explored": budget.states,
+        "states_explored": states,
         "principal_play": principal,
     }
 
@@ -701,8 +693,7 @@ def default_script_tints(n: int) -> Tuple[int, ...]:
     return tuple(first + rest)
 
 
-def verify_forall_script(structure: RainbowStructure, tints=None,
-                         max_rounds: Optional[int] = None) -> dict:
+def verify_forall_script(structure: RainbowStructure, tints=None) -> dict:
     """Play Forall's cone bombardment and enumerate every Exists line.
 
     Returns a proof tree in which every leaf is an Exists dead-end within
@@ -716,7 +707,7 @@ def verify_forall_script(structure: RainbowStructure, tints=None,
     tints = tuple(tints) if tints is not None else default_script_tints(n)
     if any(t not in sig.tints for t in tints):
         raise ValueError(f"tints must come from {sig.tints}")
-    max_rounds = max_rounds if max_rounds is not None else n + 2
+    round_bound = n + 2
     budget_nodes = n + 3
 
     full = frozenset(range(sig.yellow_universe))
@@ -746,7 +737,7 @@ def verify_forall_script(structure: RainbowStructure, tints=None,
     def expand(net: ColouredGraph, round_no: int) -> dict:
         stats["exists_nodes"] += 1
         stats["max_depth"] = max(stats["max_depth"], round_no)
-        if round_no - 1 >= len(tints) - 1 or round_no > max_rounds:
+        if round_no - 1 >= len(tints) - 1 or round_no > round_bound:
             raise ScriptRefuted(
                 f"Exists survived {round_no} rounds; script exhausted")
         tint = tints[round_no]
@@ -775,7 +766,7 @@ def verify_forall_script(structure: RainbowStructure, tints=None,
         "n": n,
         "tints": list(tints),
         "node_budget": budget_nodes,
-        "round_bound": max_rounds,
+        "round_bound": round_bound,
         "zeroth_graph": gamma.to_json(),
         "zeroth_atom": int(zero_atom),
         "reductions": [
@@ -793,8 +784,9 @@ def verify_forall_script(structure: RainbowStructure, tints=None,
 # -- transcripts ---------------------------------------------------------------
 
 
-def verify_transcript(structure, artifact: dict, yellow_mode="all") -> dict:
-    """Replay a game artifact. The records must be numbered 0, 1, 2, ... and
+def verify_transcript(structure, artifact: dict) -> dict:
+    """Replay a game artifact. `nodes` must be an int in 1..n+3, the budgets
+    solve_bounded accepts; the records must be numbered 0, 1, 2, ... and
     number at most `rounds` + 1; the initial atom must be an atom and the
     round-0 network one of its minimal networks; every Forall move must be
     legal, every Exists network valid, meeting the demand and extending the
@@ -806,8 +798,11 @@ def verify_transcript(structure, artifact: dict, yellow_mode="all") -> dict:
         return _verify_script_artifact(structure, artifact)
     play = artifact["principal_play"]
     mode = artifact.get("mode", "F")
-    m = artifact["nodes"]
-    state = GameState(structure, m, mode, yellow_mode)
+    m = artifact.get("nodes")
+    if type(m) is not int or not 1 <= m <= structure.dim + 3:
+        return {"ok": False,
+                "reason": f"nodes {m!r} is not a node budget in 1..{structure.dim + 3}"}
+    state = GameState(structure, m, mode)
     backend = state.backend
     if not play:
         return {"ok": False, "reason": "empty play"}

@@ -76,12 +76,6 @@ def modal_depth(f: Formula) -> int:
     return sub + 1 if f[0] in ("I", "X") else sub
 
 
-def uses_next(f: Formula) -> bool:
-    if f[0] == "X":
-        return True
-    return any(uses_next(g) for g in f[1:] if isinstance(g, tuple))
-
-
 # -- text syntax ---------------------------------------------------------
 
 

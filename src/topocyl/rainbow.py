@@ -7,11 +7,6 @@ relative to the stored direction. A red clique is then consistent exactly
 when it is generated by an injective node-to-index map, which is what the
 cone-bombardment argument needs. Greens and whites are symmetric.
 
-Yellow labels live, by default, on unordered (n-1)-sets of distinct nodes
-("lenient"); the order-sensitive reading ("strict") is available on
-coloured graphs but not for atom enumeration, where it is astronomically
-infeasible.
-
 This module is the only reader and writer of the packed n = 3 atom code:
 `pack_atom` / `unpack_atom`, `AtomTable.graph_of` (an atom as kernel
 blocks plus its quotient coloured graph), `AtomTable.atom_of_tuple` (the
@@ -129,19 +124,17 @@ class ColouredGraph:
     """Complete edge-labelled graph with yellow labels on (n-1)-tuples.
 
     edges maps ordered pairs (u,v) with u < v; red labels are read in that
-    direction. yellows maps sorted node tuples (lenient) or arbitrary
-    ordered tuples (strict).
+    direction. yellows maps sorted node tuples: one shade per set of n-1
+    distinct nodes.
     """
 
     def __init__(self, sig: RainbowSignature, nodes: Iterable[int],
                  edges: Dict[Tuple[int, int], tuple],
-                 yellows: Dict[Tuple[int, ...], frozenset],
-                 strict_yellows: bool = False):
+                 yellows: Dict[Tuple[int, ...], frozenset]):
         self.sig = sig
         self.nodes = tuple(sorted(set(nodes)))
         self.edges = dict(edges)
         self.yellows = dict(yellows)
-        self.strict = strict_yellows
 
     def edge(self, u: int, v: int):
         """Label of {u,v} as seen from u to v."""
@@ -153,12 +146,10 @@ class ColouredGraph:
         return None if c is None else reverse_colour(c)
 
     def yellow(self, key: Sequence[int]):
-        if self.strict:
-            return self.yellows.get(tuple(key))
         return self.yellows.get(tuple(sorted(key)))
 
     def copy(self) -> "ColouredGraph":
-        return ColouredGraph(self.sig, self.nodes, self.edges, self.yellows, self.strict)
+        return ColouredGraph(self.sig, self.nodes, self.edges, self.yellows)
 
     def set_edge(self, u: int, v: int, colour):
         if u > v:
@@ -167,14 +158,13 @@ class ColouredGraph:
         self.edges[(u, v)] = colour
 
     def set_yellow(self, key: Sequence[int], S: frozenset):
-        k = tuple(key) if self.strict else tuple(sorted(key))
-        self.yellows[k] = frozenset(S)
+        self.yellows[tuple(sorted(key))] = frozenset(S)
 
     def drop_node(self, v: int) -> "ColouredGraph":
         nodes = tuple(x for x in self.nodes if x != v)
         edges = {k: c for k, c in self.edges.items() if v not in k}
         yellows = {k: s for k, s in self.yellows.items() if v not in k}
-        return ColouredGraph(self.sig, nodes, edges, yellows, self.strict)
+        return ColouredGraph(self.sig, nodes, edges, yellows)
 
     def to_json(self) -> dict:
         contiguous = self.nodes == tuple(range(len(self.nodes)))
@@ -188,7 +178,7 @@ class ColouredGraph:
         }
 
     @staticmethod
-    def from_json(doc: dict, sig: RainbowSignature, strict=False) -> "ColouredGraph":
+    def from_json(doc: dict, sig: RainbowSignature) -> "ColouredGraph":
         raw = doc["nodes"]
         nodes = range(raw) if isinstance(raw, int) else raw
         edges = {}
@@ -199,7 +189,7 @@ class ColouredGraph:
         for key, code in doc.get("yellows", {}).items():
             k = tuple(int(p) for p in key.strip("()").split(","))
             yellows[k] = parse_yellow(code)
-        return ColouredGraph(sig, nodes, edges, yellows, strict)
+        return ColouredGraph(sig, nodes, edges, yellows)
 
 
 class Verdict:
@@ -284,9 +274,9 @@ def cones_in(g: ColouredGraph):
             yield apex, tuple(slots[j] for j in range(n - 1)), tint
 
 
-def is_valid_coloured_graph(g: ColouredGraph, sig: Optional[RainbowSignature] = None) -> Verdict:
+def is_valid_coloured_graph(g: ColouredGraph) -> Verdict:
     """Completeness, forbidden triangles, yellow placement, cone clause."""
-    sig = sig or g.sig
+    sig = g.sig
     n = sig.n
     inventory = set(sig.edge_colours())
     for u, v in itertools.combinations(g.nodes, 2):
@@ -303,22 +293,20 @@ def is_valid_coloured_graph(g: ColouredGraph, sig: Optional[RainbowSignature] = 
         green_free = all(
             not is_green(g.edge(u, v)) for u, v in itertools.combinations(K, 2)
         )
-        keys = list(itertools.permutations(K)) if g.strict else [tuple(sorted(K))]
-        for key in keys:
-            label = g.yellows.get(key)
-            if green_free and label is None:
-                return Verdict(False, "missing-yellow", key)
-            if not green_free and label is not None:
-                return Verdict(False, "yellow-on-green-tuple", key)
-            if label is not None and not label <= set(range(sig.yellow_universe)):
-                return Verdict(False, "yellow-out-of-range", key)
+        key = tuple(sorted(K))
+        label = g.yellows.get(key)
+        if green_free and label is None:
+            return Verdict(False, "missing-yellow", key)
+        if not green_free and label is not None:
+            return Verdict(False, "yellow-on-green-tuple", key)
+        if label is not None and not label <= set(range(sig.yellow_universe)):
+            return Verdict(False, "yellow-out-of-range", key)
     stray = [k for k in g.yellows if len(k) != n - 1 or len(set(k)) != n - 1
              or not set(k) <= set(g.nodes)]
     if stray:
         return Verdict(False, "bad-yellow-key", tuple(stray[0]))
     for apex, base, tint in cones_in(g):
-        key = base if g.strict else tuple(sorted(base))
-        label = g.yellows.get(key)
+        label = g.yellows.get(tuple(sorted(base)))
         if label is not None and tint not in label:
             return Verdict(False, "cone-tint-outside-shade", (apex, base, tint))
     return Verdict(True)

@@ -45,21 +45,13 @@ class ChangSystem:
         self.base_size = base_size
         self.families = tuple(fams)
 
-    @staticmethod
-    def from_topology(t: FiniteTopology) -> "ChangSystem":
-        fams = []
-        for x in range(t.size):
-            fams.append(frozenset(
-                a for a in range(1 << t.size) if t.interior_bits(a) >> x & 1
-            ))
-        return ChangSystem(t.size, fams)
-
 
 def chang_from_topology(t: FiniteTopology) -> ChangSystem:
     """Chang system of a topology: V(x) is the neighbourhood filter
     {A : x in int A}, the unique system whose boxes coincide with the
     interior operators (and the only one below the identity)."""
-    return ChangSystem.from_topology(t)
+    return ChangSystem(t.size, [[a for a in range(1 << t.size) if t.interior_bits(a) >> x & 1]
+                                for x in range(t.size)])
 
 
 def _bits(points, size):

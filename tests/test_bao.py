@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -55,8 +56,7 @@ def test_structure_json_round_trip():
     doc = s.to_json()
     assert doc["dim"] == 2 and doc["atoms"] == 1
     assert doc["interior"] == ["identity", "identity"]
-    from topocyl.cli import _atom_structure_from_json
-    s2 = _atom_structure_from_json(doc)
+    s2 = B.AtomStructure.from_json(doc)
     assert s2.T == s.T and s2.D == s.D
 
 
@@ -416,3 +416,42 @@ def test_set_algebra_modules_do_not_import_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+# sha1 over (name, lhs, rhs, rel, guards) of every axiom at dims 1-4 in
+# order, and the suite sizes, recorded while each box schema was still
+# written out once per suite
+AXIOM_PINS = {
+    "CA": ("60a0047ea6d32854c8c671d2259dd63f5196334f", [13, 22, 42, 79]),
+    "TCA": ("bf3e427bee903102fdea0ca0798cc135313dab20", [5, 14, 27, 44]),
+    "Chang": ("9470bb9d18aba3f647c983795cae167b0439ffbf", [1, 4, 9, 16]),
+    "S4Chang": ("8a671e9f4d95a7baba05bca43ec5050e19bbdbb0", [5, 14, 27, 44]),
+    "S5Chang": ("1074a1e89b399d24dd54a8ddd18bede5997e7c9b", [6, 16, 30, 48]),
+}
+
+
+def test_axioms_for_pinned():
+    assert set(AXIOM_PINS) == set(B.SUITES)
+    for suite, (digest, sizes) in AXIOM_PINS.items():
+        h = hashlib.sha1()
+        for dim in range(1, 5):
+            for name, eq, guards in B.axioms_for(suite, dim):
+                h.update(repr((name, eq.lhs, eq.rhs, eq.rel, guards)).encode())
+        assert (h.hexdigest(), [len(B.axioms_for(suite, d)) for d in range(1, 5)]) == \
+            (digest, sizes), suite
+
+
+def test_atom_structure_json_round_trip():
+    def fullset(n, u, preset):
+        return B.atom_structure_of(S.SetAlgebraSpace(n, u, T.make_topology(u, preset=preset)))
+
+    # atom 0 sees atom 1 but atom 1 does not see itself: not reflexive
+    flagged = B.AtomStructure(1, 2, [[0b11, 0b11]], {(0, 0): 0b11}, [[0b10, 0b10]])
+    assert flagged.interior_flags == ["flagged"]
+    for s in (fullset(2, 2, "discrete"), fullset(2, 2, "indiscrete"),
+              fullset(3, 2, "discrete"), flagged):
+        doc = s.to_json()
+        back = B.AtomStructure.from_json(doc)
+        assert (back.T, back.D, back.interior, back.interior_flags) == \
+            (s.T, s.D, s.interior, s.interior_flags)
+        assert back.to_json() == doc

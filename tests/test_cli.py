@@ -1,9 +1,11 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from topocyl.cli import dispatch
+from topocyl.cli import build_parser, dispatch
 from topocyl.report import render
 
 
@@ -256,3 +258,27 @@ RAINBOW_STDOUT_PINS = [
 def test_rainbow_stdout_pinned(capsys, argv, digest):
     assert dispatch(argv) == 0
     assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_modal_eval_valuation_must_be_an_object(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    base = {"kind": "topo", "topology": {"size": 2, "opens": [[], [0], [0, 1]]}}
+    for valuation in ([[0]], "p0", 3, None, "missing"):
+        doc = base if valuation == "missing" else dict(base, valuation=valuation)
+        model.write_text(json.dumps(doc))
+        code = dispatch(["modal", "eval", "--formula", "p0", "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2, valuation
+        assert err.startswith('usage error: "valuation"') and err.count("\n") == 1, err
+
+
+def test_readme_cli_lines_parse():
+    """Every command of README's CLI block parses, so a documented flag
+    cannot be dropped from the parser unnoticed."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("topocyl ")]
+    assert len(lines) >= 19
+    parser = build_parser()
+    for line in lines:
+        assert callable(parser.parse_args(shlex.split(line)[1:]).fn), line

@@ -677,3 +677,18 @@ def test_exists_network_must_extend_the_network_it_answers():
         s = _structure(structure)
         chk = G.verify_transcript(s, G.solve_bounded(s, m, r, mode))
         assert chk["ok"], (structure, m, r, mode, chk)
+
+
+def test_play_node_budget_checked():
+    """A play's `nodes` must be an int in 1..n+3, the budgets the solver
+    accepts; anything else is refused with a reason, not a traceback."""
+    s = fullset_structure(2, 2)
+    res = G.solve_bounded(s, 3, 2, "F")
+    assert G.verify_transcript(s, res) == {"ok": True, "rounds_checked": 2}
+    for nodes in ("3", None, 2.5, 99, 0, 6, True):
+        chk = G.verify_transcript(s, dict(res, nodes=nodes))
+        assert not chk["ok"] and "nodes" in chk["reason"], nodes
+    for (structure, m, r, mode) in SOLVER_PINS:
+        s = _structure(structure)
+        chk = G.verify_transcript(s, G.solve_bounded(s, m, r, mode))
+        assert chk["ok"], (structure, m, r, mode, chk)

@@ -125,17 +125,6 @@ def test_cone_clause(sig):
     assert cones == [(2, (0, 1), 2)]
 
 
-def test_strict_mode_orders_tuples(sig):
-    full = frozenset(range(5))
-    edges = {(0, 1): ("w", 0), (0, 2): ("g0", 1), (1, 2): ("g", 1)}
-    g = R.ColouredGraph(sig, range(3), edges, {(0, 1): full}, strict_yellows=True)
-    v = R.is_valid_coloured_graph(g)
-    assert v.kind == "missing-yellow" and tuple(v.witness) == (1, 0)
-    g = R.ColouredGraph(sig, range(3), edges, {(0, 1): full, (1, 0): full},
-                        strict_yellows=True)
-    assert R.is_valid_coloured_graph(g)
-
-
 def test_graph_json_round_trip(sig):
     g = graph(sig, {(0, 1): ("r", 1, 0), (0, 2): ("g0", 3), (1, 2): ("g", 1)},
               {(0, 1): frozenset({0, 3})})
