@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -121,25 +122,60 @@ class AtomStructure:
 
     @staticmethod
     def from_json(doc: dict) -> "AtomStructure":
-        """Inverse of to_json; an omitted "interior" is the identity."""
-        dim, k = doc["dim"], doc["atoms"]
+        """Inverse of to_json; an omitted "interior" is the identity. A
+        document of the wrong shape raises ValueError naming the field."""
+        _json_field(doc, dict, "an atom structure")
+        dim, k = doc.get("dim"), doc.get("atoms")
+        for name, value in (('"dim"', dim), ('"atoms"', k)):
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        for i, pairs in enumerate(_json_field(doc.get("T"), list, '"T"', dim)):
+            for pair in _json_field(pairs, list, f"T[{i}]"):
+                _json_atoms(pair, f"a pair of T[{i}]", 2)
         diag = {}
-        for key, atoms in doc["D"].items():
+        for key, atoms in _json_field(doc.get("D"), dict, '"D"').items():
+            if not re.fullmatch(r"\d+,\d+", key):
+                raise ValueError(f'D key {key!r} must be two indices "i,j"')
             i, j = (int(p) for p in key.split(","))
-            diag[(i, j)] = atoms
+            diag[(i, j)] = _json_atoms(atoms, f"D[{key}]")
         interior = []
-        for i, desc in enumerate(doc.get("interior", ["identity"] * dim)):
+        descs = _json_field(doc.get("interior", ["identity"] * dim), list, '"interior"', dim)
+        for i, desc in enumerate(descs):
             if desc == "identity":
                 interior.append(None)
                 continue
+            if not isinstance(desc, dict):
+                raise ValueError(f'interior[{i}] must be "identity" or an object, '
+                                 f"got {type(desc).__name__}")
             table = [0] * k
             for a, img in desc.items():
+                _json_atoms(img, f"interior[{i}] entry {a}")
                 if int(a) not in range(k) or any(b not in range(k) for b in img):
                     raise ValueError(f"interior[{i}] entry {a}: {img} names an atom "
                                      f"outside 0..{k - 1}")
                 table[int(a)] = sum(1 << b for b in set(img))
             interior.append(table)
         return AtomStructure.from_pairs(dim, k, doc["T"], diag, interior)
+
+
+def _json_field(value, kind, name: str, size: Optional[int] = None):
+    """value, if it is a JSON object (kind dict) or list (kind list) with
+    `size` entries when size is given; otherwise ValueError naming it."""
+    want = "an object" if kind is dict else "a list"
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {want}, got {type(value).__name__}")
+    if size is not None and len(value) != size:
+        raise ValueError(f"{name} must be {want} of {size} entries, got {len(value)}")
+    return value
+
+
+def _json_atoms(value, name: str, size: Optional[int] = None) -> list:
+    """value, if it is a list of integers (`size` of them when given);
+    the range of the atoms is checked where they are used."""
+    _json_field(value, list, name, size)
+    if not all(isinstance(a, int) for a in value):
+        raise ValueError(f"{name} must list atoms as integers, got {value!r}")
+    return value
 
 
 # -- algebras ---------------------------------------------------------------

@@ -85,6 +85,19 @@ class Move:
 
     @staticmethod
     def from_json(doc):
+        """The move of a record's "forall" object; ValueError naming the
+        field when doc is not an object of integer fields with a list face."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"forall must be an object, got {type(doc).__name__}")
+        missing = [name for name in ("network", "face", "k", "atom", "l") if name not in doc]
+        if missing:
+            raise ValueError(f"forall has no {', '.join(missing)}")
+        face = doc["face"]
+        if not (isinstance(face, list) and all(isinstance(v, int) for v in face)):
+            raise ValueError(f"forall face must be a list of integers, got {face!r}")
+        for name in ("network", "k", "atom", "l"):
+            if not isinstance(doc[name], int):
+                raise ValueError(f"forall {name} must be an integer, got {doc[name]!r}")
         return Move(doc["network"], tuple(doc["face"]), doc["k"], doc["atom"], doc["l"])
 
     def __repr__(self):
@@ -798,16 +811,23 @@ def verify_transcript(structure, artifact: dict) -> dict:
         return _verify_script_artifact(structure, artifact)
     play = artifact["principal_play"]
     mode = artifact.get("mode", "F")
+    if mode not in ("F", "G"):
+        return {"ok": False, "reason": f"mode {mode!r} is not 'F' or 'G'"}
     m = artifact.get("nodes")
     if type(m) is not int or not 1 <= m <= structure.dim + 3:
         return {"ok": False,
                 "reason": f"nodes {m!r} is not a node budget in 1..{structure.dim + 3}"}
     state = GameState(structure, m, mode)
     backend = state.backend
-    if not play:
+    if not isinstance(play, list) or not play:
         return {"ok": False, "reason": "empty play"}
-    if [rec.get("round") for rec in play] != list(range(len(play))):
+    if [rec.get("round") if isinstance(rec, dict) else None for rec in play] \
+            != list(range(len(play))):
         return {"ok": False, "reason": "records are not numbered 0, 1, 2, ... in order"}
+    for rec in play:
+        shape = _record_shape(rec)
+        if shape:
+            return {"ok": False, "reason": f"round {rec['round']}: {shape}"}
     rounds = artifact.get("rounds", len(play) - 1)
     if not isinstance(rounds, int) or len(play) > rounds + 1:
         return {"ok": False, "reason": f"{len(play)} records for a play of {rounds!r} rounds"}
@@ -864,8 +884,29 @@ def verify_transcript(structure, artifact: dict) -> dict:
     return {"ok": True, "rounds_checked": len(play) - 1}
 
 
+def _record_shape(rec) -> Optional[str]:
+    """Why a play record's "forall" and "exists" are not objects of the
+    expected fields ("exists" may be "dead-end"), or None."""
+    forall = rec.get("forall")
+    if rec["round"] == 0:
+        if not (isinstance(forall, dict) and isinstance(forall.get("initial_atom"), int)):
+            return f"forall must be an object with an integer initial_atom, got {forall!r}"
+    else:
+        try:
+            Move.from_json(forall)
+        except ValueError as exc:
+            return str(exc)
+    exists = rec.get("exists")
+    if exists != "dead-end" and not (isinstance(exists, dict)
+                                     and isinstance(exists.get("network"), dict)):
+        return 'exists must be "dead-end" or an object whose network is an object'
+    return None
+
+
 def _move_is_legal(backend, net, move, m, used, mode):
-    if move.k in move.face or move.k >= m:
+    if len(move.face) != backend.n - 1 or move.l not in range(backend.n):
+        return False
+    if move.k in move.face or not 0 <= move.k < m:
         return False
     if mode == "G" and move.k in used:
         return False
@@ -883,7 +924,10 @@ def _verify_script_artifact(structure, artifact) -> dict:
     leaves = {"count": 0, "max_round": 0}
 
     def walk(node, net):
-        move = Move.from_json(node["forall"])
+        try:
+            move = Move.from_json(node["forall"])
+        except ValueError as exc:
+            return f"round {node['round']}: {exc}"
         if not _move_is_legal(backend, net, move, artifact["node_budget"], set(), "F"):
             return f"round {node['round']}: illegal Forall move"
         resps = backend.responses(net, move)

@@ -11,8 +11,9 @@ This module is the only reader and writer of the packed n = 3 atom code:
 `pack_atom` / `unpack_atom`, `AtomTable.graph_of` (an atom as kernel
 blocks plus its quotient coloured graph), `AtomTable.atom_of_tuple` (the
 atom a graph gives a node tuple), `KERNEL_EQ` (which index pairs a kernel
-identifies), and the 9-bit cylindrifier key of each axis (`key_field`,
-`key_of_code`).
+identifies), the 9-bit cylindrifier key of each axis (`key_field`,
+`key_of_code`) and the tables the cylindrifier works on (`runs` of axes 1
+and 2, `tiles` of axis 0).
 """
 
 from __future__ import annotations
@@ -542,20 +543,20 @@ def enumerate_atoms(sig: RainbowSignature) -> AtomTable:
 
 # -- atom structure and its lazy complex algebra ------------------------------
 
-# Atoms per block in the passes over the atom table that cannot work run by
-# run: building a key field, the kernel field or a run table, and the axis-0
-# cylindrifier, which collects the T_0 classes an element meets and gathers
-# the verdict back through the key field. A block's temporaries stay in
-# cache and none is the size of the atom table; in particular np.take
-# converts a narrow index to intp one block at a time. The run path of axes
-# 1 and 2 allocates nothing that size but its result.
+# Atoms per block in the passes over the atom table that build a derived
+# table: a key field, the kernel field, a diagonal mask, a run table or the
+# tile table. A
+# block's temporaries stay in cache and none is the size of the atom table;
+# in particular np.take converts a narrow index to intp one block at a time.
+# The cylindrifier allocates nothing that size but its result.
 CYL_BLOCK = 1 << 16
 
 # The i-th cylindrifier key is the 9-bit slot (code >> 9i) & 511. For i >= 1
 # the slot sits above the lowest one, so ascending codes group it into runs
 # of equal keys (68,645 on axis 1, 784 on axis 2) and cyl works on the run
 # table. The lowest slot, axis 0, changes at almost every atom (10,893,996
-# runs for 10,894,256 atoms), so axis 0 gathers through its key field.
+# runs for 10,894,256 atoms), but it repeats in tiles: cyl on axis 0 works
+# on the tile table.
 RUN_AXES = (1, 2)
 
 
@@ -575,8 +576,9 @@ class RainbowStructure:
     E_ij holds when the kernel identifies i and j; the interior relations
     are the identity.
 
-    Key fields (uint16), the kernel field (uint8) and the run tables of
-    RUN_AXES are derived from the codes on first use, one at a time.
+    Key fields (uint16), the kernel field (uint8), the run tables of
+    RUN_AXES and the axis-0 tile table are derived from the codes on first
+    use, one at a time.
     """
 
     def __init__(self, table: AtomTable):
@@ -587,6 +589,7 @@ class RainbowStructure:
         self.num_atoms = table.count
         self._keys = {}
         self._runs = {}
+        self._tiles = None
         self._kid = None
         self._diag = {}
 
@@ -606,20 +609,65 @@ class RainbowStructure:
             self._keys[i] = self._field(9 * i, np.uint16)
         return self._keys[i]
 
+    def _run_starts(self, shift: int, mask: int) -> np.ndarray:
+        """Starts of the maximal runs of equal (code >> shift) & mask in
+        code order, block by block."""
+        codes = self.codes
+        starts = [np.zeros(1, dtype=np.intp)]
+        for lo in range(1, self.num_atoms, CYL_BLOCK):
+            key = (codes[lo - 1:lo + CYL_BLOCK] >> shift) & mask
+            starts.append(np.flatnonzero(key[1:] != key[:-1]) + lo)
+        return np.concatenate(starts)
+
     def runs(self, i: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, lengths, keys) of the maximal runs of equal key_field(i)
         values in code order, for an axis i in RUN_AXES."""
         if i not in self._runs:
-            codes, shift = self.codes, 9 * i
-            starts = [np.zeros(1, dtype=np.intp)]
-            for lo in range(1, self.num_atoms, CYL_BLOCK):
-                key = (codes[lo - 1:lo + CYL_BLOCK] >> shift) & (PAIR_SLOTS - 1)
-                starts.append(np.flatnonzero(key[1:] != key[:-1]) + lo)
-            starts = np.concatenate(starts)
+            shift = 9 * i
+            starts = self._run_starts(shift, PAIR_SLOTS - 1)
             lens = np.diff(starts, append=self.num_atoms)
-            keys = (codes[starts] >> shift) & (PAIR_SLOTS - 1)
+            keys = (self.codes[starts] >> shift) & (PAIR_SLOTS - 1)
             self._runs[i] = (starts, lens, keys)
         return self._runs[i]
+
+    def tiles(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, shapes, keys) of the axis-0 tiles in code order.
+
+        The atoms sharing code >> 9 (kid, p01, p02) are consecutive and
+        list their axis-0 keys in ascending order. A tile is a maximal
+        stretch of such groups that list the same keys, and a stretch of
+        consecutive one-group tiles is joined into one single-row tile.
+        Tile t is the m x L slab of atoms from starts[t], shapes[t] =
+        (m, L), and every row of it carries the same L keys. keys (intp) is
+        the tiles' key rows, concatenated.
+        """
+        if self._tiles is None:
+            codes, n = self.codes, self.num_atoms
+            starts = self._run_starts(9, -1)   # the groups of equal code >> 9
+            lens = np.diff(starts, append=n)
+            # same[g]: group g + 1 lists the keys of group g; the groups
+            # are compared in batches of about CYL_BLOCK atoms
+            same = np.append(lens[1:] == lens[:-1], False)
+            bounds = np.append(starts, n)
+            cuts = np.searchsorted(starts, np.arange(0, n, CYL_BLOCK), side="right") - 1
+            cuts = np.unique(cuts).tolist()
+            for ga, gb in zip(cuts, cuts[1:] + [starts.shape[0]]):
+                lo, hi = int(bounds[ga]), int(bounds[gb])
+                ahead = np.repeat(np.where(same[ga:gb], lens[ga:gb], 0), lens[ga:gb])
+                ahead += np.arange(lo, hi)
+                eq = (codes[lo:hi] ^ codes[ahead]) & (PAIR_SLOTS - 1) == 0
+                same[ga:gb] &= np.logical_and.reduceat(eq, starts[ga:gb] - lo)
+            first = np.flatnonzero(np.r_[True, ~same[:-1]])
+            rows = np.diff(first, append=starts.shape[0])
+            starts, lens = starts[first], lens[first]
+            # consecutive one-row tiles join into one row
+            first = np.flatnonzero(np.r_[True, (rows[1:] > 1) | (rows[:-1] > 1)])
+            starts, rows, lens = starts[first], rows[first], np.add.reduceat(lens, first)
+            at = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+            keys = codes[at] & (PAIR_SLOTS - 1)
+            self._tiles = (starts, np.stack([rows, lens], axis=1),
+                           keys.astype(np.intp, copy=False))
+        return self._tiles
 
     def groups(self, i: int) -> np.ndarray:
         """T_i class id of every atom: its key field, a value below PAIR_SLOTS.
@@ -688,10 +736,10 @@ class RainbowComplexAlgebra(bao.Algebra):
     values) an element meets in a PAIR_SLOTS-entry table and reads the
     table back. The path depends on the axis only: on RUN_AXES the codes
     sort the key into runs, so one OR per run finds the classes met and
-    each run's verdict is repeated over its length; on axis 0 the classes
-    are collected block by block from the uint16 key field and read back
-    by a blockwise gather. ``random_element`` draws packed random bits,
-    one per atom.
+    each run's verdict is repeated over its length; on axis 0 each tile's
+    rows are ORed into its key row, and the verdict of that key row is
+    broadcast over the tile's rows. ``random_element`` draws packed random
+    bits, one per atom.
     """
 
     def __init__(self, structure: RainbowStructure):
@@ -719,10 +767,23 @@ class RainbowComplexAlgebra(bao.Algebra):
             starts, lens, keys = self.structure.runs(i)
             hit[keys[np.logical_or.reduceat(x, starts)]] = True
             return np.repeat(hit[keys], lens)
-        key = self.structure.key_field(i)
-        for lo in range(0, key.shape[0], CYL_BLOCK):
-            hit[key[lo:lo + CYL_BLOCK].compress(x[lo:lo + CYL_BLOCK])] = True
-        return _take(hit, key)
+        if i != 0:
+            raise KeyError(i)
+        starts, shapes, keys = self.structure.tiles()
+        tiles = list(zip(starts.tolist(), shapes.tolist()))
+        met = np.empty(keys.shape[0], dtype=bool)
+        o = 0
+        for a, (m, L) in tiles:
+            np.logical_or.reduce(x[a:a + m * L].reshape(m, L), axis=0, out=met[o:o + L])
+            o += L
+        hit[keys.compress(met)] = True
+        row = hit.take(keys)
+        out = np.empty(x.shape[0], dtype=bool)
+        o = 0
+        for a, (m, L) in tiles:
+            out[a:a + m * L].reshape(m, L)[...] = row[o:o + L]
+            o += L
+        return out
 
     def dg(self, i, j):
         return self.structure.diag_mask(i, j)

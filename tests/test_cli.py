@@ -114,6 +114,33 @@ def test_structure_naming_atoms_out_of_range_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("usage error: ") and named in err and err.count("\n") == 1
 
 
+def test_structure_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys):
+    """An atom-structure document whose fields have the wrong JSON shape is
+    refused with one line naming the field, not a traceback."""
+    diag = {"0,0": [0, 1], "0,1": [0], "1,0": [0], "1,1": [0, 1]}
+    good = {"dim": 2, "atoms": 2, "D": diag, "T": [[[0, 0], [1, 1]], [[0, 0], [1, 1]]]}
+    cases = [
+        (dict(good, interior=[[0], "identity"]), "interior[0]"),
+        (dict(good, T=[[[0, 0], [1, 1]]]), '"T" must be a list of 2 entries'),
+        ([good], "an atom structure must be an object"),
+        (dict(good, T=[[[0, 0], [1]], [[0, 0]]]), "a pair of T[0]"),
+        (dict(good, D=dict(diag, **{"1,1": 1})), "D[1,1]"),
+        (dict(good, D=dict(diag, x=[0])), "D key 'x'"),
+        (dict(good, interior=[{"0": 0}, "identity"]), "interior[0] entry 0"),
+        (dict(good, dim="2"), '"dim"'),
+    ]
+    path = tmp_path / "s.json"
+    for doc, named in cases:
+        path.write_text(json.dumps(doc))
+        code = dispatch(["bao", "cm", "--structure", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, doc
+        assert err.startswith("usage error: ") and named in err and err.count("\n") == 1, err
+    path.write_text(json.dumps(good))
+    assert dispatch(["bao", "cm", "--structure", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_game_solve_rejects_negative_rounds(tmp_path, capsys):
     for mode in ("F", "G"):
         code = dispatch(["game", "solve", "--structure", "fullset:2,2", "--nodes", "3",

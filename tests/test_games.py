@@ -692,3 +692,45 @@ def test_play_node_budget_checked():
         s = _structure(structure)
         chk = G.verify_transcript(s, G.solve_bounded(s, m, r, mode))
         assert chk["ok"], (structure, m, r, mode, chk)
+
+
+def test_malformed_play_records_and_mode_are_refused():
+    """A record whose forall or exists is not an object with the expected
+    fields, and a play whose mode is not "F" or "G", replay as ok: False
+    with a reason instead of raising."""
+    s = fullset_structure(2, 2)
+    res = G.solve_bounded(s, 5, 3, "F")
+    assert G.verify_transcript(s, res)["ok"]
+    play = res["principal_play"]
+    move = play[1]["forall"]
+    cases = [
+        (1, {"forall": [1]}),
+        (1, {"forall": {k: v for k, v in move.items() if k != "face"}}),
+        (1, {"forall": dict(move, k="1")}),
+        (1, {"forall": dict(move, face=0)}),
+        (1, {"exists": [1]}),
+        (1, {"exists": {"nodes": [0, 1]}}),
+        (1, {"exists": {"network": [1]}}),
+        (0, {"forall": 0}),
+        (0, {"forall": {"initial_atom": "0"}}),
+        (2, {"forall": None}),
+    ]
+    for r, fields in cases:
+        forged = [dict(rec, **fields) if rec["round"] == r else rec for rec in play]
+        chk = G.verify_transcript(s, dict(res, principal_play=forged))
+        assert not chk["ok"] and chk["reason"].startswith(f"round {r}: "), (fields, chk)
+    chk = G.verify_transcript(s, dict(res, principal_play=[play[0], [1]]))
+    assert not chk["ok"] and "numbered" in chk["reason"]
+    # a face of the wrong arity or an axis out of range is an illegal move
+    for bad in (dict(move, face=[0, 0]), dict(move, l=2), dict(move, k=-1)):
+        forged = [play[0], dict(play[1], forall=bad)]
+        chk = G.verify_transcript(s, dict(res, principal_play=forged))
+        assert chk == {"ok": False, "reason": "illegal move at round 1"}, bad
+    for mode in ("X", "f", None, 1):
+        chk = G.verify_transcript(s, dict(res, mode=mode))
+        assert not chk["ok"] and chk["reason"].startswith("mode "), mode
+    # every pinned solver play still replays
+    for (structure, m, r, mode) in SOLVER_PINS:
+        s = _structure(structure)
+        chk = G.verify_transcript(s, G.solve_bounded(s, m, r, mode))
+        assert chk["ok"], (structure, m, r, mode, chk)

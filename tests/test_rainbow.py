@@ -261,8 +261,10 @@ def test_cylindrifier_oracle_and_random_elements(structure):
 
     The pair field is re-derived here by shifting the packed codes (pair
     slots are 9 bits wide), independently of RainbowStructure.key_field and
-    of the run tables. Inputs include singletons at both ends of a run of
-    equal keys on axes 1 and 2, and one atom at every axis-2 run start.
+    of the run and tile tables. Inputs include singletons at both ends of a
+    run of equal keys on axes 1 and 2, one atom at every axis-2 run start,
+    singletons at the first and last atom of a multi-row axis-0 tile, in a
+    single-row tile and in the last tile, and one atom at every tile start.
     Random elements are seeded packed bits, one per atom.
     """
     s = structure
@@ -283,12 +285,42 @@ def test_cylindrifier_oracle_and_random_elements(structure):
     for starts in run_starts.values():
         mid = len(starts) // 2
         ends += [int(starts[mid]), int(starts[mid + 1]) - 1]
+    tile_starts, shapes, _ = s.tiles()
+    tall = int(np.flatnonzero(shapes[:, 0] > 1)[len(shapes) // 4])
+    flat = int(np.flatnonzero(shapes[:, 0] == 1)[-1])
+    for t in (tall, flat, len(shapes) - 1):
+        ends += [int(tile_starts[t]), int(tile_starts[t] + shapes[t].prod()) - 1]
     for idx in ends:
         elements.append(alg.atom_singleton(int(s.codes[idx])))
-    sparse = alg.zero.copy()
-    sparse[np.r_[0, run_starts[2]]] = True
-    elements.append(sparse)
+    for starts in (np.r_[0, run_starts[2]], tile_starts):
+        sparse = alg.zero.copy()
+        sparse[starts] = True
+        elements.append(sparse)
     for i, f in enumerate(fields):
         assert s.key_field(i).dtype == np.uint16 and (s.key_field(i) == f).all()
         for x in elements:
             assert (alg.cyl(i, x) == np.isin(f, f[x], kind="table")).all()
+
+
+def test_axis0_tiles_cover_the_atoms_in_code_order(table):
+    """The tile table of a fresh structure: tiles follow one another from
+    atom 0 to the last atom, every row of a tile lists the tile's key row
+    (the lowest pair slot, re-derived here from the codes), adjacent tiles
+    list different key rows, and c_0 works without the axis-0 key field."""
+    s = R.RainbowStructure(table)
+    starts, shapes, keys = s.tiles()
+    sizes = shapes[:, 0] * shapes[:, 1]
+    assert starts[0] == 0 and (starts[1:] == starts[:-1] + sizes[:-1]).all()
+    assert starts[-1] + sizes[-1] == s.num_atoms
+    assert keys.shape == (int(shapes[:, 1].sum()),)
+    field = s.codes & (R.PAIR_SLOTS - 1)
+    offsets = np.cumsum(shapes[:, 1]) - shapes[:, 1]
+    prev = None
+    for a, (m, L), o in zip(starts.tolist(), shapes.tolist(), offsets.tolist()):
+        row = keys[o:o + L]
+        assert (field[a:a + m * L].reshape(m, L) == row).all()
+        assert prev is None or not np.array_equal(prev, row)
+        prev = row
+    x = s.cm().atom_singleton(int(s.codes[-1]))
+    assert s.cm().cyl(0, x).any()
+    assert 0 not in s._keys
