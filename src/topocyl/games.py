@@ -50,6 +50,7 @@ from .rainbow import (
     colour_code,
     is_green,
     is_valid_coloured_graph,
+    parse_node_tuple,
     triangle_violation,
 )
 
@@ -152,11 +153,26 @@ class AtomicNetwork:
 
     @staticmethod
     def from_json(doc, dim):
+        """ValueError naming the field unless doc is an object whose nodes
+        are a list of integers and whose labels map "(u,v,...)" keys of dim
+        of those nodes to atom indices."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"network must be an object, got {type(doc).__name__}")
+        nodes, raw = doc.get("nodes"), doc.get("labels")
+        if not (isinstance(nodes, list) and all(isinstance(v, int) for v in nodes)):
+            raise ValueError(f"network nodes must be a list of integers, got {nodes!r}")
+        if not isinstance(raw, dict):
+            raise ValueError(f"network labels must be an object, got {raw!r}")
+        members = set(nodes)
         labels = {}
-        for key, a in doc["labels"].items():
-            t = tuple(int(p) for p in key.strip("()").split(","))
+        for key, a in raw.items():
+            t = parse_node_tuple(key) or ()
+            if len(t) != dim or not set(t) <= members:
+                raise ValueError(f"network label key {key!r} is not a tuple of {dim} nodes")
+            if not (isinstance(a, int) and a >= 0):
+                raise ValueError(f"network label {key!r} must be an atom index, got {a!r}")
             labels[t] = a
-        return AtomicNetwork(dim, doc["nodes"], labels)
+        return AtomicNetwork(dim, nodes, labels)
 
 
 def validate_network(s: AtomStructure, net: AtomicNetwork) -> dict:
@@ -520,7 +536,7 @@ class RainbowBackend:
         return {"graph": net.to_json()}
 
     def net_from_json(self, doc):
-        return ColouredGraph.from_json(doc["graph"], self.sig)
+        return ColouredGraph.from_json(doc.get("graph"), self.sig)
 
     def validate(self, net):
         return is_valid_coloured_graph(net).to_json()
@@ -805,7 +821,9 @@ def verify_transcript(structure, artifact: dict) -> dict:
     legal, every Exists network valid, meeting the demand and extending the
     network it answers (its nodes are that network's plus k, and every tuple
     of the other nodes keeps its atom), and dead-end claims must survive
-    re-enumeration of the legal responses."""
+    re-enumeration of the legal responses. A record whose network object is
+    not of the backend's shape (`net_from_json` raises ValueError) replays
+    as not ok, with the field named in the reason."""
     kind = artifact.get("kind", "play")
     if kind == "forall-script":
         return _verify_script_artifact(structure, artifact)
@@ -824,8 +842,14 @@ def verify_transcript(structure, artifact: dict) -> dict:
     if [rec.get("round") if isinstance(rec, dict) else None for rec in play] \
             != list(range(len(play))):
         return {"ok": False, "reason": "records are not numbered 0, 1, 2, ... in order"}
+    nets = {}
     for rec in play:
         shape = _record_shape(rec)
+        if not shape and rec["exists"] != "dead-end":
+            try:
+                nets[rec["round"]] = backend.net_from_json(rec["exists"]["network"])
+            except ValueError as exc:
+                shape = str(exc)
         if shape:
             return {"ok": False, "reason": f"round {rec['round']}: {shape}"}
     rounds = artifact.get("rounds", len(play) - 1)
@@ -840,7 +864,7 @@ def verify_transcript(structure, artifact: dict) -> dict:
         if inits:
             return {"ok": False, "reason": "claimed initial dead-end has responses"}
         return {"ok": True, "rounds_checked": 0}
-    net = backend.net_from_json(first["exists"]["network"])
+    net = nets[0]
     chk = backend.validate(net)
     if not chk["ok"]:
         return {"ok": False, "reason": f"round 0 network invalid: {chk}"}
@@ -865,7 +889,7 @@ def verify_transcript(structure, artifact: dict) -> dict:
                         "reason": f"claimed dead-end at round {rec['round']} has responses"}
             return {"ok": True, "rounds_checked": rec["round"],
                     "dead_end_confirmed": True}
-        net = backend.net_from_json(rec["exists"]["network"])
+        net = nets[rec["round"]]
         chk = backend.validate(net)
         if not chk["ok"]:
             return {"ok": False,

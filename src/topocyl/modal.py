@@ -4,8 +4,10 @@ Formulas are tagged tuples: ("atom", k), ("not", f), ("and", f, g),
 ("or", f, g), ("imp", f, g), ("I", f) for the interior box and ("X", f)
 for the temporal next. One walker evaluates every semantics. A satisfaction
 set is an int bitmask over the points of one model, or, for a batch, a bool
-array (V, size) with one row per valuation. `~` on an int also sets every
-bit above the base, so int results are masked once with `full &`.
+array (V, size) with one row per valuation, or, in the countermodel search,
+a uint8 array of point masks with one entry per frame and valuation. `~` on
+an int or a uint8 also sets every bit above the base, so those results are
+masked once with `full &`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from functools import partial
+from functools import lru_cache, partial
 from typing import Dict, Iterable, Optional
 
 import numpy as np
@@ -347,6 +349,42 @@ def eval_topo_batch(t: FiniteTopology, vals: Dict[int, np.ndarray], f: Formula) 
 
 TOPO_SEARCH_CAP = 4
 KRIPKE_SEARCH_CAP = 5
+# frame x valuation cells evaluated at once: bounds the search's arrays and
+# keeps its early exit close to the first refuting frame
+_BLOCK_CELLS = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _frame_table(size: int, mode: str) -> np.ndarray:
+    """Interior table of every frame of one size, in enumeration order: row
+    k, column s is the interior of point-set s in the k-th topology
+    (`FiniteTopology.interior_bits`, the union of opens) or the k-th preorder
+    (`_kripke_interior_bits`, the successor rows). Read-only: the cache hands
+    the same array to every search."""
+    sets = range(1 << size)
+    if mode == "topo":
+        rows = [[t.interior_bits(s) for s in sets] for t in enumerate_topologies(size)]
+    else:
+        rows = [[_kripke_interior_bits(p.up, s) for s in sets] for p in enumerate_preorders(size)]
+    table = np.array(rows, dtype=np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+def _topology_of_row(size: int, row) -> FiniteTopology:
+    """The topology whose interior table is row: its opens are the fixed points."""
+    return FiniteTopology(size, [s for s, i in enumerate(row.tolist()) if i == s])
+
+
+def _preorder_of_row(size: int, row) -> Preorder:
+    """The preorder whose interior table is row: up[x] is the least set
+    whose interior contains x, the AND of every such set."""
+    up = [(1 << size) - 1] * size
+    for s, i in enumerate(row.tolist()):
+        for x in range(size):
+            if i >> x & 1:
+                up[x] &= s
+    return Preorder(size, [(x, y) for x in range(size) for y in range(size) if up[x] >> y & 1])
 
 
 def random_formula(rng: random.Random, atom_count: int, depth: int,
@@ -382,36 +420,57 @@ def find_countermodel(
 ) -> Optional[dict]:
     """Search models of size <= max_size for a point refuting f.
 
-    Each frame is tried on every valuation of f's atoms when there are at
-    most two, else on `samples` seeded draws, all in one array evaluation;
-    the first refuting valuation and its highest refuted point win.
-    Returns {"model": ..., "point": p, "mode": mode} or None if no
-    countermodel exists within the bound. Absence is not a validity proof.
+    Frames are tried in enumeration order, size by size; each is tried on
+    every valuation of f's atoms when there are at most two, else on
+    `samples` seeded draws taken frame by frame. The first refuting frame,
+    its first refuting valuation and the highest refuted point win.
+    Frames of one size are evaluated together, a block at a time, as
+    lookups into that size's cached interior table (`_frame_table`); the
+    blocking changes neither the order nor the draws. Returns
+    {"model": ..., "point": p, "mode": mode} or None if no countermodel
+    exists within the bound. Absence is not a validity proof.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     topo = mode == "topo"
     cap = TOPO_SEARCH_CAP if topo else KRIPKE_SEARCH_CAP
     if max_size > cap:
         raise SizeTooLarge(f"{mode} search capped at size {cap}")
     alphabet = tuple(sorted(atoms_of(f)))
     exhaustive = len(alphabet) <= 2
-    interior_of = _topo_interior_array if topo else _kripke_interior_array
     rng = random.Random(seed)
     for size in range(1, max_size + 1):
+        table = _frame_table(size, mode)
         space = 1 << size
+        full = np.uint8(space - 1)
         if exhaustive:
-            grid = np.array(list(itertools.product(range(space), repeat=len(alphabet))))
-        for frame in enumerate_topologies(size) if topo else enumerate_preorders(size):
-            if not exhaustive:
-                draws = [rng.randrange(space) for _ in range(samples * len(alphabet))]
-                grid = np.array(draws, dtype=np.int64).reshape(samples, len(alphabet))
+            grid = np.array(list(itertools.product(range(space), repeat=len(alphabet))),
+                            dtype=np.uint8)
+        width = len(grid) if exhaustive else samples
+        block = max(1, _BLOCK_CELLS // width)
+        for start in range(0, len(table), block):
+            rows = table[start:start + block]
+            if exhaustive:
+                cells = grid[None]  # one grid serves every frame of the block
+            else:
+                draws = [rng.randrange(space) for _ in range(len(rows) * width * len(alphabet))]
+                cells = np.array(draws, dtype=np.uint8).reshape(len(rows), width, len(alphabet))
+            vals = {a: cells[:, :, i] for i, a in enumerate(alphabet)}
+            frame = np.arange(len(rows))[:, None]
             # every atom of f has a column, so no atom needs an empty element
-            vals = {a: _bool_rows(grid[:, i], size) for i, a in enumerate(alphabet)}
-            refuted = ~_eval(f, vals, None, interior_of(frame))
-            hits = refuted.any(axis=1)
+            sat = _eval(f, vals, None, lambda s: rows[frame, full & s])
+            refuted = np.broadcast_to(full & ~sat, (len(rows), width))
+            hits = refuted != 0
             if hits.any():
-                row = int(hits.argmax())
-                point = size - 1 - int(refuted[row, ::-1].argmax())
-                val = {a: int(v) for a, v in zip(alphabet, grid[row])}
-                model = TopoModel(frame, val) if topo else KripkeModel(frame, val)
+                k = int(hits.any(axis=1).argmax())
+                v = int(hits[k].argmax())
+                val = {a: int(x) for a, x in zip(alphabet, cells[0 if exhaustive else k, v])}
+                point = int(refuted[k, v]).bit_length() - 1
+                if topo:
+                    model = TopoModel(_topology_of_row(size, rows[k]), val)
+                else:
+                    model = KripkeModel(_preorder_of_row(size, rows[k]), val)
                 return {"model": model, "point": point, "mode": mode}
     return None

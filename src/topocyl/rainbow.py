@@ -96,14 +96,18 @@ def colour_code(c) -> str:
 
 
 def parse_colour(s: str):
-    if s.startswith("g0^"):
-        return ("g0", int(s[3:]))
-    if s.startswith("g"):
-        return ("g", int(s[1:]))
-    if s.startswith("w"):
-        return ("w", int(s[1:]))
-    if s.startswith("r"):
-        return ("r", int(s[1]), int(s[2:]))
+    if isinstance(s, str):
+        try:
+            if s.startswith("g0^"):
+                return ("g0", int(s[3:]))
+            if s.startswith("g"):
+                return ("g", int(s[1:]))
+            if s.startswith("w"):
+                return ("w", int(s[1:]))
+            if s.startswith("r"):
+                return ("r", int(s[1]), int(s[2:]))
+        except (ValueError, IndexError):
+            pass
     raise ValueError(f"bad colour code {s!r}")
 
 
@@ -112,10 +116,22 @@ def yellow_codeword(S: frozenset) -> str:
 
 
 def parse_yellow(s: str) -> frozenset:
-    if not (s.startswith("yS:{") and s.endswith("}")):
-        raise ValueError(f"bad yellow code {s!r}")
-    body = s[4:-1]
-    return frozenset(int(p) for p in body.split(",") if p != "")
+    if isinstance(s, str) and s.startswith("yS:{") and s.endswith("}"):
+        try:
+            return frozenset(int(p) for p in s[4:-1].split(",") if p != "")
+        except ValueError:
+            pass
+    raise ValueError(f"bad yellow code {s!r}")
+
+
+def parse_node_tuple(key: str) -> Optional[tuple]:
+    """The node tuple of a JSON key "(u,v,...)", or None if key is not one."""
+    if isinstance(key, str) and key.startswith("(") and key.endswith(")"):
+        try:
+            return tuple(int(p) for p in key[1:-1].split(","))
+        except ValueError:
+            pass
+    return None
 
 
 # -- coloured graphs ------------------------------------------------------
@@ -180,16 +196,35 @@ class ColouredGraph:
 
     @staticmethod
     def from_json(doc: dict, sig: RainbowSignature) -> "ColouredGraph":
-        raw = doc["nodes"]
-        nodes = range(raw) if isinstance(raw, int) else raw
+        """ValueError naming the field unless doc is an object whose nodes
+        are a count or a list of integers, whose edges map "(u,v)" keys
+        with nodes u < v to colour codes and whose yellows map node tuple
+        keys to yellow codes."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"graph must be an object, got {type(doc).__name__}")
+        raw = doc.get("nodes")
+        if isinstance(raw, int):
+            nodes = range(raw)
+        elif isinstance(raw, list) and all(isinstance(v, int) for v in raw):
+            nodes = raw
+        else:
+            raise ValueError(f"graph nodes must be a count or a list of integers, got {raw!r}")
+        for name in ("edges", "yellows"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise ValueError(f"graph {name} must be an object, got {doc[name]!r}")
+        members = set(nodes)
         edges = {}
         for key, code in doc.get("edges", {}).items():
-            u, v = (int(p) for p in key.strip("()").split(","))
-            edges[(u, v)] = parse_colour(code)
+            t = parse_node_tuple(key) or ()
+            if not (len(t) == 2 and t[0] < t[1] and set(t) <= members):
+                raise ValueError(f"graph edge key {key!r} is not (u,v) with nodes u < v")
+            edges[t] = parse_colour(code)
         yellows = {}
         for key, code in doc.get("yellows", {}).items():
-            k = tuple(int(p) for p in key.strip("()").split(","))
-            yellows[k] = parse_yellow(code)
+            t = parse_node_tuple(key)
+            if t is None:
+                raise ValueError(f"graph yellow key {key!r} is not a node tuple")
+            yellows[t] = parse_yellow(code)
         return ColouredGraph(sig, nodes, edges, yellows)
 
 

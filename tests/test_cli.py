@@ -173,6 +173,18 @@ def test_modal_countermodel(tmp_path):
     assert doc["results"]["found"]
 
 
+def test_countermodel_bounds_below_one_are_usage_errors(tmp_path, capsys):
+    """A bound below 1 is bad input, not an empty search that satisfies
+    --expect none."""
+    for flag, value, name in (("--max-size", "0", "max_size"), ("--max-size", "-1", "max_size"),
+                              ("--samples", "0", "samples"), ("--samples", "-3", "samples")):
+        code, doc = run(tmp_path, "modal", "countermodel", "--formula", "p0 -> I p0",
+                        flag, value, "--expect", "none")
+        assert code == 2 and doc is None, (flag, value)
+        assert capsys.readouterr().err == \
+            f"usage error: {name} must be at least 1, got {value}\n"
+
+
 def test_setalg_witnesses(tmp_path):
     code, doc = run(tmp_path, "setalg", "witness-nonadditive", "--expect", "true")
     assert code == 0
@@ -216,6 +228,26 @@ def test_game_solve_and_replay(tmp_path):
                      "--structure", "fullset:2,2", "--expect", "true",
                      "--out", str(tmp_path / "verify.json")])
     assert code == 0
+
+
+def test_verify_transcript_refuses_malformed_networks(tmp_path):
+    """A play whose Exists network is not an object of nodes and "(u,v)"
+    labels replays as ok: false naming the field, not as a traceback."""
+    play = tmp_path / "play.json"
+    assert dispatch(["game", "solve", "--structure", "fullset:2,2", "--nodes", "3",
+                     "--rounds", "2", "--out", str(play)]) == 0
+    doc = json.loads(play.read_text())
+    for network, field in (({"nodes": [0, 1], "labels": [1]}, "labels"),
+                           ({"nodes": [0, 1]}, "labels")):
+        doc["results"]["principal_play"][1]["exists"] = {"network": network}
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(doc))
+        code, report = run(tmp_path, "game", "verify-transcript", "--transcript", str(forged),
+                           "--structure", "fullset:2,2", "--expect", "true")
+        assert code == 1
+        assert report["results"]["ok"] is False
+        assert report["results"]["reason"] == \
+            f"round 1: network {field} must be an object, got {network.get(field)!r}"
 
 
 def test_reports_byte_identical(tmp_path):

@@ -498,6 +498,56 @@ def test_forged_dead_ends_on_non_atom_demands_rejected(rainbow_structure):
     assert not G.verify_transcript(s, forged_play)["ok"]
 
 
+def test_malformed_networks_are_refused(rainbow_structure):
+    """A record whose network object has the wrong shape replays as
+    ok: False with a reason naming the field, on either backend."""
+    s = fullset_structure(2, 2)
+    res = G.solve_bounded(s, 3, 2, "F")
+    assert G.verify_transcript(s, res)["ok"]
+    cases = [
+        ({"nodes": [0, 1], "labels": [1]}, "network labels must be an object"),
+        ({"nodes": [0, 1]}, "network labels must be an object"),
+        ({"labels": {}}, "network nodes must be a list of integers"),
+        ({"nodes": [0, "1"], "labels": {}}, "network nodes must be a list of integers"),
+        ({"nodes": [0, 1], "labels": {"0,1": 0}}, "network label key '0,1'"),
+        ({"nodes": [0, 1], "labels": {"(0,1,1)": 0}}, "network label key '(0,1,1)'"),
+        ({"nodes": [0, 1], "labels": {"(0,5)": 0}}, "network label key '(0,5)'"),
+        ({"nodes": [0, 1], "labels": {"(0,1)": -1}}, "network label '(0,1)'"),
+        ({"nodes": [0, 1], "labels": {"(0,1)": "0"}}, "network label '(0,1)'"),
+    ]
+    for r in (0, 1):
+        for network, reason in cases:
+            forged = [dict(rec, exists={"network": network}) if rec["round"] == r else rec
+                      for rec in res["principal_play"]]
+            chk = G.verify_transcript(s, dict(res, principal_play=forged))
+            assert not chk["ok"] and chk["reason"].startswith(f"round {r}: {reason}"), \
+                (network, chk)
+    rs = rainbow_structure
+    _, g = rs.table.graph_of(G.verify_forall_script(rs)["zeroth_atom"])
+    graph = g.to_json()
+    assert graph["nodes"] == 3 and graph["edges"]
+    edge = next(iter(graph["edges"]))
+    cases = [
+        ({k: v for k, v in graph.items() if k != "nodes"}, "graph nodes must be"),
+        (dict(graph, nodes="3"), "graph nodes must be"),
+        (dict(graph, edges=[]), "graph edges must be an object"),
+        (dict(graph, edges={"(1,0)": "w0"}), "graph edge key '(1,0)'"),
+        (dict(graph, edges={"(0,7)": "w0"}), "graph edge key '(0,7)'"),
+        (dict(graph, edges=dict(graph["edges"], **{edge: 3})), "bad colour code 3"),
+        (dict(graph, edges=dict(graph["edges"], **{edge: "rx"})), "bad colour code 'rx'"),
+        (dict(graph, yellows={"0": "yS:{}"}), "graph yellow key '0'"),
+        (dict(graph, yellows={"(0,1)": "yS:{a}"}), "bad yellow code 'yS:{a}'"),
+        ([1], "graph must be an object"),
+        (None, "graph must be an object"),
+    ]
+    for bad, reason in cases:
+        network = {"graph": bad} if bad is not None else {}
+        play = [{"round": 0, "forall": {"initial_atom": 0},
+                 "exists": {"network": network}}]
+        chk = G.verify_transcript(rs, {"mode": "F", "nodes": 4, "principal_play": play})
+        assert not chk["ok"] and chk["reason"].startswith(f"round 0: {reason}"), (bad, chk)
+
+
 def test_initial_atom_must_be_an_atom(rainbow_structure):
     s = fullset_structure(2, 2)
     # a genuine round-0 dead-end: atom 1 needs two nodes, the budget is one

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -138,6 +139,78 @@ def test_countermodels():
         got = m.topology if mode == "topo" else m.preorder
         assert (got.to_json(), m.valuation, hit["point"], hit["mode"]) == \
             (frame, valuation, point, mode), (text, mode)
+
+
+def _search_frame_by_frame(f, max_size, mode, seed, samples):
+    """find_countermodel's contract as a plain loop: frames in enumeration
+    order, each on every valuation (up to two atoms) or on `samples` draws
+    taken for that frame, evaluated one model at a time."""
+    topo = mode == "topo"
+    alphabet = sorted(M.atoms_of(f))
+    rng = random.Random(seed)
+    for size in range(1, max_size + 1):
+        for frame in T.enumerate_topologies(size) if topo else T.enumerate_preorders(size):
+            if len(alphabet) <= 2:
+                rows = list(itertools.product(range(1 << size), repeat=len(alphabet)))
+            else:
+                draws = [rng.randrange(1 << size) for _ in range(samples * len(alphabet))]
+                rows = [draws[i:i + len(alphabet)] for i in range(0, len(draws), len(alphabet))]
+            for row in rows:
+                val = dict(zip(alphabet, row))
+                if topo:
+                    sat = M.eval_topo(M.TopoModel(frame, val), f)
+                else:
+                    sat = M.eval_kripke(M.KripkeModel(frame, val), f)
+                refuted = set(range(size)) - sat
+                if refuted:
+                    return frame, val, max(refuted)
+    return None
+
+
+def test_batched_search_matches_a_per_frame_loop():
+    # theorems (the whole bound is searched), and refutations on 1 to 3
+    # points; sampled 3-atom formulas draw across every frame before a hit
+    formulas = [M.parse(text) for text in (
+        "I p0 -> p0", "p0 -> I p0", "~I p0 -> I~I p0", "~I~I p0 -> I~I~p0",
+        "I(p0 & p1) -> I p0 & I p1", "I(I p0 -> p1) | I(I p1 -> p0)",
+        "(p0 & ~p1) | (p2 -> I p0)", "I(p0 | p1 | p2) -> I p0 | I p1 | I p2",
+        "~I~I(p0 & p1 & p2) -> I~I~(p0 & p1 & p2)", "I(p0 -> p1) -> (I p0 -> I p1) | p2",
+        "I(I p0 -> p1) | I(I p1 -> p2) | I(I p2 -> p0)")]
+    for f, mode, seed, samples in itertools.product(
+            formulas, ("topo", "kripke"), (0, 5), (200, 7)):
+        if len(M.atoms_of(f)) <= 2 and (seed, samples) != (0, 200):
+            continue  # enumerated valuations use neither
+        hit = M.find_countermodel(f, 3, mode, seed=seed, samples=samples)
+        got = hit and (hit["model"].topology if mode == "topo" else hit["model"].preorder,
+                       hit["model"].valuation, hit["point"])
+        assert got == _search_frame_by_frame(f, 3, mode, seed, samples), \
+            (M.unparse(f), mode, seed, samples)
+
+
+def test_frame_tables_are_built_once_per_size_and_mode(monkeypatch):
+    calls = []
+    for name in ("enumerate_topologies", "enumerate_preorders"):
+        enum = getattr(T, name)
+        monkeypatch.setattr(M, name, lambda size, enum=enum: calls.append(size) or enum(size))
+    M._frame_table.cache_clear()
+    f = M.parse("I p0 -> p0")
+    for mode in ("topo", "kripke"):
+        assert M.find_countermodel(f, 3, mode) is None
+    assert calls == [1, 2, 3, 1, 2, 3]
+    for mode in ("topo", "kripke"):
+        assert M.find_countermodel(f, 3, mode) is None
+        assert M.find_countermodel(M.parse("p0 -> I p0"), 3, mode) is not None
+    assert calls == [1, 2, 3, 1, 2, 3]
+    assert not M._frame_table(3, "topo").flags.writeable
+
+
+def test_s4_schemes_have_no_countermodel_within_the_bound():
+    """Bounded search only: no Kripke countermodel on up to 5 points and no
+    topological one on up to 4. This is not a validity proof."""
+    for text in ("I(p0 -> p1) -> (I p0 -> I p1)", "I p0 -> p0", "I p0 -> I I p0"):
+        f = M.parse(text)
+        assert M.find_countermodel(f, M.KRIPKE_SEARCH_CAP, "kripke") is None, text
+        assert M.find_countermodel(f, M.TOPO_SEARCH_CAP, "topo") is None, text
 
 
 def test_s4_axioms_hold_topologically():
