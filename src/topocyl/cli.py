@@ -34,6 +34,8 @@ def _structure_arg(arg: str):
     """fullset:N,U[,topology] | rainbow:3 | path to an atom-structure JSON."""
     if arg.startswith("fullset:"):
         parts = arg.split(":", 1)[1].split(",")
+        if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts[:2]):
+            raise ValueError(f"--structure {arg}: the form is fullset:N,U[,preset]")
         n, u = int(parts[0]), int(parts[1])
         preset = parts[2] if len(parts) > 2 else "discrete"
         topo = topology.make_topology(u, preset=preset)
@@ -163,6 +165,11 @@ def cmd_modal_countermodel(args):
 
 
 def cmd_modal_equiv(args):
+    for flag, value in (("--max-size", args.max_size),
+                        ("--formulas-per-frame", args.formulas_per_frame),
+                        ("--samples", args.samples)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     rng = random.Random(args.seed)
     mismatches = []
     checked = 0
@@ -208,6 +215,8 @@ def cmd_setalg_op(args):
     elif args.op == "box":
         out = setalg.box_op(args.i, x)
     elif args.op == "subst":
+        if args.tau is None:
+            raise ValueError("--op subst needs --tau, the images of 0..dim-1 such as 1,0")
         tau = [int(p) for p in args.tau.split(",")]
         out = setalg.subst(tau, x)
     elif args.op == "dimset":
@@ -304,6 +313,9 @@ def cmd_bao_nr(args):
 def cmd_bao_sg(args):
     alg = bao.cm(_explicit_structure_arg(args))
     gens = [int(g) for g in args.gens.split(",")] if args.gens else []
+    for g in gens:
+        if not 0 <= g <= alg.one:
+            raise ValueError(f"--gens {g}: not an element; the elements are 0..{alg.one}")
     sub = bao.sg(alg, gens)
     results = {"generators": gens, "carrier_size": len(sub.carrier_list())}
     return _finish(args, results, len(sub.carrier_list()), "bao sg")

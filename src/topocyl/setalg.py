@@ -19,7 +19,7 @@ import itertools
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NoChangSystem, NoTopology, NotSubsetOfUnit, TooLarge
-from .topology import FiniteTopology, coproduct, make_topology, set_of
+from .topology import FiniteTopology, coproduct, set_of
 
 CODE_CAP = 1 << 24
 
@@ -98,6 +98,7 @@ class SetAlgebraSpace:
             and self.dim == other.dim
             and self.base_size == other.base_size
             and self.topology == other.topology
+            and self.full_bits == other.full_bits
             and (self.chang.families if self.chang else None)
             == (other.chang.families if other.chang else None)
         )
@@ -130,8 +131,8 @@ class SetAlgebraSpace:
         if k not in self._axes:
             u = self.base_size
             stride = u ** k
-            # low stride bits of every block of stride * u codes
-            low = ((1 << stride) - 1) * (self.full_bits // ((1 << stride * u) - 1))
+            # low stride bits of every block of stride * u codes of the cube
+            low = ((1 << stride) - 1) * (((1 << self.ncodes) - 1) // ((1 << stride * u) - 1))
             self._axes[k] = (stride, [low << a * stride for a in range(u)])
         return self._axes[k]
 
@@ -201,6 +202,10 @@ class SetAlgebraSpace:
             if len(s) != self.dim or any(not 0 <= v < self.base_size for v in s):
                 raise ValueError(f"tuple {s} does not fit the space")
             bits |= 1 << self.encode(s)
+        stray = bits & ~self.full_bits
+        if stray:
+            raise NotSubsetOfUnit(f"tuples {sorted(TupleSet(self, stray).members())} "
+                                  "lie outside the unit")
         return TupleSet(self, bits)
 
     def from_bits(self, bits: int) -> "TupleSet":
@@ -215,8 +220,13 @@ class SetAlgebraSpace:
         return TupleSet(self, 0)
 
     def all_elements(self):
-        for bits in range(self.full_bits + 1):
+        """Every subset of the unit, in ascending order of bits."""
+        bits = 0
+        while True:
             yield TupleSet(self, bits)
+            if bits == self.full_bits:
+                return
+            bits = (bits - self.full_bits) & self.full_bits
 
 
 class TupleSet:
@@ -310,7 +320,7 @@ def box_op(k: int, x: TupleSet) -> TupleSet:
 
 
 def subst(tau: Sequence[int], x: TupleSet) -> TupleSet:
-    """s is in the result iff s o tau is in x."""
+    """s in the unit is in the result iff s o tau is in x."""
     sp = x.space
     if len(tau) != sp.dim or any(not 0 <= v < sp.dim for v in tau):
         raise ValueError("tau must be a total transformation of the dimension")
@@ -320,7 +330,7 @@ def subst(tau: Sequence[int], x: TupleSet) -> TupleSet:
         t = tuple(s[tau[i]] for i in range(sp.dim))
         if x.bits >> sp.encode(t) & 1:
             out |= 1 << code
-    return TupleSet(sp, out)
+    return TupleSet(sp, out & sp.full_bits)
 
 
 def replacement(i: int, j: int, dim: int) -> Tuple[int, ...]:
@@ -337,7 +347,7 @@ def neat_lift(x: TupleSet, extra: int) -> TupleSet:
     sp = x.space
     big = SetAlgebraSpace(sp.dim + extra, sp.base_size, sp.topology, sp.chang)
     # one copy of x per block of sp.ncodes codes
-    return TupleSet(big, x.bits * (big.full_bits // sp.full_bits))
+    return TupleSet(big, x.bits * (big.full_bits // ((1 << sp.ncodes) - 1)))
 
 
 def dimension_set(x: TupleSet) -> frozenset:
@@ -348,11 +358,15 @@ def dimension_set(x: TupleSet) -> frozenset:
 # -- generalized set algebras ---------------------------------------------
 
 
-class GeneralizedSpace:
-    """Disjoint summand spaces of equal dimension; unit is the union of units.
+class GeneralizedSpace(SetAlgebraSpace):
+    """Disjoint summand spaces of equal dimension >= 2, as one space.
 
-    Elements are stored per summand; the base conceptually carries the
-    coproduct topology, realized by computing interiors summand-wise.
+    The base is the union of the summand bases (summand i shifted by
+    offsets[i]) with the coproduct topology, present only when every
+    summand has a topology. The unit V (full_bits) is the union of the
+    summand cubes, elements are TupleSets below V, and each operator is the
+    cube kernel followed by one AND with V (Nemeti 1995). At dimension 1 the
+    union of the cubes is one cube, so c_0 would join the summands: refused.
     """
 
     def __init__(self, summands: Sequence[SetAlgebraSpace]):
@@ -361,113 +375,33 @@ class GeneralizedSpace:
         dim = summands[0].dim
         if any(s.dim != dim for s in summands):
             raise ValueError("summands must share a dimension")
+        if dim < 2:
+            raise ValueError("a generalized space needs dimension at least 2: at dimension 1 "
+                             "the union of the summand cubes is one cube and c_0 joins the summands")
         self.summands = tuple(summands)
-        self.dim = dim
-        self.offsets = []
-        total = 0
-        for s in summands:
-            self.offsets.append(total)
-            total += s.base_size
-        self.total_base = total
+        self.offsets = [sum(s.base_size for s in summands[:i]) for i in range(len(summands))]
+        tops = [s.topology for s in summands]
+        super().__init__(dim, sum(s.base_size for s in summands),
+                         None if any(t is None for t in tops) else coproduct(tops))
+        # union code of each local code, per summand
+        self._codes = [[self.encode([v + off for v in s.decode(c)]) for c in range(s.ncodes)]
+                       for s, off in zip(summands, self.offsets)]
+        self.full_bits = sum(1 << c for codes in self._codes for c in codes)
 
-    def element(self, parts: Sequence[TupleSet]) -> "GeneralizedElement":
-        if len(parts) != len(self.summands):
-            raise NotSubsetOfUnit("one part per summand required")
-        for part, s in zip(parts, self.summands):
-            if part.space is not s:
-                raise NotSubsetOfUnit("part does not live in its summand space")
-        return GeneralizedElement(self, tuple(p.bits for p in parts))
+    def cyl_bits(self, k: int, x: int) -> int:
+        return self.full_bits & super().cyl_bits(k, x)
 
-    def from_union_members(self, members: Iterable[Sequence[int]]) -> "GeneralizedElement":
-        """Members are tuples over the union base (summand i shifted by offset i)."""
-        parts = [0] * len(self.summands)
-        for s in members:
-            placed = False
-            for idx, (space, off) in enumerate(zip(self.summands, self.offsets)):
-                if all(off <= v < off + space.base_size for v in s):
-                    local = tuple(v - off for v in s)
-                    parts[idx] |= 1 << space.encode(local)
-                    placed = True
-                    break
-            if not placed:
-                raise NotSubsetOfUnit(f"tuple {s} mixes summand bases")
-        return GeneralizedElement(self, tuple(parts))
+    def interior_bits(self, k: int, x: int) -> int:
+        outside = ((1 << self.ncodes) - 1) & ~self.full_bits
+        return self.full_bits & super().interior_bits(k, x | outside)
 
-    def unit(self):
-        return GeneralizedElement(self, tuple(s.full_bits for s in self.summands))
-
-    def empty(self):
-        return GeneralizedElement(self, tuple(0 for _ in self.summands))
-
-    def all_elements(self):
-        ranges = [range(s.full_bits + 1) for s in self.summands]
-        for combo in itertools.product(*ranges):
-            yield GeneralizedElement(self, tuple(combo))
-
-    def union_space(self) -> SetAlgebraSpace:
-        """Materialized union base with the coproduct topology (oracle use)."""
-        tops = []
-        for s in self.summands:
-            tops.append(s.topology or make_topology(s.base_size, preset="discrete"))
-        return SetAlgebraSpace(self.dim, self.total_base, coproduct(tops))
+    def diag_bits(self, i: int, j: int) -> int:
+        return self.full_bits & super().diag_bits(i, j)
 
 
-class GeneralizedElement:
-    __slots__ = ("gspace", "parts")
-
-    def __init__(self, gspace: GeneralizedSpace, parts: Tuple[int, ...]):
-        self.gspace = gspace
-        self.parts = parts
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeneralizedElement)
-            and self.gspace is other.gspace
-            and self.parts == other.parts
-        )
-
-    def __hash__(self):
-        return hash((id(self.gspace), self.parts))
-
-    def _zip(self):
-        return zip(self.gspace.summands, self.parts)
-
-    def op(self, name, *args):
-        kernel = {"cyl": SetAlgebraSpace.cyl_bits, "interior": SetAlgebraSpace.interior_bits}
-        if name not in kernel:
-            raise ValueError(name)
-        return GeneralizedElement(self.gspace, tuple(
-            kernel[name](space, args[0], bits) for space, bits in self._zip()))
-
-    def __and__(self, other):
-        return GeneralizedElement(
-            self.gspace, tuple(a & b for a, b in zip(self.parts, other.parts))
-        )
-
-    def __or__(self, other):
-        return GeneralizedElement(
-            self.gspace, tuple(a | b for a, b in zip(self.parts, other.parts))
-        )
-
-    def complement(self):
-        return GeneralizedElement(
-            self.gspace,
-            tuple(s.full_bits & ~b for s, b in self._zip()),
-        )
-
-    def union_members(self):
-        for (space, bits), off in zip(self._zip(), self.gspace.offsets):
-            x = TupleSet(space, bits)
-            for t in x.members():
-                yield tuple(v + off for v in t)
-
-
-def gen_diag(i: int, j: int, g: GeneralizedSpace) -> GeneralizedElement:
-    return GeneralizedElement(g, tuple(diag(i, j, s).bits for s in g.summands))
-
-
-def decompose_generalized(g: GeneralizedSpace, x: GeneralizedElement) -> Tuple[TupleSet, ...]:
-    """X maps to (X intersected with each summand's cartesian unit)."""
-    if x.gspace is not g:
+def decompose_generalized(g: GeneralizedSpace, x: TupleSet) -> Tuple[TupleSet, ...]:
+    """X maps to (X intersected with each summand's cube), in local codes."""
+    if x.space != g:
         raise NotSubsetOfUnit("element does not live in this generalized space")
-    return tuple(TupleSet(space, bits) for space, bits in x._zip())
+    return tuple(TupleSet(s, sum(1 << c for c, u in enumerate(codes) if x.bits >> u & 1))
+                 for s, codes in zip(g.summands, g._codes))

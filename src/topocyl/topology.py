@@ -266,6 +266,8 @@ def subspace(t: FiniteTopology, s: Iterable[int]) -> FiniteTopology:
 
 def enumerate_topologies(size: int) -> Iterator[FiniteTopology]:
     """All distinct topologies on {0..size-1}, each exactly once (size <= 4)."""
+    if size < 0:
+        raise ValueError(f"size {size} is negative")
     if size > ENUM_SIZE_CAP:
         raise SizeTooLarge(f"enumerate_topologies capped at size {ENUM_SIZE_CAP}")
     full = (1 << size) - 1
@@ -290,6 +292,8 @@ def enumerate_topologies(size: int) -> Iterator[FiniteTopology]:
 
 def enumerate_preorders(size: int) -> Iterator[Preorder]:
     """All labelled preorders on {0..size-1} (small sizes only)."""
+    if size < 0:
+        raise ValueError(f"size {size} is negative")
     if size > 5:
         raise SizeTooLarge("enumerate_preorders capped at size 5")
     if size == 0:

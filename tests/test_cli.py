@@ -159,6 +159,49 @@ def test_setalg_rejects_empty_base(capsys):
     assert capsys.readouterr().err == "usage error: base size must be at least 1\n"
 
 
+def test_subst_without_tau_is_a_usage_error(capsys):
+    code = dispatch(["setalg", "op", "--op", "subst", "--dim", "2", "--base", "2",
+                     "--members", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("usage error: --op subst needs --tau")
+    assert err.count("\n") == 1
+
+
+def test_fullset_structure_without_base_is_a_usage_error(capsys):
+    for argv in (["bao", "cm"], ["bao", "check"], ["game", "solve", "--nodes", "3",
+                                                   "--rounds", "1"]):
+        for arg in ("fullset:2", "fullset:2,x", "fullset:"):
+            code = dispatch(argv + ["--structure", arg])
+            err = capsys.readouterr().err
+            assert code == 2, (argv, arg)
+            assert err == f"usage error: --structure {arg}: the form is fullset:N,U[,preset]\n"
+
+
+def test_sg_generators_must_be_elements(capsys):
+    """fullset:2,2 has 4 atoms, so its elements are 0..15."""
+    for gens in ("99999", "-3", "1,16"):
+        code = dispatch(["bao", "sg", "--structure", "fullset:2,2", "--gens", gens])
+        bad = gens.split(",")[-1]
+        assert code == 2, gens
+        assert capsys.readouterr().err == \
+            f"usage error: --gens {bad}: not an element; the elements are 0..15\n"
+    assert dispatch(["bao", "sg", "--structure", "fullset:2,2", "--gens", "0,15"]) == 0
+
+
+def test_equiv_bounds_below_one_are_usage_errors(tmp_path, capsys):
+    """An equivalence check over no frames or no formulas checked nothing."""
+    for flag, value in (("--max-size", "0"), ("--formulas-per-frame", "0"),
+                        ("--samples", "0"), ("--samples", "-2")):
+        code, doc = run(tmp_path, "modal", "equiv", flag, value, "--expect", "true")
+        assert code == 2 and doc is None, (flag, value)
+        assert capsys.readouterr().err == f"usage error: {flag} must be at least 1, got {value}\n"
+
+
+def test_topo_enum_negative_size_is_a_usage_error(capsys):
+    assert dispatch(["topo", "enum", "--max-size", "-1"]) == 2
+    assert capsys.readouterr().err == "usage error: size -1 is negative\n"
+
+
 def test_modal_equiv(tmp_path):
     code, doc = run(tmp_path, "modal", "equiv", "--max-size", "3",
                     "--depth", "3", "--seed", "7", "--expect", "true")
@@ -310,6 +353,12 @@ RAINBOW_STDOUT_PINS = [
      "a862a67c808418032b74e6a52fafcacb06e0dad6"),
     (["bao", "cm", "--structure", "rainbow:3"], "cb52d82b18e29e7049844f29285cb61b5044f2c1"),
     (["game", "script", "--n", "3"], "a5ea3450d52a3ece03335d363200b7cf87a96467"),
+    (shlex.split("setalg op --op interior --dim 2 --base 2 --topology indiscrete "
+                 "--members 0 --i 0"), "d5408d1b4caa7fc9d32a3452a6f91c572f0d84f1"),
+    (shlex.split("setalg axioms --dim 2 --base 3 --topology indiscrete --suite TCA "
+                 "--samples 800"), "c6121552fe482fe19b1128a975141d7cd0049386"),
+    (["setalg", "witness-nonadditive"], "3743211c4b8a4feac06638477200f5dd22b32c24"),
+    (["setalg", "witness-nontermdef"], "bc1a8b8f05a4affe32251122142937fb473d6eeb"),
 ]
 
 

@@ -246,10 +246,61 @@ def test_generalized_space():
     g = S.GeneralizedSpace([S.SetAlgebraSpace(2, 1, ind1), S.SetAlgebraSpace(2, 2, ind2)])
     assert S.decompose_generalized(g, g.unit())[0].bits == 1
     single = S.GeneralizedSpace([S.SetAlgebraSpace(2, 2, ind2)])
-    x = single.from_union_members([(0, 1)])
+    x = single.element([(0, 1)])
     assert S.decompose_generalized(single, x)[0] == single.summands[0].element([(0, 1)])
     with pytest.raises(NotSubsetOfUnit):
-        g.from_union_members([(0, 1)])  # mixes the two summand bases
+        g.element([(0, 1)])  # mixes the two summand bases
+
+
+def _embed(g, parts):
+    """The element of g whose part in summand i is parts[i], shifted by hand."""
+    return g.element(tuple(v + off for v in t)
+                     for p, off in zip(parts, g.offsets) for t in p.members())
+
+
+def test_generalized_space_relativizes_the_summand_operations():
+    """c_i, I_i, Cl_i, d_ij, [i|j] substitutions and complement on the union
+    of the summand cubes agree with the summand-wise operations on seeded
+    random elements."""
+    rng = random.Random(12)
+    tops = {u: list(T.enumerate_topologies(u)) for u in (1, 2, 3)}
+    checked = 0
+    for dim in (2, 3):
+        for nsum in (1, 2, 3):
+            for _ in range(6):
+                summands = [S.SetAlgebraSpace(dim, u, rng.choice(tops[u]))
+                            for u in (rng.randint(1, 5 - dim) for _ in range(nsum))]
+                g = S.GeneralizedSpace(summands)
+                assert g.topology == T.coproduct([sp.topology for sp in summands])
+                # the unit is part of the space: only one summand gives the cube
+                assert (g == S.SetAlgebraSpace(dim, g.base_size, g.topology)) == (nsum == 1)
+                for _ in range(8):
+                    parts = [sp.from_bits(rng.randrange(sp.full_bits + 1)) for sp in summands]
+                    x = _embed(g, parts)
+                    assert S.decompose_generalized(g, x) == tuple(parts)
+                    assert x.complement() == _embed(g, [p.complement() for p in parts])
+                    for i in range(dim):
+                        assert S.cyl(i, x) == _embed(g, [S.cyl(i, p) for p in parts])
+                        for dual in (False, True):
+                            assert S.interior_op(i, x, dual) == \
+                                _embed(g, [S.interior_op(i, p, dual) for p in parts])
+                        for j in range(dim):
+                            assert S.diag(i, j, g) == _embed(g, [S.diag(i, j, sp) for sp in summands])
+                            tau = S.replacement(i, j, dim)
+                            assert S.subst(tau, x) == _embed(g, [S.subst(tau, p) for p in parts])
+                    checked += 1
+    assert checked == 2 * 3 * 6 * 8
+
+
+def test_generalized_space_without_topology_or_below_dimension_2():
+    g = S.GeneralizedSpace([space(2, 2, "discrete"), space(2, 1)])
+    assert g.topology is None
+    x = g.element([(2, 2)])
+    assert S.cyl(0, x) == x
+    with pytest.raises(NoTopology):
+        S.interior_op(0, x)
+    with pytest.raises(ValueError, match="dimension at least 2"):
+        S.GeneralizedSpace([space(1, 1, "discrete"), space(1, 2, "discrete")])
 
 
 def test_tuple_set_json():

@@ -153,6 +153,12 @@ def test_enumeration_counts():
         list(T.enumerate_topologies(5))
 
 
+def test_enumeration_refuses_negative_sizes():
+    for enumerate_ in (T.enumerate_topologies, T.enumerate_preorders):
+        with pytest.raises(ValueError, match="size -1 is negative"):
+            list(enumerate_(-1))
+
+
 def test_enumeration_distinct():
     tops = list(T.enumerate_topologies(3))
     assert len({t.opens for t in tops}) == len(tops)
