@@ -41,10 +41,21 @@ def _structure_arg(arg: str):
         topo = topology.make_topology(u, preset=preset)
         return bao.atom_structure_of(setalg.SetAlgebraSpace(n, u, topo))
     if arg.startswith("rainbow:"):
-        n = int(arg.split(":", 1)[1])
-        return rainbow.build_atom_structure(rainbow.signature(n))
+        n = arg.split(":", 1)[1]
+        if not n.isdigit():
+            raise ValueError(f"--structure {arg}: the form is rainbow:N")
+        return rainbow.build_atom_structure(rainbow.signature(int(n)))
     with open(arg, encoding="utf-8") as fh:
         return bao.AtomStructure.from_json(json.load(fh))
+
+
+def _int_list(flag: str, arg: str, example: str) -> list:
+    """The comma-separated integers of a flag's value."""
+    try:
+        return [int(p) for p in arg.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} {arg}: the form is comma-separated integers "
+                         f"such as {example}") from None
 
 
 def _explicit_structure_arg(args):
@@ -217,7 +228,7 @@ def cmd_setalg_op(args):
     elif args.op == "subst":
         if args.tau is None:
             raise ValueError("--op subst needs --tau, the images of 0..dim-1 such as 1,0")
-        tau = [int(p) for p in args.tau.split(",")]
+        tau = _int_list("--tau", args.tau, "1,0")
         out = setalg.subst(tau, x)
     elif args.op == "dimset":
         results = {"dimension_set": sorted(setalg.dimension_set(x))}
@@ -312,7 +323,7 @@ def cmd_bao_nr(args):
 
 def cmd_bao_sg(args):
     alg = bao.cm(_explicit_structure_arg(args))
-    gens = [int(g) for g in args.gens.split(",")] if args.gens else []
+    gens = _int_list("--gens", args.gens, "1,6") if args.gens else []
     for g in gens:
         if not 0 <= g <= alg.one:
             raise ValueError(f"--gens {g}: not an element; the elements are 0..{alg.one}")
@@ -364,7 +375,7 @@ def cmd_game_solve(args):
 
 def cmd_game_script(args):
     s = rainbow.build_atom_structure(rainbow.signature(args.n))
-    tints = tuple(int(t) for t in args.tints.split(",")) if args.tints else None
+    tints = tuple(_int_list("--tints", args.tints, "1,4,2,3")) if args.tints else None
     proof = games.verify_forall_script(s, tints=tints)
     return _finish(args, proof, str(proof["all_lines_dead"]).lower(), "game script")
 

@@ -387,13 +387,18 @@ def _preorder_of_row(size: int, row) -> Preorder:
     return Preorder(size, [(x, y) for x in range(size) for y in range(size) if up[x] >> y & 1])
 
 
+# node budget of random_formula's tree: Boolean connectives do not consume
+# modal depth, so the depth alone does not bound the tree
+RANDOM_FORMULA_NODES = 24
+
+
 def random_formula(rng: random.Random, atom_count: int, depth: int,
-                   allow_next=False, max_nodes: int = 24) -> Formula:
-    """Random formula with modal depth at most `depth`; max_nodes bounds the
-    tree since Boolean connectives do not consume modal depth."""
+                   allow_next=False) -> Formula:
+    """Random formula with modal depth at most `depth` and at most about
+    RANDOM_FORMULA_NODES nodes."""
     ops = ["atom", "not", "and", "or", "imp"]
     modal = ["I", "X"] if allow_next else ["I"]
-    budget = [max_nodes]
+    budget = [RANDOM_FORMULA_NODES]
 
     def gen(d):
         budget[0] -= 1

@@ -12,8 +12,9 @@ This module is the only reader and writer of the packed n = 3 atom code:
 blocks plus its quotient coloured graph), `AtomTable.atom_of_tuple` (the
 atom a graph gives a node tuple), `KERNEL_EQ` (which index pairs a kernel
 identifies), the 9-bit cylindrifier key of each axis (`key_field`,
-`key_of_code`) and the tables the cylindrifier works on (`runs` of axes 1
-and 2, `tiles` of axis 0).
+`key_of_code`), the tables the cylindrifier works on (`runs` of axes 1
+and 2, `tiles` of axis 0) and the run of codes of each kernel
+(`diag_mask`).
 """
 
 from __future__ import annotations
@@ -380,15 +381,6 @@ YELLOW_NONE = 32
 IDENT_PAIR = EDGE_NONE * PAIR_BASE + YELLOW_NONE
 
 
-def _edge_table(sig: RainbowSignature):
-    if sig.n != 3:
-        raise DimUnsupported("atom enumeration is implemented for n = 3 only")
-    colours = list(sig.greens) + list(sig.whites) + list(sig.oriented_reds)
-    index = {c: i for i, c in enumerate(colours)}
-    flip = [index[reverse_colour(c)] for c in colours]
-    return colours, index, flip
-
-
 def pack_atom(kid: int, pairs: Dict[Tuple[int, int], int]) -> int:
     code = kid
     for key in PAIRS:
@@ -410,100 +402,55 @@ class AtomTable:
     """Canonically ordered enumeration of the n = 3 rainbow atoms."""
 
     def __init__(self, sig: RainbowSignature):
+        if sig.n != 3:
+            raise DimUnsupported("atom enumeration is implemented for n = 3 only")
         self.sig = sig
-        self.colours, self.colour_index, self.flip = _edge_table(sig)
+        self.colours = sig.edge_colours()
+        self.colour_index = {c: e for e, c in enumerate(self.colours)}
         self.codes = self._enumerate()
         self.count = int(self.codes.shape[0])
 
-    # enumeration -----------------------------------------------------
-
-    def _pair_options(self, edge_code: int, cone_tints: Sequence[int]) -> np.ndarray:
-        """Yellow codes legal for a pair carrying the given edge."""
-        if is_green(self.colours[edge_code]):
-            return np.array([YELLOW_NONE], dtype=np.int64)
-        ys = np.arange(32, dtype=np.int64)
-        for t in cone_tints:
-            ys = ys[(ys >> t) & 1 == 1]
-        return ys
-
     def _enumerate(self) -> np.ndarray:
-        chunks = [np.array([pack_atom(0, {})], dtype=np.int64)]
-        # two-node graphs: kernels 1..3; a single quotient edge, pulled back
-        for kid, direct, flipped, ident in (
-            (1, [(0, 2), (1, 2)], [], (0, 1)),
-            (2, [(0, 1)], [(1, 2)], (0, 2)),
-            (3, [(0, 1), (0, 2)], [], (1, 2)),
-        ):
-            for e in range(len(self.colours)):
-                ys = self._pair_options(e, ())
-                pairs_base = {ident: IDENT_PAIR}
-                codes = np.empty(len(ys), dtype=np.int64)
-                for idx, y in enumerate(ys):
-                    pairs = dict(pairs_base)
-                    for key in direct:
-                        pairs[key] = e * PAIR_BASE + int(y)
-                    for key in flipped:
-                        pairs[key] = self.flip[e] * PAIR_BASE + int(y)
-                    codes[idx] = pack_atom(kid, pairs)
-                chunks.append(codes)
-        # three-node graphs: kernel 4
-        ncol = len(self.colours)
-        for e01 in range(ncol):
-            for e02 in range(ncol):
-                for e12 in range(ncol):
-                    a = self.colours[e01]
-                    b = self.colours[e12]
-                    c = self.colours[e02]
-                    if triangle_violation(a, b, c):
-                        continue
-                    cones = self._cone_constraints(e01, e02, e12)
-                    y01 = self._pair_options(e01, cones.get((0, 1), ()))
-                    y02 = self._pair_options(e02, cones.get((0, 2), ()))
-                    y12 = self._pair_options(e12, cones.get((1, 2), ()))
-                    base = pack_atom(4, {
-                        (0, 1): e01 * PAIR_BASE,
-                        (0, 2): e02 * PAIR_BASE,
-                        (1, 2): e12 * PAIR_BASE,
-                    })
-                    grid = (
-                        base
-                        + (y01 * PAIR_SLOTS * PAIR_SLOTS)[:, None, None]
-                        + (y02 * PAIR_SLOTS)[None, :, None]
-                        + y12[None, None, :]
-                    )
-                    chunks.append(grid.reshape(-1))
+        """Every kernel's valid quotient graphs, pulled back along the kernel.
+
+        A quotient graph is an edge colouring with no forbidden triangle.
+        Each non-green pair may carry every shade that holds the tints of
+        the cones on it; its yellow enters the code once per code slot the
+        pair pulls back to, so each pair adds its shades times one weight.
+        Every code is below 5 << 27, so the codes are built and sorted as
+        int32, which halves the memory traffic, and widened at the end.
+        """
+        sig = self.sig
+        ys = np.arange(1 << sig.yellow_universe, dtype=np.int32)
+        shades = {}
+        chunks = []
+        for kid, blocks in enumerate(KERNELS):
+            # delta[i]: the block of index i
+            delta = [b for i in range(3) for b, block in enumerate(blocks) if i in block]
+            nodes = range(len(blocks))
+            pairs = list(itertools.combinations(nodes, 2))
+            weight = {p: sum(PAIR_SLOTS ** (len(PAIRS) - 1 - k) for k, (i, j) in enumerate(PAIRS)
+                             if {delta[i], delta[j]} == set(p)) for p in pairs}
+            for colouring in itertools.product(self.colours, repeat=len(pairs)):
+                g = ColouredGraph(sig, nodes, dict(zip(pairs, colouring)), {})
+                if any(triangle_violation(g.edge(x, y), g.edge(y, z), g.edge(x, z))
+                       for x, y, z in itertools.combinations(nodes, 3)):
+                    continue
+                tints = {p: set() for p, c in g.edges.items() if not is_green(c)}
+                for _, base, tint in cones_in(g):
+                    tints[tuple(sorted(base))].add(tint)
+                for p in tints:
+                    g.set_yellow(p, frozenset())
+                grid = np.int32(self.atom_of_tuple(g, delta))
+                for p, ts in tints.items():
+                    need = sum(1 << t for t in ts)
+                    if need not in shades:
+                        shades[need] = ys[ys & need == need]
+                    grid = np.add.outer(grid, shades[need] * weight[p])
+                chunks.append(np.ravel(grid))
         codes = np.concatenate(chunks)
         codes.sort()
-        return codes
-
-    def _cone_constraints(self, e01, e02, e12) -> Dict[Tuple[int, int], tuple]:
-        """Tints whose cone clause constrains each base pair of the triangle."""
-        cols = {
-            (0, 1): self.colours[e01],
-            (0, 2): self.colours[e02],
-            (1, 2): self.colours[e12],
-        }
-
-        def col(u, v):
-            c = cols[(min(u, v), max(u, v))]
-            return c if u < v else reverse_colour(c)
-
-        out: Dict[Tuple[int, int], list] = {}
-        for apex in (0, 1, 2):
-            base = tuple(sorted(set((0, 1, 2)) - {apex}))
-            c0 = col(base[0], apex)
-            c1 = col(base[1], apex)
-            tint = None
-            if c0[0] == "g0" and c1 == ("g", 1):
-                tint = c0[1]
-            elif c1[0] == "g0" and c0 == ("g", 1):
-                tint = c1[1]
-            if tint is None:
-                continue
-            if is_green(col(base[0], base[1])):
-                continue
-            out.setdefault(base, []).append(tint)
-        return {k: tuple(v) for k, v in out.items()}
+        return codes.astype(np.int64)
 
     # decoding ----------------------------------------------------------
 
@@ -528,7 +475,8 @@ class AtomTable:
                 colour = reverse_colour(colour)
             edges[(u, v)] = colour
             if y != YELLOW_NONE:
-                yellows[(u, v)] = frozenset(t for t in range(5) if y >> t & 1)
+                yellows[(u, v)] = frozenset(t for t in range(self.sig.yellow_universe)
+                                            if y >> t & 1)
         g = ColouredGraph(self.sig, range(len(blocks)), edges, yellows)
         return blocks, g
 
@@ -579,11 +527,9 @@ def enumerate_atoms(sig: RainbowSignature) -> AtomTable:
 # -- atom structure and its lazy complex algebra ------------------------------
 
 # Atoms per block in the passes over the atom table that build a derived
-# table: a key field, the kernel field, a diagonal mask, a run table or the
-# tile table. A
-# block's temporaries stay in cache and none is the size of the atom table;
-# in particular np.take converts a narrow index to intp one block at a time.
-# The cylindrifier allocates nothing that size but its result.
+# table: a key field, a run table or the tile table. A block's temporaries
+# stay in cache and none is the size of the atom table. The cylindrifier
+# allocates nothing that size but its result.
 CYL_BLOCK = 1 << 16
 
 # The i-th cylindrifier key is the 9-bit slot (code >> 9i) & 511. For i >= 1
@@ -595,14 +541,6 @@ CYL_BLOCK = 1 << 16
 RUN_AXES = (1, 2)
 
 
-def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """table[index] for a narrow index field, block by block."""
-    out = np.empty(index.shape[0], dtype=table.dtype)
-    for lo in range(0, index.shape[0], CYL_BLOCK):
-        np.take(table, index[lo:lo + CYL_BLOCK], out=out[lo:lo + CYL_BLOCK])
-    return out
-
-
 class RainbowStructure:
     """Atom structure of the finite rainbow algebra at n = 3.
 
@@ -611,9 +549,10 @@ class RainbowStructure:
     E_ij holds when the kernel identifies i and j; the interior relations
     are the identity.
 
-    Key fields (uint16), the kernel field (uint8), the run tables of
-    RUN_AXES and the axis-0 tile table are derived from the codes on first
-    use, one at a time.
+    Key fields (uint16), the run tables of RUN_AXES, the axis-0 tile table
+    and the diagonal masks are derived from the codes on first use, one at a
+    time. A diagonal mask repeats one verdict per kernel over the kernel's
+    run of codes.
     """
 
     def __init__(self, table: AtomTable):
@@ -625,23 +564,18 @@ class RainbowStructure:
         self._keys = {}
         self._runs = {}
         self._tiles = None
-        self._kid = None
         self._diag = {}
-
-    def _field(self, shift: int, dtype) -> np.ndarray:
-        """The 9-bit slot (code >> shift) & 511 of every atom, block by block."""
-        codes = self.codes
-        out = np.empty(self.num_atoms, dtype=dtype)
-        for lo in range(0, self.num_atoms, CYL_BLOCK):
-            out[lo:lo + CYL_BLOCK] = (codes[lo:lo + CYL_BLOCK] >> shift) & (PAIR_SLOTS - 1)
-        return out
 
     def key_field(self, i: int) -> np.ndarray:
         """Packed pair-data away from index i for every atom (uint16)."""
         if i not in self._keys:
             if i not in range(self.dim):
                 raise KeyError(i)
-            self._keys[i] = self._field(9 * i, np.uint16)
+            codes = self.codes
+            out = np.empty(self.num_atoms, dtype=np.uint16)
+            for lo in range(0, self.num_atoms, CYL_BLOCK):
+                out[lo:lo + CYL_BLOCK] = (codes[lo:lo + CYL_BLOCK] >> 9 * i) & (PAIR_SLOTS - 1)
+            self._keys[i] = out
         return self._keys[i]
 
     def _run_starts(self, shift: int, mask: int) -> np.ndarray:
@@ -719,20 +653,13 @@ class RainbowStructure:
     def ti_related(self, i: int, a_code: int, b_code: int) -> bool:
         return self.key_of_code(i, a_code) == self.key_of_code(i, b_code)
 
-    def kid_field(self) -> np.ndarray:
-        """Kernel id of every atom (uint8)."""
-        if self._kid is None:
-            self._kid = self._field(27, np.uint8)
-        return self._kid
-
     def diag_mask(self, i: int, j: int) -> np.ndarray:
         key = (min(i, j), max(i, j))
         if key not in self._diag:
-            if i == j:
-                self._diag[key] = np.ones(self.num_atoms, dtype=bool)
-            else:
-                pattern = np.array([eq[PAIRS.index(key)] for eq in KERNEL_EQ])
-                self._diag[key] = _take(pattern, self.kid_field())
+            # each kernel's atoms are one run of codes, from kid << 27 on
+            verdicts = [i == j or eq[PAIRS.index(key)] for eq in KERNEL_EQ]
+            bounds = np.searchsorted(self.codes, np.arange(len(KERNELS) + 1) << 27)
+            self._diag[key] = np.repeat(verdicts, np.diff(bounds))
         return self._diag[key]
 
     def index_of(self, code: int) -> int:

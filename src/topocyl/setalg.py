@@ -277,7 +277,13 @@ class TupleSet:
         return f"TupleSet({sorted(self.members())})"
 
     def to_json(self) -> dict:
+        """ValueError for an element of a generalized space: the document
+        records the cube, so its unit would read back as the whole cube."""
         sp = self.space
+        if sp.full_bits != (1 << sp.ncodes) - 1:
+            raise ValueError("an element of a generalized space has no JSON form: "
+                             "the document names only dim and base, so its unit "
+                             "would read back as the whole cube")
         return {
             "dim": sp.dim,
             "base": sp.base_size,
@@ -310,8 +316,8 @@ def diag(i: int, j: int, space: SetAlgebraSpace) -> TupleSet:
 
 def interior_op(k: int, x: TupleSet, dual: bool = False) -> TupleSet:
     """I_k X (or Cl_k X = -I_k -X when dual): interior of the k-fiber, pointwise."""
-    flip = x.space.full_bits if dual else 0
-    return TupleSet(x.space, flip ^ x.space.interior_bits(k, flip ^ x.bits))
+    negate = x.space.full_bits if dual else 0
+    return TupleSet(x.space, negate ^ x.space.interior_bits(k, negate ^ x.bits))
 
 
 def box_op(k: int, x: TupleSet) -> TupleSet:
@@ -340,14 +346,23 @@ def replacement(i: int, j: int, dim: int) -> Tuple[int, ...]:
     return tuple(tau)
 
 
+def _lifted(sp: SetAlgebraSpace, extra: int) -> SetAlgebraSpace:
+    """sp in dimension dim+extra; a generalized space lifts summandwise."""
+    if isinstance(sp, GeneralizedSpace):
+        return GeneralizedSpace([_lifted(s, extra) for s in sp.summands])
+    return SetAlgebraSpace(sp.dim + extra, sp.base_size, sp.topology, sp.chang)
+
+
 def neat_lift(x: TupleSet, extra: int) -> TupleSet:
-    """Cylinder over x in dimension dim+extra with the same base and topology."""
+    """Cylinder over x in dimension dim+extra with the same base and
+    topology, inside the lifted unit."""
     if extra < 1:
         raise ValueError("extra must be at least 1")
     sp = x.space
-    big = SetAlgebraSpace(sp.dim + extra, sp.base_size, sp.topology, sp.chang)
-    # one copy of x per block of sp.ncodes codes
-    return TupleSet(big, x.bits * (big.full_bits // ((1 << sp.ncodes) - 1)))
+    big = _lifted(sp, extra)
+    # one copy of x per block of sp.ncodes codes of the cube
+    copies = ((1 << big.ncodes) - 1) // ((1 << sp.ncodes) - 1)
+    return TupleSet(big, x.bits * copies & big.full_bits)
 
 
 def dimension_set(x: TupleSet) -> frozenset:

@@ -188,6 +188,23 @@ def test_sg_generators_must_be_elements(capsys):
     assert dispatch(["bao", "sg", "--structure", "fullset:2,2", "--gens", "0,15"]) == 0
 
 
+def test_rainbow_structure_without_a_dimension_is_a_usage_error(capsys):
+    for arg in ("rainbow:x", "rainbow:", "rainbow:3,4"):
+        assert dispatch(["bao", "cm", "--structure", arg]) == 2, arg
+        assert capsys.readouterr().err == f"usage error: --structure {arg}: the form is rainbow:N\n"
+
+
+def test_integer_list_flags_name_the_flag(capsys):
+    for argv, flag, value, example in (
+            (["bao", "sg", "--structure", "fullset:2,2"], "--gens", "a", "1,6"),
+            (["setalg", "op", "--op", "subst", "--dim", "2", "--base", "2", "--members", "1"],
+             "--tau", "1,b", "1,0"),
+            (["game", "script"], "--tints", "1,x", "1,4,2,3")):
+        assert dispatch(argv + [flag, value]) == 2, flag
+        assert capsys.readouterr().err == (f"usage error: {flag} {value}: the form is "
+                                           f"comma-separated integers such as {example}\n")
+
+
 def test_equiv_bounds_below_one_are_usage_errors(tmp_path, capsys):
     """An equivalence check over no frames or no formulas checked nothing."""
     for flag, value in (("--max-size", "0"), ("--formulas-per-frame", "0"),

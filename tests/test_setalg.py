@@ -213,6 +213,23 @@ def test_neat_lift():
                 (S.diag(0, 1, S.neat_lift(x, 1).space) & S.neat_lift(x, 1))
 
 
+def test_neat_lift_of_a_generalized_element_stays_in_the_lifted_unit():
+    """Over two one-point summands only (0,0,0) of the cylinder over
+    {(0,0)} lies in the union of the summand cubes; lifting commutes with
+    c_k and I_k on every element of a two-summand space."""
+    points = S.GeneralizedSpace([space(2, 1, "discrete"), space(2, 1, "discrete")])
+    lift = S.neat_lift(points.element([(0, 0)]), 1)
+    assert isinstance(lift.space, S.GeneralizedSpace)
+    assert sorted(lift.members()) == [(0, 0, 0)]
+    assert S.neat_lift(points.unit(), 1) == lift.space.unit()
+    g = S.GeneralizedSpace([space(2, 2, "indiscrete"), space(2, 1, "discrete")])
+    for x in g.all_elements():
+        for k in range(2):
+            assert S.neat_lift(S.cyl(k, x), 1) == S.cyl(k, S.neat_lift(x, 1))
+            assert S.neat_lift(S.interior_op(k, x), 1) == \
+                S.interior_op(k, S.neat_lift(x, 1))
+
+
 def test_dimension_set():
     sp = space(2, 2)
     assert S.dimension_set(sp.unit()) == frozenset()
@@ -311,3 +328,8 @@ def test_tuple_set_json():
     assert doc["members"] == [2, 3]
     assert doc["topology"]["opens"] == [[], [0, 1]]
     assert S.TupleSet.from_json(doc) == x
+    # the document names the cube, so a generalized unit cannot round-trip:
+    # the complement of {(0,0)} would gain (0,1) and (1,0)
+    g = S.GeneralizedSpace([space(2, 1, "discrete"), space(2, 1, "discrete")])
+    with pytest.raises(ValueError, match="generalized space has no JSON form"):
+        g.element([(0, 0)]).to_json()
