@@ -20,6 +20,21 @@ decodes an atom into kernel blocks and a quotient graph (`graph_of`), which
 `responses` lays onto the demanded tuple, and encodes the pullback of a
 graph (`atom_of_tuple`).
 
+Exists' rainbow responses come from one depth-first search over the free
+edges (v, k), v ascending. The colours v may take are the set bits of an
+AND of rows of a triangle table, one row per node w whose edges (v, w) and
+(w, k) are both set: the table maps each ordered pair of edge colours to
+the bitmask, over the indices of `edge_colours()`, of the colours that
+close a triangle with them without a `triangle_violation`. It is built
+once per n and shared by every backend. A pair holding a colour outside the
+signature has no row and prunes at once, which loses nothing: both of its
+edges are on nodes of the graph, and the leaf check rejects any graph with
+such a colour as "unknown-colour". Set bits are tried in ascending index
+order, which is the order of `edge_colours()`.
+Every complete colouring, with each free yellow slot through k given each
+allowed shade, is kept only if `is_valid_coloured_graph` accepts the whole
+graph, so the table narrows the search and never decides validity.
+
 A generic network maps n-tuples of nodes to atom ids. Exists' responses are
 found by backtracking over the undetermined tuples, most constrained first;
 the domain of a tuple is a bitmask of atoms, its diagonal mask narrowed by
@@ -51,6 +66,7 @@ from .rainbow import (
     is_green,
     is_valid_coloured_graph,
     parse_node_tuple,
+    signature,
     triangle_violation,
 )
 
@@ -386,6 +402,18 @@ class GenericBackend:
 # -- rainbow backend ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _triangle_table(n: int) -> Dict[tuple, int]:
+    """For each ordered pair (a, b) of signature(n).edge_colours(), the
+    bitmask over the indices of those colours of the c that close a
+    triangle with edges a, b without a triangle_violation; built once per
+    n and shared by every backend."""
+    colours = signature(n).edge_colours()
+    return {(a, b): sum(1 << i for i, c in enumerate(colours)
+                        if not triangle_violation(a, b, c))
+            for a in colours for b in colours}
+
+
 class RainbowBackend:
     def __init__(self, structure: RainbowStructure, yellow_mode: str = "all"):
         self.s = structure
@@ -425,17 +453,30 @@ class RainbowBackend:
     def responses(self, net: ColouredGraph, move: Move, cap=None) -> List[ColouredGraph]:
         """All coloured-graph extensions meeting the move's demand, found by
         one backtracking search that extends and undoes a single working
-        graph; `net` itself is left as it is.
-
-        The demanded atom's quotient graph is laid onto the demanded tuple:
-        its kernel blocks must name distinct nodes, one each, and each of
-        its edges and yellows is set on a pair with the new node or must
-        already be there on a pair of old nodes.
+        graph (`_lay_demand`); `net` itself is left as it is.
 
         yellow_mode="dominant" fixes every yellow label Exists is free to
         choose to the full shade: only the cone clause reads yellow labels
         and the full shade satisfies every instance of it, so if any choice
         survives, the full shade survives.
+        """
+        g = self._lay_demand(net, move)
+        if g is None:
+            return []
+        k = move.k
+        free_edges = sorted(v for v in g.nodes if v != k and g.edge(v, k) is None)
+        out: List[ColouredGraph] = []
+        self._fill_edges(g, k, free_edges, 0, out, cap)
+        return out
+
+    def _lay_demand(self, net: ColouredGraph, move: Move) -> Optional[ColouredGraph]:
+        """A copy of net on its nodes and k, without the old edges and
+        yellows of k, with the demanded atom's quotient graph laid onto the
+        demanded tuple; None when the demand cannot be laid.
+
+        The atom's kernel blocks must name distinct nodes, one each, and
+        each of its edges and yellows is set on a pair with the new node or
+        must already be there on a pair of old nodes.
         """
         k = move.k
         g = net.drop_node(k) if k in net.nodes else net.copy()
@@ -445,55 +486,56 @@ class RainbowBackend:
         node = []
         for block in blocks:
             if len({demanded[i] for i in block}) > 1:
-                return []
+                return None
             node.append(demanded[block[0]])
         if len(set(node)) < len(node):
-            return []
+            return None
         for (a, b), colour in quotient.edges.items():
             u, v = node[a], node[b]
             existing = g.edge(u, v)
             if existing is None:
                 if k not in (u, v):
-                    return []
+                    return None
                 g.set_edge(u, v, colour)
             elif existing != colour:
-                return []
+                return None
         for (a, b), shade in quotient.yellows.items():
             old = g.yellow((node[a], node[b]))
             if old is None:
                 g.set_yellow((node[a], node[b]), shade)
             elif old != shade:
-                return []
-        free_edges = sorted(v for v in g.nodes if v != k and g.edge(v, k) is None)
-        out: List[ColouredGraph] = []
-        self._fill_edges(g, k, free_edges, 0, out, cap)
-        return out
+                return None
+        return g
 
     def _fill_edges(self, g, k, free, pos, out, cap):
+        """Colour the free edges (v, k) from free[pos] on: each colour of v
+        is a set bit of the AND of the triangle-table rows of the edge pairs
+        (v, w), (w, k) already set, tried in ascending index order."""
         if cap is not None and len(out) > cap:
             raise BudgetExceeded("response enumeration cap exceeded")
         if pos == len(free):
             self._fill_yellows(g, k, out, cap)
             return
         v = free[pos]
-        for colour in self.sig.edge_colours():
-            g.set_edge(v, k, colour)
-            if self._triangles_ok(g, k, v):
-                self._fill_edges(g, k, free, pos + 1, out, cap)
-        del g.edges[(v, k) if v < k else (k, v)]
-
-    def _triangles_ok(self, g, k, v):
+        colours = self.sig.edge_colours()
+        table = _triangle_table(self.n)
+        mask = (1 << len(colours)) - 1
         for w in g.nodes:
-            if w in (v, k):
+            if w == v or w == k:
                 continue
             evw = g.edge(v, w)
             ewk = g.edge(w, k)
-            evk = g.edge(v, k)
-            if evw is None or ewk is None or evk is None:
+            if evw is None or ewk is None:
                 continue
-            if triangle_violation(evw, ewk, evk):
-                return False
-        return True
+            mask &= table.get((evw, ewk), 0)
+            if not mask:
+                return
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            g.set_edge(v, k, colours[low.bit_length() - 1])
+            self._fill_edges(g, k, free, pos + 1, out, cap)
+        del g.edges[(v, k) if v < k else (k, v)]
 
     def _fill_yellows(self, g, k, out, cap):
         n = self.n

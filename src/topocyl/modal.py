@@ -359,13 +359,15 @@ def _frame_table(size: int, mode: str) -> np.ndarray:
     """Interior table of every frame of one size, in enumeration order: row
     k, column s is the interior of point-set s in the k-th topology
     (`FiniteTopology.interior_bits`, the union of opens) or the k-th preorder
-    (`_kripke_interior_bits`, the successor rows). Read-only: the cache hands
-    the same array to every search."""
+    (the successor rows: bit x of row s is set iff up[x] & ~s == 0, one
+    array expression over every preorder). Read-only: the cache hands the
+    same array to every search."""
     sets = range(1 << size)
     if mode == "topo":
         rows = [[t.interior_bits(s) for s in sets] for t in enumerate_topologies(size)]
     else:
-        rows = [[_kripke_interior_bits(p.up, s) for s in sets] for p in enumerate_preorders(size)]
+        up = np.array([p.up for p in enumerate_preorders(size)]).reshape(-1, 1, size)
+        rows = ((up & ~np.array(sets)[:, None] == 0) << np.arange(size)).sum(axis=2)
     table = np.array(rows, dtype=np.uint8)
     table.flags.writeable = False
     return table

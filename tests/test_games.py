@@ -328,7 +328,31 @@ def test_forall_script_trees_pinned(rainbow_structure):
         (1, 3, 4, 2): "ae9ce4fd9d13189e7009954a457e20bb4b931d41",
         (2, 1, 4, 3): "bbe79088f88c9fdcf7d46ebfcf0422d29328ffb1",
         (4, 3, 2, 1): "3215779f83c289b75d98d8e9f68f8eeb27acadc3",
+        # the other tint orders, recorded before the response search read
+        # the triangle table
+        (1, 2, 3, 4): "7904cff235791370f6a7774b5565174c5efd128e",
+        (1, 2, 4, 3): "5948329673a88a882924ecb721c9c80ea348ccd0",
+        (1, 3, 2, 4): "18e0d3ac07e83d0fbe8c87810403e7eea9db39ea",
+        (1, 4, 2, 3): "9359ebc83b60cabbd51cc90f5379ab70b745abd8",
+        (1, 4, 3, 2): "71cb34dcb9f7a6cb5cc69654a070e1103f5291b9",
+        (2, 1, 3, 4): "f950a13090b23ab5b8877c8a2de4aae61a86ff70",
+        (2, 3, 1, 4): "a4499619f89d51023a2017937d810b9976007de8",
+        (2, 3, 4, 1): "cbd2040040107a51ad57feee6318622a8e3d1ebd",
+        (2, 4, 1, 3): "7ab5ce713b994a9f9bfae99143504c3f62dc99ec",
+        (2, 4, 3, 1): "dcaa688ae648d58c45c806d32cd6496dd2ac5b26",
+        (3, 1, 2, 4): "a554c47ef593541cf8cd57b31fd324c02842748f",
+        (3, 1, 4, 2): "1d3bf64c1304281ad9bace5a60b4b06078b8d0f0",
+        (3, 2, 1, 4): "152403f1321ab3b0755180f862d57a094e562083",
+        (3, 2, 4, 1): "93621a409805c26b101930c44b1828e944ceb4c0",
+        (3, 4, 1, 2): "a6f38902f9ff68e52f4e818a320e1008df0e4a1c",
+        (3, 4, 2, 1): "21109cbe43368188c659be838e2bbad9be6f1fd6",
+        (4, 1, 2, 3): "24fc384cd808ac27b0e4c643afb51bf370f8c988",
+        (4, 1, 3, 2): "cea3f4fe3e6eb212ac47ebfe90ba271e0a512241",
+        (4, 2, 1, 3): "8f645eccfb4f9a64407efda921e4a9bc4a3755bd",
+        (4, 2, 3, 1): "f9da09db0c5f4339917fea5ec6e48f62ecada05c",
+        (4, 3, 1, 2): "bda060bab1e01aca51b1728d5a94f0a1694ec3b9",
     }
+    assert set(pins) == set(itertools.permutations((1, 2, 3, 4)))
     for tints, digest in pins.items():
         proof = G.verify_forall_script(rainbow_structure, tints)
         got = hashlib.sha1(json.dumps(proof["tree"], sort_keys=True).encode()).hexdigest()
@@ -397,21 +421,23 @@ def test_script_refuted_when_cones_run_out(rainbow_structure):
         G.verify_forall_script(rainbow_structure, tints=(1, 3))
 
 
+def _apex_position(s):
+    """The network and move of test_apex_edges_forced_red."""
+    full = frozenset(range(5))
+    g = R.ColouredGraph(s.sig, range(3),
+                        {(0, 1): ("w", 0), (0, 2): ("g0", 1), (1, 2): ("g", 1)},
+                        {(0, 1): full})
+    cone = R.ColouredGraph(s.sig, range(3),
+                           {(0, 1): ("w", 0), (0, 2): ("g0", 3), (1, 2): ("g", 1)},
+                           {(0, 1): full})
+    return g, G.Move(0, (0, 1), 3, s.table.atom_of_tuple(cone, (0, 1, 2)), 2)
+
+
 def test_apex_edges_forced_red(rainbow_structure):
     """After two cones with distinct tints, every response labels the
     apex-apex edge red."""
-    s = rainbow_structure
-    backend = G.RainbowBackend(s, yellow_mode="all")
-    sig = s.sig
-    full = frozenset(range(5))
-    g = R.ColouredGraph(sig, range(3),
-                        {(0, 1): ("w", 0), (0, 2): ("g0", 1), (1, 2): ("g", 1)},
-                        {(0, 1): full})
-    cone = R.ColouredGraph(sig, range(3),
-                           {(0, 1): ("w", 0), (0, 2): ("g0", 3), (1, 2): ("g", 1)},
-                           {(0, 1): full})
-    b = s.table.atom_of_tuple(cone, (0, 1, 2))
-    move = G.Move(0, (0, 1), 3, b, 2)
+    backend = G.RainbowBackend(rainbow_structure, yellow_mode="all")
+    g, move = _apex_position(rainbow_structure)
     resps = backend.responses(g, move)
     assert resps
     for net in resps:
@@ -423,18 +449,11 @@ def test_responses_extend_a_working_copy(rainbow_structure):
     """The response search sets and deletes edges on one working graph:
     the graph it is given stays as it was, and every response is a
     separate valid coloured graph, whether k is fresh or already a node."""
-    s = rainbow_structure
-    full = frozenset(range(5))
-    g = R.ColouredGraph(s.sig, range(3),
-                        {(0, 1): ("w", 0), (0, 2): ("g0", 1), (1, 2): ("g", 1)},
-                        {(0, 1): full})
-    cone = R.ColouredGraph(s.sig, range(3),
-                           {(0, 1): ("w", 0), (0, 2): ("g0", 3), (1, 2): ("g", 1)},
-                           {(0, 1): full})
-    atom = s.table.atom_of_tuple(cone, (0, 1, 2))
+    g, move = _apex_position(rainbow_structure)
+    atom = move.atom
     for yellow_mode in ("all", "dominant"):
-        backend = G.RainbowBackend(s, yellow_mode=yellow_mode)
-        first = backend.responses(g, G.Move(0, (0, 1), 3, atom, 2))
+        backend = G.RainbowBackend(rainbow_structure, yellow_mode=yellow_mode)
+        first = backend.responses(g, move)
         # k = 3 again drops and re-adds a node; k = 4 adds a fifth one
         cases = [(g, 3), (first[0], 3)]
         if yellow_mode == "dominant":
@@ -446,6 +465,81 @@ def test_responses_extend_a_working_copy(rainbow_structure):
             assert json.dumps(net.to_json(), sort_keys=True) == before
             assert all(R.is_valid_coloured_graph(r) for r in resps)
             assert len({json.dumps(r.to_json(), sort_keys=True) for r in resps}) == len(resps)
+
+
+def _brute_force_responses(backend, net, move):
+    """Every colouring of the free edges (v, k), v ascending, in product
+    order, then every shade of each yellow slot through k, kept when the
+    whole graph is valid."""
+    g = backend._lay_demand(net, move)
+    if g is None:
+        return []
+    k = move.k
+    free = sorted(v for v in g.nodes if v != k and g.edge(v, k) is None)
+    out = []
+    for colours in itertools.product(backend.sig.edge_colours(), repeat=len(free)):
+        h = g.copy()
+        for v, c in zip(free, colours):
+            h.set_edge(v, k, c)
+        slots = [K for K in itertools.combinations(h.nodes, backend.n - 1)
+                 if k in K and K not in h.yellows
+                 and not any(R.is_green(h.edge(u, w)) for u, w in itertools.combinations(K, 2))]
+        for shades in itertools.product(backend.shades, repeat=len(slots)):
+            leaf = h.copy()
+            for K, S in zip(slots, shades):
+                leaf.set_yellow(K, S)
+            if R.is_valid_coloured_graph(leaf):
+                out.append(leaf)
+    return out
+
+
+def test_response_search_matches_brute_force(rainbow_structure, monkeypatch):
+    """The triangle-table search returns exactly the graphs of a plain
+    product over the free edges' colours, in the same order: on every
+    response call of one script tree and on the apex position."""
+    s = rainbow_structure
+    calls = []
+    search = G.RainbowBackend.responses
+
+    def recorded(self, net, move, cap=None):
+        calls.append((net, move))
+        return search(self, net, move, cap)
+
+    monkeypatch.setattr(G.RainbowBackend, "responses", recorded)
+    G.verify_forall_script(s, (1, 3, 4, 2))
+    monkeypatch.undo()
+    dominant = G.RainbowBackend(s, yellow_mode="dominant")
+    positions = [(dominant, net, move) for net, move in calls]
+    assert len(positions) == 13
+    positions.append((G.RainbowBackend(s, yellow_mode="all"), *_apex_position(s)))
+    free_counts = []
+    for backend, net, move in positions:
+        g = backend._lay_demand(net, move)
+        free_counts.append(sum(g.edge(v, move.k) is None for v in g.nodes if v != move.k))
+        got = [r.to_json() for r in backend.responses(net, move)]
+        assert got == [r.to_json() for r in _brute_force_responses(backend, net, move)], move
+    assert min(free_counts) == 1 and max(free_counts[:13]) == 3
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_triangle_table_matches_triangle_violation(n):
+    colours = R.signature(n).edge_colours()
+    table = G._triangle_table(n)
+    assert G._triangle_table(n) is table
+    assert set(table) == set(itertools.product(colours, repeat=2))
+    for (a, b), mask in table.items():
+        for i, c in enumerate(colours):
+            assert bool(mask >> i & 1) == (not R.triangle_violation(a, b, c)), (a, b, c)
+
+
+def test_responses_with_a_colour_outside_the_inventory(rainbow_structure):
+    """A pair holding a colour the signature lacks has no table row; the
+    search prunes there, and the invalid graph has no response."""
+    g, move = _apex_position(rainbow_structure)
+    g.set_edge(1, 2, ("g", 7))
+    assert (("g", 7), ("g", 7)) not in G._triangle_table(3)
+    for yellow_mode in ("all", "dominant"):
+        assert G.RainbowBackend(rainbow_structure, yellow_mode).responses(g, move) == []
 
 
 def test_rainbow_solver_exceeds_budget(rainbow_structure):

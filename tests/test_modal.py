@@ -273,3 +273,14 @@ def test_batches_match_single_models_on_nine_points():
             assert set(np.flatnonzero(topo[r])) == want, (text, bits)
             assert set(np.flatnonzero(kripke[r])) == want, (text, bits)
             assert M.eval_kripke(M.KripkeModel(p, val), f) == want, (text, bits)
+
+
+def test_kripke_frame_tables_match_the_scalar_rows():
+    """The array-built Kripke interior tables are byte-identical to rows of
+    scalar `_kripke_interior_bits` calls, sizes 1 to 5."""
+    for size in range(1, 6):
+        rows = [[M._kripke_interior_bits(p.up, s) for s in range(1 << size)]
+                for p in T.enumerate_preorders(size)]
+        table = M._frame_table(size, "kripke")
+        assert table.dtype == np.uint8 and table.shape == (len(rows), 1 << size)
+        assert table.tobytes() == np.array(rows, dtype=np.uint8).tobytes(), size
