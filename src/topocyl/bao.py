@@ -328,10 +328,14 @@ class ComplexAlgebra(BitmaskAlgebra):
 
 
 class SetAlgebra(BitmaskAlgebra):
-    """Full set algebra over a space, viewed abstractly; elements are code bitmasks."""
+    """Full set algebra over a space, viewed abstractly; elements are code
+    bitmasks below the space's unit (all codes for a cube, the union of the
+    summand cubes for a generalized space)."""
 
     def __init__(self, space: sa.SetAlgebraSpace, boxes: str = "topology"):
         super().__init__(space.ncodes)
+        self.one = space.full_bits
+        self.random_element = space.random_bits
         self.space = space
         self.dim = space.dim
         self._box = space.box_bits if boxes == "chang" else space.interior_bits
@@ -346,9 +350,19 @@ class SetAlgebra(BitmaskAlgebra):
         return self._box(i, x, self.rep)
 
     def carrier_list(self):
-        if self.space.ncodes > MATERIALIZE_CAP:
+        """Every element below the unit, ascending: one value per run of
+        consecutive unit bits, summed, the lowest run varying fastest (a
+        cube's unit is one run, so its carrier is a plain range)."""
+        if self.one.bit_count() > MATERIALIZE_CAP:
             raise TooLarge("set algebra carrier too large to enumerate")
-        return list(range(self.one + 1))
+        carrier, rest = None, self.one
+        while rest:
+            low = rest & -rest
+            top = (rest + low) & ~rest  # the bit just past the lowest run
+            run = range(0, top, low)
+            carrier = list(run) if carrier is None else [y + x for y in run for x in carrier]
+            rest &= ~(top - 1)
+        return carrier or [0]
 
 
 class SubAlgebra(Algebra):

@@ -47,7 +47,10 @@ The real game runs for omega rounds; everything here is an r-round
 truncation and says so in its artifacts. In F-mode Forall may pick a node
 already in play, which restricts the network to the remaining nodes before
 extending (the literal "M contains N" is impossible under reuse); G-mode
-demands globally fresh nodes.
+demands globally fresh nodes. The solver's memo keeps one boolean per
+position, and its principal play is one walk after the search that
+follows Exists' first surviving line or Forall's first winning one
+(`solve_bounded`).
 """
 
 from __future__ import annotations
@@ -590,44 +593,6 @@ def backend_for(structure):
     return GenericBackend(structure)
 
 
-# -- game state and the public move API ----------------------------------------
-
-
-class GameState:
-    """History of networks, node budget, and the F/G reuse flag."""
-
-    def __init__(self, structure, budget: int, mode: str = "F"):
-        if mode not in ("F", "G"):
-            raise ValueError("mode must be 'F' or 'G'")
-        self.backend = backend_for(structure)
-        self.budget = budget
-        self.mode = mode
-        self.history: List = []
-        self.used: set = set()
-
-    def play_initial(self, atom) -> List:
-        return self.backend.initial_networks(atom, self.budget)
-
-    def push(self, net):
-        self.history.append(net)
-        self.used |= set(net.nodes)
-
-    def latest(self):
-        return self.history[-1]
-
-
-def legal_forall_moves(state: GameState) -> List[Move]:
-    if not state.history:
-        raise ValueError("no network played yet")
-    nets = state.history if state.mode == "G" else [state.latest()]
-    return state.backend.forall_moves(nets, state.budget, state.used, state.mode)
-
-
-def legal_exists_responses(state: GameState, move: Move) -> List:
-    net = state.history[move.net_index] if state.mode == "G" else state.latest()
-    return state.backend.responses(net, move)
-
-
 # -- bounded solver ------------------------------------------------------------
 
 
@@ -642,7 +607,18 @@ def _state_key(backend, mode, nets, used, remaining):
 
 def solve_bounded(structure, m: int, rounds: int, mode: str = "F") -> dict:
     """Minimax over the r-round truncation with memoization on
-    canonicalized states. The report is explicitly a truncation verdict."""
+    canonicalized states. The report is explicitly a truncation verdict.
+
+    The memo holds one boolean per position: Exists survives it. The
+    principal play is one walk after the search that re-enumerates Forall's
+    moves each round (round 0: the initial networks); a move's `keep` is
+    Exists' first surviving response. If Exists wins, the walk takes the
+    first move with a keep and she answers keep. If Forall wins, it opens
+    with the losing atom, takes his first move without a keep, and she
+    answers her first response or "dead-end". `states_explored` counts the
+    search's positions, plus the walk's when Exists wins."""
+    if mode not in ("F", "G"):
+        raise ValueError(f"mode must be 'F' or 'G', got {mode!r}")
     if rounds < 0:
         raise ValueError(f"rounds must be at least 0, got {rounds}")
     if m < 1:
@@ -653,7 +629,7 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F") -> dict:
         raise BudgetExceeded(f"node budget capped at n+3 = {structure.dim + 3}")
     backend = backend_for(structure)
     states = 0
-    memo: dict = {}
+    memo: Dict[tuple, bool] = {}
     all_atoms = list(backend.atoms())
 
     def replies(nets, used):
@@ -670,87 +646,51 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F") -> dict:
         if states > SOLVE_STATES_CAP:
             raise BudgetExceeded("state budget exceeded")
         key = _state_key(backend, mode, nets, used, remaining)
-        if key in memo:
-            return memo[key][0]
-        if remaining == 0:
-            memo[key] = (True, None, None)
-            return True
-        for move, resps in replies(nets, used):
-            if not any(value(nets + [r], used | set(r.nodes), remaining - 1) for r in resps):
-                memo[key] = (False, move, resps)
-                return False
-        memo[key] = (True, None, None)
-        return True
+        if key not in memo:
+            memo[key] = remaining == 0 or all(
+                any(value(nets + [r], used | set(r.nodes), remaining - 1) for r in resps)
+                for _, resps in replies(nets, used))
+        return memo[key]
 
-    winner = None
-    principal: List[dict] = []
-    losing_atom = None
+    exists_wins = True
     for atom in all_atoms:
         inits = backend.initial_networks(atom, m)
         if not any(value([net0], set(net0.nodes), rounds) for net0 in inits):
-            winner = "forall"
-            losing_atom = atom
-            principal = _principal_play(backend, mode, atom, inits, rounds, memo)
+            exists_wins = False
             break
-    if winner is None:
-        winner = "exists"
+    searched = states
+    if exists_wins:
         atom = all_atoms[0]
         inits = backend.initial_networks(atom, m)
-        survivor = next(n for n in inits
-                        if value([n], set(n.nodes), rounds))
-        principal = [{"round": 0, "forall": {"initial_atom": int(atom)},
-                      "exists": {"network": backend.net_to_json(survivor)}}]
-        nets, used = [survivor], set(survivor.nodes)
-        for t in range(rounds):
-            for move, resps in replies(nets, used):
-                keep = next(
-                    (r for r in resps
-                     if value(nets + [r], used | set(r.nodes), rounds - t - 1)),
-                    None,
-                )
-                if keep is not None:
-                    principal.append({"round": t + 1, "forall": move.to_json(),
-                                      "exists": {"network": backend.net_to_json(keep)}})
-                    nets.append(keep)
-                    used |= set(keep.nodes)
-                    break
-            else:
+    play, nets, used = [], [], set()
+    options = [(None, inits)]
+    for t in range(rounds + 1):
+        for move, resps in options:
+            keep = next((r for r in resps if value(nets + [r], used | set(r.nodes), rounds - t)),
+                        None)
+            if (keep is not None) == exists_wins:
                 break
+        else:
+            break
+        net = keep if exists_wins else next(iter(resps), None)
+        exists = "dead-end" if net is None else {"network": backend.net_to_json(net)}
+        play.append({"round": t, "forall": move.to_json() if t else {"initial_atom": int(atom)},
+                     "exists": exists})
+        if net is None:
+            break
+        nets.append(net)
+        used |= set(net.nodes)
+        options = replies(nets, used)
     return {
-        "winner": winner,
+        "winner": "exists" if exists_wins else "forall",
         "mode": mode,
         "nodes": m,
         "rounds": rounds,
         "truncation": f"{rounds}-round truncation",
-        "losing_atom": None if losing_atom is None else int(losing_atom),
-        "states_explored": states,
-        "principal_play": principal,
+        "losing_atom": None if exists_wins else int(atom),
+        "states_explored": states if exists_wins else searched,
+        "principal_play": play,
     }
-
-
-def _principal_play(backend, mode, atom, inits, rounds, memo):
-    play = [{"round": 0, "forall": {"initial_atom": int(atom)}}]
-    if not inits:
-        play[0]["exists"] = "dead-end"
-        return play
-    net0 = inits[0]
-    play[0]["exists"] = {"network": backend.net_to_json(net0)}
-    nets, used = [net0], set(net0.nodes)
-    for t in range(rounds):
-        entry = memo.get(_state_key(backend, mode, nets, used, rounds - t))
-        if entry is None or entry[0]:
-            break
-        _, move, resps = entry
-        rec = {"round": t + 1, "forall": move.to_json()}
-        if not resps:
-            rec["exists"] = "dead-end"
-            play.append(rec)
-            break
-        rec["exists"] = {"network": backend.net_to_json(resps[0])}
-        play.append(rec)
-        nets.append(resps[0])
-        used |= set(resps[0].nodes)
-    return play
 
 
 # -- Forall's scripted cone bombardment ----------------------------------------
@@ -877,8 +817,7 @@ def verify_transcript(structure, artifact: dict) -> dict:
     if type(m) is not int or not 1 <= m <= structure.dim + 3:
         return {"ok": False,
                 "reason": f"nodes {m!r} is not a node budget in 1..{structure.dim + 3}"}
-    state = GameState(structure, m, mode)
-    backend = state.backend
+    backend = backend_for(structure)
     if not isinstance(play, list) or not play:
         return {"ok": False, "reason": "empty play"}
     if [rec.get("round") if isinstance(rec, dict) else None for rec in play] \
@@ -913,16 +852,16 @@ def verify_transcript(structure, artifact: dict) -> dict:
     if backend.canonical(net) not in {backend.canonical(x) for x in inits}:
         return {"ok": False,
                 "reason": "round 0 network is not a minimal network of the initial atom"}
-    state.push(net)
+    history, used = [net], set(net.nodes)
     for rec in play[1:]:
         move = Move.from_json(rec["forall"])
         if mode == "G" and not (isinstance(move.net_index, int)
-                                and 0 <= move.net_index < len(state.history)):
+                                and 0 <= move.net_index < len(history)):
             return {"ok": False,
                     "reason": f"round {rec['round']} plays on network {move.net_index!r}, "
-                              f"not one of 0 .. {len(state.history) - 1}"}
-        target = state.history[move.net_index] if mode == "G" else state.latest()
-        legal = _move_is_legal(backend, target, move, m, state.used, mode)
+                              f"not one of 0 .. {len(history) - 1}"}
+        target = history[move.net_index] if mode == "G" else history[-1]
+        legal = _move_is_legal(backend, target, move, m, used, mode)
         if not legal:
             return {"ok": False, "reason": f"illegal move at round {rec['round']}"}
         if rec["exists"] == "dead-end":
@@ -946,7 +885,8 @@ def verify_transcript(structure, artifact: dict) -> dict:
             return {"ok": False,
                     "reason": f"round {rec['round']} network does not extend the "
                               "network it answers"}
-        state.push(net)
+        history.append(net)
+        used |= set(net.nodes)
     return {"ok": True, "rounds_checked": len(play) - 1}
 
 

@@ -228,6 +228,10 @@ class SetAlgebraSpace:
                 return
             bits = (bits - self.full_bits) & self.full_bits
 
+    def random_bits(self, rng) -> int:
+        """The bits of a uniformly random subset of the unit."""
+        return rng.getrandbits(self.ncodes)
+
 
 class TupleSet:
     """An element of a set algebra: a set of dim-tuples as a code bitmask."""
@@ -403,15 +407,18 @@ class GeneralizedSpace(SetAlgebraSpace):
                        for s, off in zip(summands, self.offsets)]
         self.full_bits = sum(1 << c for codes in self._codes for c in codes)
 
-    def cyl_bits(self, k: int, x: int) -> int:
-        return self.full_bits & super().cyl_bits(k, x)
+    def cyl_bits(self, k: int, x: int, rep: int = 1) -> int:
+        return self.full_bits * rep & super().cyl_bits(k, x, rep)
 
-    def interior_bits(self, k: int, x: int) -> int:
+    def interior_bits(self, k: int, x: int, rep: int = 1) -> int:
         outside = ((1 << self.ncodes) - 1) & ~self.full_bits
-        return self.full_bits & super().interior_bits(k, x | outside)
+        return self.full_bits * rep & super().interior_bits(k, x | outside * rep, rep)
 
     def diag_bits(self, i: int, j: int) -> int:
         return self.full_bits & super().diag_bits(i, j)
+
+    def random_bits(self, rng) -> int:
+        return self.full_bits & super().random_bits(rng)
 
 
 def decompose_generalized(g: GeneralizedSpace, x: TupleSet) -> Tuple[TupleSet, ...]:

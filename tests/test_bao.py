@@ -117,6 +117,23 @@ def test_axiom_suites_on_sound_algebras():
                 assert rep["all_pass"], (n, u, preset, suite, rep)
 
 
+def test_axiom_suites_on_a_generalized_space():
+    """Over disjoint bases of sizes 1 and 2 the set algebra of the union of
+    the summand cubes is the product of the two summand algebras, so both
+    suites hold, checked exhaustively over its 32 elements; random draws
+    stay below the unit too."""
+    for preset in ("discrete", "indiscrete"):
+        g = S.GeneralizedSpace([S.SetAlgebraSpace(2, u, T.make_topology(u, preset=preset))
+                                for u in (1, 2)])
+        alg = B.SetAlgebra(g)
+        assert alg.carrier_list() == [x.bits for x in g.all_elements()]
+        rng = random.Random(3)
+        assert all(alg.random_element(rng) & ~g.full_bits == 0 for _ in range(50))
+        for suite in ("CA", "TCA"):
+            rep = B.check_axiom_suite(alg, suite, mode="exhaustive")
+            assert rep["all_pass"], (preset, suite, rep)
+
+
 def test_axiom_suites_at_three_by_three():
     """(n,u) = (3,3) rounds out the {2,3} x {2,3} soundness grid; the carrier
     is 2^27, so elements are sampled."""

@@ -376,6 +376,11 @@ RAINBOW_STDOUT_PINS = [
                  "--samples 800"), "c6121552fe482fe19b1128a975141d7cd0049386"),
     (["setalg", "witness-nonadditive"], "3743211c4b8a4feac06638477200f5dd22b32c24"),
     (["setalg", "witness-nontermdef"], "bc1a8b8f05a4affe32251122142937fb473d6eeb"),
+    # the README's two `game solve` reports
+    (shlex.split("game solve --structure fullset:2,2 --nodes 5 --rounds 3 --expect exists"),
+     "81beb948d90277213f3123d3f3a759229a1c7c12"),
+    (shlex.split("game solve --structure fullset:2,3 --nodes 5 --rounds 3"),
+     "5a823ef3d45184c3def96c87847826d726cd0de1"),
 ]
 
 

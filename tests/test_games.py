@@ -58,24 +58,22 @@ def test_one_atom_structure_has_moves():
     s = B.AtomStructure.from_pairs(
         2, 1, [[(0, 0)], [(0, 0)]],
         {(0, 0): [0], (0, 1): [0], (1, 0): [0], (1, 1): [0]})
-    state = G.GameState(s, budget=3, mode="F")
-    state.push(state.play_initial(0)[0])
-    assert G.legal_forall_moves(state)
+    backend = G.backend_for(s)
+    net = backend.initial_networks(0, 3)[0]
+    assert backend.forall_moves([net], 3, set(net.nodes), "F")
 
 
 def test_legal_forall_moves_nonempty_and_sorted():
     s = fullset_structure()
-    state = G.GameState(s, budget=4, mode="F")
-    nets = state.play_initial(0)
+    backend = G.backend_for(s)
+    nets = backend.initial_networks(0, 4)
     assert nets
-    state.push(nets[0])
-    moves = G.legal_forall_moves(state)
+    net = nets[0]
+    moves = backend.forall_moves([net], 4, set(net.nodes), "F")
     assert moves
     keys = [m.key() for m in moves]
     assert keys == sorted(keys)
     # every offered atom satisfies the side condition b <= c_l N(face tuple)
-    backend = state.backend
-    net = state.latest()
     for m in moves[:25]:
         base = net.labels[G.insert_at(m.face, m.l, net.nodes[0])]
         assert backend.ti_rel(m.l, base, m.atom)
@@ -83,42 +81,38 @@ def test_legal_forall_moves_nonempty_and_sorted():
 
 def test_g_mode_requires_fresh_nodes():
     s = fullset_structure()
-    state = G.GameState(s, budget=2, mode="G")
-    net0 = state.play_initial(1)[0]  # atom (1,0): two nodes
-    state.push(net0)
-    moves = G.legal_forall_moves(state)
-    assert moves == []  # both budget nodes are used and reuse is forbidden
-    state_f = G.GameState(s, budget=2, mode="F")
-    state_f.push(net0)
-    assert G.legal_forall_moves(state_f)  # F-mode may reuse nodes
+    backend = G.backend_for(s)
+    net0 = backend.initial_networks(1, 2)[0]  # atom (1,0): two nodes
+    used = set(net0.nodes)
+    # both budget nodes are used and reuse is forbidden
+    assert backend.forall_moves([net0], 2, used, "G") == []
+    assert backend.forall_moves([net0], 2, used, "F")  # F-mode may reuse nodes
 
 
 def test_exists_responses_meet_demand():
     s = fullset_structure()
-    state = G.GameState(s, budget=3, mode="F")
-    state.push(state.play_initial(1)[0])
-    moves = G.legal_forall_moves(state)
-    move = next(m for m in moves if m.k not in state.latest().nodes)
-    resps = G.legal_exists_responses(state, move)
+    backend = G.backend_for(s)
+    net0 = backend.initial_networks(1, 3)[0]
+    moves = backend.forall_moves([net0], 3, set(net0.nodes), "F")
+    move = next(m for m in moves if m.k not in net0.nodes)
+    resps = backend.responses(net0, move)
     assert resps
     for net in resps:
         assert G.validate_network(s, net)["ok"]
         assert net.label(G.insert_at(move.face, move.l, move.k)) == move.atom
-        assert set(net.nodes) == set(state.latest().nodes) | {move.k}
+        assert set(net.nodes) == set(net0.nodes) | {move.k}
 
 
 def test_impossible_demand_has_no_responses():
     # an atom structure where the demanded b is not actually reachable
     s = fullset_structure()
-    state = G.GameState(s, budget=3, mode="F")
-    state.push(state.play_initial(0)[0])
+    backend = G.backend_for(s)
+    net0 = backend.initial_networks(0, 3)[0]
     # demand an atom violating the diagonal pattern at a repeated node: face
     # (0,) with k=0 is illegal anyway, so fabricate a contradictory move
-    move = G.Move(0, (0,), 1, 1, 0)  # tuple (1,0) must get atom (1,0)... fine
-    # make it contradictory instead: demand at (1,0) the atom code 3=(1,1)
+    # instead: demand at (1,0) the atom code 3=(1,1)
     bad = G.Move(0, (0,), 1, 3, 0)
-    resps = G.legal_exists_responses(state, bad)
-    assert resps == []
+    assert backend.responses(net0, bad) == []
 
 
 def test_solver_exists_wins_on_representable_fixture():
@@ -323,6 +317,41 @@ def test_solver_results_pinned():
         assert got == digest, (structure, m, r, mode)
 
 
+def _random_equivalence_structures(count=12):
+    """Seeded dim-2 structures of 2-4 atoms: each T_i is "same label" for a
+    random labelling of the atoms, D[0,0] = D[1,1] is every atom and
+    D[0,1] = D[1,0] a random atom set."""
+    rng = random.Random(0)
+    for _ in range(count):
+        k = rng.choice((2, 3, 4))
+        T = []
+        for _ in range(2):
+            labels = [rng.randrange(k) for _ in range(k)]
+            T.append([sum(1 << b for b in range(k) if labels[b] == labels[a])
+                      for a in range(k)])
+        d = rng.getrandbits(k)
+        full = (1 << k) - 1
+        yield B.AtomStructure(2, k, T, {(0, 0): full, (1, 1): full, (0, 1): d, (1, 0): d})
+
+
+def test_random_structure_plays_replay_and_are_pinned():
+    """Every principal play, for either winner, replays through
+    verify_transcript; the reports are pinned by a digest recorded before
+    the solver memo held booleans only."""
+    reports = []
+    for s in _random_equivalence_structures():
+        for m, r, mode in itertools.product((3, 4), (1, 2, 3), ("F", "G")):
+            res = G.solve_bounded(s, m, r, mode)
+            chk = G.verify_transcript(s, res)
+            assert chk["ok"], (m, r, mode, chk)
+            reports.append(res)
+    assert len(reports) == 144
+    assert sum(res["winner"] == "forall" and len(res["principal_play"]) >= 3
+               for res in reports) >= 20
+    digest = hashlib.sha1(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == "d58413556ba2efe0f94df92b75decaaaf8c5d342"
+
+
 def test_forall_script_trees_pinned(rainbow_structure):
     pins = {
         (1, 3, 4, 2): "ae9ce4fd9d13189e7009954a457e20bb4b931d41",
@@ -366,6 +395,9 @@ def test_solver_rejects_negative_rounds_and_empty_budget():
             G.solve_bounded(s, 3, -1, mode)
         with pytest.raises(ValueError, match="node budget"):
             G.solve_bounded(s, 0, 1, mode)
+    # a mode other than F or G would give a play its own verifier refuses
+    with pytest.raises(ValueError, match="mode"):
+        G.solve_bounded(s, 3, 1, "X")
 
 
 def test_certificate_networks_validate():
