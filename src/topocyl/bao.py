@@ -28,6 +28,8 @@ from .errors import (
     TooLargeForExhaustive,
     TooManyAtoms,
     UnboundVariable,
+    json_field,
+    json_ints,
 )
 from . import setalg as sa
 from .topology import enumerate_topologies, make_topology, set_of
@@ -124,58 +126,35 @@ class AtomStructure:
     def from_json(doc: dict) -> "AtomStructure":
         """Inverse of to_json; an omitted "interior" is the identity. A
         document of the wrong shape raises ValueError naming the field."""
-        _json_field(doc, dict, "an atom structure")
+        json_field(doc, dict, "an atom structure")
         dim, k = doc.get("dim"), doc.get("atoms")
         for name, value in (('"dim"', dim), ('"atoms"', k)):
             if type(value) is not int or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-        for i, pairs in enumerate(_json_field(doc.get("T"), list, '"T"', dim)):
-            for pair in _json_field(pairs, list, f"T[{i}]"):
-                _json_atoms(pair, f"a pair of T[{i}]", 2)
+        for i, pairs in enumerate(json_field(doc.get("T"), list, '"T"', dim)):
+            for pair in json_field(pairs, list, f"T[{i}]"):
+                json_ints(pair, f"a pair of T[{i}]", 2)
         diag = {}
-        for key, atoms in _json_field(doc.get("D"), dict, '"D"').items():
+        for key, atoms in json_field(doc.get("D"), dict, '"D"').items():
             if not re.fullmatch(r"\d+,\d+", key):
                 raise ValueError(f'D key {key!r} must be two indices "i,j"')
             i, j = (int(p) for p in key.split(","))
-            diag[(i, j)] = _json_atoms(atoms, f"D[{key}]")
+            diag[(i, j)] = json_ints(atoms, f"D[{key}]")
         interior = []
-        descs = _json_field(doc.get("interior", ["identity"] * dim), list, '"interior"', dim)
+        descs = json_field(doc.get("interior", ["identity"] * dim), list, '"interior"', dim)
         for i, desc in enumerate(descs):
             if desc == "identity":
                 interior.append(None)
                 continue
-            if not isinstance(desc, dict):
-                raise ValueError(f'interior[{i}] must be "identity" or an object, '
-                                 f"got {type(desc).__name__}")
             table = [0] * k
-            for a, img in desc.items():
-                _json_atoms(img, f"interior[{i}] entry {a}")
+            for a, img in json_field(desc, dict, f'interior[{i}], if not "identity",').items():
+                json_ints(img, f"interior[{i}] entry {a}")
                 if int(a) not in range(k) or any(b not in range(k) for b in img):
                     raise ValueError(f"interior[{i}] entry {a}: {img} names an atom "
                                      f"outside 0..{k - 1}")
                 table[int(a)] = sum(1 << b for b in set(img))
             interior.append(table)
         return AtomStructure.from_pairs(dim, k, doc["T"], diag, interior)
-
-
-def _json_field(value, kind, name: str, size: Optional[int] = None):
-    """value, if it is a JSON object (kind dict) or list (kind list) with
-    `size` entries when size is given; otherwise ValueError naming it."""
-    want = "an object" if kind is dict else "a list"
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be {want}, got {type(value).__name__}")
-    if size is not None and len(value) != size:
-        raise ValueError(f"{name} must be {want} of {size} entries, got {len(value)}")
-    return value
-
-
-def _json_atoms(value, name: str, size: Optional[int] = None) -> list:
-    """value, if it is a list of integers (`size` of them when given);
-    the range of the atoms is checked where they are used."""
-    _json_field(value, list, name, size)
-    if not all(isinstance(a, int) for a in value):
-        raise ValueError(f"{name} must list atoms as integers, got {value!r}")
-    return value
 
 
 # -- algebras ---------------------------------------------------------------
@@ -413,10 +392,17 @@ class SubAlgebra(Algebra):
 
 
 def atom_structure_of(space: sa.SetAlgebraSpace) -> AtomStructure:
-    """Dual structure of a full set algebra: atoms are tuple codes."""
-    n, k = space.dim, space.ncodes
-    T = [[space.cyl_bits(i, 1 << code) for code in range(k)] for i in range(n)]
-    D = {(i, j): space.diag_bits(i, j) for i in range(n) for j in range(n)}
+    """Dual structure of a full set algebra: atom a is the a-th code of the
+    unit V in ascending order, so a cube's atoms are its codes."""
+    n = space.dim
+    codes = sorted(set_of(space.full_bits))
+    rank = {code: a for a, code in enumerate(codes)}
+
+    def atoms(bits):
+        return sum(1 << rank[code] for code in set_of(bits))
+
+    T = [[space.cyl_bits(i, 1 << code) for code in codes] for i in range(n)]
+    D = {(i, j): atoms(space.diag_bits(i, j)) for i in range(n) for j in range(n)}
     interior = None
     if space.topology is not None:
         # R_i[code]: the i-fiber of code restricted to the minimal
@@ -426,8 +412,10 @@ def atom_structure_of(space: sa.SetAlgebraSpace) -> AtomStructure:
             stride, masks = space._axis(i)
             u = len(masks)
             nbhd = [sum(masks[b] for b in set_of(nb)) for nb in space.topology._minnbhd]
-            interior.append([T[i][code] & nbhd[code // stride % u] for code in range(k)])
-    return AtomStructure(n, k, T, D, interior)
+            interior.append([atoms(fiber & nbhd[code // stride % u])
+                             for code, fiber in zip(codes, T[i])])
+    T = [[atoms(fiber) for fiber in t] for t in T]
+    return AtomStructure(n, len(codes), T, D, interior)
 
 
 def cm(structure: AtomStructure) -> ComplexAlgebra:
@@ -512,6 +500,7 @@ def check_equation(
     k not in the dimension set of the environment's value for var. Each
     batch of environments is one environment of a direct power of alg."""
     nvars = len(eq.vars)
+    carrier = None
     if mode == "auto":
         try:
             carrier = alg.carrier_list()
@@ -519,7 +508,8 @@ def check_equation(
         except (TooLarge, TooManyAtoms):
             mode = "sampled"
     if mode == "exhaustive":
-        carrier = alg.carrier_list()
+        if carrier is None:
+            carrier = alg.carrier_list()
         if len(carrier) ** max(nvars, 1) > EXHAUSTIVE_CAP:
             raise TooLargeForExhaustive(
                 f"{len(carrier)}^{nvars} environments exceed the exhaustive cap"

@@ -12,7 +12,7 @@ import random
 import sys
 
 from . import bao, games, modal, rainbow, setalg, topology
-from .errors import WorkbenchError
+from .errors import WorkbenchError, json_field, json_ints
 from .report import emit, make_report
 
 
@@ -120,29 +120,26 @@ def cmd_modal_eval(args):
     f = modal.parse(args.formula)
     with open(args.model, encoding="utf-8") as fh:
         doc = json.load(fh)
-    kind = doc.get("kind") if isinstance(doc, dict) else None
+    kind = json_field(doc, dict, "a model").get("kind")
     if kind not in MODEL_KINDS:
         raise ValueError(f"model kind {kind!r}: the model JSON needs \"kind\" "
                          f"set to one of {', '.join(MODEL_KINDS)}")
-    if not isinstance(doc.get("valuation"), dict):
-        raise ValueError("\"valuation\": the model JSON needs an object mapping variable "
-                         "indices to points, as in {\"0\": [0, 2]}")
     valuation = {}
-    for key, v in doc["valuation"].items():
+    for key, v in json_field(doc.get("valuation"), dict, '"valuation"').items():
         try:
             valuation[int(key)] = v
         except ValueError:
             raise ValueError(f"valuation key {key!r}: keys are variable indices "
                              "(\"0\" for p0)") from None
     if kind == "topo":
-        m = modal.TopoModel(topology.FiniteTopology.from_json(doc["topology"]), valuation)
+        m = modal.TopoModel(topology.FiniteTopology.from_json(doc.get("topology")), valuation)
         sat = modal.eval_topo(m, f)
     elif kind == "kripke":
-        m = modal.KripkeModel(topology.Preorder.from_json(doc["preorder"]), valuation)
+        m = modal.KripkeModel(topology.Preorder.from_json(doc.get("preorder")), valuation)
         sat = modal.eval_kripke(m, f)
     else:
-        m = modal.DynamicModel(
-            topology.FiniteTopology.from_json(doc["topology"]), doc["map"], valuation)
+        m = modal.DynamicModel(topology.FiniteTopology.from_json(doc.get("topology")),
+                               json_ints(doc.get("map"), '"map"'), valuation)
         sat = modal.eval_dynamic(m, f)
     results = {"formula": modal.unparse(f), "satisfying": sorted(sat)}
     return _finish(args, results, sorted(sat), "modal eval")
@@ -374,16 +371,20 @@ def cmd_game_solve(args):
 
 
 def cmd_game_script(args):
-    s = rainbow.build_atom_structure(rainbow.signature(args.n))
-    tints = tuple(_int_list("--tints", args.tints, "1,4,2,3")) if args.tints else None
-    proof = games.verify_forall_script(s, tints=tints)
+    sig = rainbow.signature(args.n)
+    tints = _int_list("--tints", args.tints, "1,4,2,3") if args.tints else None
+    if tints is not None and sorted(tints) != list(sig.tints):
+        raise ValueError(f"--tints {args.tints}: the form is a permutation of "
+                         f"1..{args.n + 1} such as "
+                         f"{','.join(map(str, games.default_script_tints(args.n)))}")
+    proof = games.verify_forall_script(rainbow.build_atom_structure(sig), tints=tints)
     return _finish(args, proof, str(proof["all_lines_dead"]).lower(), "game script")
 
 
 def cmd_game_verify_transcript(args):
     with open(args.transcript, encoding="utf-8") as fh:
         doc = json.load(fh)
-    artifact = doc["results"] if "results" in doc else doc
+    artifact = doc.get("results", doc) if isinstance(doc, dict) else doc
     s = _structure_arg(args.structure)
     res = games.verify_transcript(s, artifact)
     return _finish(args, res, str(res["ok"]).lower(), "game verify-transcript")

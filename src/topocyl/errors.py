@@ -1,4 +1,29 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench, and the shape checks of
+the JSON documents it reads, which raise ValueError naming the field."""
+
+import reprlib
+from typing import Optional
+
+
+def json_field(value, kind, name: str, size: Optional[int] = None):
+    """value, if it is a JSON object (kind dict), list (kind list) or
+    integer (kind int), with `size` entries when size is given."""
+    want = {dict: "an object", list: "a list", int: "an integer"}[kind]
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {want}, got {reprlib.repr(value)}")
+    if size is not None and len(value) != size:
+        raise ValueError(f"{name} must be {want} of {size} entries, got {len(value)}")
+    return value
+
+
+def json_ints(value, name: str, size: Optional[int] = None) -> list:
+    """value, if it is a list of integers (`size` of them when given); the
+    range of the integers is checked where they are used."""
+    if isinstance(value, list) and all(isinstance(v, int) for v in value) \
+            and size in (None, len(value)):
+        return value
+    count = "" if size is None else f"{size} "
+    raise ValueError(f"{name} must be a list of {count}integers, got {reprlib.repr(value)}")
 
 
 class WorkbenchError(Exception):

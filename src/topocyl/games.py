@@ -58,9 +58,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .errors import BudgetExceeded, ScriptRefuted
+from .errors import BudgetExceeded, ScriptRefuted, json_field, json_ints
 from .bao import AtomStructure
 from .rainbow import (
     ColouredGraph,
@@ -88,16 +88,16 @@ def insert_at(face, l: int, k: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-class Move:
-    def __init__(self, net_index: int, face, k: int, atom, l: int):
-        self.net_index = net_index
-        self.face = tuple(face)
-        self.k = k
-        self.atom = atom
-        self.l = l
+class Move(NamedTuple):
+    """Forall's move on network net_index: the face, the new node k, the
+    demanded atom and the axis l at which k is inserted. Moves sort by
+    their fields in this order."""
 
-    def key(self):
-        return (self.net_index, self.face, self.k, int(self.atom), self.l)
+    net_index: int
+    face: Tuple[int, ...]
+    k: int
+    atom: int
+    l: int
 
     def to_json(self):
         return {"network": self.net_index, "face": list(self.face),
@@ -106,27 +106,15 @@ class Move:
     @staticmethod
     def from_json(doc):
         """The move of a record's "forall" object; ValueError naming the
-        field when doc is not an object of integer fields with a list face."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"forall must be an object, got {type(doc).__name__}")
-        missing = [name for name in ("network", "face", "k", "atom", "l") if name not in doc]
-        if missing:
-            raise ValueError(f"forall has no {', '.join(missing)}")
-        face = doc["face"]
-        if not (isinstance(face, list) and all(isinstance(v, int) for v in face)):
-            raise ValueError(f"forall face must be a list of integers, got {face!r}")
-        for name in ("network", "k", "atom", "l"):
-            if not isinstance(doc[name], int):
-                raise ValueError(f"forall {name} must be an integer, got {doc[name]!r}")
-        return Move(doc["network"], tuple(doc["face"]), doc["k"], doc["atom"], doc["l"])
-
-    def __repr__(self):
-        return (f"Move(net={self.net_index}, face={self.face}, k={self.k}, "
-                f"atom={self.atom}, l={self.l})")
+        field unless doc is an object of integer fields with a list face."""
+        json_field(doc, dict, "forall")
+        net_index, k, atom, l = (json_field(doc.get(name), int, f"forall {name}")
+                                 for name in ("network", "k", "atom", "l"))
+        return Move(net_index, tuple(json_ints(doc.get("face"), "forall face")), k, atom, l)
 
 
 def _forall_moves(backend, nets, budget, used, mode, cap) -> List[Move]:
-    """Every Forall move on the given networks, sorted by Move.key: a face,
+    """Every Forall move on the given networks, sorted: a face,
     an axis l, a node k < budget outside the face (and unused in G-mode),
     and an atom b with T_l(a, b) for the atom a the face gives its first
     node at l. More than `cap` moves raise BudgetExceeded."""
@@ -145,7 +133,7 @@ def _forall_moves(backend, nets, budget, used, mode, cap) -> List[Move]:
                         moves.append(Move(idx, face, k, int(b), l))
                         if cap is not None and len(moves) > cap:
                             raise BudgetExceeded("move enumeration cap")
-    moves.sort(key=Move.key)
+    moves.sort()
     return moves
 
 
@@ -175,13 +163,9 @@ class AtomicNetwork:
         """ValueError naming the field unless doc is an object whose nodes
         are a list of integers and whose labels map "(u,v,...)" keys of dim
         of those nodes to atom indices."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"network must be an object, got {type(doc).__name__}")
-        nodes, raw = doc.get("nodes"), doc.get("labels")
-        if not (isinstance(nodes, list) and all(isinstance(v, int) for v in nodes)):
-            raise ValueError(f"network nodes must be a list of integers, got {nodes!r}")
-        if not isinstance(raw, dict):
-            raise ValueError(f"network labels must be an object, got {raw!r}")
+        json_field(doc, dict, "network")
+        nodes = json_ints(doc.get("nodes"), "network nodes")
+        raw = json_field(doc.get("labels"), dict, "network labels")
         members = set(nodes)
         labels = {}
         for key, a in raw.items():
@@ -581,7 +565,7 @@ class RainbowBackend:
         return {"graph": net.to_json()}
 
     def net_from_json(self, doc):
-        return ColouredGraph.from_json(doc.get("graph"), self.sig)
+        return ColouredGraph.from_json(json_field(doc, dict, "network").get("graph"), self.sig)
 
     def validate(self, net):
         return is_valid_coloured_graph(net).to_json()
@@ -802,14 +786,15 @@ def verify_transcript(structure, artifact: dict) -> dict:
     round-0 network one of its minimal networks; every Forall move must be
     legal, every Exists network valid, meeting the demand and extending the
     network it answers (its nodes are that network's plus k, and every tuple
-    of the other nodes keeps its atom), and dead-end claims must survive
-    re-enumeration of the legal responses. A record whose network object is
-    not of the backend's shape (`net_from_json` raises ValueError) replays
-    as not ok, with the field named in the reason."""
-    kind = artifact.get("kind", "play")
+    of the other nodes keeps its atom), and a dead-end claim must end the
+    play and survive re-enumeration of the legal responses. A document of
+    the wrong shape replays as not ok, with the field named in the reason."""
+    try:
+        kind = json_field(artifact, dict, "a game artifact").get("kind", "play")
+    except ValueError as exc:
+        return {"ok": False, "reason": str(exc)}
     if kind == "forall-script":
         return _verify_script_artifact(structure, artifact)
-    play = artifact["principal_play"]
     mode = artifact.get("mode", "F")
     if mode not in ("F", "G"):
         return {"ok": False, "reason": f"mode {mode!r} is not 'F' or 'G'"}
@@ -817,96 +802,73 @@ def verify_transcript(structure, artifact: dict) -> dict:
     if type(m) is not int or not 1 <= m <= structure.dim + 3:
         return {"ok": False,
                 "reason": f"nodes {m!r} is not a node budget in 1..{structure.dim + 3}"}
-    backend = backend_for(structure)
+    play = artifact.get("principal_play")
     if not isinstance(play, list) or not play:
-        return {"ok": False, "reason": "empty play"}
+        return {"ok": False, "reason": "principal_play must be a non-empty list of records"}
     if [rec.get("round") if isinstance(rec, dict) else None for rec in play] \
             != list(range(len(play))):
         return {"ok": False, "reason": "records are not numbered 0, 1, 2, ... in order"}
-    nets = {}
-    for rec in play:
-        shape = _record_shape(rec)
-        if not shape and rec["exists"] != "dead-end":
-            try:
-                nets[rec["round"]] = backend.net_from_json(rec["exists"]["network"])
-            except ValueError as exc:
-                shape = str(exc)
-        if shape:
-            return {"ok": False, "reason": f"round {rec['round']}: {shape}"}
     rounds = artifact.get("rounds", len(play) - 1)
     if not isinstance(rounds, int) or len(play) > rounds + 1:
         return {"ok": False, "reason": f"{len(play)} records for a play of {rounds!r} rounds"}
-    first = play[0]
-    atom = first["forall"]["initial_atom"]
-    if not structure.is_atom(atom):
-        return {"ok": False, "reason": f"initial atom {atom!r} is not an atom"}
-    inits = backend.initial_networks(atom, m)
-    if first["exists"] == "dead-end":
-        if inits:
-            return {"ok": False, "reason": "claimed initial dead-end has responses"}
-        return {"ok": True, "rounds_checked": 0}
-    net = nets[0]
-    chk = backend.validate(net)
-    if not chk["ok"]:
-        return {"ok": False, "reason": f"round 0 network invalid: {chk}"}
-    if backend.canonical(net) not in {backend.canonical(x) for x in inits}:
-        return {"ok": False,
-                "reason": "round 0 network is not a minimal network of the initial atom"}
-    history, used = [net], set(net.nodes)
-    for rec in play[1:]:
-        move = Move.from_json(rec["forall"])
-        if mode == "G" and not (isinstance(move.net_index, int)
-                                and 0 <= move.net_index < len(history)):
-            return {"ok": False,
-                    "reason": f"round {rec['round']} plays on network {move.net_index!r}, "
-                              f"not one of 0 .. {len(history) - 1}"}
-        target = history[move.net_index] if mode == "G" else history[-1]
-        legal = _move_is_legal(backend, target, move, m, used, mode)
-        if not legal:
-            return {"ok": False, "reason": f"illegal move at round {rec['round']}"}
-        if rec["exists"] == "dead-end":
-            if backend.responses(target, move, cap=4096):
+    backend = backend_for(structure)
+    history, used = [], set()
+    for r, rec in enumerate(play):
+        # the record's Forall side (the initial atom in round 0, else a
+        # Move) and Exists side (a network, or None for "dead-end")
+        forall, exists = rec.get("forall"), rec.get("exists")
+        try:
+            if r == 0:
+                atom = json_field(json_field(forall, dict, "forall").get("initial_atom"), int,
+                                  "forall initial_atom")
+            else:
+                move = Move.from_json(forall)
+            net = None if exists == "dead-end" else backend.net_from_json(
+                json_field(exists, dict, 'exists, if not "dead-end",').get("network"))
+        except ValueError as exc:
+            return {"ok": False, "reason": f"round {r}: {exc}"}
+        if net is None and r < len(play) - 1:
+            return {"ok": False, "reason": f"round {r}: a dead-end must be the last record"}
+        if r == 0:
+            if not structure.is_atom(atom):
+                return {"ok": False, "reason": f"initial atom {atom!r} is not an atom"}
+            inits = backend.initial_networks(atom, m)
+            if net is None:
+                if inits:
+                    return {"ok": False, "reason": "claimed initial dead-end has responses"}
+                return {"ok": True, "rounds_checked": 0}
+        else:
+            if mode == "G" and not 0 <= move.net_index < len(history):
                 return {"ok": False,
-                        "reason": f"claimed dead-end at round {rec['round']} has responses"}
-            return {"ok": True, "rounds_checked": rec["round"],
-                    "dead_end_confirmed": True}
-        net = nets[rec["round"]]
+                        "reason": f"round {r} plays on network {move.net_index!r}, "
+                                  f"not one of 0 .. {len(history) - 1}"}
+            target = history[move.net_index] if mode == "G" else history[-1]
+            if not _move_is_legal(backend, target, move, m, used, mode):
+                return {"ok": False, "reason": f"illegal move at round {r}"}
+            if net is None:
+                if backend.responses(target, move, cap=4096):
+                    return {"ok": False,
+                            "reason": f"claimed dead-end at round {r} has responses"}
+                return {"ok": True, "rounds_checked": r, "dead_end_confirmed": True}
         chk = backend.validate(net)
         if not chk["ok"]:
-            return {"ok": False,
-                    "reason": f"round {rec['round']} network invalid: {chk}"}
-        if backend.atom_of(net, insert_at(move.face, move.l, move.k)) != move.atom:
-            return {"ok": False,
-                    "reason": f"round {rec['round']} ignores the demand"}
-        kept = [v for v in target.nodes if v != move.k]
-        if set(net.nodes) != set(target.nodes) | {move.k} or any(
-                backend.atom_of(net, t) != backend.atom_of(target, t)
-                for t in itertools.product(kept, repeat=backend.n)):
-            return {"ok": False,
-                    "reason": f"round {rec['round']} network does not extend the "
-                              "network it answers"}
+            return {"ok": False, "reason": f"round {r} network invalid: {chk}"}
+        if r == 0:
+            if backend.canonical(net) not in {backend.canonical(x) for x in inits}:
+                return {"ok": False,
+                        "reason": "round 0 network is not a minimal network of the initial atom"}
+        else:
+            if backend.atom_of(net, insert_at(move.face, move.l, move.k)) != move.atom:
+                return {"ok": False, "reason": f"round {r} ignores the demand"}
+            kept = [v for v in target.nodes if v != move.k]
+            if set(net.nodes) != set(target.nodes) | {move.k} or any(
+                    backend.atom_of(net, t) != backend.atom_of(target, t)
+                    for t in itertools.product(kept, repeat=backend.n)):
+                return {"ok": False,
+                        "reason": f"round {r} network does not extend the network it answers"}
         history.append(net)
         used |= set(net.nodes)
     return {"ok": True, "rounds_checked": len(play) - 1}
-
-
-def _record_shape(rec) -> Optional[str]:
-    """Why a play record's "forall" and "exists" are not objects of the
-    expected fields ("exists" may be "dead-end"), or None."""
-    forall = rec.get("forall")
-    if rec["round"] == 0:
-        if not (isinstance(forall, dict) and isinstance(forall.get("initial_atom"), int)):
-            return f"forall must be an object with an integer initial_atom, got {forall!r}"
-    else:
-        try:
-            Move.from_json(forall)
-        except ValueError as exc:
-            return str(exc)
-    exists = rec.get("exists")
-    if exists != "dead-end" and not (isinstance(exists, dict)
-                                     and isinstance(exists.get("network"), dict)):
-        return 'exists must be "dead-end" or an object whose network is an object'
-    return None
 
 
 def _move_is_legal(backend, net, move, m, used, mode):
@@ -923,42 +885,56 @@ def _move_is_legal(backend, net, move, m, used, mode):
 
 
 def _verify_script_artifact(structure, artifact) -> dict:
-    backend = RainbowBackend(structure, yellow_mode="dominant")
-    gamma = ColouredGraph.from_json(artifact["zeroth_graph"], structure.sig)
+    """Replay a forall-script certificate: the rainbow structure's own
+    responses, in order, at every node of the tree, and a confirmed dead
+    end at every leaf within the round bound."""
+    if not isinstance(structure, RainbowStructure):
+        return {"ok": False, "reason": 'kind "forall-script" replays only against rainbow:3'}
+    try:
+        budget, round_bound = (json_field(artifact.get(name), int, f'"{name}"')
+                               for name in ("node_budget", "round_bound"))
+        gamma = ColouredGraph.from_json(artifact.get("zeroth_graph"), structure.sig)
+    except ValueError as exc:
+        return {"ok": False, "reason": str(exc)}
     if not is_valid_coloured_graph(gamma):
         return {"ok": False, "reason": "zeroth graph invalid"}
-    leaves = {"count": 0, "max_round": 0}
+    backend = RainbowBackend(structure, yellow_mode="dominant")
+    leaves = []  # the round of every dead end
 
-    def walk(node, net):
+    def walk(name, node, net, r):
+        """Why the script node `name`, Forall's move in round r on net, is
+        no certificate, or None."""
         try:
-            move = Move.from_json(node["forall"])
+            move = Move.from_json(json_field(node, dict, name).get("forall"))
+            if node.get("round") != r:
+                raise ValueError(f"{name} round must be {r}, got {node.get('round')!r}")
+            recorded = node.get("responses")
+            if recorded != "dead-end":
+                for rec in json_field(recorded, list, 'responses, if not "dead-end",'):
+                    json_field(rec, dict, "a response")
         except ValueError as exc:
-            return f"round {node['round']}: {exc}"
-        if not _move_is_legal(backend, net, move, artifact["node_budget"], set(), "F"):
-            return f"round {node['round']}: illegal Forall move"
+            return f"round {r}: {exc}"
+        if not _move_is_legal(backend, net, move, budget, set(), "F"):
+            return f"round {r}: illegal Forall move"
         resps = backend.responses(net, move)
-        if node["responses"] == "dead-end":
+        if recorded == "dead-end":
             if resps:
-                return f"round {node['round']}: claimed dead-end has responses"
-            leaves["count"] += 1
-            leaves["max_round"] = max(leaves["max_round"], node["round"])
+                return f"round {r}: claimed dead-end has responses"
+            leaves.append(r)
             return None
-        recorded = node["responses"]
-        if not (isinstance(recorded, list) and len(recorded) == len(resps)
-                and all(isinstance(rec, dict) and rec.get("network") == backend.net_to_json(r)
-                        for rec, r in zip(recorded, resps))):
-            return (f"round {node['round']}: the recorded responses are not the "
+        if len(recorded) != len(resps) or any(rec.get("network") != backend.net_to_json(resp)
+                                              for rec, resp in zip(recorded, resps)):
+            return (f"round {r}: the recorded responses are not the "
                     f"{len(resps)} the re-enumeration finds, in its order")
         for rec, child in zip(recorded, resps):
-            err = walk(rec["subtree"], child)
+            err = walk("subtree", rec.get("subtree"), child, r + 1)
             if err:
                 return err
         return None
 
-    err = walk(artifact["tree"], gamma)
+    err = walk("tree", artifact.get("tree"), gamma, 1)
     if err:
         return {"ok": False, "reason": err}
-    if leaves["max_round"] > artifact["round_bound"]:
+    if max(leaves, default=0) > round_bound:
         return {"ok": False, "reason": "a leaf exceeds the round bound"}
-    return {"ok": True, "dead_ends": leaves["count"],
-            "max_round": leaves["max_round"]}
+    return {"ok": True, "dead_ends": len(leaves), "max_round": max(leaves, default=0)}

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimTooSmall, DimUnsupported
+from .errors import DimTooSmall, DimUnsupported, json_field, json_ints
 from . import bao
 
 # -- signature ----------------------------------------------------------
@@ -201,27 +201,19 @@ class ColouredGraph:
         are a count or a list of integers, whose edges map "(u,v)" keys
         with nodes u < v to colour codes and whose yellows map node tuple
         keys to yellow codes."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"graph must be an object, got {type(doc).__name__}")
-        raw = doc.get("nodes")
-        if isinstance(raw, int):
-            nodes = range(raw)
-        elif isinstance(raw, list) and all(isinstance(v, int) for v in raw):
-            nodes = raw
-        else:
-            raise ValueError(f"graph nodes must be a count or a list of integers, got {raw!r}")
-        for name in ("edges", "yellows"):
-            if not isinstance(doc.get(name, {}), dict):
-                raise ValueError(f"graph {name} must be an object, got {doc[name]!r}")
+        raw = json_field(doc, dict, "graph").get("nodes")
+        nodes = range(raw) if isinstance(raw, int) else json_ints(raw, "graph nodes")
+        raw_edges, raw_yellows = (json_field(doc.get(name, {}), dict, f"graph {name}")
+                                  for name in ("edges", "yellows"))
         members = set(nodes)
         edges = {}
-        for key, code in doc.get("edges", {}).items():
+        for key, code in raw_edges.items():
             t = parse_node_tuple(key) or ()
             if not (len(t) == 2 and t[0] < t[1] and set(t) <= members):
                 raise ValueError(f"graph edge key {key!r} is not (u,v) with nodes u < v")
             edges[t] = parse_colour(code)
         yellows = {}
-        for key, code in doc.get("yellows", {}).items():
+        for key, code in raw_yellows.items():
             t = parse_node_tuple(key)
             if t is None:
                 raise ValueError(f"graph yellow key {key!r} is not a node tuple")

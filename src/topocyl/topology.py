@@ -18,6 +18,8 @@ from .errors import (
     NotPreorder,
     OutOfRangePoint,
     SizeTooLarge,
+    json_field,
+    json_ints,
 )
 
 ENUM_SIZE_CAP = 4
@@ -112,8 +114,11 @@ class FiniteTopology:
 
     @staticmethod
     def from_json(doc: dict) -> "FiniteTopology":
-        size = doc["size"]
-        return make_topology(size, [bits_of(o, size) for o in doc["opens"]])
+        """Inverse of to_json; a document of the wrong shape raises ValueError."""
+        size = json_field(json_field(doc, dict, "a topology").get("size"), int, '"size"')
+        opens = json_field(doc.get("opens"), list, '"opens"')
+        return make_topology(size, [bits_of(json_ints(o, f"opens[{i}]"), size)
+                                    for i, o in enumerate(opens)])
 
 
 class Preorder:
@@ -162,7 +167,10 @@ class Preorder:
 
     @staticmethod
     def from_json(doc: dict) -> "Preorder":
-        return Preorder(doc["size"], [tuple(p) for p in doc["leq"]])
+        """Inverse of to_json; a document of the wrong shape raises ValueError."""
+        size = json_field(json_field(doc, dict, "a preorder").get("size"), int, '"size"')
+        leq = json_field(doc.get("leq"), list, '"leq"')
+        return Preorder(size, [tuple(json_ints(p, f"leq[{i}]", 2)) for i, p in enumerate(leq)])
 
 
 # -- constructors -------------------------------------------------------

@@ -93,6 +93,28 @@ def test_check_equation_modes():
         B.check_equation(alg, bad, mode="exhuastive")
 
 
+def test_auto_mode_builds_the_carrier_once():
+    """mode="auto" sizes the search with the carrier and, when it picks
+    exhaustive, enumerates that same list: one carrier_list call."""
+    calls = []
+
+    class Counting(B.SetAlgebra):
+        def carrier_list(self):
+            calls.append(1)
+            return super().carrier_list()
+
+    alg = Counting(S.SetAlgebraSpace(2, 4, T.make_topology(4, preset="discrete")))
+    x = ("var", 0)
+    idem = B.Equation(("cyl", 0, ("cyl", 0, x)), ("cyl", 0, x))
+    assert B.check_equation(alg, idem) == {"verdict": "holds", "mode": "exhaustive",
+                                           "tested": 65536}
+    assert len(calls) == 1
+    del calls[:]
+    comm = B.Equation(("cyl", 0, ("cyl", 1, x)), ("cyl", 1, ("cyl", 0, ("var", 1))))
+    assert B.check_equation(alg, comm, samples=10)["mode"] == "sampled"
+    assert len(calls) == 1
+
+
 def test_nonadditivity_imported_as_equation():
     sp = S.SetAlgebraSpace(2, 2, T.make_topology(2, preset="indiscrete"))
     alg = B.SetAlgebra(sp)
@@ -129,6 +151,38 @@ def test_axiom_suites_on_a_generalized_space():
         assert alg.carrier_list() == [x.bits for x in g.all_elements()]
         rng = random.Random(3)
         assert all(alg.random_element(rng) & ~g.full_bits == 0 for _ in range(50))
+        for suite in ("CA", "TCA"):
+            rep = B.check_axiom_suite(alg, suite, mode="exhaustive")
+            assert rep["all_pass"], (preset, suite, rep)
+
+
+def test_atom_structure_of_a_generalized_space():
+    """The atoms of a generalized space are the codes of its unit V in
+    ascending order: over bases 1 and 2 at dimension 2 that is 5 of the 9
+    codes of the union cube. Renumbering the codes of V maps every c_i,
+    I_i and d_ij of the set algebra onto the complex algebra, and both
+    suites hold there, checked exhaustively."""
+    for preset in ("discrete", "indiscrete"):
+        g = S.GeneralizedSpace([S.SetAlgebraSpace(2, u, T.make_topology(u, preset=preset))
+                                for u in (1, 2)])
+        s = B.atom_structure_of(g)
+        codes = sorted(T.set_of(g.full_bits))
+        assert s.num_atoms == len(codes) == 5 and g.ncodes == 9
+        assert s.interior_flags == ["validated", "validated"]
+
+        def renumber(bits):
+            return sum(1 << a for a, code in enumerate(codes) if bits >> code & 1)
+
+        alg, salg = B.cm(s), B.SetAlgebra(g)
+        carrier = salg.carrier_list()
+        assert sorted(map(renumber, carrier)) == alg.carrier_list()
+        for x in carrier:
+            for i in range(2):
+                assert renumber(salg.cyl(i, x)) == alg.cyl(i, renumber(x))
+                assert renumber(salg.interior(i, x)) == alg.interior(i, renumber(x))
+        for i in range(2):
+            for j in range(2):
+                assert renumber(salg.dg(i, j)) == alg.dg(i, j)
         for suite in ("CA", "TCA"):
             rep = B.check_axiom_suite(alg, suite, mode="exhaustive")
             assert rep["all_pass"], (preset, suite, rep)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import shlex
 from pathlib import Path
@@ -412,3 +413,100 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for line in lines:
         assert callable(parser.parse_args(shlex.split(line)[1:]).fn), line
+
+
+def test_malformed_documents_are_refused_naming_the_field(tmp_path, capsys):
+    """Every reader of a JSON document refuses one of the wrong shape:
+    exit 2 with a usage error, or a replay reporting "ok": false, either
+    way with a message that names the field and never a traceback (an
+    exception escaping `dispatch` is what `main` prints as one)."""
+    assert dispatch(["game", "script", "--out", str(tmp_path / "proof.json")]) == 0
+    proof = json.loads((tmp_path / "proof.json").read_text())["results"]
+    assert dispatch(["game", "solve", "--structure", "fullset:2,2", "--nodes", "3",
+                     "--rounds", "2", "--out", str(tmp_path / "play.json")]) == 0
+    play = json.loads((tmp_path / "play.json").read_text())["results"]
+    records = play["principal_play"]
+    tree = proof["tree"]
+    first = tree["responses"][0]
+    topo = {"size": 2, "opens": [[], [0], [0, 1]]}
+    diag = {"0,0": [0, 1], "0,1": [0], "1,0": [0], "1,1": [0, 1]}
+    structure = {"dim": 2, "atoms": 2, "D": diag, "T": [[[0, 0], [1, 1]], [[0, 0], [1, 1]]]}
+    numbers = itertools.count()
+
+    def path(doc):
+        name = tmp_path / f"doc{next(numbers)}.json"
+        name.write_text(json.dumps(doc))
+        return str(name)
+
+    def model(**fields):
+        doc = dict({"kind": "topo", "topology": topo, "valuation": {"0": [0]}}, **fields)
+        return ["modal", "eval", "--formula", "p0", "--model", path(doc)]
+
+    def replay(doc, structure="rainbow:3"):
+        return ["game", "verify-transcript", "--transcript", path(doc), "--structure", structure]
+
+    def forged(r, **fields):
+        return dict(play, principal_play=[dict(rec, **fields) if rec["round"] == r else rec
+                                          for rec in records])
+
+    cases = [
+        (["topo", "check", "--json", "[1]"], "a topology must be an object"),
+        (["topo", "check", "--json", '{"size": "2", "opens": []}'], '"size" must be an integer'),
+        (["topo", "check", "--json", '{"size": 2}'], '"opens" must be a list'),
+        (["topo", "check", "--json", '{"size": 2, "opens": [[], [0, "a"]]}'],
+         "opens[1] must be a list of integers"),
+        (["setalg", "axioms", "--dim", "2", "--base", "2", "--topology", "[1]"],
+         "a topology must be an object"),
+        (["modal", "eval", "--formula", "p0", "--model", path([1])], "a model must be an object"),
+        (model(topology=[1]), "a topology must be an object"),
+        (model(kind="kripke"), "a preorder must be an object"),
+        (model(kind="kripke", preorder={"size": 2, "leq": [[0]]}),
+         "leq[0] must be a list of 2 integers"),
+        (model(kind="dynamic", map=5), '"map" must be a list of integers'),
+        (model(kind="dynamic"), '"map" must be a list of integers'),
+        (model(valuation=[[0]]), '"valuation" must be an object'),
+        (model(kind="topx"), "model kind 'topx'"),
+        (["bao", "cm", "--structure", path([structure])], "an atom structure must be an object"),
+        (["bao", "cm", "--structure", path(dict(structure, interior=[[0], "identity"]))],
+         "interior[0]"),
+        (["bao", "cm", "--structure", path(dict(structure, D=dict(diag, **{"1,1": 1})))],
+         "D[1,1]"),
+        (["game", "script", "--tints", "1,2"],
+         "--tints 1,2: the form is a permutation of 1..4"),
+        (["game", "script", "--tints", "1,1,2,3"], "--tints 1,1,2,3: the form is a permutation"),
+        (["game", "script", "--tints", "1,x"], "--tints 1,x: the form is comma-separated"),
+        (replay([1], "fullset:2,2"), "a game artifact must be an object"),
+        (replay(proof, "fullset:2,2"), 'kind "forall-script" replays only against rainbow:3'),
+        (replay(dict(proof, tree=5)), "round 1: tree must be an object, got 5"),
+        (replay(dict(proof, node_budget="x")), '"node_budget" must be an integer'),
+        (replay(dict(proof, round_bound=None)), '"round_bound" must be an integer'),
+        (replay(dict(proof, zeroth_graph=[1])), "graph must be an object"),
+        (replay(dict(proof, tree=dict(tree, forall=None))), "round 1: forall must be an object"),
+        (replay(dict(proof, tree=dict(tree, round=2))), "round 1: tree round must be 1"),
+        (replay(dict(proof, tree=dict(tree, responses=5))), "round 1: responses"),
+        (replay(dict(proof, tree=dict(tree, responses=[1]))),
+         "round 1: a response must be an object"),
+        (replay(dict(proof, tree=dict(tree, responses=[dict(first, subtree=[1])]
+                                      + tree["responses"][1:]))),
+         "round 2: subtree must be an object"),
+        (replay({"mode": "F", "nodes": 3}, "fullset:2,2"), "principal_play"),
+        (replay(forged(1, exists={"network": {"nodes": [0, 1], "labels": [1]}}), "fullset:2,2"),
+         "round 1: network labels must be an object, got [1]"),
+        (replay(forged(1, exists=[1]), "fullset:2,2"), "round 1: exists"),
+        (replay(forged(1, forall=dict(records[1]["forall"], face=0)), "fullset:2,2"),
+         "round 1: forall face must be a list of integers"),
+        (replay(forged(0, forall={"initial_atom": "0"}), "fullset:2,2"),
+         "round 0: forall initial_atom must be an integer"),
+        (replay(forged(1, exists="dead-end"), "fullset:2,2"),
+         "round 1: a dead-end must be the last record"),
+    ]
+    for argv, named in cases:
+        code = dispatch(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err, (argv, err)
+        if code == 2:
+            assert err.startswith("usage error: ") and named in err, (argv, err)
+        else:
+            results = json.loads(out)["results"]
+            assert code == 0 and results["ok"] is False, (argv, results)
+            assert named in results["reason"], (argv, results)

@@ -71,8 +71,7 @@ def test_legal_forall_moves_nonempty_and_sorted():
     net = nets[0]
     moves = backend.forall_moves([net], 4, set(net.nodes), "F")
     assert moves
-    keys = [m.key() for m in moves]
-    assert keys == sorted(keys)
+    assert moves == sorted(moves)
     # every offered atom satisfies the side condition b <= c_l N(face tuple)
     for m in moves[:25]:
         base = net.labels[G.insert_at(m.face, m.l, net.nodes[0])]
