@@ -16,6 +16,7 @@ row repunit `rep`, with bit r * W set for every row, replicates constants.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import random
 import re
@@ -30,6 +31,7 @@ from .errors import (
     UnboundVariable,
     json_field,
     json_ints,
+    json_size,
 )
 from . import setalg as sa
 from .topology import enumerate_topologies, make_topology, set_of
@@ -127,10 +129,7 @@ class AtomStructure:
         """Inverse of to_json; an omitted "interior" is the identity. A
         document of the wrong shape raises ValueError naming the field."""
         json_field(doc, dict, "an atom structure")
-        dim, k = doc.get("dim"), doc.get("atoms")
-        for name, value in (('"dim"', dim), ('"atoms"', k)):
-            if type(value) is not int or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        dim, k = (json_size(doc.get(name), f'"{name}"') for name in ("dim", "atoms"))
         for i, pairs in enumerate(json_field(doc.get("T"), list, '"T"', dim)):
             for pair in json_field(pairs, list, f"T[{i}]"):
                 json_ints(pair, f"a pair of T[{i}]", 2)
@@ -149,9 +148,9 @@ class AtomStructure:
             table = [0] * k
             for a, img in json_field(desc, dict, f'interior[{i}], if not "identity",').items():
                 json_ints(img, f"interior[{i}] entry {a}")
-                if int(a) not in range(k) or any(b not in range(k) for b in img):
-                    raise ValueError(f"interior[{i}] entry {a}: {img} names an atom "
-                                     f"outside 0..{k - 1}")
+                if not re.fullmatch(r"\d+", a) or not {int(a), *img} <= set(range(k)):
+                    raise ValueError(f"interior[{i}] entry {a}: {img}: the key and the "
+                                     f"atoms must lie in 0..{k - 1}")
                 table[int(a)] = sum(1 << b for b in set(img))
             interior.append(table)
         return AtomStructure.from_pairs(dim, k, doc["T"], diag, interior)
@@ -194,6 +193,10 @@ class Algebra:
     def random_element(self, rng: random.Random):
         raise NotImplementedError
 
+    def draws(self, rng: random.Random, count: int):
+        """`count` successive random_element(rng) draws, lazily."""
+        return map(self.random_element, itertools.repeat(rng, count))
+
     def power(self, rows: int) -> "Algebra":
         return self
 
@@ -217,6 +220,7 @@ class BitmaskAlgebra(Algebra):
         self.rows_per_batch = max(1, BATCH_BITS // (8 * self.row_bytes))
         self.zero = 0
         self.one = (1 << width) - 1
+        self._powers = {}
 
     def plus(self, a, b):
         return a | b
@@ -228,13 +232,19 @@ class BitmaskAlgebra(Algebra):
         return self.one & ~a
 
     def random_element(self, rng):
-        return rng.getrandbits(self.width)
+        return self.one & rng.getrandbits(self.width)
+
+    def draws(self, rng, count):
+        return map(self.one.__and__, map(rng.getrandbits, itertools.repeat(self.width, count)))
 
     def power(self, rows):
-        p = copy.copy(self)
-        stride = 8 * self.row_bytes
-        p.rep = ((1 << rows * stride) - 1) // ((1 << stride) - 1)
-        p.one = self.one * p.rep
+        """The power of `rows` rows, built once per instance."""
+        p = self._powers.get(rows)
+        if p is None:
+            p = self._powers[rows] = copy.copy(self)
+            stride = 8 * self.row_bytes
+            p.rep = ((1 << rows * stride) - 1) // ((1 << stride) - 1)
+            p.one, p._powers = self.one * p.rep, {}
         return p
 
     def pack(self, xs):
@@ -314,7 +324,6 @@ class SetAlgebra(BitmaskAlgebra):
     def __init__(self, space: sa.SetAlgebraSpace, boxes: str = "topology"):
         super().__init__(space.ncodes)
         self.one = space.full_bits
-        self.random_element = space.random_bits
         self.space = space
         self.dim = space.dim
         self._box = space.box_bits if boxes == "chang" else space.interior_bits
@@ -497,8 +506,10 @@ def check_equation(
     guards: Sequence[Tuple[int, int]] = (),
 ) -> dict:
     """Verdict plus counterexample. guards are (var, k) pairs demanding
-    k not in the dimension set of the environment's value for var. Each
-    batch of environments is one environment of a direct power of alg."""
+    k not in the dimension set of the environment's value for var. Sampled
+    environments come from one stream of `alg.draws`, variable by variable,
+    environment by environment. Each batch of environments is one
+    environment of a direct power of alg."""
     nvars = len(eq.vars)
     carrier = None
     if mode == "auto":
@@ -516,9 +527,7 @@ def check_equation(
             )
         envs = itertools.product(carrier, repeat=nvars)
     elif mode == "sampled":
-        rng = random.Random(seed)
-        # drawn variable by variable, environment by environment
-        draws = map(alg.random_element, itertools.repeat(rng, samples * nvars))
+        draws = alg.draws(random.Random(seed), samples * nvars)
         envs = zip(*[draws] * nvars) if nvars else itertools.repeat((), samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -551,9 +560,9 @@ def check_equation(
 V0, V1, V2 = var(0), var(1), var(2)
 
 
-def _ba_axioms():
+def _ca_axioms(dim):
     x, y, z = V0, V1, V2
-    return [
+    out = [
         ("BA+comm", Equation(("plus", x, y), ("plus", y, x)), ()),
         ("BA.comm", Equation(("times", x, y), ("times", y, x)), ()),
         ("BA+assoc", Equation(("plus", x, ("plus", y, z)), ("plus", ("plus", x, y), z)), ()),
@@ -565,11 +574,6 @@ def _ba_axioms():
         ("BA compl1", Equation(("plus", x, ("minus", x)), ("one",)), ()),
         ("BA compl2", Equation(("times", x, ("minus", x)), ("zero",)), ()),
     ]
-
-
-def _ca_axioms(dim):
-    out = list(_ba_axioms())
-    x, y = V0, V1
     for i in range(dim):
         out.append((f"CA2[c{i}0=0]", Equation(("cyl", i, ("zero",)), ("zero",)), ()))
         out.append((f"CA3[x<=c{i}x]", Equation(x, ("cyl", i, x), "le"), ()))
@@ -668,12 +672,12 @@ def _box_axioms(suite, dim):
 SUITES = ("CA", "TCA", "Chang", "S4Chang", "S5Chang")
 
 
-def axioms_for(suite: str, dim: int):
-    if suite == "CA":
-        return _ca_axioms(dim)
-    if suite in _BOX_SUITES:
-        return _box_axioms(suite, dim)
-    raise ValueError(f"unknown suite {suite!r}")
+@functools.lru_cache(maxsize=None)
+def axioms_for(suite: str, dim: int) -> tuple:
+    """(name, equation, guards) per axiom of the suite, built once per process."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return tuple(_ca_axioms(dim) if suite == "CA" else _box_axioms(suite, dim))
 
 
 def check_axiom_suite(
@@ -686,25 +690,21 @@ def check_axiom_suite(
     """Per-axiom verdicts; guarded axioms are tested on guard-passing
     environments only and report 'vacuous' when none exist."""
     results = []
-    failures = 0
-    vacuous = 0
     for idx, (name, eq, guards) in enumerate(axioms_for(suite, alg.dim)):
         res = check_equation(alg, eq, mode=mode, samples=samples,
                              seed=seed + idx, guards=guards)
         entry = {"axiom": name, "verdict": res["verdict"], "tested": res["tested"]}
         if res["verdict"] == "fails":
-            failures += 1
             entry["counterexample"] = {f"v{k}": repr(v) for k, v in res["counterexample"].items()}
-        if res["verdict"] == "vacuous":
-            vacuous += 1
         results.append(entry)
+    verdicts = [entry["verdict"] for entry in results]
     return {
         "suite": suite,
         "dim": alg.dim,
         "axioms": results,
-        "failures": failures,
-        "vacuous": vacuous,
-        "all_pass": failures == 0,
+        "failures": verdicts.count("fails"),
+        "vacuous": verdicts.count("vacuous"),
+        "all_pass": "fails" not in verdicts,
     }
 
 
@@ -820,11 +820,8 @@ def try_represent(alg: Algebra, max_base: int = 3) -> dict:
         return {"found": False, "reason": "no atoms"}
     n = alg.dim
     for u in range(1, max_base + 1):
-        topologies = [make_topology(u, preset="discrete")]
-        for t in enumerate_topologies(u):
-            if t not in topologies:
-                topologies.append(t)
-        for topo in topologies:
+        discrete = make_topology(u, preset="discrete")
+        for topo in [discrete] + [t for t in enumerate_topologies(u) if t != discrete]:
             space = sa.SetAlgebraSpace(n, u, topo)
             rep = _search_assignment(alg, atoms, space)
             if rep is not None:

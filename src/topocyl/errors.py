@@ -26,6 +26,13 @@ def json_ints(value, name: str, size: Optional[int] = None) -> list:
     raise ValueError(f"{name} must be a list of {count}integers, got {reprlib.repr(value)}")
 
 
+def json_size(value, name: str) -> int:
+    """value, if it is a non-negative integer (true and false are not)."""
+    if type(json_field(value, int, name)) is bool or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {reprlib.repr(value)}")
+    return value
+
+
 class WorkbenchError(Exception):
     """Base class for all workbench errors."""
 

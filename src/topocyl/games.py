@@ -910,7 +910,9 @@ def _verify_script_artifact(structure, artifact) -> dict:
                 raise ValueError(f"{name} round must be {r}, got {node.get('round')!r}")
             recorded = node.get("responses")
             if recorded != "dead-end":
-                for rec in json_field(recorded, list, 'responses, if not "dead-end",'):
+                if not json_field(recorded, list, 'responses, if not "dead-end",'):
+                    raise ValueError('a leaf must be recorded as "dead-end", not as []')
+                for rec in recorded:
                     json_field(rec, dict, "a response")
         except ValueError as exc:
             return f"round {r}: {exc}"

@@ -228,10 +228,6 @@ class SetAlgebraSpace:
                 return
             bits = (bits - self.full_bits) & self.full_bits
 
-    def random_bits(self, rng) -> int:
-        """The bits of a uniformly random subset of the unit."""
-        return rng.getrandbits(self.ncodes)
-
 
 class TupleSet:
     """An element of a set algebra: a set of dim-tuples as a code bitmask."""
@@ -416,9 +412,6 @@ class GeneralizedSpace(SetAlgebraSpace):
 
     def diag_bits(self, i: int, j: int) -> int:
         return self.full_bits & super().diag_bits(i, j)
-
-    def random_bits(self, rng) -> int:
-        return self.full_bits & super().random_bits(rng)
 
 
 def decompose_generalized(g: GeneralizedSpace, x: TupleSet) -> Tuple[TupleSet, ...]:

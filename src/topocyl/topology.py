@@ -20,6 +20,7 @@ from .errors import (
     SizeTooLarge,
     json_field,
     json_ints,
+    json_size,
 )
 
 ENUM_SIZE_CAP = 4
@@ -115,7 +116,7 @@ class FiniteTopology:
     @staticmethod
     def from_json(doc: dict) -> "FiniteTopology":
         """Inverse of to_json; a document of the wrong shape raises ValueError."""
-        size = json_field(json_field(doc, dict, "a topology").get("size"), int, '"size"')
+        size = json_size(json_field(doc, dict, "a topology").get("size"), '"size"')
         opens = json_field(doc.get("opens"), list, '"opens"')
         return make_topology(size, [bits_of(json_ints(o, f"opens[{i}]"), size)
                                     for i, o in enumerate(opens)])
@@ -168,7 +169,7 @@ class Preorder:
     @staticmethod
     def from_json(doc: dict) -> "Preorder":
         """Inverse of to_json; a document of the wrong shape raises ValueError."""
-        size = json_field(json_field(doc, dict, "a preorder").get("size"), int, '"size"')
+        size = json_size(json_field(doc, dict, "a preorder").get("size"), '"size"')
         leq = json_field(doc.get("leq"), list, '"leq"')
         return Preorder(size, [tuple(json_ints(p, f"leq[{i}]", 2)) for i, p in enumerate(leq)])
 

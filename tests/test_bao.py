@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -430,6 +431,33 @@ def test_direct_power_is_rowwise():
         assert p.rows_differ(x, p.pack(ys)) == want
 
 
+def test_draws_are_successive_random_elements():
+    """`draws(rng, k)` is k successive random_element(rng) calls, for a
+    complex algebra, a cube and a generalized space, and stays below the
+    unit."""
+    indiscrete = T.make_topology(2, preset="indiscrete")
+    g = S.GeneralizedSpace([S.SetAlgebraSpace(2, u, T.make_topology(u, preset="indiscrete"))
+                            for u in (1, 2)])
+    for alg in (B.cm(B.atom_structure_of(S.SetAlgebraSpace(2, 2, indiscrete))),
+                B.SetAlgebra(S.SetAlgebraSpace(3, 2, indiscrete)), B.SetAlgebra(g)):
+        for seed in range(3):
+            rng = random.Random(seed)
+            want = [alg.random_element(rng) for _ in range(40)]
+            assert list(alg.draws(random.Random(seed), 40)) == want
+            assert all(x & ~alg.one == 0 for x in want)
+
+
+def test_powers_are_built_once_per_algebra():
+    """A power is cached on the algebra it was taken of; a power of a power
+    is cached on that power and is not the algebra's own power."""
+    alg = B.SetAlgebra(S.SetAlgebraSpace(2, 2, T.make_topology(2, preset="discrete")))
+    p3 = alg.power(3)
+    assert alg.power(3) is p3 and alg.power(2) is not p3
+    pp = p3.power(2)
+    assert p3.power(2) is pp and pp is not alg.power(2)
+    assert pp.one == p3.one * alg.power(2).rep
+
+
 def _pin(res, tested, counterexample):
     assert (res["verdict"], res["tested"], res["counterexample"]) == \
         ("fails", tested, counterexample)
@@ -510,6 +538,30 @@ def test_axioms_for_pinned():
                 h.update(repr((name, eq.lhs, eq.rhs, eq.rel, guards)).encode())
         assert (h.hexdigest(), [len(B.axioms_for(suite, d)) for d in range(1, 5)]) == \
             (digest, sizes), suite
+
+
+def test_axioms_for_is_built_once():
+    for suite in B.SUITES:
+        axioms = B.axioms_for(suite, 3)
+        assert type(axioms) is tuple and B.axioms_for(suite, 3) is axioms
+
+
+def test_suite_reports_on_sweep_shapes_pinned():
+    """All five suites on every topology of the four sweep shapes, sampled:
+    a sha1 over the 330 reports (130 failed axioms, with counterexamples),
+    recorded before draws and powers were cached."""
+    h = hashlib.sha1()
+    failures = 0
+    for n, u in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for t_idx, topo in enumerate(T.enumerate_topologies(u)):
+            space = S.SetAlgebraSpace(n, u, topo, S.chang_from_topology(topo))
+            for s_idx, suite in enumerate(B.SUITES):
+                alg = B.SetAlgebra(space, "topology" if suite in ("CA", "TCA") else "chang")
+                rep = B.check_axiom_suite(alg, suite, mode="sampled", samples=24,
+                                          seed=1000 * t_idx + 10 * s_idx + n * u)
+                h.update(json.dumps(rep, sort_keys=True).encode())
+                failures += rep["failures"]
+    assert (failures, h.hexdigest()) == (130, "eb12a51454633d8f4543edce819c88db706a5a98")
 
 
 def test_atom_structure_json_round_trip():

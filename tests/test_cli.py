@@ -129,6 +129,8 @@ def test_structure_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys):
         (dict(good, D=dict(diag, x=[0])), "D key 'x'"),
         (dict(good, interior=[{"0": 0}, "identity"]), "interior[0] entry 0"),
         (dict(good, dim="2"), '"dim"'),
+        (dict(good, interior=[{"x": [0]}, "identity"]), "interior[0] entry x"),
+        (dict(good, atoms=-1), '"atoms" must be a non-negative integer'),
     ]
     path = tmp_path / "s.json"
     for doc, named in cases:
@@ -452,6 +454,8 @@ def test_malformed_documents_are_refused_naming_the_field(tmp_path, capsys):
     cases = [
         (["topo", "check", "--json", "[1]"], "a topology must be an object"),
         (["topo", "check", "--json", '{"size": "2", "opens": []}'], '"size" must be an integer'),
+        (["topo", "check", "--json", '{"size": -1, "opens": []}'],
+         '"size" must be a non-negative integer, got -1'),
         (["topo", "check", "--json", '{"size": 2}'], '"opens" must be a list'),
         (["topo", "check", "--json", '{"size": 2, "opens": [[], [0, "a"]]}'],
          "opens[1] must be a list of integers"),
@@ -462,6 +466,8 @@ def test_malformed_documents_are_refused_naming_the_field(tmp_path, capsys):
         (model(kind="kripke"), "a preorder must be an object"),
         (model(kind="kripke", preorder={"size": 2, "leq": [[0]]}),
          "leq[0] must be a list of 2 integers"),
+        (model(kind="kripke", preorder={"size": -2, "leq": []}),
+         '"size" must be a non-negative integer, got -2'),
         (model(kind="dynamic", map=5), '"map" must be a list of integers'),
         (model(kind="dynamic"), '"map" must be a list of integers'),
         (model(valuation=[[0]]), '"valuation" must be an object'),

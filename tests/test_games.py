@@ -815,6 +815,21 @@ def test_script_certificate_responses_replayed_in_order(rainbow_structure):
         assert not chk["ok"] and chk["reason"].startswith("round 1:"), bad
 
 
+def test_script_leaf_recorded_as_empty_list_refused(rainbow_structure):
+    """A leaf is recorded as "dead-end"; the same leaf recorded as an empty
+    list of responses is refused, not replayed as a leaf that does not
+    count."""
+    proof = G.verify_forall_script(rainbow_structure)
+    assert G.verify_transcript(rainbow_structure, proof)["dead_ends"] == 6
+    tampered = json.loads(json.dumps(proof))
+    node = tampered["tree"]
+    while node["responses"] != "dead-end":
+        node = node["responses"][0]["subtree"]
+    node["responses"] = []
+    chk = G.verify_transcript(rainbow_structure, tampered)
+    assert not chk["ok"] and chk["reason"].startswith(f"round {node['round']}: "), chk
+
+
 def test_exists_network_must_extend_the_network_it_answers():
     """A play's Exists network keeps the nodes and atoms of the network it
     answers and adds the node k, nothing else."""
