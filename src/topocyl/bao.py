@@ -59,10 +59,12 @@ class AtomStructure:
         self.interior = list(interior) if interior is not None else [None] * dim
         if len(self.T) != dim:
             raise ValueError("one accessibility relation per index required")
-        full = (1 << num_atoms) - 1
         for table in self.T + [desc for desc in self.interior if desc is not None]:
-            if len(table) != num_atoms or any(img & ~full for img in table):
+            if len(table) != num_atoms or any(img >> num_atoms for img in table):
                 raise ValueError("a relation table must map every atom to a set of atoms")
+        for (i, j) in self.D:
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f'D key "{i},{j}" names an index outside 0..{dim - 1}')
         for (i, j) in itertools.product(range(dim), repeat=2):
             if (i, j) not in self.D:
                 raise ValueError(f"missing diagonal atom set D[{i},{j}]")

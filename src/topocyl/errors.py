@@ -38,7 +38,8 @@ class WorkbenchError(Exception):
 
 
 class MissingEmptyOrFull(WorkbenchError):
-    pass
+    def __init__(self, size: int):
+        super().__init__(f"opens must contain {{}} and the full base of size {size}")
 
 
 class NotClosedUnderUnion(WorkbenchError):

@@ -237,7 +237,7 @@ class GenericBackend:
         return range(self.s.num_atoms)
 
     def ti_rel(self, i, a, b):
-        return bool(self.s.T[i][a] >> b & 1)
+        return self.s.is_atom(b) and bool(self.s.T[i][a] >> b & 1)
 
     def atom_of(self, net: AtomicNetwork, t) -> int:
         return net.labels[tuple(t)]

@@ -2,12 +2,14 @@
 
 Formulas are tagged tuples: ("atom", k), ("not", f), ("and", f, g),
 ("or", f, g), ("imp", f, g), ("I", f) for the interior box and ("X", f)
-for the temporal next. One walker evaluates every semantics. A satisfaction
-set is an int bitmask over the points of one model, or, for a batch, a bool
-array (V, size) with one row per valuation, or, in the countermodel search,
-a uint8 array of point masks with one entry per frame and valuation. `~` on
-an int or a uint8 also sets every bit above the base, so those results are
-masked once with `full &`.
+for the temporal next. The one table SYNTAX gives each connective's symbol,
+tag, JSON name and binding power, and the tokenizer, the parser, the printer
+and the JSON reader and writer all read it. One walker evaluates every
+semantics. A satisfaction set is an int bitmask over the points of one
+model, or, for a batch, a bool array (V, size) with one row per valuation,
+or, in the countermodel search, a uint8 array of point masks with one entry
+per frame and valuation. `~` on an int or a uint8 also sets every bit above
+the base, so those results are masked once with `full &`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import re
 from functools import lru_cache, partial
 from typing import Dict, Iterable, Optional
 
@@ -32,8 +35,23 @@ from .topology import (
 
 Formula = tuple
 
-BINARY = {"and", "or", "imp"}
-UNARY = {"not", "I", "X"}
+# The formula syntax: symbol -> (tag, JSON name, binding power). Power 0
+# marks a prefix, which binds tighter than every binary connective; `->` is
+# the only binary connective that groups to the right.
+SYNTAX = {
+    "~": ("not", "not", 0),
+    "I": ("I", "I", 0),
+    "X": ("X", "X", 0),
+    "&": ("and", "and", 3),
+    "|": ("or", "or", 2),
+    "->": ("imp", "implies", 1),
+}
+RIGHT_GROUPING = {"->"}
+BINARY = {tag for tag, _, power in SYNTAX.values() if power}
+_POWER = {sym: power for sym, (_, _, power) in SYNTAX.items() if power}
+_SYMBOL = {tag: sym for sym, (tag, _, _) in SYNTAX.items()}
+_JSON_NAME = {tag: name for tag, name, _ in SYNTAX.values()}
+_TAG = {name: tag for tag, name in _JSON_NAME.items()}
 
 
 def atom(k: int) -> Formula:
@@ -42,26 +60,6 @@ def atom(k: int) -> Formula:
 
 def neg(f: Formula) -> Formula:
     return ("not", f)
-
-
-def conj(f: Formula, g: Formula) -> Formula:
-    return ("and", f, g)
-
-
-def disj(f: Formula, g: Formula) -> Formula:
-    return ("or", f, g)
-
-
-def implies(f: Formula, g: Formula) -> Formula:
-    return ("imp", f, g)
-
-
-def box(f: Formula) -> Formula:
-    return ("I", f)
-
-
-def nxt(f: Formula) -> Formula:
-    return ("X", f)
 
 
 def atoms_of(f: Formula) -> frozenset:
@@ -82,124 +80,85 @@ def modal_depth(f: Formula) -> int:
 
 
 def parse(text: str) -> Formula:
-    """Parse `p0, ~, &, |, ->, I, X` with parentheses; -> is right associative."""
-    toks = _tokenize(text)
-    pos = [0]
+    """Parse atoms `p0, p1, ...`, the connectives of SYNTAX and parentheses
+    by precedence climbing."""
+    toks = _tokenize(text) + [None]  # None ends the input
+    pos = 0
 
-    def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
-
-    def take(expected=None):
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise SyntaxError(f"expected {expected!r}, got {tok!r} in {text!r}")
-        pos[0] += 1
-        return tok
-
-    def parse_imp():
-        lhs = parse_or()
-        if peek() == "->":
-            take()
-            return implies(lhs, parse_imp())
-        return lhs
-
-    def parse_or():
-        lhs = parse_and()
-        while peek() == "|":
-            take()
-            lhs = disj(lhs, parse_and())
-        return lhs
-
-    def parse_and():
-        lhs = parse_unary()
-        while peek() == "&":
-            take()
-            lhs = conj(lhs, parse_unary())
-        return lhs
-
-    def parse_unary():
-        tok = peek()
-        if tok == "~":
-            take()
-            return neg(parse_unary())
-        if tok == "I":
-            take()
-            return box(parse_unary())
-        if tok == "X":
-            take()
-            return nxt(parse_unary())
+    def operand():
+        """An atom, a prefix and its operand, or a parenthesised formula."""
+        nonlocal pos
+        tok = toks[pos]
+        pos += 1
         if tok == "(":
-            take()
-            inner = parse_imp()
-            take(")")
+            inner = climb(1)
+            if toks[pos] != ")":
+                raise SyntaxError(f"expected ')', got {toks[pos]!r} in {text!r}")
+            pos += 1
             return inner
-        if tok is not None and tok.startswith("p"):
-            take()
-            return atom(int(tok[1:]))
+        if tok in SYNTAX and tok not in _POWER:
+            return (SYNTAX[tok][0], operand())
+        if tok is not None and tok[0] == "p":
+            return ("atom", int(tok[1:]))
         raise SyntaxError(f"unexpected token {tok!r} in {text!r}")
 
-    out = parse_imp()
-    if pos[0] != len(toks):
+    def climb(least: int) -> Formula:
+        """Operands joined by binary connectives of power at least `least`."""
+        nonlocal pos
+        lhs = operand()
+        while _POWER.get(toks[pos], 0) >= least:
+            sym = toks[pos]
+            pos += 1
+            power = _POWER[sym]
+            lhs = (SYNTAX[sym][0], lhs, climb(power if sym in RIGHT_GROUPING else power + 1))
+        return lhs
+
+    out = climb(1)
+    if toks[pos] is not None:
         raise SyntaxError(f"trailing tokens in {text!r}")
     return out
 
 
-def _tokenize(text: str):
+# a token after optional space, or the first character that starts none
+_TOKEN = re.compile(r"\s*(?:(p\d+|[()]|%s)|(\S))"
+                    % "|".join(map(re.escape, sorted(SYNTAX, key=len, reverse=True))))
+
+
+def _tokenize(text: str) -> list:
     toks = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "~&|()IX":
-            toks.append(c)
-            i += 1
-        elif text.startswith("->", i):
-            toks.append("->")
-            i += 2
-        elif c == "p":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise SyntaxError(f"atom needs an index at {i} in {text!r}")
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise SyntaxError(f"bad character {c!r} in {text!r}")
+    for m in _TOKEN.finditer(text):
+        tok, bad = m.groups()
+        if bad == "p":
+            raise SyntaxError(f"atom needs an index at {m.start(2)} in {text!r}")
+        if bad is not None:
+            raise SyntaxError(f"bad character {bad!r} in {text!r}")
+        toks.append(tok)
     return toks
 
 
 def unparse(f: Formula) -> str:
     if f[0] == "atom":
         return f"p{f[1]}"
-    if f[0] == "not":
-        return f"~{unparse(f[1])}"
-    if f[0] == "I":
-        return f"I{unparse(f[1])}"
-    if f[0] == "X":
-        return f"X{unparse(f[1])}"
-    op = {"and": "&", "or": "|", "imp": "->"}[f[0]]
-    return f"({unparse(f[1])} {op} {unparse(f[2])})"
+    if f[0] in BINARY:
+        return f"({unparse(f[1])} {_SYMBOL[f[0]]} {unparse(f[2])})"
+    return _SYMBOL[f[0]] + unparse(f[1])
 
 
 def to_json(f: Formula) -> dict:
     if f[0] == "atom":
         return {"op": "atom", "index": f[1]}
-    if f[0] in UNARY:
-        return {"op": f[0], "arg": to_json(f[1])}
-    name = "implies" if f[0] == "imp" else f[0]
-    return {"op": name, "lhs": to_json(f[1]), "rhs": to_json(f[2])}
+    if f[0] in BINARY:
+        return {"op": _JSON_NAME[f[0]], "lhs": to_json(f[1]), "rhs": to_json(f[2])}
+    return {"op": _JSON_NAME[f[0]], "arg": to_json(f[1])}
 
 
 def from_json(doc: dict) -> Formula:
-    op = doc["op"]
-    if op == "atom":
+    if doc["op"] == "atom":
         return atom(doc["index"])
-    if op in UNARY:
-        return (op, from_json(doc["arg"]))
-    tag = "imp" if op == "implies" else op
-    return (tag, from_json(doc["lhs"]), from_json(doc["rhs"]))
+    tag = _TAG[doc["op"]]
+    if tag in BINARY:
+        return (tag, from_json(doc["lhs"]), from_json(doc["rhs"]))
+    return (tag, from_json(doc["arg"]))
 
 
 # -- models --------------------------------------------------------------

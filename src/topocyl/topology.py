@@ -55,7 +55,7 @@ class FiniteTopology:
         full = (1 << size) - 1
         fam = sorted(set(opens))
         if 0 not in fam or full not in fam:
-            raise MissingEmptyOrFull(f"opens must contain {{}} and the full base of size {size}")
+            raise MissingEmptyOrFull(size)
         for o in fam:
             if o & ~full:
                 raise OutOfRangePoint(f"open {set_of(o)} not a subset of the base")
@@ -117,9 +117,13 @@ class FiniteTopology:
     def from_json(doc: dict) -> "FiniteTopology":
         """Inverse of to_json; a document of the wrong shape raises ValueError."""
         size = json_size(json_field(doc, dict, "a topology").get("size"), '"size"')
-        opens = json_field(doc.get("opens"), list, '"opens"')
-        return make_topology(size, [bits_of(json_ints(o, f"opens[{i}]"), size)
-                                    for i, o in enumerate(opens)])
+        opens = [json_ints(o, f"opens[{i}]")
+                 for i, o in enumerate(json_field(doc.get("opens"), list, '"opens"'))]
+        # the full base, an open of `size` points, checked before any mask
+        # as wide as `size` is built
+        if size > max(map(len, opens), default=0):
+            raise MissingEmptyOrFull(size)
+        return make_topology(size, [bits_of(o, size) for o in opens])
 
 
 class Preorder:
@@ -170,8 +174,12 @@ class Preorder:
     def from_json(doc: dict) -> "Preorder":
         """Inverse of to_json; a document of the wrong shape raises ValueError."""
         size = json_size(json_field(doc, dict, "a preorder").get("size"), '"size"')
-        leq = json_field(doc.get("leq"), list, '"leq"')
-        return Preorder(size, [tuple(json_ints(p, f"leq[{i}]", 2)) for i, p in enumerate(leq)])
+        leq = [tuple(json_ints(p, f"leq[{i}]", 2))
+               for i, p in enumerate(json_field(doc.get("leq"), list, '"leq"'))]
+        # every point x needs its pair (x, x)
+        if size > len(leq):
+            raise ValueError(f'"size" {size} exceeds the {len(leq)} pairs of "leq"')
+        return Preorder(size, leq)
 
 
 # -- constructors -------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -562,6 +563,28 @@ def test_suite_reports_on_sweep_shapes_pinned():
                 h.update(json.dumps(rep, sort_keys=True).encode())
                 failures += rep["failures"]
     assert (failures, h.hexdigest()) == (130, "eb12a51454633d8f4543edce819c88db706a5a98")
+
+
+def test_atom_structure_refuses_a_diagonal_key_outside_the_dimension():
+    diag = {"0,0": [0], "0,1": [], "1,0": [], "1,1": [0], "5,7": [0]}
+    doc = {"dim": 2, "atoms": 1, "T": [[[0, 0]], [[0, 0]]], "D": diag}
+    with pytest.raises(ValueError, match='D key "5,7" names an index outside 0..1'):
+        B.AtomStructure.from_json(doc)
+    D = {(i, j): 1 for i in range(2) for j in range(2)}
+    with pytest.raises(ValueError, match='D key "0,2"'):
+        B.AtomStructure(2, 1, [[1], [1]], {**D, (0, 2): 1})
+
+
+def test_atom_structure_tables_are_checked_in_linear_time():
+    """Each table entry is range-checked without building an int as wide
+    as the atom count, so a large structure is read in linear time."""
+    start = time.perf_counter()
+    s = B.AtomStructure.from_json({"dim": 1, "atoms": 400_000, "T": [[]], "D": {"0,0": []}})
+    assert s.num_atoms == 400_000 and time.perf_counter() - start < 5
+    with pytest.raises(ValueError, match="a relation table must map every atom"):
+        B.AtomStructure(1, 2, [[0, 0b100]], {(0, 0): 0})
+    with pytest.raises(ValueError, match="a relation table must map every atom"):
+        B.AtomStructure(1, 2, [[0, -1]], {(0, 0): 0})
 
 
 def test_atom_structure_json_round_trip():

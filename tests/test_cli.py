@@ -42,6 +42,10 @@ def test_topo_check(tmp_path):
     code, doc = run(tmp_path, "topo", "check",
                     "--json", '{"size":2,"opens":[[],[0]]}')
     assert code == 0 and doc["results"]["verdict"] == "invalid"
+    # no open can be the full base, so no mask of 10^9 bits is built
+    code, doc = run(tmp_path, "topo", "check",
+                    "--json", '{"size":1000000000,"opens":[[],[0]]}')
+    assert code == 0 and doc["results"]["error"] == "MissingEmptyOrFull"
     path = tmp_path / "topology.json"
     path.write_text('{"size":2,"opens":[[],[0],[0,1]]}')
     code, doc = run(tmp_path, "topo", "check", "--json", str(path))
@@ -384,6 +388,11 @@ RAINBOW_STDOUT_PINS = [
      "81beb948d90277213f3123d3f3a759229a1c7c12"),
     (shlex.split("game solve --structure fullset:2,3 --nodes 5 --rounds 3"),
      "5a823ef3d45184c3def96c87847826d726cd0de1"),
+    # the README's `modal countermodel` and `modal equiv` reports
+    (shlex.split('modal countermodel --formula "p0 -> I p0" --max-size 3 --mode topo'),
+     "dda42ddc3aef9fdd6dd0d5a696c4204065294f4b"),
+    (shlex.split("modal equiv --max-size 4 --depth 3 --seed 7 --expect true"),
+     "bcc3c41ef702a7ef476df9cd3d2482208d9a39d3"),
 ]
 
 
@@ -468,6 +477,8 @@ def test_malformed_documents_are_refused_naming_the_field(tmp_path, capsys):
          "leq[0] must be a list of 2 integers"),
         (model(kind="kripke", preorder={"size": -2, "leq": []}),
          '"size" must be a non-negative integer, got -2'),
+        (model(kind="kripke", preorder={"size": 10**9, "leq": [[0, 0]]}),
+         '"size" 1000000000 exceeds the 1 pairs of "leq"'),
         (model(kind="dynamic", map=5), '"map" must be a list of integers'),
         (model(kind="dynamic"), '"map" must be a list of integers'),
         (model(valuation=[[0]]), '"valuation" must be an object'),
@@ -477,6 +488,8 @@ def test_malformed_documents_are_refused_naming_the_field(tmp_path, capsys):
          "interior[0]"),
         (["bao", "cm", "--structure", path(dict(structure, D=dict(diag, **{"1,1": 1})))],
          "D[1,1]"),
+        (["bao", "cm", "--structure", path(dict(structure, D=dict(diag, **{"5,7": [0]})))],
+         'D key "5,7" names an index outside 0..1'),
         (["game", "script", "--tints", "1,2"],
          "--tints 1,2: the form is a permutation of 1..4"),
         (["game", "script", "--tints", "1,1,2,3"], "--tints 1,1,2,3: the form is a permutation"),
@@ -501,6 +514,11 @@ def test_malformed_documents_are_refused_naming_the_field(tmp_path, capsys):
         (replay(forged(1, exists=[1]), "fullset:2,2"), "round 1: exists"),
         (replay(forged(1, forall=dict(records[1]["forall"], face=0)), "fullset:2,2"),
          "round 1: forall face must be a list of integers"),
+        # a Forall atom outside 0..num_atoms-1 is an illegal move
+        (replay(forged(1, forall=dict(records[1]["forall"], atom=-1)), "fullset:2,2"),
+         "illegal move at round 1"),
+        (replay(forged(1, forall=dict(records[1]["forall"], atom=10**30)), "fullset:2,2"),
+         "illegal move at round 1"),
         (replay(forged(0, forall={"initial_atom": "0"}), "fullset:2,2"),
          "round 0: forall initial_atom must be an integer"),
         (replay(forged(1, exists="dead-end"), "fullset:2,2"),

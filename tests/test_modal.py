@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -14,11 +15,78 @@ def test_parser_and_json():
     assert M.from_json(M.to_json(f)) == f
     assert M.parse(M.unparse(f)) == f
     assert M.parse("~~p0") == M.neg(M.neg(M.atom(0)))
-    assert M.parse("p0 -> p1 -> p2") == M.implies(M.atom(0), M.implies(M.atom(1), M.atom(2)))
+    assert M.parse("p0 -> p1 -> p2") == ("imp", ("atom", 0), ("imp", ("atom", 1), ("atom", 2)))
     with pytest.raises(SyntaxError):
         M.parse("p0 &")
     with pytest.raises(SyntaxError):
         M.parse("q0")
+
+
+def test_connectives_bind_and_group_as_documented():
+    """Prefixes bind tightest, then &, then |, then ->; & and | group to
+    the left and -> to the right."""
+    assert M.unparse(M.parse("p0 & p1 | p2 -> p0")) == "(((p0 & p1) | p2) -> p0)"
+    assert M.parse("p0 & p1 & p2") == ("and", ("and", ("atom", 0), ("atom", 1)), ("atom", 2))
+    assert M.parse("p0 | p1 | p2") == ("or", ("or", ("atom", 0), ("atom", 1)), ("atom", 2))
+    assert M.parse("p0 -> p1 -> p2") == ("imp", ("atom", 0), ("imp", ("atom", 1), ("atom", 2)))
+    assert M.unparse(M.parse("~I X p0 & p1")) == "(~IXp0 & p1)"
+    assert M.parse("p01") == ("atom", 1)
+    assert M.to_json(M.parse("p0 -> p1"))["op"] == "implies"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected token None in ''"),
+    ("p", "atom needs an index at 0 in 'p'"),
+    ("q0", "bad character 'q' in 'q0'"),
+    ("p0 &", "unexpected token None in 'p0 &'"),
+    ("(p0", "expected ')', got None in '(p0'"),
+    ("(p0 p1", "expected ')', got 'p1' in '(p0 p1'"),
+    ("p0)", "trailing tokens in 'p0)'"),
+    ("p0 p1", "trailing tokens in 'p0 p1'"),
+    ("-> p0", "unexpected token '->' in '-> p0'"),
+    ("p0 - > p1", "bad character '-' in 'p0 - > p1'"),
+])
+def test_malformed_formulas_raise_syntax_errors(text, message):
+    with pytest.raises(SyntaxError) as err:
+        M.parse(text)
+    assert str(err.value) == message
+
+
+def test_parse_inverts_unparse():
+    rng = random.Random(4)
+    for _ in range(500):
+        f = M.random_formula(rng, 3, 3, allow_next=True)
+        text = M.unparse(f)
+        assert M.parse(text) == f and M.parse(text.replace(" ", "")) == f
+        assert M.from_json(M.to_json(f)) == f
+
+
+def test_syntax_corpus_pinned():
+    """Random token strings and damaged printed formulas, each mapped to
+    its reprint or to SyntaxError; the digest was recorded before the
+    parser was rebuilt on the connective table."""
+    rng = random.Random(18)
+    pieces = ["p0", "p1", "p12", "p", " ", "~", "&", "|", "->", "-", ">", "(", ")", "I", "X",
+              "q", "0"]
+    texts = ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 9)))
+             for _ in range(10_000)]
+    for _ in range(4_000):
+        text = M.unparse(M.random_formula(rng, 3, 3, allow_next=True))
+        if rng.random() < 0.5:
+            text = text.replace(" ", "")
+        if rng.random() < 0.5:
+            k = rng.randrange(len(text))
+            text = text[:k] + text[k + 1:]
+        texts.append(text)
+    lines = []
+    for text in texts:
+        try:
+            lines.append(M.unparse(M.parse(text)))
+        except SyntaxError:
+            lines.append("SyntaxError")
+    assert sum(line != "SyntaxError" for line in lines) == 2_684
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "08b0102c345bab9851cd527c7935bac2eeb0e01d"
 
 
 def test_depth_counts_modal_operators_only():

@@ -27,6 +27,18 @@ def test_presets():
     assert [sorted(T.set_of(o)) for o in i.opens] == [[], [0, 1]]
 
 
+def test_documents_hold_no_fewer_entries_than_their_size():
+    """A topology lists its full base among its opens and a preorder lists
+    (x, x) for every point, so a larger "size" is refused before anything
+    of that size is built."""
+    with pytest.raises(MissingEmptyOrFull, match="full base of size 1000000000"):
+        T.FiniteTopology.from_json({"size": 10**9, "opens": [[], [0]]})
+    with pytest.raises(ValueError, match='"size" 1000000000 exceeds the 1 pairs of "leq"'):
+        T.Preorder.from_json({"size": 10**9, "leq": [[0, 0]]})
+    assert T.FiniteTopology.from_json({"size": 0, "opens": [[]]}).size == 0
+    assert T.Preorder.from_json({"size": 0, "leq": []}).size == 0
+
+
 def test_make_topology_validates():
     t = T.make_topology(3, [[], [0], [0, 1], [0, 1, 2]])
     assert len(t.opens) == 4
