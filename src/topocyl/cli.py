@@ -343,7 +343,15 @@ def cmd_bao_represent(args):
 # -- rainbow ---------------------------------------------------------------
 
 
+def _check_limit(args):
+    """--limit counts atoms from the first; a negative one is refused
+    before the atom table is built."""
+    if args.limit < 0:
+        raise ValueError(f"--limit must be at least 0, got {args.limit}")
+
+
 def cmd_rainbow_atoms(args):
+    _check_limit(args)
     sig = rainbow.signature(args.n)
     table = rainbow.enumerate_atoms(sig)
     results = {"signature": sig.summary(), "atom_count": table.count,
@@ -352,6 +360,7 @@ def cmd_rainbow_atoms(args):
 
 
 def cmd_rainbow_structure(args):
+    _check_limit(args)
     s = rainbow.build_atom_structure(rainbow.signature(args.n))
     return _finish(args, s.to_json_head(args.limit), s.num_atoms, "rainbow structure")
 

@@ -20,6 +20,7 @@ and 2, `tiles` of axis 0) and the run of codes of each kernel
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -345,11 +346,15 @@ def is_valid_coloured_graph(g: ColouredGraph) -> Verdict:
 #
 # Atoms are surjections a: 3 -> M onto valid coloured graphs, quotiented by
 # label agreement; equivalently, a kernel partition of {0,1,2} plus the
-# pulled-back pair data. Packed atom code (int64):
+# pulled-back pair data. Packed atom code:
 #   code = ((kid*512 + p01)*512 + p02)*512 + p12
 # where pXY = edge*33 + yellow, edge in 0..12 (13 = identified slot),
 # yellow in 0..31 (32 = none). Ascending code order is the canonical atom
-# order (kernel class major, then pair data lexicographically).
+# order (kernel class major, then pair data lexicographically). Every code
+# is below 5 << 27, so the table is CODE_DTYPE (int32), and a code to look
+# up is first refused unless 0 <= code < CODE_END, then taken to that dtype:
+# numpy compares an int32 table with a Python int by copying the whole table
+# to int64.
 
 KERNELS = (
     ((0, 1, 2),),
@@ -371,6 +376,16 @@ PAIR_SLOTS = 512
 EDGE_NONE = 13
 YELLOW_NONE = 32
 IDENT_PAIR = EDGE_NONE * PAIR_BASE + YELLOW_NONE
+CODE_DTYPE = np.int32
+CODE_END = int(np.iinfo(CODE_DTYPE).max) + 1
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, no longer writeable: the code table and the tables derived from
+    it are cached and shared, so a write into one would change every later
+    verdict."""
+    a.flags.writeable = False
+    return a
 
 
 def pack_atom(kid: int, pairs: Dict[Tuple[int, int], int]) -> int:
@@ -399,7 +414,7 @@ class AtomTable:
         self.sig = sig
         self.colours = sig.edge_colours()
         self.colour_index = {c: e for e, c in enumerate(self.colours)}
-        self.codes = self._enumerate()
+        self.codes = _read_only(self._enumerate())
         self.count = int(self.codes.shape[0])
 
     def _enumerate(self) -> np.ndarray:
@@ -409,13 +424,17 @@ class AtomTable:
         Each non-green pair may carry every shade that holds the tints of
         the cones on it; its yellow enters the code once per code slot the
         pair pulls back to, so each pair adds its shades times one weight.
-        Every code is below 5 << 27, so the codes are built and sorted as
-        int32, which halves the memory traffic, and widened at the end.
+        A first walk keeps each colouring's base code and the shade vectors
+        of its pairs; the codes of a colouring are their outer sum. The
+        table is then allocated once in its final dtype, each colouring's
+        outer sum is written into its own slice, and the table is sorted
+        in place.
         """
         sig = self.sig
-        ys = np.arange(1 << sig.yellow_universe, dtype=np.int32)
-        shades = {}
-        chunks = []
+        ys = np.arange(1 << sig.yellow_universe, dtype=CODE_DTYPE)
+        terms = {}   # (shade need, weight) -> the shades times the weight
+        plan = []
+        total = 0
         for kid, blocks in enumerate(KERNELS):
             # delta[i]: the block of index i
             delta = [b for i in range(3) for b, block in enumerate(blocks) if i in block]
@@ -433,16 +452,26 @@ class AtomTable:
                     tints[tuple(sorted(base))].add(tint)
                 for p in tints:
                     g.set_yellow(p, frozenset())
-                grid = np.int32(self.atom_of_tuple(g, delta))
+                vectors = []
                 for p, ts in tints.items():
-                    need = sum(1 << t for t in ts)
-                    if need not in shades:
-                        shades[need] = ys[ys & need == need]
-                    grid = np.add.outer(grid, shades[need] * weight[p])
-                chunks.append(np.ravel(grid))
-        codes = np.concatenate(chunks)
+                    key = (sum(1 << t for t in ts), weight[p])
+                    if key not in terms:
+                        terms[key] = ys[ys & key[0] == key[0]] * key[1]
+                    vectors.append(terms[key])
+                plan.append((self.atom_of_tuple(g, delta), vectors))
+                total += math.prod(v.shape[0] for v in vectors)
+        codes = np.empty(total, dtype=CODE_DTYPE)
+        lo = 0
+        for base, vectors in plan:
+            head = np.full(1, base, dtype=CODE_DTYPE)
+            for v in vectors[:-1]:
+                head = np.add.outer(head, v).ravel()
+            last = vectors[-1] if vectors else np.zeros(1, dtype=CODE_DTYPE)
+            hi = lo + head.shape[0] * last.shape[0]
+            np.add.outer(head, last, out=codes[lo:hi].reshape(head.shape[0], last.shape[0]))
+            lo = hi
         codes.sort()
-        return codes.astype(np.int64)
+        return codes
 
     # decoding ----------------------------------------------------------
 
@@ -519,16 +548,18 @@ def enumerate_atoms(sig: RainbowSignature) -> AtomTable:
 # -- atom structure and its lazy complex algebra ------------------------------
 
 # Atoms per block in the passes over the atom table that build a derived
-# table: a key field, a run table or the tile table. A block's temporaries
-# stay in cache and none is the size of the atom table. The cylindrifier
-# allocates nothing that size but its result.
+# table: a key field or the group starts. A block's temporaries stay in
+# cache and none is the size of the atom table. The cylindrifier allocates
+# nothing that size but its result.
 CYL_BLOCK = 1 << 16
 
-# The i-th cylindrifier key is the 9-bit slot (code >> 9i) & 511. For i >= 1
-# the slot sits above the lowest one, so ascending codes group it into runs
-# of equal keys (68,645 on axis 1, 784 on axis 2) and cyl works on the run
-# table. The lowest slot, axis 0, changes at almost every atom (10,893,996
-# runs for 10,894,256 atoms), but it repeats in tiles: cyl on axis 0 works
+# The i-th cylindrifier key is the 9-bit slot (code >> 9i) & 511. The atoms
+# sharing code >> 9 (kid, p01, p02) are consecutive, one group each (68,905
+# groups), and share their keys on axes 1 and 2. For i >= 1 ascending codes
+# so group the key into runs of equal keys (68,645 on axis 1, 784 on axis
+# 2), each a stretch of whole groups, and cyl works on the run table. The
+# lowest slot, axis 0, changes at almost every atom (10,893,996 runs for
+# 10,894,256 atoms), but it repeats in tiles of groups: cyl on axis 0 works
 # on the tile table.
 RUN_AXES = (1, 2)
 
@@ -541,10 +572,12 @@ class RainbowStructure:
     E_ij holds when the kernel identifies i and j; the interior relations
     are the identity.
 
-    Key fields (uint16), the run tables of RUN_AXES, the axis-0 tile table
-    and the diagonal masks are derived from the codes on first use, one at a
-    time. A diagonal mask repeats one verdict per kernel over the kernel's
-    run of codes.
+    Key fields (uint16), the group starts, the run tables of RUN_AXES, the
+    axis-0 tile table and the diagonal masks are derived from the codes on
+    first use, one at a time, and are read-only. The group starts are the
+    one scan of the codes behind the run and tile tables. A diagonal mask
+    repeats one verdict per kernel over the kernel's run of codes; every
+    d_ii is one shared all-true mask.
     """
 
     def __init__(self, table: AtomTable):
@@ -554,6 +587,7 @@ class RainbowStructure:
         self.codes = table.codes
         self.num_atoms = table.count
         self._keys = {}
+        self._gstarts = None
         self._runs = {}
         self._tiles = None
         self._diag = {}
@@ -567,44 +601,47 @@ class RainbowStructure:
             out = np.empty(self.num_atoms, dtype=np.uint16)
             for lo in range(0, self.num_atoms, CYL_BLOCK):
                 out[lo:lo + CYL_BLOCK] = (codes[lo:lo + CYL_BLOCK] >> 9 * i) & (PAIR_SLOTS - 1)
-            self._keys[i] = out
+            self._keys[i] = _read_only(out)
         return self._keys[i]
 
-    def _run_starts(self, shift: int, mask: int) -> np.ndarray:
-        """Starts of the maximal runs of equal (code >> shift) & mask in
-        code order, block by block."""
-        codes = self.codes
-        starts = [np.zeros(1, dtype=np.intp)]
-        for lo in range(1, self.num_atoms, CYL_BLOCK):
-            key = (codes[lo - 1:lo + CYL_BLOCK] >> shift) & mask
-            starts.append(np.flatnonzero(key[1:] != key[:-1]) + lo)
-        return np.concatenate(starts)
+    def _group_starts(self) -> np.ndarray:
+        """Starts of the groups, the maximal runs of equal code >> 9, in code
+        order; found block by block in one scan of the codes."""
+        if self._gstarts is None:
+            codes = self.codes
+            starts = [np.zeros(1, dtype=np.intp)]
+            for lo in range(1, self.num_atoms, CYL_BLOCK):
+                key = codes[lo - 1:lo + CYL_BLOCK] >> 9
+                starts.append(np.flatnonzero(key[1:] != key[:-1]) + lo)
+            self._gstarts = _read_only(np.concatenate(starts))
+        return self._gstarts
 
     def runs(self, i: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, lengths, keys) of the maximal runs of equal key_field(i)
-        values in code order, for an axis i in RUN_AXES."""
+        values in code order, for an axis i in RUN_AXES: the stretches of
+        groups whose first atoms carry equal keys. keys is intp."""
         if i not in self._runs:
-            shift = 9 * i
-            starts = self._run_starts(shift, PAIR_SLOTS - 1)
-            lens = np.diff(starts, append=self.num_atoms)
-            keys = (self.codes[starts] >> shift) & (PAIR_SLOTS - 1)
-            self._runs[i] = (starts, lens, keys)
+            groups = self._group_starts()
+            keys = (self.codes[groups] >> 9 * i) & (PAIR_SLOTS - 1)
+            first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            starts = groups[first]
+            self._runs[i] = tuple(_read_only(a) for a in (
+                starts, np.diff(starts, append=self.num_atoms), keys[first].astype(np.intp)))
         return self._runs[i]
 
     def tiles(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, shapes, keys) of the axis-0 tiles in code order.
 
-        The atoms sharing code >> 9 (kid, p01, p02) are consecutive and
-        list their axis-0 keys in ascending order. A tile is a maximal
-        stretch of such groups that list the same keys, and a stretch of
-        consecutive one-group tiles is joined into one single-row tile.
-        Tile t is the m x L slab of atoms from starts[t], shapes[t] =
+        The atoms of a group list their axis-0 keys in ascending order. A
+        tile is a maximal stretch of groups that list the same keys, and a
+        stretch of consecutive one-group tiles is joined into one single-row
+        tile. Tile t is the m x L slab of atoms from starts[t], shapes[t] =
         (m, L), and every row of it carries the same L keys. keys (intp) is
         the tiles' key rows, concatenated.
         """
         if self._tiles is None:
             codes, n = self.codes, self.num_atoms
-            starts = self._run_starts(9, -1)   # the groups of equal code >> 9
+            starts = self._group_starts()
             lens = np.diff(starts, append=n)
             # same[g]: group g + 1 lists the keys of group g; the groups
             # are compared in batches of about CYL_BLOCK atoms
@@ -626,8 +663,8 @@ class RainbowStructure:
             starts, rows, lens = starts[first], rows[first], np.add.reduceat(lens, first)
             at = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
             keys = codes[at] & (PAIR_SLOTS - 1)
-            self._tiles = (starts, np.stack([rows, lens], axis=1),
-                           keys.astype(np.intp, copy=False))
+            self._tiles = tuple(_read_only(a) for a in (
+                starts, np.stack([rows, lens], axis=1), keys.astype(np.intp)))
         return self._tiles
 
     def groups(self, i: int) -> np.ndarray:
@@ -643,26 +680,34 @@ class RainbowStructure:
         return (code >> 9 * i) & (PAIR_SLOTS - 1)
 
     def ti_related(self, i: int, a_code: int, b_code: int) -> bool:
-        return self.key_of_code(i, a_code) == self.key_of_code(i, b_code)
+        return bool(self.key_of_code(i, a_code) == self.key_of_code(i, b_code))
 
     def diag_mask(self, i: int, j: int) -> np.ndarray:
-        key = (min(i, j), max(i, j))
+        key = None if i == j else (min(i, j), max(i, j))
         if key not in self._diag:
             # each kernel's atoms are one run of codes, from kid << 27 on
-            verdicts = [i == j or eq[PAIRS.index(key)] for eq in KERNEL_EQ]
-            bounds = np.searchsorted(self.codes, np.arange(len(KERNELS) + 1) << 27)
-            self._diag[key] = np.repeat(verdicts, np.diff(bounds))
+            verdicts = [key is None or eq[PAIRS.index(key)] for eq in KERNEL_EQ]
+            kids = np.arange(len(KERNELS) + 1, dtype=self.codes.dtype)
+            bounds = np.searchsorted(self.codes, kids << 27)
+            self._diag[key] = _read_only(np.repeat(verdicts, np.diff(bounds)))
         return self._diag[key]
 
+    def _position(self, code: int) -> int:
+        """Where code sits in the table, or -1 if it is not an atom."""
+        codes = self.codes
+        if not 0 <= code < CODE_END:
+            return -1
+        pos = int(codes.searchsorted(codes.dtype.type(code)))
+        return pos if pos < self.num_atoms and codes[pos] == code else -1
+
     def index_of(self, code: int) -> int:
-        pos = int(np.searchsorted(self.codes, code))
-        if pos >= self.num_atoms or self.codes[pos] != code:
+        pos = self._position(code)
+        if pos < 0:
             raise KeyError(f"{code} is not an atom")
         return pos
 
     def is_atom(self, code: int) -> bool:
-        pos = int(np.searchsorted(self.codes, code))
-        return pos < self.num_atoms and self.codes[pos] == code
+        return self._position(code) >= 0
 
     def cm(self) -> "RainbowComplexAlgebra":
         return RainbowComplexAlgebra(self)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from topocyl import rainbow
 from topocyl.cli import build_parser, dispatch
 from topocyl.report import render
 
@@ -219,6 +220,23 @@ def test_equiv_bounds_below_one_are_usage_errors(tmp_path, capsys):
         code, doc = run(tmp_path, "modal", "equiv", flag, value, "--expect", "true")
         assert code == 2 and doc is None, (flag, value)
         assert capsys.readouterr().err == f"usage error: {flag} must be at least 1, got {value}\n"
+
+
+def test_rainbow_negative_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """--limit counts atoms from the first: 0 lists none, and a negative
+    value is refused before the 10.9M-atom table is built."""
+    code, doc = run(tmp_path, "rainbow", "atoms", "--n", "3", "--limit", "0")
+    assert code == 0 and doc["results"]["first_atoms"] == []
+
+    def build(sig):
+        raise AssertionError("the atom table was built")
+
+    monkeypatch.setattr(rainbow, "enumerate_atoms", build)
+    for cmd in ("atoms", "structure"):
+        for value in ("-1", "-10894250"):
+            assert dispatch(["rainbow", cmd, "--n", "3", "--limit", value]) == 2, (cmd, value)
+            assert capsys.readouterr().err == \
+                f"usage error: --limit must be at least 0, got {value}\n"
 
 
 def test_topo_enum_negative_size_is_a_usage_error(capsys):

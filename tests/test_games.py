@@ -779,6 +779,24 @@ def test_rainbow_responses_lay_the_demanded_atom(rainbow_structure):
             assert backend.atom_of(r, G.insert_at(face, l, 3)) == atom
 
 
+def test_rainbow_non_atoms_outside_the_code_range(rainbow_structure):
+    """Codes outside the int32 table's range are no atoms: ti_rel answers a
+    plain bool, and a play whose initial atom is one replays as refused."""
+    s = rainbow_structure
+    backend = G.RainbowBackend(s)
+    first = int(s.codes[0])
+    outside = (-1, 2**31, 2**63, 2**70)
+    for b in (first, int(s.codes[-1])) + outside:
+        assert type(backend.ti_rel(0, first, b)) is bool, b
+    assert backend.ti_rel(0, first, first) and not backend.ti_rel(0, first, -1)
+    _, g = s.table.graph_of(first)
+    for atom in outside:
+        play = [{"round": 0, "forall": {"initial_atom": atom},
+                 "exists": {"network": {"graph": g.to_json()}}}]
+        res = G.verify_transcript(s, {"mode": "F", "nodes": 4, "principal_play": play})
+        assert res == {"ok": False, "reason": f"initial atom {atom} is not an atom"}
+
+
 def test_rainbow_forall_moves_on_one_node(rainbow_structure):
     """On the one-node network of the first atom every face is (0, 0):
     786 atoms share its key on the three axes together, once per node k."""

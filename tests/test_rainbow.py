@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from topocyl.errors import DimTooSmall, DimUnsupported
 
 # frozen by running the exhaustive enumeration against the validity oracle
 ATOM_COUNT_N3 = 10894256
-# sha1 of the int64 code table in canonical order, which pins each atom
+# sha1 of the code table in canonical order, each code widened to int64
+# (the table itself is int32), which pins each atom
 ATOM_CODES_SHA1_N3 = "c7177f7d9b975b7846ba7fe94ed361c7aecd10b5"
 
 
@@ -143,7 +145,8 @@ def test_atom_count_fixture(table):
     # strictly increasing codes are distinct (and in canonical order)
     assert (np.diff(table.codes) > 0).all()
     # a count and an order do not rule out swapping one atom for another
-    assert hashlib.sha1(table.codes.tobytes()).hexdigest() == ATOM_CODES_SHA1_N3
+    widened = table.codes.astype(np.int64)
+    assert hashlib.sha1(widened.tobytes()).hexdigest() == ATOM_CODES_SHA1_N3
 
 
 def test_atom_count_independent_formula(sig):
@@ -257,6 +260,60 @@ def test_structure_relations(structure):
     code = int(s.codes[12345])
     assert s.ti_related(0, code, code)
     assert s.key_of_code(0, code) == R.unpack_atom(code)[1][(1, 2)]
+
+
+def test_lookups_refuse_codes_outside_the_table_dtype(structure):
+    """The table is int32: a code outside 0 <= code < 2**31 is no atom, and
+    is refused before it is taken to the table's dtype, so an atom plus
+    2**32 is not read as the atom."""
+    s = structure
+    code = int(s.codes[12345])
+    assert s.is_atom(code) is True and s.index_of(code) == 12345
+    assert s.is_atom(np.int64(code)) is True and s.is_atom(code + 0.5) is False
+    for bad in (-1, 2**31, 2**63, 2**70, code + 2**32):
+        assert s.is_atom(bad) is False, bad
+        with pytest.raises(KeyError):
+            s.index_of(bad)
+    assert s.ti_related(0, np.int32(code), code) is True
+
+
+def test_lookups_do_not_widen_the_table(table):
+    """Searching the int32 table for a Python int would make numpy copy all
+    of it to int64 (87 MB) on every call. Traced by tracemalloc, which
+    counts numpy's data buffers, each lookup allocates under 1 MB, and a
+    fresh diagonal mask under 1 MB beyond the mask itself."""
+    s = R.RainbowStructure(table)
+    code = int(s.codes[-1])
+    calls = [(lambda: s.is_atom(code), 0), (lambda: s.index_of(code), 0),
+             (lambda: s.ti_related(1, code, code), 0), (lambda: s.diag_mask(0, 1), s.num_atoms)]
+    tracemalloc.start()
+    try:
+        for k, (call, result_bytes) in enumerate(calls):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            assert tracemalloc.get_traced_memory()[1] - before < result_bytes + (1 << 20), k
+    finally:
+        tracemalloc.stop()
+
+
+def test_derived_tables_are_read_only(table):
+    """The codes and every cached derived table refuse writes, so a caller
+    writing into a diagonal cannot change later verdicts; the three d_ii
+    are one shared all-true mask."""
+    s = R.RainbowStructure(table)
+    alg = s.cm()
+    d01 = alg.dg(0, 1)
+    expected = d01.copy()
+    tables = [s.codes, s.key_field(0), *s.runs(1), *s.runs(2), *s.tiles(), d01, alg.dg(1, 1)]
+    for k, a in enumerate(tables):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        assert not a.flags.writeable, k
+    with pytest.raises(ValueError):
+        d01 |= alg.one
+    assert (alg.dg(1, 0) == expected).all()
+    assert alg.dg(0, 0) is alg.dg(1, 1) is alg.dg(2, 2) and alg.dg(0, 0).all()
 
 
 def test_enumeration_refuses_other_dims():
