@@ -328,16 +328,20 @@ class SetAlgebra(BitmaskAlgebra):
         self.one = space.full_bits
         self.space = space
         self.dim = space.dim
-        self._box = space.box_bits if boxes == "chang" else space.interior_bits
+        self._chang_box = boxes == "chang"
 
+    # the setalg kernels are looked up at call time, so a wrapper installed
+    # on the module sees every call
     def cyl(self, i, x):
-        return self.space.cyl_bits(i, x, self.rep)
+        return sa.cyl(self.space, i, x, self.rep)
 
     def dg(self, i, j):
-        return self.space.diag_bits(i, j) * self.rep
+        return sa.diag(self.space, i, j) * self.rep
 
     def interior(self, i, x):
-        return self._box(i, x, self.rep)
+        if self._chang_box:
+            return sa.box_op(self.space, i, x, self.rep)
+        return sa.interior_op(self.space, i, x, self.rep)
 
     def carrier_list(self):
         """Every element below the unit, ascending: one value per run of
@@ -412,20 +416,19 @@ def atom_structure_of(space: sa.SetAlgebraSpace) -> AtomStructure:
     def atoms(bits):
         return sum(1 << rank[code] for code in set_of(bits))
 
-    T = [[space.cyl_bits(i, 1 << code) for code in codes] for i in range(n)]
-    D = {(i, j): atoms(space.diag_bits(i, j)) for i in range(n) for j in range(n)}
+    T = [[atoms(sa.cyl(space, i, 1 << code)) for code in codes] for i in range(n)]
+    D = {(i, j): atoms(sa.diag(space, i, j)) for i in range(n) for j in range(n)}
     interior = None
     if space.topology is not None:
-        # R_i[code]: the i-fiber of code restricted to the minimal
-        # neighbourhood of its i-th coordinate
+        # b is in R_i[a] iff a lies in the I_i-closure of {b}
+        one = space.full_bits
         interior = []
         for i in range(n):
-            stride, masks = space._axis(i)
-            u = len(masks)
-            nbhd = [sum(masks[b] for b in set_of(nb)) for nb in space.topology._minnbhd]
-            interior.append([atoms(fiber & nbhd[code // stride % u])
-                             for code, fiber in zip(codes, T[i])])
-    T = [[atoms(fiber) for fiber in t] for t in T]
+            table = [0] * len(codes)
+            for b, code in enumerate(codes):
+                for a in set_of(one ^ sa.interior_op(space, i, one ^ 1 << code)):
+                    table[rank[a]] |= 1 << b
+            interior.append(table)
     return AtomStructure(n, len(codes), T, D, interior)
 
 
@@ -778,7 +781,7 @@ class Representation:
             for atom, img in zip(self.atoms, self.atom_images):
                 if alg.le(atom, x):
                     bits |= img
-            return sa.TupleSet(self.space, bits)
+            return bits
 
         return h
 
@@ -842,7 +845,7 @@ def _search_assignment(alg, atoms, space) -> Optional[Representation]:
     for i in range(alg.dim):
         for j in range(alg.dim):
             diag_alg[(i, j)] = alg.dg(i, j)
-            diag_sp[(i, j)] = space.diag_bits(i, j)
+            diag_sp[(i, j)] = sa.diag(space, i, j)
     salg = SetAlgebra(space)
 
     assign = [-1] * k
@@ -854,7 +857,7 @@ def _search_assignment(alg, atoms, space) -> Optional[Representation]:
             in_alg = alg.le(a, diag_alg[key])
             if in_sp != in_alg:
                 return False
-        fibers = [space.cyl_bits(i, 1 << code) for i in range(alg.dim)]
+        fibers = [sa.cyl(space, i, 1 << code) for i in range(alg.dim)]
         for c2 in range(code):
             a2 = atoms[assign[c2]]
             for i, fiber in enumerate(fibers):
@@ -893,7 +896,7 @@ def _search_assignment(alg, atoms, space) -> Optional[Representation]:
 def _verify_embedding(alg, rep, salg) -> bool:
     h = rep.as_map(alg)
     carrier = alg.carrier_list()
-    hx = {x: h(x).bits for x in carrier}
+    hx = {x: h(x) for x in carrier}
     vals = list(hx.values())
     if len(set(vals)) != len(vals):
         return False

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimTooSmall, DimUnsupported, json_field, json_ints
+from .errors import DimTooSmall, DimUnsupported, IndexOutOfRange, json_field, json_ints
 from . import bao
 
 # -- signature ----------------------------------------------------------
@@ -683,6 +683,8 @@ class RainbowStructure:
         return bool(self.key_of_code(i, a_code) == self.key_of_code(i, b_code))
 
     def diag_mask(self, i: int, j: int) -> np.ndarray:
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexOutOfRange(f"diagonal ({i},{j}) outside dimension")
         key = None if i == j else (min(i, j), max(i, j))
         if key not in self._diag:
             # each kernel's atoms are one run of codes, from kid << 27 on
@@ -767,7 +769,7 @@ class RainbowComplexAlgebra(bao.Algebra):
             hit[keys[np.logical_or.reduceat(x, starts)]] = True
             return np.repeat(hit[keys], lens)
         if i != 0:
-            raise KeyError(i)
+            raise IndexOutOfRange(f"index {i} outside dimension {self.dim}")
         starts, shapes, keys = self.structure.tiles()
         tiles = list(zip(starts.tolist(), shapes.tolist()))
         met = np.empty(keys.shape[0], dtype=bool)

@@ -1,16 +1,21 @@
 """Concrete topological cylindric set algebras of finite dimension.
 
 An n-tuple s over base 0..u-1 is encoded as the integer sum(s_i * u**i)
-(little-endian in the index) and a TupleSet is an int bitmask over the
-u**n codes. The hard cap u**n <= 2**24 keeps exhaustive operations in
+(little-endian in the index). An element of a set algebra is a plain int
+bitmask over the u**n codes, below the space's unit `full_bits`: the whole
+cube for a full set algebra, the union of the summand cubes for a
+generalized one. The hard cap u**n <= 2**24 keeps exhaustive operations in
 memory.
 
-Along axis k the codes with s_k = a form the axis mask masks[a], masks[0]
+The operators are the module functions `cyl`, `interior_op`, `box_op`,
+`diag`, `subst` and `dimension_set`, each taking the space first. Along
+axis k the codes with s_k = a form the axis mask masks[a], masks[0]
 shifted up by a * u**k: shifting x down by a * u**k and masking with
 masks[0] moves slice a onto slice 0, every k-fiber kept in place, so c_k,
-I_k and the Chang box are a few shifts, ANDs and ORs of whole bitmasks.
-The row repunit `rep` copies masks[0] into every row of a packed direct
-power (see `bao`); one element has rep = 1.
+I_k and the Chang box are a few shifts, ANDs and ORs of whole bitmasks,
+relativized to the unit by one AND with it. The row repunit `rep` copies
+masks[0] into every row of a packed direct power (see `bao`); one element
+has rep = 1.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NoChangSystem, NoTopology, NotSubsetOfUnit, TooLarge
-from .topology import FiniteTopology, coproduct, set_of
+from .topology import FiniteTopology, bits_of, coproduct, set_of
 
 CODE_CAP = 1 << 24
 
@@ -37,7 +42,7 @@ class ChangSystem:
         for fam in families:
             cur = set()
             for member in fam:
-                m = member if isinstance(member, int) else _bits(member, base_size)
+                m = member if isinstance(member, int) else bits_of(member, base_size)
                 if m & ~full:
                     raise ValueError("family member not a subset of the base")
                 cur.add(m)
@@ -54,17 +59,10 @@ def chang_from_topology(t: FiniteTopology) -> ChangSystem:
                                 for x in range(t.size)])
 
 
-def _bits(points, size):
-    m = 0
-    for p in points:
-        if not 0 <= p < size:
-            raise ValueError(f"point {p} outside base")
-        m |= 1 << p
-    return m
-
-
 class SetAlgebraSpace:
-    """Ambient data of a full set algebra: dimension, base, optional topology/Chang."""
+    """Ambient data of a set algebra: dimension, base, unit, optional
+    topology/Chang system. `outside` holds the cube codes outside the unit
+    (0 for a full set algebra)."""
 
     def __init__(
         self,
@@ -89,6 +87,7 @@ class SetAlgebraSpace:
         self.chang = chang
         self.ncodes = base_size ** dim
         self.full_bits = (1 << self.ncodes) - 1
+        self.outside = 0
         self._axes = {}
         self._diags = {}
 
@@ -136,67 +135,10 @@ class SetAlgebraSpace:
             self._axes[k] = (stride, [low << a * stride for a in range(u)])
         return self._axes[k]
 
-    def _slices(self, k: int, x: int, rep: int):
-        """(stride, masks[0] replicated by rep, slice a of x moved onto
-        slice 0 for every a) along axis k."""
-        stride, masks = self._axis(k)
-        low = masks[0] * rep
-        return stride, low, [(x >> a * stride) & low for a in range(self.base_size)]
-
-    def cyl_bits(self, k: int, x: int, rep: int = 1) -> int:
-        """c_k on bits: fold every slice onto a = 0, then spread it back."""
-        stride, _, fs = self._slices(k, x, rep)
-        hit = 0
-        for f in fs:
-            hit |= f
-        return sum(hit << a * stride for a in range(self.base_size))
-
-    def interior_bits(self, k: int, x: int, rep: int = 1) -> int:
-        """I_k on bits: slice a of the result is the AND of the slices of x
-        at the points of the minimal neighbourhood of a."""
-        if self.topology is None:
-            raise NoTopology("space has no topology")
-        stride, low, fs = self._slices(k, x, rep)
-        out = 0
-        for a, nb in enumerate(self.topology._minnbhd):
-            y = low
-            for b in set_of(nb):
-                y &= fs[b]
-            out |= y << a * stride
-        return out
-
-    def box_bits(self, k: int, x: int, rep: int = 1) -> int:
-        """Chang box on bits: slice a of the result is the OR over the
-        members F of V(a) of the fibers of x that equal F."""
-        if self.chang is None:
-            raise NoChangSystem("space has no Chang system")
-        stride, low, fs = self._slices(k, x, rep)
-        out = 0
-        for a, family in enumerate(self.chang.families):
-            y = 0
-            for member in family:
-                lit = low
-                for b, f in enumerate(fs):
-                    lit &= f if member >> b & 1 else low ^ f
-                y |= lit
-            out |= y << a * stride
-        return out
-
-    def diag_bits(self, i: int, j: int) -> int:
-        """d_ij on bits, built once per space: the OR over points a of the
-        codes with s_i = a and s_j = a."""
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise IndexOutOfRange(f"diagonal indices ({i},{j}) outside dimension")
-        if (i, j) not in self._diags:
-            bits = 0
-            for mi, mj in zip(self._axis(i)[1], self._axis(j)[1]):
-                bits |= mi & mj
-            self._diags[(i, j)] = bits
-        return self._diags[(i, j)]
-
     # -- elements ----------------------------------------------------------
 
-    def element(self, members: Iterable[Sequence[int]]) -> "TupleSet":
+    def element(self, members: Iterable[Sequence[int]]) -> int:
+        """The element holding the given tuples."""
         bits = 0
         for s in members:
             if len(s) != self.dim or any(not 0 <= v < self.base_size for v in s):
@@ -204,139 +146,130 @@ class SetAlgebraSpace:
             bits |= 1 << self.encode(s)
         stray = bits & ~self.full_bits
         if stray:
-            raise NotSubsetOfUnit(f"tuples {sorted(TupleSet(self, stray).members())} "
-                                  "lie outside the unit")
-        return TupleSet(self, bits)
+            raise NotSubsetOfUnit(f"tuples {sorted(self.members(stray))} lie outside the unit")
+        return bits
 
-    def from_bits(self, bits: int) -> "TupleSet":
-        if bits & ~self.full_bits:
-            raise ValueError("bits outside the unit")
-        return TupleSet(self, bits)
+    def from_codes(self, codes: Iterable[int]) -> int:
+        """The element holding the tuples of the given codes."""
+        bits = 0
+        for c in codes:
+            if c < 0 or not self.full_bits >> c & 1:
+                raise ValueError(f"code {c} outside the unit")
+            bits |= 1 << c
+        return bits
 
-    def unit(self) -> "TupleSet":
-        return TupleSet(self, self.full_bits)
-
-    def empty(self) -> "TupleSet":
-        return TupleSet(self, 0)
+    def members(self, bits: int):
+        """The tuples of an element, in ascending order of code."""
+        return map(self.decode, sorted(set_of(bits)))
 
     def all_elements(self):
         """Every subset of the unit, in ascending order of bits."""
         bits = 0
         while True:
-            yield TupleSet(self, bits)
+            yield bits
             if bits == self.full_bits:
                 return
             bits = (bits - self.full_bits) & self.full_bits
 
-
-class TupleSet:
-    """An element of a set algebra: a set of dim-tuples as a code bitmask."""
-
-    __slots__ = ("space", "bits")
-
-    def __init__(self, space: SetAlgebraSpace, bits: int):
-        self.space = space
-        self.bits = bits
-
-    def members(self):
-        sp = self.space
-        bits = self.bits
-        code = 0
-        while bits:
-            if bits & 1:
-                yield sp.decode(code)
-            bits >>= 1
-            code += 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TupleSet)
-            and self.space == other.space
-            and self.bits == other.bits
-        )
-
-    def __hash__(self):
-        return hash((self.space.dim, self.space.base_size, self.bits))
-
-    def __and__(self, other):
-        return TupleSet(self.space, self.bits & other.bits)
-
-    def __or__(self, other):
-        return TupleSet(self.space, self.bits | other.bits)
-
-    def __sub__(self, other):
-        return TupleSet(self.space, self.bits & ~other.bits)
-
-    def complement(self):
-        return TupleSet(self.space, self.space.full_bits & ~self.bits)
-
-    def issubset(self, other):
-        return self.bits & ~other.bits == 0
-
-    def __repr__(self):
-        return f"TupleSet({sorted(self.members())})"
-
-    def to_json(self) -> dict:
-        """ValueError for an element of a generalized space: the document
-        records the cube, so its unit would read back as the whole cube."""
-        sp = self.space
-        if sp.full_bits != (1 << sp.ncodes) - 1:
+    def to_json(self, bits: int) -> dict:
+        """ValueError for a generalized space: the document records the
+        cube, so its unit would read back as the whole cube."""
+        if self.outside:
             raise ValueError("an element of a generalized space has no JSON form: "
                              "the document names only dim and base, so its unit "
                              "would read back as the whole cube")
         return {
-            "dim": sp.dim,
-            "base": sp.base_size,
-            "topology": sp.topology.to_json() if sp.topology else None,
-            "members": [c for c in range(sp.ncodes) if self.bits >> c & 1],
+            "dim": self.dim,
+            "base": self.base_size,
+            "topology": self.topology.to_json() if self.topology else None,
+            "members": sorted(set_of(bits)),
         }
 
     @staticmethod
-    def from_json(doc: dict) -> "TupleSet":
+    def from_json(doc: dict) -> Tuple["SetAlgebraSpace", int]:
         topo = FiniteTopology.from_json(doc["topology"]) if doc.get("topology") else None
         sp = SetAlgebraSpace(doc["dim"], doc["base"], topo)
-        bits = 0
-        for c in doc["members"]:
-            bits |= 1 << c
-        return sp.from_bits(bits)
+        return sp, sp.from_codes(doc["members"])
 
 
 # -- operations ----------------------------------------------------------
 
 
-def cyl(i: int, x: TupleSet) -> TupleSet:
-    """c_i X: close X under changing coordinate i."""
-    return TupleSet(x.space, x.space.cyl_bits(i, x.bits))
+def _slices(sp: SetAlgebraSpace, k: int, x: int, rep: int):
+    """(stride, masks[0] replicated by rep, slice a of x moved onto slice 0
+    for every a) along axis k."""
+    stride, masks = sp._axis(k)
+    low = masks[0] * rep
+    return stride, low, [(x >> a * stride) & low for a in range(sp.base_size)]
 
 
-def diag(i: int, j: int, space: SetAlgebraSpace) -> TupleSet:
-    """d_ij: tuples with s_i = s_j."""
-    return TupleSet(space, space.diag_bits(i, j))
+def cyl(sp: SetAlgebraSpace, k: int, x: int, rep: int = 1) -> int:
+    """c_k X: fold every slice onto a = 0, then spread it back."""
+    stride, _, fs = _slices(sp, k, x, rep)
+    hit = 0
+    for f in fs:
+        hit |= f
+    return sp.full_bits * rep & sum(hit << a * stride for a in range(sp.base_size))
 
 
-def interior_op(k: int, x: TupleSet, dual: bool = False) -> TupleSet:
-    """I_k X (or Cl_k X = -I_k -X when dual): interior of the k-fiber, pointwise."""
-    negate = x.space.full_bits if dual else 0
-    return TupleSet(x.space, negate ^ x.space.interior_bits(k, negate ^ x.bits))
+def interior_op(sp: SetAlgebraSpace, k: int, x: int, rep: int = 1) -> int:
+    """I_k X: slice a of the result is the AND of the slices of X at the
+    points of the minimal neighbourhood of a, codes outside the unit
+    counted as members."""
+    if sp.topology is None:
+        raise NoTopology("space has no topology")
+    stride, low, fs = _slices(sp, k, x | sp.outside * rep, rep)
+    out = 0
+    for a, nb in enumerate(sp.topology._minnbhd):
+        y = low
+        for b in set_of(nb):
+            y &= fs[b]
+        out |= y << a * stride
+    return sp.full_bits * rep & out
 
 
-def box_op(k: int, x: TupleSet) -> TupleSet:
-    """Chang box: s in the result iff the k-fiber of s belongs to V(s_k)."""
-    return TupleSet(x.space, x.space.box_bits(k, x.bits))
+def box_op(sp: SetAlgebraSpace, k: int, x: int, rep: int = 1) -> int:
+    """Chang box: slice a of the result is the OR over the members F of
+    V(a) of the k-fibers of X that equal F."""
+    if sp.chang is None:
+        raise NoChangSystem("space has no Chang system")
+    stride, low, fs = _slices(sp, k, x, rep)
+    out = 0
+    for a, family in enumerate(sp.chang.families):
+        y = 0
+        for member in family:
+            lit = low
+            for b, f in enumerate(fs):
+                lit &= f if member >> b & 1 else low ^ f
+            y |= lit
+        out |= y << a * stride
+    return sp.full_bits * rep & out
 
 
-def subst(tau: Sequence[int], x: TupleSet) -> TupleSet:
-    """s in the unit is in the result iff s o tau is in x."""
-    sp = x.space
+def diag(sp: SetAlgebraSpace, i: int, j: int) -> int:
+    """d_ij, built once per space: the codes of the unit with s_i = s_j."""
+    if not (0 <= i < sp.dim and 0 <= j < sp.dim):
+        raise IndexOutOfRange(f"diagonal indices ({i},{j}) outside dimension")
+    bits = sp._diags.get((i, j))
+    if bits is None:
+        bits = 0
+        for mi, mj in zip(sp._axis(i)[1], sp._axis(j)[1]):
+            bits |= mi & mj
+        bits = sp._diags[(i, j)] = sp.full_bits & bits
+    return bits
+
+
+def subst(sp: SetAlgebraSpace, tau: Sequence[int], x: int) -> int:
+    """s in the unit is in the result iff s o tau is in X."""
     if len(tau) != sp.dim or any(not 0 <= v < sp.dim for v in tau):
         raise ValueError("tau must be a total transformation of the dimension")
     out = 0
     for code in range(sp.ncodes):
         s = sp.decode(code)
         t = tuple(s[tau[i]] for i in range(sp.dim))
-        if x.bits >> sp.encode(t) & 1:
+        if x >> sp.encode(t) & 1:
             out |= 1 << code
-    return TupleSet(sp, out & sp.full_bits)
+    return out & sp.full_bits
 
 
 def replacement(i: int, j: int, dim: int) -> Tuple[int, ...]:
@@ -346,28 +279,26 @@ def replacement(i: int, j: int, dim: int) -> Tuple[int, ...]:
     return tuple(tau)
 
 
-def _lifted(sp: SetAlgebraSpace, extra: int) -> SetAlgebraSpace:
-    """sp in dimension dim+extra; a generalized space lifts summandwise."""
+def dimension_set(sp: SetAlgebraSpace, x: int) -> frozenset:
+    """Delta X = {i : c_i X != X}."""
+    return frozenset(i for i in range(sp.dim) if cyl(sp, i, x) != x)
+
+
+def lifted(sp: SetAlgebraSpace, extra: int) -> SetAlgebraSpace:
+    """sp in dimension dim+extra with the same base, topology and Chang
+    system; a generalized space lifts summandwise."""
+    if extra < 1:
+        raise ValueError("extra must be at least 1")
     if isinstance(sp, GeneralizedSpace):
-        return GeneralizedSpace([_lifted(s, extra) for s in sp.summands])
+        return GeneralizedSpace([lifted(s, extra) for s in sp.summands])
     return SetAlgebraSpace(sp.dim + extra, sp.base_size, sp.topology, sp.chang)
 
 
-def neat_lift(x: TupleSet, extra: int) -> TupleSet:
-    """Cylinder over x in dimension dim+extra with the same base and
-    topology, inside the lifted unit."""
-    if extra < 1:
-        raise ValueError("extra must be at least 1")
-    sp = x.space
-    big = _lifted(sp, extra)
+def neat_lift(sp: SetAlgebraSpace, x: int, big: SetAlgebraSpace) -> int:
+    """Cylinder over X in big = lifted(sp, extra), inside the lifted unit."""
     # one copy of x per block of sp.ncodes codes of the cube
     copies = ((1 << big.ncodes) - 1) // ((1 << sp.ncodes) - 1)
-    return TupleSet(big, x.bits * copies & big.full_bits)
-
-
-def dimension_set(x: TupleSet) -> frozenset:
-    """Delta x = {i : c_i x != x}."""
-    return frozenset(i for i in range(x.space.dim) if cyl(i, x).bits != x.bits)
+    return x * copies & big.full_bits
 
 
 # -- generalized set algebras ---------------------------------------------
@@ -379,9 +310,9 @@ class GeneralizedSpace(SetAlgebraSpace):
     The base is the union of the summand bases (summand i shifted by
     offsets[i]) with the coproduct topology, present only when every
     summand has a topology. The unit V (full_bits) is the union of the
-    summand cubes, elements are TupleSets below V, and each operator is the
-    cube kernel followed by one AND with V (Nemeti 1995). At dimension 1 the
-    union of the cubes is one cube, so c_0 would join the summands: refused.
+    summand cubes, so the module's operators relativize to it (Nemeti
+    1995). At dimension 1 the union of the cubes is one cube, so c_0 would
+    join the summands: refused.
     """
 
     def __init__(self, summands: Sequence[SetAlgebraSpace]):
@@ -401,22 +332,13 @@ class GeneralizedSpace(SetAlgebraSpace):
         # union code of each local code, per summand
         self._codes = [[self.encode([v + off for v in s.decode(c)]) for c in range(s.ncodes)]
                        for s, off in zip(summands, self.offsets)]
+        cube = self.full_bits
         self.full_bits = sum(1 << c for codes in self._codes for c in codes)
-
-    def cyl_bits(self, k: int, x: int, rep: int = 1) -> int:
-        return self.full_bits * rep & super().cyl_bits(k, x, rep)
-
-    def interior_bits(self, k: int, x: int, rep: int = 1) -> int:
-        outside = ((1 << self.ncodes) - 1) & ~self.full_bits
-        return self.full_bits * rep & super().interior_bits(k, x | outside * rep, rep)
-
-    def diag_bits(self, i: int, j: int) -> int:
-        return self.full_bits & super().diag_bits(i, j)
+        self.outside = cube ^ self.full_bits
 
 
-def decompose_generalized(g: GeneralizedSpace, x: TupleSet) -> Tuple[TupleSet, ...]:
+def decompose_generalized(g: GeneralizedSpace, x: int) -> Tuple[int, ...]:
     """X maps to (X intersected with each summand's cube), in local codes."""
-    if x.space != g:
-        raise NotSubsetOfUnit("element does not live in this generalized space")
-    return tuple(TupleSet(s, sum(1 << c for c, u in enumerate(codes) if x.bits >> u & 1))
-                 for s, codes in zip(g.summands, g._codes))
+    if x & ~g.full_bits:
+        raise NotSubsetOfUnit("element does not lie below this generalized space's unit")
+    return tuple(sum(1 << c for c, u in enumerate(codes) if x >> u & 1) for codes in g._codes)

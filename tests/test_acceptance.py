@@ -102,21 +102,21 @@ def test_criterion_3_witness_fixtures():
     a = ind.element([(0, 0)])
     b = ind.element([(1, 0)])
     union = a | b
-    lhs = S.interior_op(0, a) | S.interior_op(0, b)
-    rhs = S.interior_op(0, union)
-    assert lhs == ind.empty()
-    assert rhs == union and sorted(rhs.members()) == [(0, 0), (1, 0)]
+    lhs = S.interior_op(ind, 0, a) | S.interior_op(ind, 0, b)
+    rhs = S.interior_op(ind, 0, union)
+    assert lhs == 0
+    assert rhs == union and list(ind.members(rhs)) == [(0, 0), (1, 0)]
 
     dis = S.SetAlgebraSpace(2, 2, T.make_topology(2, preset="discrete"))
     named = [(0, 0)]
     x_d, x_i = dis.element(named), ind.element(named)
-    assert S.interior_op(0, x_d).bits == x_d.bits
-    assert S.interior_op(0, x_i).bits == 0
+    assert S.interior_op(dis, 0, x_d) == x_d
+    assert S.interior_op(ind, 0, x_i) == 0
     for bits in range(16):
         for i in range(2):
-            assert S.cyl(i, dis.from_bits(bits)).bits == S.cyl(i, ind.from_bits(bits)).bits
+            assert S.cyl(dis, i, bits) == S.cyl(ind, i, bits)
             for j in range(2):
-                assert S.diag(i, j, dis).bits == S.diag(i, j, ind).bits
+                assert S.diag(dis, i, j) == S.diag(ind, i, j)
     record_acceptance(
         3, "non-additivity + non-term-definability witnesses", True,
         "indiscrete u=2 n=2: I0{(0,0)} | I0{(1,0)} = {} != {(0,0),(1,0)}; "
@@ -132,13 +132,14 @@ def test_criterion_4_lemma_box():
     checked = 0
     for topo in T.enumerate_topologies(2):
         sp = S.SetAlgebraSpace(2, 2, topo)
-        for bits in range(16):
-            x = sp.from_bits(bits)
+        big = S.lifted(sp, 1)
+        for x in range(16):
+            lift = S.neat_lift(sp, x, big)
             for k in range(2):
-                assert S.interior_op(k, x).issubset(x)
-                assert S.neat_lift(S.interior_op(k, x), 1) == \
-                    S.interior_op(k, S.neat_lift(x, 1))
-                assert S.neat_lift(S.cyl(k, x), 1) == S.cyl(k, S.neat_lift(x, 1))
+                assert S.interior_op(sp, k, x) & ~x == 0
+                assert S.neat_lift(sp, S.interior_op(sp, k, x), big) == \
+                    S.interior_op(big, k, lift)
+                assert S.neat_lift(sp, S.cyl(sp, k, x), big) == S.cyl(big, k, lift)
                 checked += 1
     elapsed = time.time() - t0
     record_acceptance(
@@ -165,28 +166,28 @@ def test_criterion_5_subdirect_decomposition():
         return S.decompose_generalized(g, x)
 
     def parts_of(op, parts):
-        return tuple(op(p) for p in parts)
+        return tuple(op(sp, p) for sp, p in zip(summands, parts))
 
     seen = set()
     elements = list(g.all_elements())
     assert len(elements) == 32
     for x in elements:
         parts = dec(x)
-        key = tuple(p.bits for p in parts)
-        assert key not in seen
-        seen.add(key)
+        assert parts not in seen
+        seen.add(parts)
         for i in range(2):
-            assert dec(S.cyl(i, x)) == parts_of(lambda p: S.cyl(i, p), parts)
-            assert dec(S.interior_op(i, x)) == parts_of(lambda p: S.interior_op(i, p), parts)
+            assert dec(S.cyl(g, i, x)) == parts_of(lambda sp, p: S.cyl(sp, i, p), parts)
+            assert dec(S.interior_op(g, i, x)) == \
+                parts_of(lambda sp, p: S.interior_op(sp, i, p), parts)
         for y in elements:
             assert dec(x | y) == tuple(p | q for p, q in zip(parts, dec(y)))
             assert dec(x & y) == tuple(p & q for p, q in zip(parts, dec(y)))
-        assert dec(x.complement()) == parts_of(lambda p: p.complement(), parts)
+        assert dec(g.full_bits ^ x) == parts_of(lambda sp, p: sp.full_bits ^ p, parts)
     # onto the product: every pair of summand elements is hit
     assert len(seen) == 2 ** 1 * 2 ** 4
     for i in range(2):
         for j in range(2):
-            assert dec(S.diag(i, j, g)) == tuple(S.diag(i, j, sp) for sp in summands)
+            assert dec(S.diag(g, i, j)) == tuple(S.diag(sp, i, j) for sp in summands)
     record_acceptance(
         5, "subdirect decomposition", True,
         "32/32 elements: componentwise map is a bijective homomorphism for "
@@ -439,13 +440,12 @@ def test_criterion_9_round_trips():
         for t in T.enumerate_topologies(size):
             assert T.alexandrov(T.specialization_preorder(t)) == t
     sp = S.SetAlgebraSpace(2, 2)
-    for bits in range(16):
-        x = sp.from_bits(bits)
+    for x in range(16):
         for i in range(2):
             for j in range(2):
                 if i != j:
-                    assert S.subst(S.replacement(i, j, 2), x) == \
-                        S.cyl(i, S.diag(i, j, sp) & x)
+                    assert S.subst(sp, S.replacement(i, j, 2), x) == \
+                        S.cyl(sp, i, S.diag(sp, i, j) & x)
     record_acceptance(
         9, "round trips", True,
         "preorder<->topology identities exhaustive to size 3; "

@@ -36,3 +36,22 @@ def test_tracer_install_and_uninstall():
     assert snap["games.solve_bounded.calls"] == 1
     assert snap["games.states"] == res["states_explored"]
     assert snap["games.canonical.calls"] > 0 and snap["games.complete.calls"] > 0
+
+
+def test_set_algebra_operators_reach_the_traced_kernels():
+    """bao.SetAlgebra runs c_i, I_k, d_ij and the Chang box through the
+    setalg module functions, so the benchmark's wrappers count them."""
+    tracing = _load_tracing()
+    topo = T.make_topology(2, preset="indiscrete")
+    sp = S.SetAlgebraSpace(2, 2, topo, S.chang_from_topology(topo))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for boxes in ("chang", "topology"):
+            bao.check_axiom_suite(bao.SetAlgebra(sp, boxes=boxes), "TCA", mode="sampled",
+                                  samples=20, seed=1)
+    finally:
+        tracer.uninstall()
+    snap = tracer.snapshot()
+    for name in ("setalg.cyl", "setalg.interior_op", "setalg.diag", "setalg.box_op"):
+        assert snap[f"{name}.calls"] > 0, name

@@ -420,6 +420,42 @@ def test_rainbow_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+SIERPINSKI = '{"size":2,"opens":[[],[0],[0,1]]}'
+
+# stdout sha1 of every other `setalg op` and of the `bao` commands on
+# `fullset:` structures, recorded while set-algebra elements were still
+# wrapped in a tuple-set object
+SETALG_STDOUT_PINS = [
+    (shlex.split("setalg op --op cyl --dim 2 --base 3 --topology indiscrete --members 0 4 --i 1"),
+     "7306fb3e453e3a9e5103cf793631bc1bba2ae72b"),
+    (shlex.split("setalg op --op diag --dim 3 --base 2 --i 0 --j 2"),
+     "d033ae09e6768307bf1dd0a07eadf2b30029edd7"),
+    (["setalg", "op", "--op", "closure", "--dim", "2", "--base", "2", "--topology", SIERPINSKI,
+      "--members", "0", "--i", "0"], "360d9c574bcee5ed4763494a5c79641936a3371f"),
+    (["setalg", "op", "--op", "box", "--dim", "2", "--base", "2", "--topology", SIERPINSKI,
+      "--chang", "--members", "0", "1", "--i", "1"], "dae6ebc44d7bd362431ee6b66df24d6acc8c2d74"),
+    (shlex.split("setalg op --op subst --dim 2 --base 3 --members 1 5 --tau 1,0"),
+     "8fd2f06ee91edb89e58353709c89fc5e8f1053b6"),
+    (shlex.split("setalg op --op dimset --dim 2 --base 2 --members 0 1"),
+     "b09be76dbf52ecba358ad4d01d00f07b0bd176bc"),
+    (shlex.split("bao cm --structure fullset:2,2"), "f6af4903fb2d1fe7c9cdca140df3cffddcba0ce8"),
+    (shlex.split("bao cm --structure fullset:2,3,indiscrete"),
+     "edeb3e7cba88a69367c61143a467af389299f664"),
+    (shlex.split("bao represent --structure fullset:2,2 --max-base 2"),
+     "0e18e01d39ad50ea9531f7a6b72d974bb01cc98e"),
+    (shlex.split("bao nr --structure fullset:3,2 --m 2"),
+     "6b054e3230c4c6af2cf867a8d88961388ebecde1"),
+    (shlex.split("bao sg --structure fullset:2,2 --gens 1,2"),
+     "a8be366be30bea69b7436b988249814320979e3e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SETALG_STDOUT_PINS)
+def test_setalg_stdout_pinned(capsys, argv, digest):
+    assert dispatch(argv) == 0
+    assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_modal_eval_valuation_must_be_an_object(tmp_path, capsys):
     model = tmp_path / "model.json"
     base = {"kind": "topo", "topology": {"size": 2, "opens": [[], [0], [0, 1]]}}

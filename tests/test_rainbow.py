@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from topocyl import rainbow as R
-from topocyl.errors import DimTooSmall, DimUnsupported
+from topocyl.errors import DimTooSmall, DimUnsupported, IndexOutOfRange
 
 # frozen by running the exhaustive enumeration against the validity oracle
 ATOM_COUNT_N3 = 10894256
@@ -260,6 +261,19 @@ def test_structure_relations(structure):
     code = int(s.codes[12345])
     assert s.ti_related(0, code, code)
     assert s.key_of_code(0, code) == R.unpack_atom(code)[1][(1, 2)]
+
+
+def test_indices_outside_the_dimension_are_refused(structure):
+    """d_ij and c_i refuse an index outside 0..2 naming it, as the other
+    algebras do, instead of answering d_77 with every atom."""
+    alg = structure.cm()
+    for call, index in ((lambda: structure.diag_mask(7, 7), "(7,7)"),
+                        (lambda: structure.diag_mask(0, 5), "(0,5)"),
+                        (lambda: alg.dg(0, 5), "(0,5)"),
+                        (lambda: alg.cyl(5, alg.zero), "index 5"),
+                        (lambda: alg.cyl(-1, alg.zero), "index -1")):
+        with pytest.raises(IndexOutOfRange, match=re.escape(index)):
+            call()
 
 
 def test_lookups_refuse_codes_outside_the_table_dtype(structure):

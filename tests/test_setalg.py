@@ -15,7 +15,7 @@ def space(n, u, preset=None):
 def brute_cyl(sp, i, x):
     """Oracle straight from the defining formula."""
     out = set()
-    members = set(x.members())
+    members = set(sp.members(x))
     for s in sp.tuples():
         for t in members:
             if all(s[j] == t[j] for j in range(sp.dim) if j != i):
@@ -32,21 +32,20 @@ def _fiber(sp, k, s, members):
 
 def brute_interior(sp, k, x):
     """Oracle: the interior of the base taken on each k-fiber."""
-    members = set(x.members())
+    members = set(sp.members(x))
     return sp.element(s for s in sp.tuples()
                       if sp.topology.interior_bits(_fiber(sp, k, s, members)) >> s[k] & 1)
 
 
 def brute_box(sp, k, x):
     """Oracle: s is in the box iff its k-fiber belongs to V(s_k)."""
-    members = set(x.members())
+    members = set(sp.members(x))
     return sp.element(s for s in sp.tuples()
                       if _fiber(sp, k, s, members) in sp.chang.families[s[k]])
 
 
 def _samples(sp, rng, count):
-    return [sp.empty(), sp.unit()] + \
-        [sp.from_bits(rng.getrandbits(sp.ncodes)) for _ in range(count)]
+    return [0, sp.full_bits] + [rng.getrandbits(sp.ncodes) for _ in range(count)]
 
 
 def test_interior_and_box_match_definitions():
@@ -56,15 +55,15 @@ def test_interior_and_box_match_definitions():
             sp = S.SetAlgebraSpace(n, u, topo, S.chang_from_topology(topo))
             for x in _samples(sp, rng, 4 if n * u == 9 else 8):
                 for k in range(n):
-                    assert S.interior_op(k, x) == brute_interior(sp, k, x)
-                    assert S.box_op(k, x) == brute_box(sp, k, x)
+                    assert S.interior_op(sp, k, x) == brute_interior(sp, k, x)
+                    assert S.box_op(sp, k, x) == brute_box(sp, k, x)
     # neither topological nor upward closed, and V(1) is empty
     ch = S.ChangSystem(3, [[[0, 1], [2]], [], [[], [1, 2]]])
     for n in (2, 3):
         sp = S.SetAlgebraSpace(n, 3, None, ch)
         for x in _samples(sp, rng, 12):
             for k in range(n):
-                assert S.box_op(k, x) == brute_box(sp, k, x)
+                assert S.box_op(sp, k, x) == brute_box(sp, k, x)
 
 
 def test_base_must_be_nonempty():
@@ -84,47 +83,54 @@ def test_encoding_is_little_endian():
 def test_cyl_examples():
     sp = space(2, 2)
     x = sp.element([(0, 0)])
-    assert sorted(S.cyl(0, x).members()) == [(0, 0), (1, 0)]
-    assert S.cyl(0, S.cyl(0, x)) == S.cyl(0, x)
-    assert S.cyl(1, sp.empty()) == sp.empty()
+    assert list(sp.members(S.cyl(sp, 0, x))) == [(0, 0), (1, 0)]
+    assert S.cyl(sp, 0, S.cyl(sp, 0, x)) == S.cyl(sp, 0, x)
+    assert S.cyl(sp, 1, 0) == 0
     with pytest.raises(IndexOutOfRange):
-        S.cyl(2, x)
+        S.cyl(sp, 2, x)
     rng = random.Random(0)
     for n, u in ((2, 2), (2, 3), (3, 2)):
         sp = space(n, u)
         for _ in range(8):
-            x = sp.from_bits(rng.getrandbits(sp.ncodes))
+            x = rng.getrandbits(sp.ncodes)
             for i in range(n):
-                assert S.cyl(i, x) == brute_cyl(sp, i, x)
+                assert S.cyl(sp, i, x) == brute_cyl(sp, i, x)
 
 
 def test_diag_examples():
     sp = space(2, 2)
-    assert sorted(S.diag(0, 1, sp).members()) == [(0, 0), (1, 1)]
-    assert S.diag(0, 0, sp) == sp.unit()
+    assert list(sp.members(S.diag(sp, 0, 1))) == [(0, 0), (1, 1)]
+    assert S.diag(sp, 0, 0) == sp.full_bits
+    with pytest.raises(IndexOutOfRange):
+        S.diag(sp, 0, 2)
     sp3 = space(3, 2)
-    got = sorted(S.diag(0, 2, sp3).members())
+    got = sorted(sp3.members(S.diag(sp3, 0, 2)))
     assert got == [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)]
 
 
 def test_interior_examples():
     ind = space(2, 2, "indiscrete")
-    assert S.interior_op(0, ind.element([(0, 0)])) == ind.empty()
+    assert S.interior_op(ind, 0, ind.element([(0, 0)])) == 0
     both = ind.element([(0, 0), (1, 0)])
-    assert S.interior_op(0, both) == both
+    assert S.interior_op(ind, 0, both) == both
     dis = space(2, 2, "discrete")
     for b in range(16):
-        assert S.interior_op(0, dis.from_bits(b)).bits == b
+        assert S.interior_op(dis, 0, b) == b
+    plain = space(2, 2)
     with pytest.raises(NoTopology):
-        S.interior_op(0, space(2, 2).unit())
+        S.interior_op(plain, 0, plain.full_bits)
 
 
-def test_closure_dual_is_cyl_on_indiscrete():
+def closure(sp, k, x):
+    """Cl_k X = -I_k -X, complements taken in the unit."""
+    return sp.full_bits ^ S.interior_op(sp, k, sp.full_bits ^ x)
+
+
+def test_closure_is_cyl_on_indiscrete():
     ind = space(2, 2, "indiscrete")
-    for b in range(16):
-        x = ind.from_bits(b)
-        assert S.interior_op(0, x, dual=True) == S.cyl(0, x)
-        assert S.interior_op(1, x, dual=True) == S.cyl(1, x)
+    for x in range(16):
+        assert closure(ind, 0, x) == S.cyl(ind, 0, x)
+        assert closure(ind, 1, x) == S.cyl(ind, 1, x)
 
 
 def test_interior_below_identity():
@@ -133,26 +139,26 @@ def test_interior_below_identity():
         for topo in T.enumerate_topologies(u):
             sp = S.SetAlgebraSpace(2, u, topo)
             for _ in range(12):
-                x = sp.from_bits(rng.getrandbits(sp.ncodes))
+                x = rng.getrandbits(sp.ncodes)
                 for k in range(2):
-                    assert S.interior_op(k, x).issubset(x)
+                    assert S.interior_op(sp, k, x) & ~x == 0
 
 
 def test_box_examples():
     ind2 = T.make_topology(2, preset="indiscrete")
     sp = S.SetAlgebraSpace(2, 2, ind2, S.chang_from_topology(ind2))
-    assert S.box_op(0, sp.element([(0, 0)])) == sp.empty()
+    assert S.box_op(sp, 0, sp.element([(0, 0)])) == 0
+    ind = space(2, 2, "indiscrete")
     with pytest.raises(NoChangSystem):
-        S.box_op(0, space(2, 2, "indiscrete").unit())
+        S.box_op(ind, 0, ind.full_bits)
     # a one-off Chang system: only the full base counts as a neighbourhood
     ch = S.ChangSystem(2, [[[0, 1]], [[0, 1]]])
     spc = S.SetAlgebraSpace(2, 2, None, ch)
-    for b in range(16):
-        x = spc.from_bits(b)
-        got = S.box_op(0, x)
+    for x in range(16):
+        got = S.box_op(spc, 0, x)
         expect = {s for s in spc.tuples()
-                  if all((a,) + s[1:] in set(x.members()) for a in (0, 1))}
-        assert set(got.members()) == expect
+                  if all((a,) + s[1:] in set(spc.members(x)) for a in (0, 1))}
+        assert set(spc.members(got)) == expect
 
 
 def test_box_equals_interior_for_topological_chang_systems():
@@ -163,22 +169,21 @@ def test_box_equals_interior_for_topological_chang_systems():
             rng = random.Random(u)
             sample = range(sp.full_bits + 1) if sp.ncodes <= 4 else \
                 [rng.getrandbits(sp.ncodes) for _ in range(64)]
-            for b in sample:
-                x = sp.from_bits(b)
+            for x in sample:
                 for k in range(2):
-                    assert S.box_op(k, x) == S.interior_op(k, x)
+                    assert S.box_op(sp, k, x) == S.interior_op(sp, k, x)
 
 
 def test_subst_examples():
     sp = space(2, 2)
     x = sp.element([(0, 1)])
-    assert S.subst(S.replacement(0, 1, 2), x) == sp.empty()
+    assert S.subst(sp, S.replacement(0, 1, 2), x) == 0
     x = sp.element([(1, 1)])
-    got = S.subst(S.replacement(0, 1, 2), x)
-    assert sorted(got.members()) == [(0, 1), (1, 1)]
-    assert got == S.cyl(0, S.diag(0, 1, sp) & x)
+    got = S.subst(sp, S.replacement(0, 1, 2), x)
+    assert list(sp.members(got)) == [(0, 1), (1, 1)]
+    assert got == S.cyl(sp, 0, S.diag(sp, 0, 1) & x)
     for b in range(16):
-        assert S.subst((0, 1), sp.from_bits(b)).bits == b
+        assert S.subst(sp, (0, 1), b) == b
 
 
 def test_subst_agrees_with_term_form():
@@ -188,29 +193,32 @@ def test_subst_agrees_with_term_form():
         exhaustive = sp.ncodes <= 4
         bits = range(sp.full_bits + 1) if exhaustive else \
             [rng.getrandbits(sp.ncodes) for _ in range(50)]
-        for b in bits:
-            x = sp.from_bits(b)
+        for x in bits:
             for i in range(n):
                 for j in range(n):
                     if i == j:
                         continue
-                    assert S.subst(S.replacement(i, j, n), x) == \
-                        S.cyl(i, S.diag(i, j, sp) & x)
+                    assert S.subst(sp, S.replacement(i, j, n), x) == \
+                        S.cyl(sp, i, S.diag(sp, i, j) & x)
 
 
 def test_neat_lift():
     ind = space(2, 2, "indiscrete")
-    lifted_unit = S.neat_lift(ind.unit(), 2)
-    assert lifted_unit.bits == lifted_unit.space.full_bits
+    big2 = S.lifted(ind, 2)
+    assert big2.dim == 4 and big2.topology == ind.topology
+    assert S.neat_lift(ind, ind.full_bits, big2) == big2.full_bits
+    with pytest.raises(ValueError, match="extra"):
+        S.lifted(ind, 0)
+    big = S.lifted(ind, 1)
     rng = random.Random(9)
     for _ in range(20):
-        x = ind.from_bits(rng.getrandbits(4))
+        x = rng.getrandbits(4)
+        lift = S.neat_lift(ind, x, big)
         for k in range(2):
-            assert S.neat_lift(S.interior_op(k, x), 1) == \
-                S.interior_op(k, S.neat_lift(x, 1))
-            assert S.neat_lift(S.cyl(k, x), 1) == S.cyl(k, S.neat_lift(x, 1))
-            assert S.neat_lift(S.diag(0, 1, ind) & x, 1) == \
-                (S.diag(0, 1, S.neat_lift(x, 1).space) & S.neat_lift(x, 1))
+            assert S.neat_lift(ind, S.interior_op(ind, k, x), big) == \
+                S.interior_op(big, k, lift)
+            assert S.neat_lift(ind, S.cyl(ind, k, x), big) == S.cyl(big, k, lift)
+            assert S.neat_lift(ind, S.diag(ind, 0, 1) & x, big) == S.diag(big, 0, 1) & lift
 
 
 def test_neat_lift_of_a_generalized_element_stays_in_the_lifted_unit():
@@ -218,61 +226,65 @@ def test_neat_lift_of_a_generalized_element_stays_in_the_lifted_unit():
     {(0,0)} lies in the union of the summand cubes; lifting commutes with
     c_k and I_k on every element of a two-summand space."""
     points = S.GeneralizedSpace([space(2, 1, "discrete"), space(2, 1, "discrete")])
-    lift = S.neat_lift(points.element([(0, 0)]), 1)
-    assert isinstance(lift.space, S.GeneralizedSpace)
-    assert sorted(lift.members()) == [(0, 0, 0)]
-    assert S.neat_lift(points.unit(), 1) == lift.space.unit()
+    big = S.lifted(points, 1)
+    assert isinstance(big, S.GeneralizedSpace)
+    lift = S.neat_lift(points, points.element([(0, 0)]), big)
+    assert list(big.members(lift)) == [(0, 0, 0)]
+    assert S.neat_lift(points, points.full_bits, big) == big.full_bits
     g = S.GeneralizedSpace([space(2, 2, "indiscrete"), space(2, 1, "discrete")])
+    big = S.lifted(g, 1)
     for x in g.all_elements():
+        lift = S.neat_lift(g, x, big)
         for k in range(2):
-            assert S.neat_lift(S.cyl(k, x), 1) == S.cyl(k, S.neat_lift(x, 1))
-            assert S.neat_lift(S.interior_op(k, x), 1) == \
-                S.interior_op(k, S.neat_lift(x, 1))
+            assert S.neat_lift(g, S.cyl(g, k, x), big) == S.cyl(big, k, lift)
+            assert S.neat_lift(g, S.interior_op(g, k, x), big) == S.interior_op(big, k, lift)
 
 
 def test_dimension_set():
     sp = space(2, 2)
-    assert S.dimension_set(sp.unit()) == frozenset()
-    assert S.dimension_set(S.diag(0, 1, sp)) == {0, 1}
-    assert S.dimension_set(sp.element([(0, 0), (1, 0)])) == {1}
+    assert S.dimension_set(sp, sp.full_bits) == frozenset()
+    assert S.dimension_set(sp, S.diag(sp, 0, 1)) == {0, 1}
+    assert S.dimension_set(sp, sp.element([(0, 0), (1, 0)])) == {1}
 
 
 def test_nonadditivity_witness():
     ind = space(2, 2, "indiscrete")
     a = ind.element([(0, 0)])
     b = ind.element([(1, 0)])
-    assert (S.interior_op(0, a) | S.interior_op(0, b)) == ind.empty()
-    assert S.interior_op(0, a | b) == (a | b)
+    assert S.interior_op(ind, 0, a) | S.interior_op(ind, 0, b) == 0
+    assert S.interior_op(ind, 0, a | b) == a | b
 
 
 def test_non_term_definability_witness():
     dis = space(2, 2, "discrete")
     ind = space(2, 2, "indiscrete")
     x = [(0, 0)]
-    assert S.interior_op(0, dis.element(x)).bits != S.interior_op(0, ind.element(x)).bits
+    assert S.interior_op(dis, 0, dis.element(x)) != S.interior_op(ind, 0, ind.element(x))
     for b in range(16):
         for i in range(2):
-            assert S.cyl(i, dis.from_bits(b)).bits == S.cyl(i, ind.from_bits(b)).bits
+            assert S.cyl(dis, i, b) == S.cyl(ind, i, b)
         for j in range(2):
-            assert S.diag(0, j, dis).bits == S.diag(0, j, ind).bits
+            assert S.diag(dis, 0, j) == S.diag(ind, 0, j)
 
 
 def test_generalized_space():
     ind1 = T.make_topology(1, preset="indiscrete")
     ind2 = T.make_topology(2, preset="indiscrete")
     g = S.GeneralizedSpace([S.SetAlgebraSpace(2, 1, ind1), S.SetAlgebraSpace(2, 2, ind2)])
-    assert S.decompose_generalized(g, g.unit())[0].bits == 1
+    assert S.decompose_generalized(g, g.full_bits)[0] == 1
     single = S.GeneralizedSpace([S.SetAlgebraSpace(2, 2, ind2)])
     x = single.element([(0, 1)])
     assert S.decompose_generalized(single, x)[0] == single.summands[0].element([(0, 1)])
     with pytest.raises(NotSubsetOfUnit):
         g.element([(0, 1)])  # mixes the two summand bases
+    with pytest.raises(NotSubsetOfUnit):
+        S.decompose_generalized(g, g.outside)
 
 
 def _embed(g, parts):
     """The element of g whose part in summand i is parts[i], shifted by hand."""
     return g.element(tuple(v + off for v in t)
-                     for p, off in zip(parts, g.offsets) for t in p.members())
+                     for sp, p, off in zip(g.summands, parts, g.offsets) for t in sp.members(p))
 
 
 def test_generalized_space_relativizes_the_summand_operations():
@@ -291,20 +303,25 @@ def test_generalized_space_relativizes_the_summand_operations():
                 assert g.topology == T.coproduct([sp.topology for sp in summands])
                 # the unit is part of the space: only one summand gives the cube
                 assert (g == S.SetAlgebraSpace(dim, g.base_size, g.topology)) == (nsum == 1)
+                assert g.outside == ((1 << g.ncodes) - 1) ^ g.full_bits
                 for _ in range(8):
-                    parts = [sp.from_bits(rng.randrange(sp.full_bits + 1)) for sp in summands]
+                    parts = [rng.randrange(sp.full_bits + 1) for sp in summands]
                     x = _embed(g, parts)
                     assert S.decompose_generalized(g, x) == tuple(parts)
-                    assert x.complement() == _embed(g, [p.complement() for p in parts])
+                    assert g.full_bits ^ x == \
+                        _embed(g, [sp.full_bits ^ p for sp, p in zip(summands, parts)])
                     for i in range(dim):
-                        assert S.cyl(i, x) == _embed(g, [S.cyl(i, p) for p in parts])
-                        for dual in (False, True):
-                            assert S.interior_op(i, x, dual) == \
-                                _embed(g, [S.interior_op(i, p, dual) for p in parts])
+                        assert S.cyl(g, i, x) == \
+                            _embed(g, [S.cyl(sp, i, p) for sp, p in zip(summands, parts)])
+                        for op in (S.interior_op, closure):
+                            assert op(g, i, x) == \
+                                _embed(g, [op(sp, i, p) for sp, p in zip(summands, parts)])
                         for j in range(dim):
-                            assert S.diag(i, j, g) == _embed(g, [S.diag(i, j, sp) for sp in summands])
+                            assert S.diag(g, i, j) == \
+                                _embed(g, [S.diag(sp, i, j) for sp in summands])
                             tau = S.replacement(i, j, dim)
-                            assert S.subst(tau, x) == _embed(g, [S.subst(tau, p) for p in parts])
+                            assert S.subst(g, tau, x) == \
+                                _embed(g, [S.subst(sp, tau, p) for sp, p in zip(summands, parts)])
                     checked += 1
     assert checked == 2 * 3 * 6 * 8
 
@@ -313,23 +330,26 @@ def test_generalized_space_without_topology_or_below_dimension_2():
     g = S.GeneralizedSpace([space(2, 2, "discrete"), space(2, 1)])
     assert g.topology is None
     x = g.element([(2, 2)])
-    assert S.cyl(0, x) == x
+    assert S.cyl(g, 0, x) == x
     with pytest.raises(NoTopology):
-        S.interior_op(0, x)
+        S.interior_op(g, 0, x)
     with pytest.raises(ValueError, match="dimension at least 2"):
         S.GeneralizedSpace([space(1, 1, "discrete"), space(1, 2, "discrete")])
 
 
-def test_tuple_set_json():
+def test_element_json():
     sp = space(2, 2, "indiscrete")
     x = sp.element([(0, 1), (1, 1)])
-    doc = x.to_json()
+    doc = sp.to_json(x)
     assert doc["dim"] == 2 and doc["base"] == 2
     assert doc["members"] == [2, 3]
     assert doc["topology"]["opens"] == [[], [0, 1]]
-    assert S.TupleSet.from_json(doc) == x
+    assert S.SetAlgebraSpace.from_json(doc) == (sp, x)
+    for codes in ([4], [-1]):
+        with pytest.raises(ValueError, match="outside the unit"):
+            S.SetAlgebraSpace.from_json(dict(doc, members=codes))
     # the document names the cube, so a generalized unit cannot round-trip:
     # the complement of {(0,0)} would gain (0,1) and (1,0)
     g = S.GeneralizedSpace([space(2, 1, "discrete"), space(2, 1, "discrete")])
     with pytest.raises(ValueError, match="generalized space has no JSON form"):
-        g.element([(0, 0)]).to_json()
+        g.to_json(g.element([(0, 0)]))
