@@ -20,7 +20,7 @@ import functools
 import itertools
 import random
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     IndexOutOfRange,
@@ -37,6 +37,8 @@ from . import setalg as sa
 from .topology import enumerate_topologies, make_topology, set_of
 
 MATERIALIZE_CAP = 20
+# the representation search's largest structure: 2^8 = 256 elements
+REPRESENT_CAP = 8
 EXHAUSTIVE_CAP = 1 << 24
 # bits per packed batch of environments in check_equation
 BATCH_BITS = 1 << 16
@@ -79,6 +81,18 @@ class AtomStructure:
                 self.interior_flags.append("validated")
             else:
                 self.interior_flags.append("flagged")
+
+    @functools.cached_property
+    def both(self) -> List[List[int]]:
+        """both[i][b]: the atoms a with T_i(b, a) and T_i(a, b)."""
+        return [[img & back for img, back in zip(t, _converse(t))] for t in self.T]
+
+    @functools.cached_property
+    def converse(self) -> list:
+        """Per index, the converse of the interior relation (None for the
+        identity): I_i(X) = -(image of -X under it), and the image of an
+        atom under it is the atom's closure."""
+        return [None if desc is None else _converse(desc) for desc in self.interior]
 
     def _s4_relation(self, table) -> bool:
         return all(table[a] >> a & 1 and not any(table[b] & ~table[a] for b in set_of(table[a]))
@@ -156,6 +170,15 @@ class AtomStructure:
                 table[int(a)] = sum(1 << b for b in set(img))
             interior.append(table)
         return AtomStructure.from_pairs(dim, k, doc["T"], diag, interior)
+
+
+def _converse(table) -> List[int]:
+    """The converse of a relation given as a table atom -> bitmask."""
+    conv = [0] * len(table)
+    for a, img in enumerate(table):
+        for b in set_of(img):
+            conv[b] |= 1 << a
+    return conv
 
 
 # -- algebras ---------------------------------------------------------------
@@ -273,15 +296,6 @@ class ComplexAlgebra(BitmaskAlgebra):
         self.structure = structure
         self.dim = structure.dim
         self.num_atoms = structure.num_atoms
-        self._diag = dict(structure.D)
-        # I(X) = -(image of -X under the converse of R); None is the identity
-        self._converse = []
-        for desc in structure.interior:
-            conv = None if desc is None else [0] * self.num_atoms
-            for a, img in enumerate(desc or ()):
-                for b in set_of(img):
-                    conv[b] |= 1 << a
-            self._converse.append(conv)
 
     def _image(self, table, x):
         """Union of table[a] over the atoms a of x, in every row."""
@@ -299,10 +313,12 @@ class ComplexAlgebra(BitmaskAlgebra):
     def dg(self, i, j):
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexOutOfRange(f"diagonal ({i},{j}) outside dimension")
-        return self._diag[(i, j)] * self.rep
+        return self.structure.D[(i, j)] * self.rep
 
     def interior(self, i, x):
-        conv = self._converse[i]
+        if not 0 <= i < self.dim:
+            raise IndexOutOfRange(f"index {i} outside dimension {self.dim}")
+        conv = self.structure.converse[i]
         if conv is None:
             return x
         return self.one & ~self._image(conv, self.one & ~x)
@@ -769,151 +785,129 @@ def sg(alg: Algebra, gens: Iterable) -> SubAlgebra:
 # -- bounded representation search --------------------------------------------
 
 
-class Representation:
-    def __init__(self, space: sa.SetAlgebraSpace, atom_images: List[int], atoms: List[int]):
-        self.space = space
-        self.atom_images = atom_images
-        self.atoms = atoms
+class Representation(NamedTuple):
+    """An embedding of a complex algebra: atom a goes to atom_images[a]."""
 
-    def as_map(self, alg: Algebra):
-        def h(x):
-            bits = 0
-            for atom, img in zip(self.atoms, self.atom_images):
-                if alg.le(atom, x):
-                    bits |= img
-            return bits
-
-        return h
+    space: sa.SetAlgebraSpace
+    atom_images: List[int]
 
     def to_json(self):
         return {
             "base": self.space.base_size,
             "topology": self.space.topology.to_json() if self.space.topology else None,
-            "atom_images": [
-                [c for c in range(self.space.ncodes) if img >> c & 1]
-                for img in self.atom_images
-            ],
+            "atom_images": [sorted(set_of(img)) for img in self.atom_images],
         }
 
 
-def _atoms_of_algebra(alg: Algebra, carrier):
-    nonzero = [x for x in carrier if not alg.eq(x, alg.zero)]
-    atoms = []
-    for x in nonzero:
-        if not any(
-            alg.le(y, x) and not alg.eq(y, x) for y in nonzero
-        ):
-            atoms.append(x)
-    return atoms
-
-
-def try_represent(alg: Algebra, max_base: int = 3) -> dict:
-    """Bounded search for an embedding into a topological set algebra.
+def try_represent(structure: AtomStructure, max_base: int = 3) -> dict:
+    """Bounded search for an embedding of cm(structure) into a full
+    topological set algebra of base at most max_base: the discrete
+    topology first, then the others in enumeration order.
 
     Failure is a bounded-search-exhausted report, never a proof of
     non-representability.
     """
-    carrier = alg.carrier_list()
-    if len(carrier) > 256:
-        raise TooLarge("representation search capped at 256 elements")
-    report = check_axiom_suite(alg, "CA", mode="auto", samples=500)
+    if structure.num_atoms > REPRESENT_CAP:
+        raise TooLarge(f"representation search capped at {REPRESENT_CAP} atoms")
+    report = check_axiom_suite(cm(structure), "CA", mode="auto", samples=500)
     if not report["all_pass"]:
         bad = [a["axiom"] for a in report["axioms"] if a["verdict"] == "fails"]
         return {"found": False, "reason": "CA axiom fails", "violated": bad}
-    atoms = _atoms_of_algebra(alg, carrier)
-    if not atoms:
+    if not structure.num_atoms:
         return {"found": False, "reason": "no atoms"}
-    n = alg.dim
     for u in range(1, max_base + 1):
         discrete = make_topology(u, preset="discrete")
         for topo in [discrete] + [t for t in enumerate_topologies(u) if t != discrete]:
-            space = sa.SetAlgebraSpace(n, u, topo)
-            rep = _search_assignment(alg, atoms, space)
+            space = sa.SetAlgebraSpace(structure.dim, u, topo)
+            rep = _search_assignment(structure, space)
             if rep is not None:
                 return {"found": True, "representation": rep}
     return {"found": False, "reason": "bounded search exhausted",
             "max_base": max_base}
 
 
-def _search_assignment(alg, atoms, space) -> Optional[Representation]:
-    k = space.ncodes
-    natoms = len(atoms)
-    if natoms > k:
-        return None
-    diag_alg = {}
-    diag_sp = {}
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            diag_alg[(i, j)] = alg.dg(i, j)
-            diag_sp[(i, j)] = sa.diag(space, i, j)
-    salg = SetAlgebra(space)
+def _search_assignment(structure: AtomStructure, space) -> Optional[Representation]:
+    """The first labelling of the codes with atoms, codes ascending and each
+    code's atoms ascending, that _embeds accepts.
 
-    assign = [-1] * k
+    A code's candidates are the atoms whose D-membership is the code's
+    diagonal pattern. Labelling code c with atom a leaves to each later code
+    of c's i-fiber (the codes differing from c only at i) the candidates in
+    both[i][a], and once a fiber is labelled every atom x with T_i(x, b) for
+    a label b must label one of its codes. These cuts, like the count of
+    atoms still unused, drop only labellings that _embeds refuses: the map
+    must send D_ij to d_ij, c_i of a code's label must hold the labels of
+    its fiber-mates, and each code labelled b lies in c_i of the image of
+    every x with T_i(x, b)."""
+    k, ncodes, n = structure.num_atoms, space.ncodes, structure.dim
+    both, T = structure.both, structure.T
+    fibers = [[sa.cyl(space, i, 1 << c) for i in range(n)] for c in range(ncodes)]
+    candidates = []
+    for c in range(ncodes):
+        m = (1 << k) - 1
+        for (i, j), d in structure.D.items():
+            m &= d if sa.diag(space, i, j) >> c & 1 else ~d
+        candidates.append(m)
+    label = [0] * ncodes
 
-    def compatible(code, ai):
-        a = atoms[ai]
-        for key in diag_alg:
-            in_sp = bool(diag_sp[key] >> code & 1)
-            in_alg = alg.le(a, diag_alg[key])
-            if in_sp != in_alg:
-                return False
-        fibers = [sa.cyl(space, i, 1 << code) for i in range(alg.dim)]
-        for c2 in range(code):
-            a2 = atoms[assign[c2]]
-            for i, fiber in enumerate(fibers):
-                if fiber >> c2 & 1 and not (
-                        alg.le(a2, alg.cyl(i, a)) and alg.le(a, alg.cyl(i, a2))):
-                    return False
-        return True
+    def labelled(c, a, candidates):
+        """The candidates once c is labelled a, or None if a cut fires."""
+        label[c] = a
+        rest = candidates[:]
+        for i in range(n):
+            later = fibers[c][i] >> c + 1 << c + 1
+            for f in set_of(later):
+                rest[f] &= both[i][a]
+                if not rest[f]:
+                    return None
+            if not later:  # c closes its i-fiber: the back condition
+                labels = sum({1 << label[f] for f in set_of(fibers[c][i])})
+                if any(T[i][x] & labels for x in range(k) if not labels >> x & 1):
+                    return None
+        return rest
 
-    def backtrack(code):
-        if code == k:
-            if any(assign.count(ai) == 0 for ai in range(natoms)):
-                return None
-            images = [0] * natoms
-            for c, ai in enumerate(assign):
-                images[ai] |= 1 << c
-            rep = Representation(space, images, atoms)
-            if _verify_embedding(alg, rep, salg):
-                return rep
+    def backtrack(c, candidates, used):
+        if c == ncodes:
+            images = [sum(1 << f for f, b in enumerate(label) if b == a) for a in range(k)]
+            return Representation(space, images) if _embeds(structure, space, images) else None
+        if k - used.bit_count() > ncodes - c:
             return None
-        remaining = k - code
-        unused = sum(1 for ai in range(natoms) if assign.count(ai) == 0)
-        if unused > remaining:
-            return None
-        for ai in range(natoms):
-            if compatible(code, ai):
-                assign[code] = ai
-                found = backtrack(code + 1)
+        for a in range(k):
+            rest = labelled(c, a, candidates) if candidates[c] >> a & 1 else None
+            if rest is not None:
+                found = backtrack(c + 1, rest, used | 1 << a)
                 if found is not None:
                     return found
-                assign[code] = -1
         return None
 
-    return backtrack(0)
+    return backtrack(0, candidates, 0)
 
 
-def _verify_embedding(alg, rep, salg) -> bool:
-    h = rep.as_map(alg)
-    carrier = alg.carrier_list()
-    hx = {x: h(x) for x in carrier}
-    vals = list(hx.values())
-    if len(set(vals)) != len(vals):
+def _embeds(structure: AtomStructure, space, images) -> bool:
+    """Whether atom a -> images[a] extends to an embedding of cm(structure)
+    into the full set algebra on `space`, the map sending an element to the
+    union of its atoms' images.
+
+    The images must be non-empty; the labelling makes them partition the
+    unit, so the map is an injective Boolean homomorphism. c_i, the closure
+    C_i(x) = -I_i(-x) and the map are additive (they send a join to the join
+    of the values, and 0 to 0), so the map commutes with c_i and C_i on
+    every element once it does on every atom; commuting with C_i and with
+    complement, it commutes with I_i. What is left is that D_ij goes to
+    d_ij."""
+    one = space.full_bits
+
+    def image(x):
+        return sum(images[a] for a in set_of(x))
+
+    if not all(images):
         return False
-    for x in carrier:
-        if hx[alg.minus(x)] != salg.minus(hx[x]):
-            return False
-        for i in range(alg.dim):
-            if hx[alg.cyl(i, x)] != salg.cyl(i, hx[x]):
+    for i in range(structure.dim):
+        closure = structure.converse[i]
+        for a, img in enumerate(images):
+            if image(structure.T[i][a]) != sa.cyl(space, i, img):
                 return False
-            if hx[alg.interior(i, x)] != salg.interior(i, hx[x]):
+            if one ^ sa.interior_op(space, i, one ^ img) != (
+                    img if closure is None else image(closure[a])):
                 return False
-    for x in carrier:
-        for y in carrier:
-            if hx[alg.plus(x, y)] != (hx[x] | hx[y]):
-                return False
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            if hx[alg.dg(i, j)] != salg.dg(i, j):
-                return False
-    return True
+    return all(image(d) == sa.diag(space, i, j) for (i, j), d in structure.D.items())

@@ -331,8 +331,7 @@ def cmd_bao_sg(args):
 
 
 def cmd_bao_represent(args):
-    alg = bao.cm(_explicit_structure_arg(args))
-    rep = bao.try_represent(alg, max_base=args.max_base)
+    rep = bao.try_represent(_explicit_structure_arg(args), max_base=args.max_base)
     results = {"found": rep["found"]}
     if rep["found"]:
         results["representation"] = rep["representation"].to_json()

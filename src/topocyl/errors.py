@@ -6,10 +6,10 @@ from typing import Optional
 
 
 def json_field(value, kind, name: str, size: Optional[int] = None):
-    """value, if it is a JSON object (kind dict), list (kind list) or
-    integer (kind int), with `size` entries when size is given."""
+    """value, if it is a JSON object (kind dict), list (kind list) or integer
+    (kind int, not true or false), with `size` entries when size is given."""
     want = {dict: "an object", list: "a list", int: "an integer"}[kind]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or type(value) is bool:
         raise ValueError(f"{name} must be {want}, got {reprlib.repr(value)}")
     if size is not None and len(value) != size:
         raise ValueError(f"{name} must be {want} of {size} entries, got {len(value)}")
@@ -17,9 +17,9 @@ def json_field(value, kind, name: str, size: Optional[int] = None):
 
 
 def json_ints(value, name: str, size: Optional[int] = None) -> list:
-    """value, if it is a list of integers (`size` of them when given); the
-    range of the integers is checked where they are used."""
-    if isinstance(value, list) and all(isinstance(v, int) for v in value) \
+    """value, if it is a list of integers, not true or false (`size` of them
+    when given); the range of the integers is checked where they are used."""
+    if isinstance(value, list) and all(type(v) is int for v in value) \
             and size in (None, len(value)):
         return value
     count = "" if size is None else f"{size} "
@@ -28,7 +28,7 @@ def json_ints(value, name: str, size: Optional[int] = None) -> list:
 
 def json_size(value, name: str) -> int:
     """value, if it is a non-negative integer (true and false are not)."""
-    if type(json_field(value, int, name)) is bool or value < 0:
+    if type(value) is bool or json_field(value, int, name) < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {reprlib.repr(value)}")
     return value
 

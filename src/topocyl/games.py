@@ -172,7 +172,7 @@ class AtomicNetwork:
             t = parse_node_tuple(key) or ()
             if len(t) != dim or not set(t) <= members:
                 raise ValueError(f"network label key {key!r} is not a tuple of {dim} nodes")
-            if not (isinstance(a, int) and a >= 0):
+            if not (type(a) is int and a >= 0):
                 raise ValueError(f"network label {key!r} must be an atom index, got {a!r}")
             labels[t] = a
         return AtomicNetwork(dim, nodes, labels)
@@ -226,11 +226,6 @@ class GenericBackend:
     def __init__(self, structure: AtomStructure):
         self.s = structure
         self.n = structure.dim
-        # both[i][b]: the atoms a with T_i(b, a) and T_i(a, b), the labels an
-        # i-neighbour of a tuple labelled b may carry
-        atoms = range(structure.num_atoms)
-        self.both = [[sum(1 << a for a in atoms if t[b] >> a & 1 and t[a] >> b & 1)
-                      for b in atoms] for t in structure.T]
         self._diags: Dict[int, List[int]] = {}
 
     def atoms(self):
@@ -293,8 +288,9 @@ class GenericBackend:
         conditions; most-constrained-first with forward checking.
 
         A tuple's domain is a bitmask of atoms: its diagonal mask ANDed with
-        both[i][b] for every labelled i-neighbour, labelled b."""
-        n, both = self.n, self.both
+        the structure's both[i][b], the labels an i-neighbour of a tuple
+        labelled b may carry, for every labelled i-neighbour, labelled b."""
+        n, both = self.n, self.s.both
         nodes = sorted(nodes)
         neighbours = _shape_tables(n, len(nodes))[1]
         where = dict(zip(itertools.product(nodes, repeat=n), range(len(neighbours))))
@@ -809,7 +805,7 @@ def verify_transcript(structure, artifact: dict) -> dict:
             != list(range(len(play))):
         return {"ok": False, "reason": "records are not numbered 0, 1, 2, ... in order"}
     rounds = artifact.get("rounds", len(play) - 1)
-    if not isinstance(rounds, int) or len(play) > rounds + 1:
+    if type(rounds) is not int or len(play) > rounds + 1:
         return {"ok": False, "reason": f"{len(play)} records for a play of {rounds!r} rounds"}
     backend = backend_for(structure)
     history, used = [], set()

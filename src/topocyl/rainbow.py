@@ -203,7 +203,7 @@ class ColouredGraph:
         with nodes u < v to colour codes and whose yellows map node tuple
         keys to yellow codes."""
         raw = json_field(doc, dict, "graph").get("nodes")
-        nodes = range(raw) if isinstance(raw, int) else json_ints(raw, "graph nodes")
+        nodes = range(raw) if type(raw) is int else json_ints(raw, "graph nodes")
         raw_edges, raw_yellows = (json_field(doc.get(name, {}), dict, f"graph {name}")
                                   for name in ("edges", "yellows"))
         members = set(nodes)
@@ -790,6 +790,8 @@ class RainbowComplexAlgebra(bao.Algebra):
         return self.structure.diag_mask(i, j)
 
     def interior(self, i, x):
+        if not 0 <= i < self.dim:
+            raise IndexOutOfRange(f"index {i} outside dimension {self.dim}")
         return x
 
     def random_element(self, rng):

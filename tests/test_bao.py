@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -14,6 +15,7 @@ from topocyl import setalg as S
 from topocyl import topology as T
 from topocyl.errors import (
     IndexOutOfRange,
+    TooLarge,
     TooLargeForExhaustive,
     TooManyAtoms,
     UnboundVariable,
@@ -315,17 +317,16 @@ def test_sg():
 
 def test_try_represent_identity_case():
     sp, s = full_algebra(2, 2, "discrete")
-    res = B.try_represent(B.cm(s), max_base=2)
+    res = B.try_represent(s, max_base=2)
     assert res["found"]
     rep = res["representation"]
     assert rep.space.base_size == 2
-    h = rep.as_map(B.cm(s))
-    assert h(B.cm(s).one) == rep.space.full_bits
+    assert sum(rep.atom_images) == rep.space.full_bits
 
 
 def test_try_represent_two_element_algebra():
     s = trivial_structure()
-    res = B.try_represent(B.cm(s), max_base=3)
+    res = B.try_represent(s, max_base=3)
     assert res["found"]
     assert res["representation"].space.base_size == 1
 
@@ -334,10 +335,133 @@ def test_try_represent_fails_fast_on_ca_violation():
     s = B.AtomStructure.from_pairs(
         2, 1, [[], [(0, 0)]],
         {(0, 0): [0], (0, 1): [0], (1, 0): [0], (1, 1): [0]})
-    res = B.try_represent(B.cm(s), max_base=2)
+    res = B.try_represent(s, max_base=2)
     assert not res["found"]
     assert res["reason"] == "CA axiom fails"
     assert any("CA3" in v for v in res["violated"])
+
+
+def orbit_structure(n, u, gens):
+    """Atom structure of the subalgebra of the discrete base-u cube fixed by
+    the permutation group that `gens` generate on the base: one atom per
+    orbit of n-tuples, numbered by least member; identity interiors."""
+    tuples = list(itertools.product(range(u), repeat=n))
+    orbit = {}
+    for t in tuples:
+        atom, frontier = len(set(orbit.values())), [t]
+        while frontier:
+            s = frontier.pop()
+            if s not in orbit:
+                orbit[s] = atom
+                frontier += [tuple(g[x] for x in s) for g in gens]
+    k = len(set(orbit.values()))
+    cyl = [[0] * k for _ in range(n)]
+    for t, i, x in itertools.product(tuples, range(n), range(u)):
+        cyl[i][orbit[t]] |= 1 << orbit[t[:i] + (x,) + t[i + 1:]]
+    D = {(i, j): sum({1 << orbit[t] for t in tuples if t[i] == t[j]})
+         for i in range(n) for j in range(n)}
+    return B.AtomStructure(n, k, cyl, D)
+
+
+# the 3-cycles (0 1 2) and (1 2 3) generate the alternating group A_4
+A4 = [(1, 2, 0, 3), (0, 2, 3, 1)]
+
+
+def product_of_one_point_cubes():
+    """Two atoms, each its own c_i-class and on every diagonal."""
+    return B.AtomStructure(2, 2, [[1, 2], [1, 2]], {(i, j): 3 for i in range(2) for j in range(2)})
+
+
+def represent_corpus():
+    """(structure, max_base): every full set algebra of at most 4 atoms
+    under every topology, seeded orbit structures of at most 6 atoms, the
+    product of two one-point cubes and the structure with no atoms."""
+    cases = [(B.atom_structure_of(S.SetAlgebraSpace(n, u, topo)), u)
+             for n, u in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
+             for topo in T.enumerate_topologies(u)]
+    rng, seen = random.Random(0), set()
+    for _ in range(60):
+        n, u = rng.choice((2, 3)), rng.choice((2, 3, 4))
+        s = orbit_structure(n, u, [rng.sample(range(u), u) for _ in range(rng.choice((1, 2)))])
+        key = json.dumps(s.to_json())
+        if s.num_atoms <= 6 and key not in seen:
+            seen.add(key)
+            cases.append((s, 3))
+    empty = B.AtomStructure(2, 0, [[], []], {(i, j): 0 for i in range(2) for j in range(2)})
+    return cases + [(product_of_one_point_cubes(), 3), (empty, 1)]
+
+
+def is_embedding(structure, rep):
+    """Whether x -> union of rep's atom images is an injective homomorphism
+    of cm(structure) into the set algebra on rep.space, checked on every
+    element and every pair of elements."""
+    alg, salg = B.cm(structure), B.SetAlgebra(rep.space)
+    carrier = alg.carrier_list()
+    h = {x: sum(img for a, img in enumerate(rep.atom_images) if x >> a & 1) for x in carrier}
+    return (len(set(h.values())) == len(carrier)
+            and all(h[alg.minus(x)] == salg.minus(h[x])
+                    and all(h[alg.cyl(i, x)] == salg.cyl(i, h[x])
+                            and h[alg.interior(i, x)] == salg.interior(i, h[x])
+                            for i in range(alg.dim))
+                    for x in carrier)
+            and all(h[x | y] == h[x] | h[y] for x in carrier for y in carrier)
+            and all(h[alg.dg(i, j)] == salg.dg(i, j)
+                    for i in range(alg.dim) for j in range(alg.dim)))
+
+
+def test_try_represent_outputs_pinned():
+    """sha1 of the try_represent reports over represent_corpus(), recorded
+    while the search still ran on the materialized complex algebra; every
+    representation found is an embedding on the whole carrier."""
+    digest = hashlib.sha1()
+    for structure, max_base in represent_corpus():
+        res = B.try_represent(structure, max_base=max_base)
+        if res["found"]:
+            assert is_embedding(structure, res["representation"])
+            res = dict(res, representation=res["representation"].to_json())
+        digest.update(json.dumps(res, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "abc2ffc639bea3e2a599c508ddf32ed192ea382d"
+
+
+def test_try_represent_exhausts_on_a_product_of_one_point_cubes():
+    """The CA suite passes, but no square unit holds two atoms that are each
+    their own c_i-class and on every diagonal: the search backtracks over
+    every base up to the bound and says so."""
+    assert B.try_represent(product_of_one_point_cubes(), max_base=3) == {
+        "found": False, "reason": "bounded search exhausted", "max_base": 3}
+
+
+def test_try_represent_finds_the_a4_orbit_structure_at_base_4():
+    """The connected 6-atom structure of the triples over 4 points up to A_4
+    (constants, the three patterns with two equal coordinates, and the
+    distinct triples split by orientation) is represented on the discrete
+    base-4 cube within 30 s."""
+    s = orbit_structure(3, 4, A4)
+    assert s.num_atoms == 6
+    start = time.perf_counter()
+    res = B.try_represent(s, max_base=4)
+    assert time.perf_counter() - start < 30
+    rep = res["representation"]
+    assert rep.space.base_size == 4 and rep.space.topology == T.make_topology(4, preset="discrete")
+    assert is_embedding(s, rep)
+
+
+def test_try_represent_refuses_more_than_eight_atoms():
+    for k in (9, 24):
+        s = B.AtomStructure(2, k, [[1 << a for a in range(k)]] * 2,
+                            {(i, j): (1 << k) - 1 for i in range(2) for j in range(2)})
+        with pytest.raises(TooLarge, match="capped at 8 atoms"):
+            B.try_represent(s)
+
+
+def test_interior_refuses_an_index_outside_the_dimension():
+    """interior refuses an index outside 0..n-1 naming it, as cyl and dg
+    do, instead of answering the last axis for index -1."""
+    for s in (full_algebra(2, 2, "indiscrete")[1], trivial_structure()):
+        alg = B.cm(s)
+        for i in (-1, 2):
+            with pytest.raises(IndexOutOfRange, match=f"index {i} outside"):
+                alg.interior(i, 1)
 
 
 def test_ca_consequences_rederived():

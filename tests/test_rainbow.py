@@ -264,14 +264,16 @@ def test_structure_relations(structure):
 
 
 def test_indices_outside_the_dimension_are_refused(structure):
-    """d_ij and c_i refuse an index outside 0..2 naming it, as the other
-    algebras do, instead of answering d_77 with every atom."""
+    """d_ij, c_i and I_i refuse an index outside 0..2 naming it, as the
+    other algebras do, instead of answering d_77 with every atom."""
     alg = structure.cm()
     for call, index in ((lambda: structure.diag_mask(7, 7), "(7,7)"),
                         (lambda: structure.diag_mask(0, 5), "(0,5)"),
                         (lambda: alg.dg(0, 5), "(0,5)"),
                         (lambda: alg.cyl(5, alg.zero), "index 5"),
-                        (lambda: alg.cyl(-1, alg.zero), "index -1")):
+                        (lambda: alg.cyl(-1, alg.zero), "index -1"),
+                        (lambda: alg.interior(5, alg.zero), "index 5"),
+                        (lambda: alg.interior(-1, alg.zero), "index -1")):
         with pytest.raises(IndexOutOfRange, match=re.escape(index)):
             call()
 
