@@ -512,11 +512,6 @@ class Equation:
         self.rel = rel
         self.vars = tuple(sorted(term_vars(lhs) | term_vars(rhs)))
 
-    def holds_in(self, alg: Algebra, env) -> bool:
-        a = eval_term(alg, self.lhs, env)
-        b = eval_term(alg, self.rhs, env)
-        return alg.le(a, b) if self.rel == "le" else alg.eq(a, b)
-
 
 def check_equation(
     alg: Algebra,
@@ -805,16 +800,12 @@ def try_represent(structure: AtomStructure, max_base: int = 3) -> dict:
     topology first, then the others in enumeration order.
 
     Failure is a bounded-search-exhausted report, never a proof of
-    non-representability.
+    non-representability. A represented algebra satisfies every CA axiom,
+    so the CA check runs only after the search is exhausted: a structure
+    that fails it is reported with the violated axioms.
     """
     if structure.num_atoms > REPRESENT_CAP:
         raise TooLarge(f"representation search capped at {REPRESENT_CAP} atoms")
-    report = check_axiom_suite(cm(structure), "CA", mode="auto", samples=500)
-    if not report["all_pass"]:
-        bad = [a["axiom"] for a in report["axioms"] if a["verdict"] == "fails"]
-        return {"found": False, "reason": "CA axiom fails", "violated": bad}
-    if not structure.num_atoms:
-        return {"found": False, "reason": "no atoms"}
     for u in range(1, max_base + 1):
         discrete = make_topology(u, preset="discrete")
         for topo in [discrete] + [t for t in enumerate_topologies(u) if t != discrete]:
@@ -822,6 +813,12 @@ def try_represent(structure: AtomStructure, max_base: int = 3) -> dict:
             rep = _search_assignment(structure, space)
             if rep is not None:
                 return {"found": True, "representation": rep}
+    report = check_axiom_suite(cm(structure), "CA", mode="auto", samples=500)
+    if not report["all_pass"]:
+        bad = [a["axiom"] for a in report["axioms"] if a["verdict"] == "fails"]
+        return {"found": False, "reason": "CA axiom fails", "violated": bad}
+    if not structure.num_atoms:
+        return {"found": False, "reason": "no atoms"}
     return {"found": False, "reason": "bounded search exhausted",
             "max_base": max_base}
 

@@ -332,11 +332,9 @@ def cmd_bao_sg(args):
 
 def cmd_bao_represent(args):
     rep = bao.try_represent(_explicit_structure_arg(args), max_base=args.max_base)
-    results = {"found": rep["found"]}
+    results = dict(rep)
     if rep["found"]:
         results["representation"] = rep["representation"].to_json()
-    else:
-        results["reason"] = rep["reason"]
     return _finish(args, results, str(rep["found"]).lower(), "bao represent")
 
 

@@ -15,6 +15,12 @@ which backend it holds:
 - `initial_networks`, `forall_moves`, `responses`, `canonical`, `validate`,
   `net_to_json` and `net_from_json`.
 
+The engine reads the atoms of a network only through `atom_of`, and there
+is one canonical form (`_least_relabelling`): the node count and the least
+vector of tuple atoms, over the node n-tuples in product order, over all
+relabellings of the nodes. Each backend's `canonical` only builds that
+vector.
+
 The rainbow backend never reads a packed atom code itself: the atom table
 decodes an atom into kernel blocks and a quotient graph (`graph_of`), which
 `responses` lays onto the demanded tuple, and encodes the pullback of a
@@ -38,10 +44,9 @@ graph, so the table narrows the search and never decides validity.
 A generic network maps n-tuples of nodes to atom ids. Exists' responses are
 found by backtracking over the undetermined tuples, most constrained first;
 the domain of a tuple is a bitmask of atoms, its diagonal mask narrowed by
-one table row per labelled axis neighbour, and canonical forms are the least
-label vector over node permutations, read through one itemgetter each. The
-tables that depend only on (n, node count) are built on first use and
-shared.
+one table row per labelled axis neighbour. The tables that depend only on
+(n, node count), among them one itemgetter per node permutation that the
+canonical form reads a vector through, are built on first use and shared.
 
 The real game runs for omega rounds; everything here is an r-round
 truncation and says so in its artifacts. In F-mode Forall may pick a node
@@ -65,7 +70,6 @@ from .bao import AtomStructure
 from .rainbow import (
     ColouredGraph,
     RainbowStructure,
-    colour_code,
     is_green,
     is_valid_coloured_graph,
     parse_node_tuple,
@@ -148,9 +152,6 @@ class AtomicNetwork:
         self.nodes = tuple(sorted(set(nodes)))
         self.labels = dict(labels)
 
-    def label(self, t) -> int:
-        return self.labels[tuple(t)]
-
     def to_json(self):
         return {
             "nodes": list(self.nodes),
@@ -220,6 +221,13 @@ def _shape_tables(n: int, k: int):
         getters = tuple(operator.itemgetter(*(index[tuple(p[x] for x in t)] for t in tuples))
                         for p in itertools.permutations(range(k)))
     return tuples, neighbours, getters
+
+
+def _least_relabelling(n: int, k: int, vec) -> tuple:
+    """The canonical form of a network on k nodes whose atoms, read over its
+    node n-tuples in product order, are vec: k and the least such vector
+    over all relabellings of the nodes by 0..k-1. Both backends use it."""
+    return (k, min(g(vec) for g in _shape_tables(n, k)[2]))
 
 
 class GenericBackend:
@@ -365,12 +373,8 @@ class GenericBackend:
         return self._complete(nodes, pinned, cap=cap)
 
     def canonical(self, net: AtomicNetwork):
-        """The least label vector, in sorted tuple order, over all
-        relabellings of the nodes by 0..k-1."""
-        nodes = net.nodes
-        labels = net.labels
-        vec = [labels[t] for t in itertools.product(nodes, repeat=self.n)]
-        return (len(nodes), min(g(vec) for g in _shape_tables(self.n, len(nodes))[2]))
+        tuples = itertools.product(net.nodes, repeat=self.n)
+        return _least_relabelling(self.n, len(net.nodes), list(map(net.labels.__getitem__, tuples)))
 
     def net_to_json(self, net):
         return net.to_json()
@@ -543,19 +547,11 @@ class RainbowBackend:
                 out.append(g2)
 
     def canonical(self, g: ColouredGraph):
-        """The least (edges, yellows) encoding over all relabellings of the
-        nodes by 0..k-1; node positions and the colour codes of both edge
-        directions are read once, so a permutation relabels ints only."""
-        pos = {v: p for p, v in enumerate(g.nodes)}
-        edges = [(pos[u], pos[v], colour_code(g.edge(u, v)), colour_code(g.edge(v, u)))
-                 for (u, v) in g.edges]
-        yells = [([pos[x] for x in key], tuple(sorted(S))) for key, S in g.yellows.items()]
-        return (len(pos), min(
-            (tuple(sorted(((perm[u], perm[v]), fwd) if perm[u] < perm[v]
-                          else ((perm[v], perm[u]), back)
-                          for u, v, fwd, back in edges)),
-             tuple(sorted((tuple(sorted(perm[x] for x in key)), S) for key, S in yells)))
-            for perm in itertools.permutations(range(len(pos)))))
+        """At n = 3 the tuple (u, v, v) pulls back the edge and the yellow
+        on {u, v}, so the atom vector fixes the graph: equal forms mean
+        isomorphic graphs."""
+        tuples = itertools.product(g.nodes, repeat=self.n)
+        return _least_relabelling(self.n, len(g.nodes), [self.atom_of(g, t) for t in tuples])
 
     def net_to_json(self, net):
         return {"graph": net.to_json()}

@@ -19,7 +19,7 @@ import operator
 import random
 import re
 from functools import lru_cache, partial
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -314,38 +314,24 @@ _BLOCK_CELLS = 1 << 15
 
 
 @lru_cache(maxsize=None)
-def _frame_table(size: int, mode: str) -> np.ndarray:
-    """Interior table of every frame of one size, in enumeration order: row
-    k, column s is the interior of point-set s in the k-th topology
-    (`FiniteTopology.interior_bits`, the union of opens) or the k-th preorder
-    (the successor rows: bit x of row s is set iff up[x] & ~s == 0, one
-    array expression over every preorder). Read-only: the cache hands the
-    same array to every search."""
+def _frame_table(size: int, mode: str) -> Tuple[tuple, np.ndarray]:
+    """Every frame of one size, in enumeration order, and their interior
+    table: row k, column s is the interior of point-set s in the k-th
+    topology (`FiniteTopology.interior_bits`, the union of opens) or the
+    k-th preorder (the successor rows: bit x of row s is set iff
+    up[x] & ~s == 0, one array expression over every preorder). The table
+    is read-only: the cache hands the same array to every search."""
     sets = range(1 << size)
     if mode == "topo":
-        rows = [[t.interior_bits(s) for s in sets] for t in enumerate_topologies(size)]
+        frames = tuple(enumerate_topologies(size))
+        rows = [[t.interior_bits(s) for s in sets] for t in frames]
     else:
-        up = np.array([p.up for p in enumerate_preorders(size)]).reshape(-1, 1, size)
+        frames = tuple(enumerate_preorders(size))
+        up = np.array([p.up for p in frames]).reshape(-1, 1, size)
         rows = ((up & ~np.array(sets)[:, None] == 0) << np.arange(size)).sum(axis=2)
     table = np.array(rows, dtype=np.uint8)
     table.flags.writeable = False
-    return table
-
-
-def _topology_of_row(size: int, row) -> FiniteTopology:
-    """The topology whose interior table is row: its opens are the fixed points."""
-    return FiniteTopology(size, [s for s, i in enumerate(row.tolist()) if i == s])
-
-
-def _preorder_of_row(size: int, row) -> Preorder:
-    """The preorder whose interior table is row: up[x] is the least set
-    whose interior contains x, the AND of every such set."""
-    up = [(1 << size) - 1] * size
-    for s, i in enumerate(row.tolist()):
-        for x in range(size):
-            if i >> x & 1:
-                up[x] &= s
-    return Preorder(size, [(x, y) for x in range(size) for y in range(size) if up[x] >> y & 1])
+    return frames, table
 
 
 # node budget of random_formula's tree: Boolean connectives do not consume
@@ -408,7 +394,7 @@ def find_countermodel(
     exhaustive = len(alphabet) <= 2
     rng = random.Random(seed)
     for size in range(1, max_size + 1):
-        table = _frame_table(size, mode)
+        frames, table = _frame_table(size, mode)
         space = 1 << size
         full = np.uint8(space - 1)
         if exhaustive:
@@ -434,9 +420,6 @@ def find_countermodel(
                 v = int(hits[k].argmax())
                 val = {a: int(x) for a, x in zip(alphabet, cells[0 if exhaustive else k, v])}
                 point = int(refuted[k, v]).bit_length() - 1
-                if topo:
-                    model = TopoModel(_topology_of_row(size, rows[k]), val)
-                else:
-                    model = KripkeModel(_preorder_of_row(size, rows[k]), val)
+                model = (TopoModel if topo else KripkeModel)(frames[start + k], val)
                 return {"model": model, "point": point, "mode": mode}
     return None

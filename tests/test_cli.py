@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from topocyl import bao as B
 from topocyl import rainbow
 from topocyl.cli import build_parser, dispatch
 from topocyl.report import render
@@ -301,6 +302,20 @@ def test_bao_commands(tmp_path):
     code, doc = run(tmp_path, "bao", "represent", "--structure", "fullset:2,2",
                     "--max-base", "2", "--expect", "true")
     assert code == 0
+
+
+def test_bao_represent_reports_the_violated_axioms(tmp_path):
+    """A structure that fails the CA suite is reported with the axioms it
+    violates and the search bound, as try_represent returns them."""
+    dump = tmp_path / "one-atom.json"
+    dump.write_text(json.dumps(B.AtomStructure.from_pairs(
+        2, 1, [[], [(0, 0)]], {key: [0] for key in itertools.product(range(2), repeat=2)}
+    ).to_json()))
+    code, doc = run(tmp_path, "bao", "represent", "--structure", str(dump),
+                    "--max-base", "2", "--expect", "false")
+    res = doc["results"]
+    assert code == 0 and res["found"] is False and res["reason"] == "CA axiom fails"
+    assert {"CA3[x<=c0x]", "CA7[d11=c0(d10.d10)]"} <= set(res["violated"])
 
 
 def test_game_solve_and_replay(tmp_path):

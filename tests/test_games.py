@@ -98,7 +98,7 @@ def test_exists_responses_meet_demand():
     assert resps
     for net in resps:
         assert G.validate_network(s, net)["ok"]
-        assert net.label(G.insert_at(move.face, move.l, move.k)) == move.atom
+        assert backend.atom_of(net, G.insert_at(move.face, move.l, move.k)) == move.atom
         assert set(net.nodes) == set(net0.nodes) | {move.k}
 
 
@@ -289,6 +289,101 @@ def test_canonical_invariant_under_node_relabelling(rainbow_structure):
     for net in graphs:
         f = dict(zip(net.nodes, rng.sample(range(10), len(net.nodes))))
         assert rb.canonical(_relabel_graph(net, f)) == rb.canonical(net)
+
+
+def _isomorphic_graphs(g, h):
+    """Some node bijection carries every edge and yellow of g onto h's."""
+    if len(g.nodes) != len(h.nodes) or len(g.yellows) != len(h.yellows):
+        return False
+    for image in itertools.permutations(h.nodes):
+        p = dict(zip(g.nodes, image))
+        if all(h.edge(p[u], p[v]) == c for (u, v), c in g.edges.items()) and all(
+                h.yellow([p[x] for x in key]) == shade for key, shade in g.yellows.items()):
+            return True
+    return False
+
+
+def _isomorphic_networks(a, b):
+    """Some node bijection carries every label of a onto b's."""
+    if len(a.nodes) != len(b.nodes):
+        return False
+    for image in itertools.permutations(b.nodes):
+        p = dict(zip(a.nodes, image))
+        if all(b.labels[tuple(p[x] for x in t)] == atom for t, atom in a.labels.items()):
+            return True
+    return False
+
+
+def _separated_pairs(backend, nets, isomorphic, bucket):
+    """Assert that equal canonical forms mean isomorphic networks and back,
+    on every pair with the same bucket; the number of classes and of
+    compared pairs with different forms."""
+    groups = {}
+    for net in nets:
+        groups.setdefault(bucket(net), []).append(net)
+    classes = distinct = 0
+    for group in groups.values():
+        forms = [backend.canonical(net) for net in group]
+        for (x, fx), (y, fy) in itertools.combinations(zip(group, forms), 2):
+            assert (fx == fy) == isomorphic(x, y), (x.nodes, y.nodes)
+            distinct += fx != fy
+        classes += len(set(forms))
+    return classes, distinct
+
+
+def test_canonical_form_separates_non_isomorphic_networks(rainbow_structure):
+    """Equal canonical forms hold exactly for isomorphic networks, checked
+    against a brute-force isomorphism test on pairs with equal node count
+    and equal edge-colour (or label) multiset. Rainbow corpus: the script
+    trees of all 24 tint orders, the initial networks of 300 sampled atoms,
+    and relabelled copies; generic corpus: principal-play networks of
+    bounded solves, responses to some of their moves, and relabelled
+    copies."""
+    rng = random.Random(22)
+    rs = rainbow_structure
+    rb = G.RainbowBackend(rs, yellow_mode="dominant")
+    graphs = []
+
+    def collect(node):
+        if node["responses"] != "dead-end":
+            for rec in node["responses"]:
+                graphs.append(R.ColouredGraph.from_json(rec["network"]["graph"], rs.sig))
+                collect(rec["subtree"])
+
+    for tints in itertools.permutations(range(1, 5)):
+        proof = G.verify_forall_script(rs, tints)
+        graphs.append(R.ColouredGraph.from_json(proof["zeroth_graph"], rs.sig))
+        collect(proof["tree"])
+    graphs += [rb.initial_networks(int(rs.codes[rng.randrange(len(rs.codes))]), 6)[0]
+               for _ in range(300)]
+    graphs += [_relabel_graph(g, dict(zip(g.nodes, rng.sample(range(10), len(g.nodes)))))
+               for g in graphs]
+
+    def colours(g):
+        return tuple(sorted(min(R.colour_code(c), R.colour_code(R.reverse_colour(c)))
+                            for c in g.edges.values()))
+
+    classes, distinct = _separated_pairs(rb, graphs, _isomorphic_graphs,
+                                         lambda g: (len(g.nodes), colours(g)))
+    assert len(graphs) == 1224 and classes == 364 and distinct > 1000
+
+    nets = []
+    for s in [loose_structure(), fullset_structure(2, 3, "indiscrete"),
+              *_random_equivalence_structures(4)]:
+        gb = G.GenericBackend(s)
+        for m, r, mode in ((4, 2, "F"), (4, 3, "G")):
+            for rec in G.solve_bounded(s, m, r, mode)["principal_play"]:
+                if rec["exists"] != "dead-end":
+                    net = gb.net_from_json(rec["exists"]["network"])
+                    nets.append(net)
+                    for move in gb.forall_moves([net], m, set(), "F")[::6]:
+                        nets += gb.responses(net, move)[:12]
+    nets += [_relabel_atomic(net, dict(zip(net.nodes, rng.sample(range(10), len(net.nodes)))))
+             for net in nets]
+    classes, distinct = _separated_pairs(
+        G.GenericBackend(loose_structure()), nets, _isomorphic_networks,
+        lambda net: (len(net.nodes), tuple(sorted(net.labels.values()))))
+    assert classes > 20 and distinct > 1000
 
 
 # (structure, nodes, rounds, mode) -> (states_explored, sha1 of the sorted

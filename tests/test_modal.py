@@ -269,7 +269,7 @@ def test_frame_tables_are_built_once_per_size_and_mode(monkeypatch):
         assert M.find_countermodel(f, 3, mode) is None
         assert M.find_countermodel(M.parse("p0 -> I p0"), 3, mode) is not None
     assert calls == [1, 2, 3, 1, 2, 3]
-    assert not M._frame_table(3, "topo").flags.writeable
+    assert not M._frame_table(3, "topo")[1].flags.writeable
 
 
 def test_s4_schemes_have_no_countermodel_within_the_bound():
@@ -349,6 +349,6 @@ def test_kripke_frame_tables_match_the_scalar_rows():
     for size in range(1, 6):
         rows = [[M._kripke_interior_bits(p.up, s) for s in range(1 << size)]
                 for p in T.enumerate_preorders(size)]
-        table = M._frame_table(size, "kripke")
+        _, table = M._frame_table(size, "kripke")
         assert table.dtype == np.uint8 and table.shape == (len(rows), 1 << size)
         assert table.tobytes() == np.array(rows, dtype=np.uint8).tobytes(), size
