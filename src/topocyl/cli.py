@@ -1,5 +1,9 @@
 """Command-line front end: reproducible experiments with JSON artifacts.
 
+`COMMANDS` is the one table of the commands: group -> command -> (handler,
+the command's own flags). `build_parser` is built from it, and each report
+names its command as "group cmd".
+
 Exit status: 0 when the run's verdict matches --expect (or no expectation
 was given and the command ran), 1 on a verdict mismatch, 2 on usage errors.
 """
@@ -31,7 +35,7 @@ def _json_arg(arg: str):
 
 
 def _structure_arg(arg: str):
-    """fullset:N,U[,topology] | rainbow:3 | path to an atom-structure JSON."""
+    """fullset:N,U[,preset] | rainbow:3 | path to an atom-structure JSON."""
     if arg.startswith("fullset:"):
         parts = arg.split(":", 1)[1].split(",")
         if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts[:2]):
@@ -67,21 +71,15 @@ def _explicit_structure_arg(args):
     return _structure_arg(args.structure)
 
 
-def _finish(args, results: dict, verdict, command: str) -> int:
-    config = {
-        "seed": getattr(args, "seed", None),
-        "samples": getattr(args, "samples", None),
-        "max_size": getattr(args, "max_size", None),
-        "rounds": getattr(args, "rounds", None),
-        "nodes": getattr(args, "nodes", None),
-        "expect": getattr(args, "expect", None),
-    }
-    results = dict(results)
-    results["verdict"] = str(verdict)
-    emit(make_report(command, config, results), getattr(args, "out", None))
-    if args.expect is not None and str(verdict) != args.expect:
-        return 1
-    return 0
+def _finish(args, results: dict, verdict) -> int:
+    """Emit the report. Its config echoes the same six keys for every
+    command: seed and samples always (built-in or --config values where the
+    command takes no such flag), the others None where it takes none."""
+    config = {key: getattr(args, key, None)
+              for key in ("seed", "samples", "max_size", "rounds", "nodes", "expect")}
+    results = dict(results, verdict=str(verdict))
+    emit(make_report(f"{args.group} {args.cmd}", config, results), args.out)
+    return int(args.expect is not None and str(verdict) != args.expect)
 
 
 # -- topo ----------------------------------------------------------------
@@ -94,7 +92,7 @@ def cmd_topo_enum(args):
         "count": len(tops),
         "topologies": [t.to_json() for t in tops] if args.max_size <= 3 else "elided",
     }
-    return _finish(args, results, len(tops), "topo enum")
+    return _finish(args, results, len(tops))
 
 
 def cmd_topo_check(args):
@@ -107,13 +105,23 @@ def cmd_topo_check(args):
     except WorkbenchError as exc:
         results = {"error": type(exc).__name__, "detail": str(exc)}
         verdict = "invalid"
-    return _finish(args, results, verdict, "topo check")
+    return _finish(args, results, verdict)
 
 
 # -- modal ---------------------------------------------------------------
 
 
-MODEL_KINDS = ("topo", "kripke", "dynamic")
+# model kind -> (the model its JSON document builds given the valuation,
+# the evaluator of formulas on that model)
+MODEL_KINDS = {
+    "topo": (lambda doc, val: modal.TopoModel(
+        topology.FiniteTopology.from_json(doc.get("topology")), val), modal.eval_topo),
+    "kripke": (lambda doc, val: modal.KripkeModel(
+        topology.Preorder.from_json(doc.get("preorder")), val), modal.eval_kripke),
+    "dynamic": (lambda doc, val: modal.DynamicModel(
+        topology.FiniteTopology.from_json(doc.get("topology")),
+        json_ints(doc.get("map"), '"map"'), val), modal.eval_dynamic),
+}
 
 
 def cmd_modal_eval(args):
@@ -121,7 +129,7 @@ def cmd_modal_eval(args):
     with open(args.model, encoding="utf-8") as fh:
         doc = json.load(fh)
     kind = json_field(doc, dict, "a model").get("kind")
-    if kind not in MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise ValueError(f"model kind {kind!r}: the model JSON needs \"kind\" "
                          f"set to one of {', '.join(MODEL_KINDS)}")
     valuation = {}
@@ -131,18 +139,10 @@ def cmd_modal_eval(args):
         except ValueError:
             raise ValueError(f"valuation key {key!r}: keys are variable indices "
                              "(\"0\" for p0)") from None
-    if kind == "topo":
-        m = modal.TopoModel(topology.FiniteTopology.from_json(doc.get("topology")), valuation)
-        sat = modal.eval_topo(m, f)
-    elif kind == "kripke":
-        m = modal.KripkeModel(topology.Preorder.from_json(doc.get("preorder")), valuation)
-        sat = modal.eval_kripke(m, f)
-    else:
-        m = modal.DynamicModel(topology.FiniteTopology.from_json(doc.get("topology")),
-                               json_ints(doc.get("map"), '"map"'), valuation)
-        sat = modal.eval_dynamic(m, f)
+    model, evaluate = MODEL_KINDS[kind]
+    sat = evaluate(model(doc, valuation), f)
     results = {"formula": modal.unparse(f), "satisfying": sorted(sat)}
-    return _finish(args, results, sorted(sat), "modal eval")
+    return _finish(args, results, sorted(sat))
 
 
 def cmd_modal_countermodel(args):
@@ -156,20 +156,17 @@ def cmd_modal_countermodel(args):
         verdict = "none"
     else:
         model = found["model"]
-        if args.mode == "topo":
-            frame = model.topology.to_json()
-        else:
-            frame = model.preorder.to_json()
+        frame = model.topology if args.mode == "topo" else model.preorder
         results = {
             "formula": modal.unparse(f),
             "found": True,
-            "frame": frame,
+            "frame": frame.to_json(),
             "valuation": {str(k): sorted(topology.set_of(v))
                           for k, v in model.valuation.items()},
             "point": found["point"],
         }
         verdict = "found"
-    return _finish(args, results, verdict, "modal countermodel")
+    return _finish(args, results, verdict)
 
 
 def cmd_modal_equiv(args):
@@ -197,7 +194,7 @@ def cmd_modal_equiv(args):
                 if a != b:
                     mismatches.append({"size": size, "formula": modal.unparse(f)})
     results = {"checked": checked, "equal": not mismatches, "mismatches": mismatches}
-    return _finish(args, results, str(not mismatches).lower(), "modal equiv")
+    return _finish(args, results, str(not mismatches).lower())
 
 
 # -- setalg ---------------------------------------------------------------
@@ -209,31 +206,33 @@ def _space_from_args(args) -> setalg.SetAlgebraSpace:
     return setalg.SetAlgebraSpace(args.dim, args.base, topo, chang)
 
 
+def _tau_arg(args) -> list:
+    if args.tau is None:
+        raise ValueError("--op subst needs --tau, the images of 0..dim-1 such as 1,0")
+    return _int_list("--tau", args.tau, "1,0")
+
+
+# --op name -> its kernel call on (space, args, element); every op but
+# dimset answers an element, dimset the sorted list of its axes
+SETALG_OPS = {
+    "cyl": lambda sp, a, x: setalg.cyl(sp, a.i, x),
+    "diag": lambda sp, a, x: setalg.diag(sp, a.i, a.j),
+    "interior": lambda sp, a, x: setalg.interior_op(sp, a.i, x),
+    "closure": lambda sp, a, x: sp.full_bits ^ setalg.interior_op(sp, a.i, sp.full_bits ^ x),
+    "box": lambda sp, a, x: setalg.box_op(sp, a.i, x),
+    "subst": lambda sp, a, x: setalg.subst(sp, _tau_arg(a), x),
+    "dimset": lambda sp, a, x: sorted(setalg.dimension_set(sp, x)),
+}
+
+
 def cmd_setalg_op(args):
     sp = _space_from_args(args)
     x = sp.from_codes(args.members)
-    if args.op == "cyl":
-        out = setalg.cyl(sp, args.i, x)
-    elif args.op == "diag":
-        out = setalg.diag(sp, args.i, args.j)
-    elif args.op == "interior":
-        out = setalg.interior_op(sp, args.i, x)
-    elif args.op == "closure":
-        out = sp.full_bits ^ setalg.interior_op(sp, args.i, sp.full_bits ^ x)
-    elif args.op == "box":
-        out = setalg.box_op(sp, args.i, x)
-    elif args.op == "subst":
-        if args.tau is None:
-            raise ValueError("--op subst needs --tau, the images of 0..dim-1 such as 1,0")
-        tau = _int_list("--tau", args.tau, "1,0")
-        out = setalg.subst(sp, tau, x)
-    elif args.op == "dimset":
-        results = {"dimension_set": sorted(setalg.dimension_set(sp, x))}
-        return _finish(args, results, results["dimension_set"], "setalg op")
-    else:
-        raise WorkbenchError(f"unknown op {args.op}")
+    out = SETALG_OPS[args.op](sp, args, x)
+    if isinstance(out, list):
+        return _finish(args, {"dimension_set": out}, out)
     results = {"op": args.op, "input": sp.to_json(x), "output": sp.to_json(out)}
-    return _finish(args, results, results["output"]["members"], "setalg op")
+    return _finish(args, results, results["output"]["members"])
 
 
 def cmd_setalg_axioms(args):
@@ -241,7 +240,7 @@ def cmd_setalg_axioms(args):
     alg = bao.SetAlgebra(sp, boxes="chang" if args.chang else "topology")
     rep = bao.check_axiom_suite(alg, args.suite, mode="sampled",
                                 samples=args.samples, seed=args.seed)
-    return _finish(args, rep, str(rep["all_pass"]).lower(), "setalg axioms")
+    return _finish(args, rep, str(rep["all_pass"]).lower())
 
 
 def cmd_setalg_witness_nonadditive(args):
@@ -258,8 +257,7 @@ def cmd_setalg_witness_nonadditive(args):
         "union": list(sp.members(both)),
         "witnessed": lhs == 0 and rhs == both,
     }
-    return _finish(args, results, str(results["witnessed"]).lower(),
-                   "setalg witness-nonadditive")
+    return _finish(args, results, str(results["witnessed"]).lower())
 
 
 def cmd_setalg_witness_nontermdef(args):
@@ -282,8 +280,7 @@ def cmd_setalg_witness_nontermdef(args):
         "cylindric_reducts_agree": same_cyl,
         "witnessed": same_cyl and i_d != i_i,
     }
-    return _finish(args, results, str(results["witnessed"]).lower(),
-                   "setalg witness-nontermdef")
+    return _finish(args, results, str(results["witnessed"]).lower())
 
 
 # -- bao -----------------------------------------------------------------
@@ -298,7 +295,7 @@ def cmd_bao_cm(args):
                    "carrier": 1 << s.num_atoms,
                    "interior_flags": s.interior_flags,
                    "structure": s.to_json() if s.num_atoms <= 12 else "elided"}
-    return _finish(args, results, "ok", "bao cm")
+    return _finish(args, results, "ok")
 
 
 def cmd_bao_check(args):
@@ -309,14 +306,14 @@ def cmd_bao_check(args):
         alg = bao.cm(s)
     rep = bao.check_axiom_suite(alg, args.suite, mode="sampled",
                                 samples=args.samples, seed=args.seed)
-    return _finish(args, rep, str(rep["all_pass"]).lower(), "bao check")
+    return _finish(args, rep, str(rep["all_pass"]).lower())
 
 
 def cmd_bao_nr(args):
     alg = bao.cm(_explicit_structure_arg(args))
     sub = bao.nr(args.m, alg)
     results = {"dim": args.m, "carrier_size": len(sub.carrier_list())}
-    return _finish(args, results, len(sub.carrier_list()), "bao nr")
+    return _finish(args, results, len(sub.carrier_list()))
 
 
 def cmd_bao_sg(args):
@@ -327,7 +324,7 @@ def cmd_bao_sg(args):
             raise ValueError(f"--gens {g}: not an element; the elements are 0..{alg.one}")
     sub = bao.sg(alg, gens)
     results = {"generators": gens, "carrier_size": len(sub.carrier_list())}
-    return _finish(args, results, len(sub.carrier_list()), "bao sg")
+    return _finish(args, results, len(sub.carrier_list()))
 
 
 def cmd_bao_represent(args):
@@ -335,7 +332,7 @@ def cmd_bao_represent(args):
     results = dict(rep)
     if rep["found"]:
         results["representation"] = rep["representation"].to_json()
-    return _finish(args, results, str(rep["found"]).lower(), "bao represent")
+    return _finish(args, results, str(rep["found"]).lower())
 
 
 # -- rainbow ---------------------------------------------------------------
@@ -354,13 +351,13 @@ def cmd_rainbow_atoms(args):
     table = rainbow.enumerate_atoms(sig)
     results = {"signature": sig.summary(), "atom_count": table.count,
                "first_atoms": table.first_atoms(args.limit)}
-    return _finish(args, results, table.count, "rainbow atoms")
+    return _finish(args, results, table.count)
 
 
 def cmd_rainbow_structure(args):
     _check_limit(args)
     s = rainbow.build_atom_structure(rainbow.signature(args.n))
-    return _finish(args, s.to_json_head(args.limit), s.num_atoms, "rainbow structure")
+    return _finish(args, s.to_json_head(args.limit), s.num_atoms)
 
 
 # -- game ------------------------------------------------------------------
@@ -374,7 +371,7 @@ def cmd_game_solve(args):
     except WorkbenchError as exc:
         res = {"error": type(exc).__name__, "detail": str(exc)}
         verdict = "inconclusive"
-    return _finish(args, res, verdict, "game solve")
+    return _finish(args, res, verdict)
 
 
 def cmd_game_script(args):
@@ -385,7 +382,7 @@ def cmd_game_script(args):
                          f"1..{args.n + 1} such as "
                          f"{','.join(map(str, games.default_script_tints(args.n)))}")
     proof = games.verify_forall_script(rainbow.build_atom_structure(sig), tints=tints)
-    return _finish(args, proof, str(proof["all_lines_dead"]).lower(), "game script")
+    return _finish(args, proof, str(proof["all_lines_dead"]).lower())
 
 
 def cmd_game_verify_transcript(args):
@@ -394,29 +391,85 @@ def cmd_game_verify_transcript(args):
     artifact = doc.get("results", doc) if isinstance(doc, dict) else doc
     s = _structure_arg(args.structure)
     res = games.verify_transcript(s, artifact)
-    return _finish(args, res, str(res["ok"]).lower(), "game verify-transcript")
+    return _finish(args, res, str(res["ok"]).lower())
 
 
-# -- parser -----------------------------------------------------------------
+# -- command table ------------------------------------------------------------
+#
+# A flag is (option string, argparse keywords); a spec several commands
+# share is written once.
 
+STRUCTURE = ("--structure", {"required": True})
+FORMULA = ("--formula", {"required": True})
+MAX_SIZE = ("--max-size", {"type": int, "default": 3})
+SPACE = (("--dim", {"type": int, "required": True}), ("--base", {"type": int, "required": True}))
+CHANG = ("--chang", {"action": "store_true"})
+RAINBOW_N = ("--n", {"type": int, "default": 3})
+RAINBOW = (RAINBOW_N, ("--limit", {"type": int, "default": 8}))
+# only the commands that draw samples take --seed and --samples
+SAMPLING = (("--seed", {"type": int}), ("--samples", {"type": int}))
+COMMON = (("--out", {}), ("--expect", {}),
+          ("--config", {"help": "JSON file of defaults; explicit flags win"}))
 
+COMMANDS = {
+    "topo": {
+        "enum": (cmd_topo_enum, (MAX_SIZE,)),
+        "check": (cmd_topo_check, (("--json", {"required": True}),)),
+    },
+    "modal": {
+        "eval": (cmd_modal_eval, (FORMULA, ("--model", {"required": True}))),
+        "countermodel": (cmd_modal_countermodel, (
+            FORMULA, MAX_SIZE, ("--mode", {"choices": ("topo", "kripke"), "default": "topo"}),
+            *SAMPLING)),
+        "equiv": (cmd_modal_equiv, (
+            MAX_SIZE, ("--depth", {"type": int, "default": 3}),
+            ("--formulas-per-frame", {"type": int, "default": 20}), *SAMPLING)),
+    },
+    "setalg": {
+        "op": (cmd_setalg_op, (
+            ("--op", {"required": True, "choices": tuple(SETALG_OPS)}), *SPACE,
+            ("--topology", {}), CHANG, ("--members", {"type": int, "nargs": "*", "default": []}),
+            ("--i", {"type": int, "default": 0}), ("--j", {"type": int, "default": 0}),
+            ("--tau", {}))),
+        "axioms": (cmd_setalg_axioms, (
+            *SPACE, ("--topology", {"default": "discrete"}), CHANG,
+            ("--suite", {"choices": bao.SUITES, "default": "TCA"}), *SAMPLING)),
+        "witness-nonadditive": (cmd_setalg_witness_nonadditive, ()),
+        "witness-nontermdef": (cmd_setalg_witness_nontermdef, ()),
+    },
+    "bao": {
+        "cm": (cmd_bao_cm, (STRUCTURE,)),
+        "check": (cmd_bao_check, (
+            STRUCTURE, ("--suite", {"choices": bao.SUITES, "default": "CA"}), *SAMPLING)),
+        "nr": (cmd_bao_nr, (STRUCTURE, ("--m", {"type": int, "required": True}))),
+        "sg": (cmd_bao_sg, (STRUCTURE, ("--gens", {}))),
+        "represent": (cmd_bao_represent, (STRUCTURE, ("--max-base", {"type": int, "default": 3}))),
+    },
+    "rainbow": {
+        "atoms": (cmd_rainbow_atoms, RAINBOW),
+        "structure": (cmd_rainbow_structure, RAINBOW),
+    },
+    "game": {
+        "solve": (cmd_game_solve, (
+            STRUCTURE, ("--nodes", {"type": int, "required": True}),
+            ("--rounds", {"type": int, "required": True}),
+            ("--mode", {"choices": ("F", "G"), "default": "F"}))),
+        "script": (cmd_game_script, (RAINBOW_N, ("--tints", {}))),
+        "verify-transcript": (cmd_game_verify_transcript, (
+            ("--transcript", {"required": True}), STRUCTURE)),
+    },
+}
+
+# built-in values of the flags --config may set; a command without --seed
+# or --samples still echoes them in its report's config
 COMMON_DEFAULTS = {"seed": 0, "samples": 1000, "out": None, "expect": None}
-
-
-def _common(p):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--expect", default=None)
-    p.add_argument("--config", default=None,
-                   help="JSON file of defaults; explicit flags win")
 
 
 def _apply_config(args):
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json_field(json.load(fh), dict, "a --config file")
     for key, builtin in COMMON_DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, cfg.get(key, builtin))
@@ -426,124 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="topocyl",
                                  description="finite-model workbench for "
                                              "topological cylindric algebras")
-    sub = ap.add_subparsers(dest="group", required=True)
-
-    topo = sub.add_parser("topo").add_subparsers(dest="cmd", required=True)
-    p = topo.add_parser("enum")
-    p.add_argument("--max-size", dest="max_size", type=int, default=3)
-    _common(p)
-    p.set_defaults(fn=cmd_topo_enum)
-    p = topo.add_parser("check")
-    p.add_argument("--json", required=True)
-    _common(p)
-    p.set_defaults(fn=cmd_topo_check)
-
-    mod = sub.add_parser("modal").add_subparsers(dest="cmd", required=True)
-    p = mod.add_parser("eval")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--model", required=True)
-    _common(p)
-    p.set_defaults(fn=cmd_modal_eval)
-    p = mod.add_parser("countermodel")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--max-size", dest="max_size", type=int, default=3)
-    p.add_argument("--mode", choices=("topo", "kripke"), default="topo")
-    _common(p)
-    p.set_defaults(fn=cmd_modal_countermodel)
-    p = mod.add_parser("equiv")
-    p.add_argument("--max-size", dest="max_size", type=int, default=3)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--formulas-per-frame", type=int, default=20)
-    _common(p)
-    p.set_defaults(fn=cmd_modal_equiv)
-
-    sal = sub.add_parser("setalg").add_subparsers(dest="cmd", required=True)
-    p = sal.add_parser("op")
-    p.add_argument("--op", required=True,
-                   choices=("cyl", "diag", "interior", "closure", "box",
-                            "subst", "dimset"))
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--topology", default=None)
-    p.add_argument("--chang", action="store_true")
-    p.add_argument("--members", type=int, nargs="*", default=[])
-    p.add_argument("--i", type=int, default=0)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--tau", default=None)
-    _common(p)
-    p.set_defaults(fn=cmd_setalg_op)
-    p = sal.add_parser("axioms")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--topology", default="discrete")
-    p.add_argument("--chang", action="store_true")
-    p.add_argument("--suite", choices=bao.SUITES, default="TCA")
-    _common(p)
-    p.set_defaults(fn=cmd_setalg_axioms)
-    p = sal.add_parser("witness-nonadditive")
-    _common(p)
-    p.set_defaults(fn=cmd_setalg_witness_nonadditive)
-    p = sal.add_parser("witness-nontermdef")
-    _common(p)
-    p.set_defaults(fn=cmd_setalg_witness_nontermdef)
-
-    b = sub.add_parser("bao").add_subparsers(dest="cmd", required=True)
-    p = b.add_parser("cm")
-    p.add_argument("--structure", required=True)
-    _common(p)
-    p.set_defaults(fn=cmd_bao_cm)
-    p = b.add_parser("check")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--suite", choices=bao.SUITES, default="CA")
-    _common(p)
-    p.set_defaults(fn=cmd_bao_check)
-    p = b.add_parser("nr")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--m", type=int, required=True)
-    _common(p)
-    p.set_defaults(fn=cmd_bao_nr)
-    p = b.add_parser("sg")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--gens", default=None)
-    _common(p)
-    p.set_defaults(fn=cmd_bao_sg)
-    p = b.add_parser("represent")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--max-base", dest="max_base", type=int, default=3)
-    _common(p)
-    p.set_defaults(fn=cmd_bao_represent)
-
-    rb = sub.add_parser("rainbow").add_subparsers(dest="cmd", required=True)
-    p = rb.add_parser("atoms")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--limit", type=int, default=8)
-    _common(p)
-    p.set_defaults(fn=cmd_rainbow_atoms)
-    p = rb.add_parser("structure")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--limit", type=int, default=8)
-    _common(p)
-    p.set_defaults(fn=cmd_rainbow_structure)
-
-    g = sub.add_parser("game").add_subparsers(dest="cmd", required=True)
-    p = g.add_parser("solve")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--mode", choices=("F", "G"), default="F")
-    _common(p)
-    p.set_defaults(fn=cmd_game_solve)
-    p = g.add_parser("script")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--tints", default=None)
-    _common(p)
-    p.set_defaults(fn=cmd_game_script)
-    p = g.add_parser("verify-transcript")
-    p.add_argument("--transcript", required=True)
-    p.add_argument("--structure", required=True)
-    _common(p)
-    p.set_defaults(fn=cmd_game_verify_transcript)
-
+    groups = ap.add_subparsers(dest="group", required=True)
+    for group, commands in COMMANDS.items():
+        sub = groups.add_parser(group).add_subparsers(dest="cmd", required=True)
+        for name, (fn, flags) in commands.items():
+            p = sub.add_parser(name)
+            for flag, kw in (*flags, *COMMON):
+                p.add_argument(flag, **kw)
+            p.set_defaults(fn=fn)
     return ap
 
 

@@ -191,7 +191,7 @@ def make_topology(size: int, opens=None, preset: Optional[str] = None) -> Finite
         return FiniteTopology(size, list(range(1 << size)))
     if preset == "indiscrete":
         return FiniteTopology(size, [0, (1 << size) - 1])
-    if preset not in (None, "none"):
+    if preset is not None:
         raise ValueError(f"unknown preset {preset!r}")
     if opens is None:
         raise ValueError("opens required when no preset is given")

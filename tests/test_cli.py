@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -74,7 +75,7 @@ def test_modal_eval_model_kinds(tmp_path, capsys):
     model = tmp_path / "model.json"
     base = {"topology": {"size": 2, "opens": [[], [0], [0, 1]]},
             "valuation": {"0": [0]}}
-    for kind in (None, "topx"):
+    for kind in (None, "topx", [1]):
         doc = dict(base, map=[0, 1]) if kind is None else dict(base, kind=kind)
         model.write_text(json.dumps(doc))
         code = dispatch(["modal", "eval", "--formula", "p0", "--model", str(model)])
@@ -184,6 +185,14 @@ def test_fullset_structure_without_base_is_a_usage_error(capsys):
             err = capsys.readouterr().err
             assert code == 2, (argv, arg)
             assert err == f"usage error: --structure {arg}: the form is fullset:N,U[,preset]\n"
+
+
+def test_fullset_structure_with_an_unknown_preset_is_a_usage_error(capsys):
+    """The third part of fullset:N,U,preset is discrete or indiscrete;
+    "none" is no synonym for leaving it out."""
+    for preset in ("bogus", "none"):
+        assert dispatch(["bao", "cm", "--structure", f"fullset:2,2,{preset}"]) == 2, preset
+        assert capsys.readouterr().err == f"usage error: unknown preset {preset!r}\n"
 
 
 def test_sg_generators_must_be_elements(capsys):
@@ -361,21 +370,76 @@ def test_reports_byte_identical(tmp_path):
 def test_config_file_overrides_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 11, "samples": 123}))
-    code, doc = run(tmp_path, "topo", "enum", "--max-size", "1",
+    code, doc = run(tmp_path, "modal", "equiv", "--max-size", "1",
                     "--config", str(cfg))
     assert code == 0
     assert doc["config"]["seed"] == 11 and doc["config"]["samples"] == 123
     # explicit flags beat the config file
-    code, doc = run(tmp_path, "topo", "enum", "--max-size", "1",
+    code, doc = run(tmp_path, "modal", "equiv", "--max-size", "1",
                     "--config", str(cfg), "--seed", "5")
     assert doc["config"]["seed"] == 5
 
 
 def test_report_shape(tmp_path):
-    code, doc = run(tmp_path, "topo", "enum", "--max-size", "1", "--seed", "3")
+    code, doc = run(tmp_path, "modal", "equiv", "--max-size", "1", "--seed", "3")
     assert set(doc) == {"command", "config", "results", "version"}
     assert doc["config"]["seed"] == 3
     assert render(doc).endswith("\n")
+
+
+COMMON_FLAGS = ["--out", "--expect", "--config"]
+SAMPLING_FLAGS = ["--seed", "--samples"]
+# the option strings of each command, --help aside
+COMMAND_FLAGS = {
+    "topo enum": ["--max-size"],
+    "topo check": ["--json"],
+    "modal eval": ["--formula", "--model"],
+    "modal countermodel": ["--formula", "--max-size", "--mode", *SAMPLING_FLAGS],
+    "modal equiv": ["--max-size", "--depth", "--formulas-per-frame", *SAMPLING_FLAGS],
+    "setalg op": ["--op", "--dim", "--base", "--topology", "--chang", "--members", "--i", "--j",
+                  "--tau"],
+    "setalg axioms": ["--dim", "--base", "--topology", "--chang", "--suite", *SAMPLING_FLAGS],
+    "setalg witness-nonadditive": [],
+    "setalg witness-nontermdef": [],
+    "bao cm": ["--structure"],
+    "bao check": ["--structure", "--suite", *SAMPLING_FLAGS],
+    "bao nr": ["--structure", "--m"],
+    "bao sg": ["--structure", "--gens"],
+    "bao represent": ["--structure", "--max-base"],
+    "rainbow atoms": ["--n", "--limit"],
+    "rainbow structure": ["--n", "--limit"],
+    "game solve": ["--structure", "--nodes", "--rounds", "--mode"],
+    "game script": ["--n", "--tints"],
+    "game verify-transcript": ["--transcript", "--structure"],
+}
+
+
+def _subcommands(parser):
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def test_each_command_takes_exactly_its_own_flags(capsys):
+    """The parser's flags per command are this table's; only the four
+    commands that draw samples take --seed and --samples."""
+    found = {}
+    for group, group_parser in _subcommands(build_parser()).items():
+        for cmd, parser in _subcommands(group_parser).items():
+            found[f"{group} {cmd}"] = [s for a in parser._actions for s in a.option_strings
+                                       if s not in ("-h", "--help")]
+    assert found == {cmd: flags + COMMON_FLAGS for cmd, flags in COMMAND_FLAGS.items()}
+    assert sum(map(len, found.values())) == 110
+    required = {"topo check": "--json {}", "modal eval": "--formula p0 --model m.json",
+                "setalg op": "--op cyl --dim 2 --base 2", "bao nr": "--m 2",
+                "game solve": "--nodes 3 --rounds 1", "game verify-transcript": "--transcript t"}
+    for cmd, flags in COMMAND_FLAGS.items():
+        if "--seed" not in flags:
+            argv = [*cmd.split(), *shlex.split(required.get(cmd, ""))]
+            if "--structure" in flags:
+                argv += ["--structure", "fullset:2,2"]
+            assert dispatch(argv + ["--seed", "1"]) == 2, cmd
+            assert capsys.readouterr().err.endswith(
+                "error: unrecognized arguments: --seed 1\n"), cmd
 
 
 def test_modal_eval_valuation_keys_are_variable_indices(tmp_path, capsys):
@@ -426,6 +490,11 @@ RAINBOW_STDOUT_PINS = [
      "dda42ddc3aef9fdd6dd0d5a696c4204065294f4b"),
     (shlex.split("modal equiv --max-size 4 --depth 3 --seed 7 --expect true"),
      "bcc3c41ef702a7ef476df9cd3d2482208d9a39d3"),
+    # the README's `topo enum` and `topo check` reports, recorded before the
+    # parser was built from one command table
+    (shlex.split("topo enum --max-size 3"), "fb158334fcd0a972a4c801a2bc94ada3162c901d"),
+    (["topo", "check", "--json", '{"size":2,"opens":[[],[0],[0,1]]}'],
+     "742c5f566e94343cdf413e95f392ebfcce8e3ad8"),
 ]
 
 
@@ -433,6 +502,38 @@ RAINBOW_STDOUT_PINS = [
 def test_rainbow_stdout_pinned(capsys, argv, digest):
     assert dispatch(argv) == 0
     assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_readme_file_reports_pinned(tmp_path, capsys):
+    """The README reports that read a file: `modal eval` on a model of each
+    kind, and `game verify-transcript` on the proof of `game script` and on
+    the play of `game solve`. No report echoes a path, so each stdout sha1,
+    recorded before the parser was built from one command table, is fixed."""
+    topo = {"size": 2, "opens": [[], [0], [0, 1]]}
+    models = {
+        "topo": {"kind": "topo", "topology": topo, "valuation": {"0": [0]}},
+        "kripke": {"kind": "kripke", "preorder": {"size": 2, "leq": [[0, 0], [0, 1], [1, 1]]},
+                   "valuation": {"0": [1]}},
+        "dynamic": {"kind": "dynamic", "topology": topo, "map": [0, 0],
+                    "valuation": {"0": [0]}},
+    }
+    proof, play = str(tmp_path / "proof.json"), str(tmp_path / "play.json")
+    assert dispatch(["game", "script", "--n", "3", "--out", proof]) == 0
+    assert dispatch(shlex.split("game solve --structure fullset:2,2 --nodes 5 --rounds 3 "
+                                "--out") + [play]) == 0
+    cases = [(["game", "verify-transcript", "--transcript", proof, "--structure", "rainbow:3"],
+              "2551220d0cadcbd5a77b2b23bce293abbab37b4b"),
+             (["game", "verify-transcript", "--transcript", play, "--structure", "fullset:2,2"],
+              "8f3f7bf33448c04ccfe19dc5476ceaf3724fa72b")]
+    for kind, doc in models.items():
+        model = tmp_path / f"{kind}.json"
+        model.write_text(json.dumps(doc))
+        cases.append((["modal", "eval", "--formula", "I p0 -> p0", "--model", str(model)],
+                      "de5109d33a1ca8d56d4d1ba22779068904a814df"))
+    capsys.readouterr()
+    for argv, digest in cases:
+        assert dispatch(argv) == 0, argv
+        assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == digest, argv
 
 
 SIERPINSKI = '{"size":2,"opens":[[],[0],[0,1]]}'
@@ -531,6 +632,7 @@ def test_malformed_documents_are_refused_naming_the_field(tmp_path, capsys):
 
     cases = [
         (["topo", "check", "--json", "[1]"], "a topology must be an object"),
+        (["topo", "enum", "--config", path([1])], "a --config file must be an object"),
         (["topo", "check", "--json", '{"size": "2", "opens": []}'], '"size" must be an integer'),
         (["topo", "check", "--json", '{"size": -1, "opens": []}'],
          '"size" must be a non-negative integer, got -1'),
