@@ -201,6 +201,8 @@ def cmd_modal_equiv(args):
 
 
 def _space_from_args(args) -> setalg.SetAlgebraSpace:
+    if args.chang and not args.topology:
+        raise ValueError("--chang needs --topology: the Chang system is built from the topology")
     topo = _topology_arg(args.topology, args.base) if args.topology else None
     chang = setalg.chang_from_topology(topo) if (topo and args.chang) else None
     return setalg.SetAlgebraSpace(args.dim, args.base, topo, chang)

@@ -6,14 +6,15 @@ network is a `ColouredGraph` itself and the atom of a tuple is the pullback
 of the graph along it. Both answer one contract, so the engine never asks
 which backend it holds:
 
-- `atoms()`: the atoms Forall may open with (the rainbow backend raises
-  BudgetExceeded above 64 atoms);
+- `atoms()`: the atoms Forall may open with;
 - `ti_rel(i, a, b)`: b is an atom and T_i(a, b);
-- `successors(l, a)`: the atoms b with T_l(a, b), ascending, from which one
-  shared loop builds Forall's moves (`forall_moves`);
 - `atom_of(net, t)`: the atom the network gives the node tuple t;
 - `initial_networks`, `forall_moves`, `responses`, `canonical`, `validate`,
   `net_to_json` and `net_from_json`.
+
+The rainbow backend refuses `atoms()` and `forall_moves` with
+BudgetExceeded: no minimax over its 10,894,256 atoms fits a budget, and
+Forall's moves there are the scripted ones of `verify_forall_script`.
 
 The engine reads the atoms of a network only through `atom_of`, and there
 is one canonical form (`_least_relabelling`): the node count and the least
@@ -41,7 +42,8 @@ Every complete colouring, with each free yellow slot through k given each
 allowed shade, is kept only if `is_valid_coloured_graph` accepts the whole
 graph, so the table narrows the search and never decides validity.
 
-A generic network maps n-tuples of nodes to atom ids. Exists' responses are
+A generic network is its atom vector (`AtomicNetwork`), the one Exists'
+search builds and the canonical form reads. Its responses are
 found by backtracking over the undetermined tuples, most constrained first;
 the domain of a tuple is a bitmask of atoms, its diagonal mask narrowed by
 one table row per labelled axis neighbour. The tables that depend only on
@@ -63,7 +65,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceeded, ScriptRefuted, json_field, json_ints
 from .bao import AtomStructure
@@ -117,84 +119,32 @@ class Move(NamedTuple):
         return Move(net_index, tuple(json_ints(doc.get("face"), "forall face")), k, atom, l)
 
 
-def _forall_moves(backend, nets, budget, used, mode, cap) -> List[Move]:
-    """Every Forall move on the given networks, sorted: a face,
-    an axis l, a node k < budget outside the face (and unused in G-mode),
-    and an atom b with T_l(a, b) for the atom a the face gives its first
-    node at l. More than `cap` moves raise BudgetExceeded."""
-    moves = []
-    for idx, net in enumerate(nets):
-        if not net.nodes:
-            continue
-        probe = net.nodes[0]
-        for face in itertools.product(net.nodes, repeat=backend.n - 1):
-            for l in range(backend.n):
-                succ = backend.successors(l, backend.atom_of(net, insert_at(face, l, probe)))
-                for k in range(budget):
-                    if k in face or (mode == "G" and k in used):
-                        continue
-                    for b in succ:
-                        moves.append(Move(idx, face, k, int(b), l))
-                        if cap is not None and len(moves) > cap:
-                            raise BudgetExceeded("move enumeration cap")
-    moves.sort()
-    return moves
-
-
 # -- generic backend ---------------------------------------------------------
 
 
-class AtomicNetwork:
-    """Total map from n-tuples of nodes to atom ids."""
+class AtomicNetwork(NamedTuple):
+    """A network on the sorted node tuple `nodes`: atoms[j] is the atom of
+    the j-th tuple of nodes^n in product order."""
 
-    def __init__(self, dim: int, nodes: Iterable[int], labels: Dict[Tuple[int, ...], int]):
-        self.dim = dim
-        self.nodes = tuple(sorted(set(nodes)))
-        self.labels = dict(labels)
-
-    def to_json(self):
-        return {
-            "nodes": list(self.nodes),
-            "labels": {"(" + ",".join(map(str, t)) + ")": int(a)
-                       for t, a in sorted(self.labels.items())},
-        }
-
-    @staticmethod
-    def from_json(doc, dim):
-        """ValueError naming the field unless doc is an object whose nodes
-        are a list of integers and whose labels map "(u,v,...)" keys of dim
-        of those nodes to atom indices."""
-        json_field(doc, dict, "network")
-        nodes = json_ints(doc.get("nodes"), "network nodes")
-        raw = json_field(doc.get("labels"), dict, "network labels")
-        members = set(nodes)
-        labels = {}
-        for key, a in raw.items():
-            t = parse_node_tuple(key) or ()
-            if len(t) != dim or not set(t) <= members:
-                raise ValueError(f"network label key {key!r} is not a tuple of {dim} nodes")
-            if not (type(a) is int and a >= 0):
-                raise ValueError(f"network label {key!r} must be an atom index, got {a!r}")
-            labels[t] = a
-        return AtomicNetwork(dim, nodes, labels)
+    nodes: Tuple[int, ...]
+    atoms: Tuple[int, ...]
 
 
 def validate_network(s: AtomStructure, net: AtomicNetwork) -> dict:
-    """Both displayed network conditions, naming the offending tuple."""
+    """Both displayed network conditions, naming the offending tuple; read
+    from a tuple-keyed map, independently of the search (`_complete`)."""
     n = s.dim
-    for t in itertools.product(net.nodes, repeat=n):
-        if t not in net.labels:
-            return {"ok": False, "kind": "missing-tuple", "tuple": list(t)}
-    for t, a in net.labels.items():
+    labels = dict(zip(itertools.product(net.nodes, repeat=n), net.atoms))
+    for t, a in labels.items():
         for i in range(n):
             for j in range(n):
                 if t[i] == t[j] and not s.D[(i, j)] >> a & 1:
                     return {"ok": False, "kind": "diagonal", "tuple": list(t),
                             "indices": [i, j]}
-    for t, a in net.labels.items():
+    for t, a in labels.items():
         for i in range(n):
             for d in net.nodes:
-                b = net.labels[t[:i] + (d,) + t[i + 1:]]
+                b = labels[t[:i] + (d,) + t[i + 1:]]
                 if not s.T[i][a] >> b & 1:
                     return {"ok": False, "kind": "cylindrifier", "tuple": list(t),
                             "index": i, "node": d}
@@ -243,7 +193,12 @@ class GenericBackend:
         return self.s.is_atom(b) and bool(self.s.T[i][a] >> b & 1)
 
     def atom_of(self, net: AtomicNetwork, t) -> int:
-        return net.labels[tuple(t)]
+        """The vector entry of t: the positions of its nodes among the
+        sorted nodes, read as the digits of an index base len(nodes)."""
+        j = 0
+        for v in t:
+            j = j * len(net.nodes) + net.nodes.index(v)
+        return net.atoms[j]
 
     def _diag_masks(self, k: int) -> List[int]:
         """Per index of range(k)^n, the atoms meeting every diagonal the
@@ -299,7 +254,7 @@ class GenericBackend:
         the structure's both[i][b], the labels an i-neighbour of a tuple
         labelled b may carry, for every labelled i-neighbour, labelled b."""
         n, both = self.n, self.s.both
-        nodes = sorted(nodes)
+        nodes = tuple(sorted(nodes))
         neighbours = _shape_tables(n, len(nodes))[1]
         where = dict(zip(itertools.product(nodes, repeat=n), range(len(neighbours))))
         diag = self._diag_masks(len(nodes))
@@ -330,7 +285,7 @@ class GenericBackend:
             if cap is not None and len(out) > cap:
                 raise BudgetExceeded("response enumeration cap exceeded")
             if not free:
-                out.append(AtomicNetwork(n, nodes, dict(zip(where, assign))))
+                out.append(AtomicNetwork(nodes, tuple(assign)))
                 return
             best, size = 0, dom[free[0]].bit_count()
             for p in range(1, len(free)):
@@ -355,32 +310,67 @@ class GenericBackend:
         bt(dom, [j for j, a in enumerate(assign) if a is None])
         return out
 
-    def successors(self, l: int, a: int) -> List[int]:
-        return [b for b in self.atoms() if self.s.T[l][a] >> b & 1]
-
-    def forall_moves(self, nets, budget, used, mode, cap=None):
-        return _forall_moves(self, nets, budget, used, mode, cap)
+    def forall_moves(self, nets, budget, used, mode, cap=None) -> List[Move]:
+        """Every Forall move on the given networks, sorted: a face, an axis
+        l, a node k < budget outside the face (and unused in G-mode), and an
+        atom b with T_l(a, b) for the atom a the face gives its first node
+        at l. More than `cap` moves raise BudgetExceeded."""
+        moves = []
+        for idx, net in enumerate(nets):
+            for face in itertools.product(net.nodes, repeat=self.n - 1):
+                for l in range(self.n):
+                    row = self.s.T[l][self.atom_of(net, insert_at(face, l, net.nodes[0]))]
+                    succ = [b for b in self.atoms() if row >> b & 1]
+                    for k in range(budget):
+                        if k in face or (mode == "G" and k in used):
+                            continue
+                        for b in succ:
+                            moves.append(Move(idx, face, k, b, l))
+                            if cap is not None and len(moves) > cap:
+                                raise BudgetExceeded("move enumeration cap")
+        moves.sort()
+        return moves
 
     def responses(self, net: AtomicNetwork, move: Move, cap=None) -> List[AtomicNetwork]:
+        """The networks on net's nodes and k that keep the atom of every
+        tuple avoiding k and give the demanded tuple the move's atom."""
         k = move.k
-        keep = [v for v in net.nodes if v != k]
-        pinned = {t: a for t, a in net.labels.items() if k not in t}
-        nodes = sorted(set(keep) | {k})
-        demanded = insert_at(move.face, move.l, k)
-        if demanded in pinned and pinned[demanded] != move.atom:
-            return []
-        pinned[demanded] = move.atom
-        return self._complete(nodes, pinned, cap=cap)
+        pinned = {t: a for t, a in zip(itertools.product(net.nodes, repeat=self.n), net.atoms)
+                  if k not in t}
+        pinned[insert_at(move.face, move.l, k)] = move.atom
+        return self._complete(set(net.nodes) | {k}, pinned, cap=cap)
 
     def canonical(self, net: AtomicNetwork):
-        tuples = itertools.product(net.nodes, repeat=self.n)
-        return _least_relabelling(self.n, len(net.nodes), list(map(net.labels.__getitem__, tuples)))
+        return _least_relabelling(self.n, len(net.nodes), net.atoms)
 
     def net_to_json(self, net):
-        return net.to_json()
+        return {"nodes": list(net.nodes),
+                "labels": {"(" + ",".join(map(str, t)) + ")": a
+                           for t, a in zip(itertools.product(net.nodes, repeat=self.n), net.atoms)}}
 
     def net_from_json(self, doc):
-        return AtomicNetwork.from_json(doc, self.n)
+        """ValueError naming the field unless doc is an object whose nodes
+        are a list of integers and whose labels map a "(u,v,...)" key for
+        every n-tuple of those nodes to an atom index. The label count is
+        compared with k^n before any vector is built."""
+        n = self.n
+        json_field(doc, dict, "network")
+        nodes = tuple(sorted(set(json_ints(doc.get("nodes"), "network nodes"))))
+        raw = json_field(doc.get("labels"), dict, "network labels")
+        members = set(nodes)
+        labels = {}
+        for key, a in raw.items():
+            t = parse_node_tuple(key) or ()
+            if len(t) != n or not set(t) <= members:
+                raise ValueError(f"network label key {key!r} is not a tuple of {n} nodes")
+            if not (type(a) is int and a >= 0):
+                raise ValueError(f"network label {key!r} must be an atom index, got {a!r}")
+            labels[t] = a
+        tuples = itertools.product(nodes, repeat=n)
+        if len(labels) < len(nodes) ** n:
+            missing = next(t for t in tuples if t not in labels)
+            raise ValueError(f"network labels leave ({','.join(map(str, missing))}) unlabelled")
+        return AtomicNetwork(nodes, tuple(map(labels.__getitem__, tuples)))
 
     def validate(self, net):
         return validate_network(self.s, net)
@@ -401,6 +391,10 @@ def _triangle_table(n: int) -> Dict[tuple, int]:
             for a in colours for b in colours}
 
 
+RAINBOW_MINIMAX_REFUSED = ("full minimax over the rainbow atom structure exceeds any "
+                           "sane budget; use verify_forall_script")
+
+
 class RainbowBackend:
     def __init__(self, structure: RainbowStructure, yellow_mode: str = "all"):
         self.s = structure
@@ -412,12 +406,7 @@ class RainbowBackend:
                        if yellow_mode == "dominant" else list(self.sig.yellow_sets()))
 
     def atoms(self):
-        if self.s.num_atoms > 64:
-            raise BudgetExceeded(
-                "full minimax over the rainbow atom structure exceeds any "
-                "sane budget; use verify_forall_script"
-            )
-        return [int(c) for c in self.s.codes]
+        raise BudgetExceeded(RAINBOW_MINIMAX_REFUSED)
 
     def ti_rel(self, i, a, b):
         return self.s.is_atom(b) and self.s.ti_related(i, a, b)
@@ -431,11 +420,8 @@ class RainbowBackend:
             return []
         return [g]
 
-    def successors(self, l: int, a: int):
-        return self.s.codes[self.s.key_field(l) == self.s.key_of_code(l, a)]
-
-    def forall_moves(self, nets, budget, used, mode, cap=2000):
-        return _forall_moves(self, nets, budget, used, mode, cap)
+    def forall_moves(self, nets, budget, used, mode, cap=None):
+        raise BudgetExceeded(RAINBOW_MINIMAX_REFUSED)
 
     def responses(self, net: ColouredGraph, move: Move, cap=None) -> List[ColouredGraph]:
         """All coloured-graph extensions meeting the move's demand, found by
@@ -779,8 +765,9 @@ def verify_transcript(structure, artifact: dict) -> dict:
     legal, every Exists network valid, meeting the demand and extending the
     network it answers (its nodes are that network's plus k, and every tuple
     of the other nodes keeps its atom), and a dead-end claim must end the
-    play and survive re-enumeration of the legal responses. A document of
-    the wrong shape replays as not ok, with the field named in the reason."""
+    play and leave Exists no response, which a search for the first one
+    checks. A document of the wrong shape replays as not ok, with the field
+    named in the reason."""
     try:
         kind = json_field(artifact, dict, "a game artifact").get("kind", "play")
     except ValueError as exc:
@@ -838,7 +825,11 @@ def verify_transcript(structure, artifact: dict) -> dict:
             if not _move_is_legal(backend, target, move, m, used, mode):
                 return {"ok": False, "reason": f"illegal move at round {r}"}
             if net is None:
-                if backend.responses(target, move, cap=4096):
+                try:  # with cap 0 the search stops once it holds a response
+                    refuted = bool(backend.responses(target, move, cap=0))
+                except BudgetExceeded:
+                    refuted = True
+                if refuted:
                     return {"ok": False,
                             "reason": f"claimed dead-end at round {r} has responses"}
                 return {"ok": True, "rounds_checked": r, "dead_end_confirmed": True}
@@ -850,14 +841,16 @@ def verify_transcript(structure, artifact: dict) -> dict:
                 return {"ok": False,
                         "reason": "round 0 network is not a minimal network of the initial atom"}
         else:
-            if backend.atom_of(net, insert_at(move.face, move.l, move.k)) != move.atom:
-                return {"ok": False, "reason": f"round {r} ignores the demand"}
+            # the node set first: the atoms of the new network are read
+            # only on its own nodes
             kept = [v for v in target.nodes if v != move.k]
             if set(net.nodes) != set(target.nodes) | {move.k} or any(
                     backend.atom_of(net, t) != backend.atom_of(target, t)
                     for t in itertools.product(kept, repeat=backend.n)):
                 return {"ok": False,
                         "reason": f"round {r} network does not extend the network it answers"}
+            if backend.atom_of(net, insert_at(move.face, move.l, move.k)) != move.atom:
+                return {"ok": False, "reason": f"round {r} ignores the demand"}
         history.append(net)
         used |= set(net.nodes)
     return {"ok": True, "rounds_checked": len(play) - 1}

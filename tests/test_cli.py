@@ -359,6 +359,60 @@ def test_verify_transcript_refuses_malformed_networks(tmp_path):
             f"round 1: network {field} must be an object, got {network.get(field)!r}"
 
 
+def test_forged_plays_replay_as_refuted(tmp_path, capsys):
+    """A play whose round-1 network omits the move's new node, on fullset:2,2
+    and on rainbow:3, and a rainbow dead-end claimed where Exists has more
+    than 4,096 responses, each replay as ok: false with exit 0, not as a
+    usage error or an exhausted budget."""
+    assert dispatch(["game", "solve", "--structure", "fullset:2,2", "--nodes", "5",
+                     "--rounds", "3", "--out", str(tmp_path / "play.json")]) == 0
+    assert dispatch(["game", "script", "--n", "3", "--out", str(tmp_path / "proof.json")]) == 0
+    play = json.loads((tmp_path / "play.json").read_text())["results"]
+    records = play["principal_play"]
+    proof = json.loads((tmp_path / "proof.json").read_text())["results"]
+    tree = proof["tree"]
+    net = tree["responses"][0]["network"]
+    s = rainbow.build_atom_structure(rainbow.signature(3))
+    atom = s.table.atom_of_tuple(rainbow.ColouredGraph.from_json(net["graph"], s.sig), (0, 2, 1))
+    zeroth = {"round": 0, "forall": {"initial_atom": proof["zeroth_atom"]},
+              "exists": {"network": {"graph": proof["zeroth_graph"]}}}
+    first = {"round": 1, "forall": tree["forall"], "exists": {"network": net}}
+    demand = {"round": 2, "forall": {"network": 0, "face": [0, 2], "k": 4, "atom": atom, "l": 2},
+              "exists": "dead-end"}
+    extend = "round 1 network does not extend the network it answers"
+    cases = [
+        ("fullset:2,2", dict(play, principal_play=[records[0], dict(records[1],
+                                                                    exists=records[0]["exists"])]),
+         extend),
+        ("rainbow:3", {"mode": "F", "nodes": 6, "rounds": 2,
+                       "principal_play": [zeroth, dict(first, exists=zeroth["exists"])]}, extend),
+        ("rainbow:3", {"mode": "F", "nodes": 6, "rounds": 2,
+                       "principal_play": [zeroth, first, demand]},
+         "claimed dead-end at round 2 has responses"),
+    ]
+    capsys.readouterr()
+    for structure, doc, reason in cases:
+        (tmp_path / "forged.json").write_text(json.dumps(doc))
+        code = dispatch(["game", "verify-transcript", "--transcript", str(tmp_path / "forged.json"),
+                         "--structure", structure])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "", (structure, err)
+        assert json.loads(out)["results"] == {"ok": False, "reason": reason, "verdict": "false"}
+
+
+def test_chang_without_topology_is_a_usage_error(capsys):
+    """setalg op builds a Chang system only from --topology, so --chang
+    alone is refused, naming both flags, for every operator."""
+    for op in ("cyl", "box"):
+        code = dispatch(["setalg", "op", "--op", op, "--dim", "2", "--base", "2", "--chang",
+                         "--members", "0"])
+        assert code == 2, op
+        assert capsys.readouterr().err == ("usage error: --chang needs --topology: the Chang "
+                                           "system is built from the topology\n"), op
+    assert dispatch(["setalg", "op", "--op", "box", "--dim", "2", "--base", "2", "--topology",
+                     "discrete", "--chang", "--members", "0"]) == 0
+
+
 def test_reports_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

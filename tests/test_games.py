@@ -26,19 +26,20 @@ def rainbow_structure():
 def test_validate_network_examples():
     s = fullset_structure()
     # single node labelled by a diagonal atom
-    net = G.AtomicNetwork(2, [0], {(0, 0): 0})
+    net = G.AtomicNetwork((0,), (0,))
     assert G.validate_network(s, net)["ok"]
     # same-node tuple labelled outside d_01
-    bad = G.AtomicNetwork(2, [0], {(0, 0): 1})
+    bad = G.AtomicNetwork((0,), (1,))
     res = G.validate_network(s, bad)
     assert not res["ok"] and res["kind"] == "diagonal"
-    # cylindrifier condition violation: labels do not cohere along axis 1
-    bad = G.AtomicNetwork(2, [0, 1], {(0, 0): 0, (0, 1): 3, (1, 0): 2, (1, 1): 3})
+    # cylindrifier condition violation: labels do not cohere along axis 1;
+    # atoms over (0,0), (0,1), (1,0), (1,1)
+    bad = G.AtomicNetwork((0, 1), (0, 3, 2, 3))
     res = G.validate_network(s, bad)
     assert not res["ok"] and res["kind"] == "cylindrifier"
-    # a missing tuple is reported
-    res = G.validate_network(s, G.AtomicNetwork(2, [0, 1], {(0, 0): 0}))
-    assert res["kind"] == "missing-tuple"
+    # a document that leaves a tuple unlabelled is refused while it is read
+    with pytest.raises(ValueError, match=r"network labels leave \(0,1\) unlabelled"):
+        G.GenericBackend(s).net_from_json({"nodes": [0, 1], "labels": {"(0,0)": 0}})
 
 
 def test_rainbow_network_is_a_valid_coloured_graph(rainbow_structure):
@@ -74,7 +75,7 @@ def test_legal_forall_moves_nonempty_and_sorted():
     assert moves == sorted(moves)
     # every offered atom satisfies the side condition b <= c_l N(face tuple)
     for m in moves[:25]:
-        base = net.labels[G.insert_at(m.face, m.l, net.nodes[0])]
+        base = _labels(net, 2)[G.insert_at(m.face, m.l, net.nodes[0])]
         assert backend.ti_rel(m.l, base, m.atom)
 
 
@@ -180,12 +181,14 @@ def test_solver_forall_wins_on_broken_structure():
 def _all_networks(s, nodes, pinned):
     """Every total labelling of nodes^n extending `pinned` that
     validate_network accepts, by brute force."""
-    free = [t for t in itertools.product(nodes, repeat=s.dim) if t not in pinned]
+    tuples = list(itertools.product(nodes, repeat=s.dim))
+    free = [t for t in tuples if t not in pinned]
     found = set()
     for labels in itertools.product(range(s.num_atoms), repeat=len(free)):
-        net = G.AtomicNetwork(s.dim, nodes, {**pinned, **dict(zip(free, labels))})
+        full = {**pinned, **dict(zip(free, labels))}
+        net = G.AtomicNetwork(nodes, tuple(full[t] for t in tuples))
         if G.validate_network(s, net)["ok"]:
-            found.add(frozenset(net.labels.items()))
+            found.add(frozenset(full.items()))
     return found
 
 
@@ -231,7 +234,7 @@ def _structure(spec):
 def test_complete_matches_brute_force(structure, nodes, pinned):
     s = _structure(structure)
     nets = G.GenericBackend(s)._complete(nodes, pinned)
-    found = [frozenset(net.labels.items()) for net in nets]
+    found = [frozenset(_labels(net, s.dim).items()) for net in nets]
     assert len(set(found)) == len(found)
     assert set(found) == _all_networks(s, nodes, pinned)
     assert all(net.nodes == nodes for net in nets)
@@ -249,15 +252,22 @@ def test_complete_order_pinned():
          "3f5378d0df5ae288daed7f2d4813c17bf9774490"),
     ]
     for spec, nodes, pinned, count, digest in pins:
-        nets = G.GenericBackend(_structure(spec))._complete(nodes, pinned)
-        doc = [sorted(net.labels.items()) for net in nets]
+        s = _structure(spec)
+        nets = G.GenericBackend(s)._complete(nodes, pinned)
+        doc = [sorted(_labels(net, s.dim).items()) for net in nets]
         assert len(nets) == count
         assert hashlib.sha1(json.dumps(doc).encode()).hexdigest() == digest, spec
 
 
-def _relabel_atomic(net, f):
-    return G.AtomicNetwork(net.dim, [f[v] for v in net.nodes],
-                           {tuple(f[x] for x in t): a for t, a in net.labels.items()})
+def _labels(net, n):
+    """The atoms of a generic network keyed by its node n-tuples."""
+    return dict(zip(itertools.product(net.nodes, repeat=n), net.atoms))
+
+
+def _relabel_atomic(net, f, n=2):
+    labels = {tuple(f[x] for x in t): a for t, a in _labels(net, n).items()}
+    nodes = tuple(sorted(f[v] for v in net.nodes))
+    return G.AtomicNetwork(nodes, tuple(labels[t] for t in itertools.product(nodes, repeat=n)))
 
 
 def _relabel_graph(g, f):
@@ -303,13 +313,14 @@ def _isomorphic_graphs(g, h):
     return False
 
 
-def _isomorphic_networks(a, b):
+def _isomorphic_networks(a, b, n=2):
     """Some node bijection carries every label of a onto b's."""
     if len(a.nodes) != len(b.nodes):
         return False
+    la, lb = _labels(a, n), _labels(b, n)
     for image in itertools.permutations(b.nodes):
         p = dict(zip(a.nodes, image))
-        if all(b.labels[tuple(p[x] for x in t)] == atom for t, atom in a.labels.items()):
+        if all(lb[tuple(p[x] for x in t)] == atom for t, atom in la.items()):
             return True
     return False
 
@@ -382,7 +393,7 @@ def test_canonical_form_separates_non_isomorphic_networks(rainbow_structure):
              for net in nets]
     classes, distinct = _separated_pairs(
         G.GenericBackend(loose_structure()), nets, _isomorphic_networks,
-        lambda net: (len(net.nodes), tuple(sorted(net.labels.values()))))
+        lambda net: (len(net.nodes), tuple(sorted(net.atoms))))
     assert classes > 20 and distinct > 1000
 
 
@@ -499,7 +510,7 @@ def test_certificate_networks_validate():
     res = G.solve_bounded(s, 5, 3, "F")
     for rec in res["principal_play"]:
         if isinstance(rec.get("exists"), dict):
-            net = G.AtomicNetwork.from_json(rec["exists"]["network"], 2)
+            net = G.GenericBackend(s).net_from_json(rec["exists"]["network"])
             assert G.validate_network(s, net)["ok"]
 
 
@@ -681,6 +692,115 @@ def test_transcript_tampering_detected():
     rec["forall"]["atom"] = (rec["forall"]["atom"] + 1) % 4
     chk = G.verify_transcript(s, doc)
     assert not chk["ok"]
+
+
+def _forged_plays(rainbow):
+    """(structure, play, reason) of forged plays that must replay as not ok.
+    Each network that omits the move's new node is the round-0 network
+    offered again in round 1. The false dead-ends claim that Exists has no
+    answer to a move she can answer: on fullset:2,2, the round-1 move of the
+    README play; on rainbow:3, in round 2 after the script's first move and
+    first response, a demand at the fresh node 4 of the atom of (0,2,1),
+    which a copy of node 1 meets, with more than 4,096 responses in all."""
+    s = fullset_structure(2, 2)
+    play = G.solve_bounded(s, 5, 3, "F")
+    records = play["principal_play"]
+    omits = [records[0], dict(records[1], exists=records[0]["exists"])]
+    dead = [records[0], dict(records[1], exists="dead-end")]
+    proof = G.verify_forall_script(rainbow)
+    tree = proof["tree"]
+    net = tree["responses"][0]["network"]
+    atom = rainbow.table.atom_of_tuple(R.ColouredGraph.from_json(net["graph"], rainbow.sig),
+                                       (0, 2, 1))
+    zeroth = {"round": 0, "forall": {"initial_atom": proof["zeroth_atom"]},
+              "exists": {"network": {"graph": proof["zeroth_graph"]}}}
+    first = {"round": 1, "forall": tree["forall"], "exists": {"network": net}}
+    demand = {"round": 2, "forall": G.Move(0, (0, 2), 4, atom, 2).to_json(),
+              "exists": "dead-end"}
+    extend = "round 1 network does not extend the network it answers"
+    return [
+        (s, dict(play, principal_play=omits), extend),
+        (s, dict(play, principal_play=dead), "claimed dead-end at round 1 has responses"),
+        (rainbow, {"mode": "F", "nodes": 6, "rounds": 2,
+                   "principal_play": [zeroth, dict(first, exists=zeroth["exists"])]}, extend),
+        (rainbow, {"mode": "F", "nodes": 6, "rounds": 2,
+                   "principal_play": [zeroth, first, demand]},
+         "claimed dead-end at round 2 has responses"),
+    ]
+
+
+def test_forged_plays_are_refuted_not_raised(rainbow_structure):
+    """A network that omits the move's new node is refused before any of
+    its atoms is read, and a false dead-end claim is refuted by the first
+    response, however many there are."""
+    cases = _forged_plays(rainbow_structure)
+    for s, doc, reason in cases:
+        assert G.verify_transcript(s, doc) == {"ok": False, "reason": reason}
+    # the genuine rainbow prefix replays
+    s, doc, _ = cases[-1]
+    assert G.verify_transcript(s, dict(doc, principal_play=doc["principal_play"][:2])) == \
+        {"ok": True, "rounds_checked": 1}
+
+
+def test_incomplete_network_documents_are_refused_while_read():
+    """A fullset network document must label every tuple of its nodes; the
+    first unlabelled tuple in product order is named, and a document naming
+    10^4 nodes with a few labels is refused without a 10^8-entry vector."""
+    s = fullset_structure(2, 2)
+    gb = G.GenericBackend(s)
+    res = G.solve_bounded(s, 3, 2, "F")
+    for nodes in ([0, 1], list(range(10**4))):
+        network = {"nodes": nodes, "labels": {"(0,0)": 0, "(1,1)": 0}}
+        with pytest.raises(ValueError, match=r"^network labels leave \(0,1\) unlabelled$"):
+            gb.net_from_json(network)
+        forged = [dict(rec, exists={"network": network}) if rec["round"] == 1 else rec
+                  for rec in res["principal_play"]]
+        assert G.verify_transcript(s, dict(res, principal_play=forged)) == \
+            {"ok": False, "reason": "round 1: network labels leave (0,1) unlabelled"}
+    # duplicate spellings of one tuple count once
+    with pytest.raises(ValueError, match=r"leave \(1,1\) unlabelled"):
+        gb.net_from_json({"nodes": [0, 1], "labels": {"(0,0)": 0, "(0,1)": 1, "(0, 1)": 1,
+                                                      "(1,0)": 2}})
+    # every README play's networks read back to the networks written
+    for rec in G.solve_bounded(s, 5, 3, "F")["principal_play"]:
+        doc = rec["exists"]["network"]
+        assert gb.net_to_json(gb.net_from_json(doc)) == doc
+
+
+def test_dominant_yellows_lose_no_line(rainbow_structure):
+    """The script's reduction that fixes Exists' free yellows to the full
+    shade loses no line: for each of the 24 tint orders, at every dead end
+    of the script tree Exists has no response with any shade either; and at
+    every position of the default tree the dominant responses are among all
+    responses."""
+    s = rainbow_structure
+    every = G.RainbowBackend(s, "all")
+    dominant = G.RainbowBackend(s, "dominant")
+    counts = {"positions": 0, "dead_ends": 0}
+
+    def key(g):
+        return json.dumps(g.to_json(), sort_keys=True)
+
+    def walk(node, net, subset):
+        counts["positions"] += 1
+        move = G.Move.from_json(node["forall"])
+        if node["responses"] == "dead-end":
+            counts["dead_ends"] += 1
+            assert every.responses(net, move) == [], (node["round"], move)
+            return
+        if subset:
+            found = {key(g) for g in every.responses(net, move)}
+            assert {key(g) for g in dominant.responses(net, move)} <= found
+        for rec in node["responses"]:
+            walk(rec["subtree"], R.ColouredGraph.from_json(rec["network"]["graph"], s.sig),
+                 subset)
+
+    default = G.default_script_tints(3)
+    for tints in itertools.permutations(range(1, 5)):
+        proof = G.verify_forall_script(s, tints)
+        walk(proof["tree"], R.ColouredGraph.from_json(proof["zeroth_graph"], s.sig),
+             tints == default)
+    assert counts == {"positions": 312, "dead_ends": 144}
 
 
 def _pair(table, colour, yellow=R.YELLOW_NONE):
@@ -892,22 +1012,22 @@ def test_rainbow_non_atoms_outside_the_code_range(rainbow_structure):
         assert res == {"ok": False, "reason": f"initial atom {atom} is not an atom"}
 
 
-def test_rainbow_forall_moves_on_one_node(rainbow_structure):
-    """On the one-node network of the first atom every face is (0, 0):
-    786 atoms share its key on the three axes together, once per node k."""
+def test_rainbow_forall_moves_refused_like_atoms(rainbow_structure):
+    """Neither Forall's opening atoms nor his moves are enumerated on the
+    rainbow structure: both refuse with one BudgetExceeded that points to
+    the scripted game. The generic enumeration raises past its cap."""
     s = rainbow_structure
     backend = G.RainbowBackend(s)
-    first = int(s.codes[0])
-    _, net = s.table.graph_of(first)
-    assert net.nodes == (0,)
-    head = {"network": 0, "face": [0, 0], "k": 1, "atom": first, "l": 0}
-    for budget, count, last_k in ((2, 786, 1), (3, 1572, 2)):
-        moves = backend.forall_moves([net], budget, {0}, "F")
-        assert len(moves) == count
-        assert moves[0].to_json() == head
-        assert moves[-1].to_json() == dict(head, k=last_k, atom=514807757)
+    _, net = s.table.graph_of(int(s.codes[0]))
+    for call in (backend.atoms, lambda: backend.forall_moves([net], 2, {0}, "F")):
+        with pytest.raises(BudgetExceeded, match="use verify_forall_script"):
+            call()
+    gb = G.GenericBackend(fullset_structure())
+    net = gb.initial_networks(0, 4)[0]
+    count = len(gb.forall_moves([net], 4, set(), "F"))
+    assert len(gb.forall_moves([net], 4, set(), "F", cap=count)) == count
     with pytest.raises(BudgetExceeded, match="move enumeration cap"):
-        backend.forall_moves([net], 4, {0}, "F")
+        gb.forall_moves([net], 4, set(), "F", cap=count - 1)
 
 
 def test_script_certificate_responses_replayed_in_order(rainbow_structure):
@@ -952,9 +1072,11 @@ def test_exists_network_must_extend_the_network_it_answers():
     assert play[1]["forall"] == {"network": 0, "face": [0], "k": 1, "atom": 0, "l": 0}
     # all-zero labels on {0, 1, 7}: valid, keeps (0,0) and meets the demand,
     # but node 7 is outside the budget of 3
-    stray = G.AtomicNetwork(2, (0, 1, 7), {t: 0 for t in itertools.product((0, 1, 7), repeat=2)})
+    gb = G.GenericBackend(s)
+    stray = G.AtomicNetwork((0, 1, 7), (0,) * 9)
     assert G.validate_network(s, stray)["ok"]
-    forged = dict(res, principal_play=[play[0], dict(play[1], exists={"network": stray.to_json()})])
+    forged = dict(res, principal_play=[play[0], dict(play[1],
+                                                     exists={"network": gb.net_to_json(stray)})])
     chk = G.verify_transcript(s, forged)
     assert not chk["ok"] and "does not extend" in chk["reason"]
     assert G.verify_transcript(s, dict(res, principal_play=play))["ok"]
@@ -962,8 +1084,8 @@ def test_exists_network_must_extend_the_network_it_answers():
     # round 2 adds node 2 at point 0; the forged answer also moves node 1
     # to point 0, which changes the atoms of the old tuples (0,1), (1,0), (1,1)
     def points(p):
-        return {"network": G.AtomicNetwork(2, p, {(u, v): p[u] + 2 * p[v] for u in p
-                                                   for v in p}).to_json()}
+        return {"network": gb.net_to_json(G.AtomicNetwork(tuple(p), tuple(p[u] + 2 * p[v]
+                                                                         for u in p for v in p)))}
 
     play = [{"round": 0, "forall": {"initial_atom": 0}, "exists": points({0: 0})},
             {"round": 1, "forall": {"network": 0, "face": [0], "k": 1, "atom": 1, "l": 0},
