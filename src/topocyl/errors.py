@@ -1,8 +1,28 @@
-"""Exception types shared across the workbench, and the shape checks of
-the JSON documents it reads, which raise ValueError naming the field."""
+"""Exception types shared across the workbench, the shape checks of the
+JSON documents it reads, which raise ValueError naming the field, and the
+one spelling of a node tuple as a JSON key (`node_key`), which its reader
+(`parse_node_tuple`) inverts."""
 
 import reprlib
 from typing import Optional
+
+
+def node_key(t) -> str:
+    """The JSON key of the node tuple t: "(u,v,...)" of its integers."""
+    return "(" + ",".join(map(str, t)) + ")"
+
+
+def parse_node_tuple(key) -> Optional[tuple]:
+    """The node tuple whose `node_key` is key, or None if there is none: a
+    key with spaces, a + sign or leading zeros names no tuple."""
+    if isinstance(key, str) and key.startswith("(") and key.endswith(")"):
+        try:
+            t = tuple(int(p) for p in key[1:-1].split(","))
+        except ValueError:
+            return None
+        if node_key(t) == key:
+            return t
+    return None
 
 
 def json_field(value, kind, name: str, size: Optional[int] = None):

@@ -29,15 +29,16 @@ graph (`atom_of_tuple`).
 
 Exists' rainbow responses come from one depth-first search over the free
 edges (v, k), v ascending. The colours v may take are the set bits of an
-AND of rows of a triangle table, one row per node w whose edges (v, w) and
-(w, k) are both set: the table maps each ordered pair of edge colours to
-the bitmask, over the indices of `edge_colours()`, of the colours that
-close a triangle with them without a `triangle_violation`. It is built
-once per n and shared by every backend. A pair holding a colour outside the
-signature has no row and prunes at once, which loses nothing: both of its
-edges are on nodes of the graph, and the leaf check rejects any graph with
-such a colour as "unknown-colour". Set bits are tried in ascending index
-order, which is the order of `edge_colours()`.
+AND of the signature's `triangle_rows`, one row per node w whose edges
+(v, w) and (w, k) are both set: a row maps an ordered pair of edge colours
+to the bitmask, over the indices of the signature's `colours`, of the
+colours that close a triangle with them without a `triangle_violation`.
+The signature of each n is one object, so its rows are built once and
+shared by every backend. A pair holding a colour outside the signature has
+no row and prunes at once, which loses nothing: both of its edges are on
+nodes of the graph, and the leaf check rejects any graph with such a
+colour as "unknown-colour" (no JSON reader lets one in). Set bits are
+tried in ascending index order, which is the order of `colours`.
 Every complete colouring, with each free yellow slot through k given each
 allowed shade, is kept only if `is_valid_coloured_graph` accepts the whole
 graph, so the table narrows the search and never decides validity.
@@ -49,6 +50,8 @@ the domain of a tuple is a bitmask of atoms, its diagonal mask narrowed by
 one table row per labelled axis neighbour. The tables that depend only on
 (n, node count), among them one itemgetter per node permutation that the
 canonical form reads a vector through, are built on first use and shared.
+Its JSON labels are keyed by `errors.node_key`, whose reader refuses every
+other spelling of a tuple.
 
 The real game runs for omega rounds; everything here is an r-round
 truncation and says so in its artifacts. In F-mode Forall may pick a node
@@ -67,17 +70,10 @@ import itertools
 import operator
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import BudgetExceeded, ScriptRefuted, json_field, json_ints
+from .errors import (BudgetExceeded, ScriptRefuted, json_field, json_ints, node_key,
+                     parse_node_tuple)
 from .bao import AtomStructure
-from .rainbow import (
-    ColouredGraph,
-    RainbowStructure,
-    is_green,
-    is_valid_coloured_graph,
-    parse_node_tuple,
-    signature,
-    triangle_violation,
-)
+from .rainbow import ColouredGraph, RainbowStructure, is_green, is_valid_coloured_graph
 
 # caps of one solve_bounded call: rounds, positions visited, Forall moves
 # per position and Exists responses per move; past one, BudgetExceeded
@@ -345,14 +341,14 @@ class GenericBackend:
 
     def net_to_json(self, net):
         return {"nodes": list(net.nodes),
-                "labels": {"(" + ",".join(map(str, t)) + ")": a
-                           for t, a in zip(itertools.product(net.nodes, repeat=self.n), net.atoms)}}
+                "labels": {node_key(t): a for t, a in
+                           zip(itertools.product(net.nodes, repeat=self.n), net.atoms)}}
 
     def net_from_json(self, doc):
         """ValueError naming the field unless doc is an object whose nodes
-        are a list of integers and whose labels map a "(u,v,...)" key for
-        every n-tuple of those nodes to an atom index. The label count is
-        compared with k^n before any vector is built."""
+        are a list of integers and whose labels map the `node_key` of every
+        n-tuple of those nodes, and no other spelling, to an atom index.
+        The label count is compared with k^n before any vector is built."""
         n = self.n
         json_field(doc, dict, "network")
         nodes = tuple(sorted(set(json_ints(doc.get("nodes"), "network nodes"))))
@@ -362,14 +358,15 @@ class GenericBackend:
         for key, a in raw.items():
             t = parse_node_tuple(key) or ()
             if len(t) != n or not set(t) <= members:
-                raise ValueError(f"network label key {key!r} is not a tuple of {n} nodes")
+                raise ValueError(f"network label key {key!r} is not a tuple of {n} nodes "
+                                 f"in its one spelling (u,v,...)")
             if not (type(a) is int and a >= 0):
                 raise ValueError(f"network label {key!r} must be an atom index, got {a!r}")
             labels[t] = a
         tuples = itertools.product(nodes, repeat=n)
         if len(labels) < len(nodes) ** n:
             missing = next(t for t in tuples if t not in labels)
-            raise ValueError(f"network labels leave ({','.join(map(str, missing))}) unlabelled")
+            raise ValueError(f"network labels leave {node_key(missing)} unlabelled")
         return AtomicNetwork(nodes, tuple(map(labels.__getitem__, tuples)))
 
     def validate(self, net):
@@ -377,18 +374,6 @@ class GenericBackend:
 
 
 # -- rainbow backend ----------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _triangle_table(n: int) -> Dict[tuple, int]:
-    """For each ordered pair (a, b) of signature(n).edge_colours(), the
-    bitmask over the indices of those colours of the c that close a
-    triangle with edges a, b without a triangle_violation; built once per
-    n and shared by every backend."""
-    colours = signature(n).edge_colours()
-    return {(a, b): sum(1 << i for i, c in enumerate(colours)
-                        if not triangle_violation(a, b, c))
-            for a in colours for b in colours}
 
 
 RAINBOW_MINIMAX_REFUSED = ("full minimax over the rainbow atom structure exceeds any "
@@ -402,8 +387,7 @@ class RainbowBackend:
         self.sig = structure.sig
         self.n = structure.dim
         # the shades a yellow slot left free for Exists may take
-        self.shades = ([frozenset(range(self.sig.yellow_universe))]
-                       if yellow_mode == "dominant" else list(self.sig.yellow_sets()))
+        self.shades = (self.sig.full_shade,) if yellow_mode == "dominant" else self.sig.shades
 
     def atoms(self):
         raise BudgetExceeded(RAINBOW_MINIMAX_REFUSED)
@@ -490,8 +474,8 @@ class RainbowBackend:
             self._fill_yellows(g, k, out, cap)
             return
         v = free[pos]
-        colours = self.sig.edge_colours()
-        table = _triangle_table(self.n)
+        colours = self.sig.colours
+        table = self.sig.triangle_rows
         mask = (1 << len(colours)) - 1
         for w in g.nodes:
             if w == v or w == k:
@@ -683,7 +667,6 @@ def verify_forall_script(structure: RainbowStructure, tints=None) -> dict:
     round_bound = n + 2
     budget_nodes = n + 3
 
-    full = frozenset(range(sig.yellow_universe))
     edges = {}
     for i in range(n - 1):
         for j in range(i + 1, n - 1):
@@ -691,7 +674,7 @@ def verify_forall_script(structure: RainbowStructure, tints=None) -> dict:
     for i in range(1, n - 1):
         edges[(i, n - 1)] = ("g", i)
     edges[(0, n - 1)] = ("g0", tints[0])
-    yellows = {tuple(range(n - 1)): full}
+    yellows = {tuple(range(n - 1)): sig.full_shade}
     gamma = ColouredGraph(sig, range(n), edges, yellows)
     verdict = is_valid_coloured_graph(gamma)
     if not verdict:

@@ -7,6 +7,12 @@ relative to the stored direction. A red clique is then consistent exactly
 when it is generated by an injective node-to-index map, which is what the
 cone-bombardment argument needs. Greens and whites are symmetric.
 
+`signature(n)` is the one signature of each n and owns the tables derived
+from n, the triangle rows of Exists' search in `games` among them. A graph's
+JSON is read by inverting its writer: codes are looked up among those the
+signature's colours and shades are written as, and node keys are
+`errors.node_key`.
+
 This module is the only reader and writer of the packed n = 3 atom code:
 `pack_atom` / `unpack_atom`, `AtomTable.graph_of` (an atom as kernel
 blocks plus its quotient coloured graph), `AtomTable.atom_of_tuple` (the
@@ -19,55 +25,83 @@ and 2, `tiles` of axis 0) and the run of codes of each kernel
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimTooSmall, DimUnsupported, IndexOutOfRange, json_field, json_ints
+from .errors import (DimTooSmall, DimUnsupported, IndexOutOfRange, json_field, json_ints,
+                     json_size, node_key, parse_node_tuple)
 from . import bao
 
 # -- signature ----------------------------------------------------------
 
 
 class RainbowSignature:
+    """The colours of dimension n: greens g_i (0 < i < n-1) and g_0^i
+    (0 < i < n+2), whites w_i (i < n-1), the reds in both orientations, and
+    the shades, the subsets of 0..n+1. Each table derived from n is built on
+    first use and kept, so a dimension refused later costs nothing here.
+    `triangle_rows` maps each ordered pair (a, b) of colours to the bitmask,
+    over colour indices, of the c that close a triangle with edges a, b
+    without a `triangle_violation`."""
+
     def __init__(self, n: int):
         if n < 3:
             raise DimTooSmall("rainbow signature needs dimension at least 3")
         self.n = n
-        self.greens = tuple(
-            [("g", i) for i in range(1, n - 1)] + [("g0", i) for i in range(1, n + 2)]
-        )
-        self.whites = tuple(("w", i) for i in range(0, n - 1))
-        self.red_symbols = tuple(
-            ("r", i, j) for i in range(n) for j in range(i + 1, n)
-        )
-        self.oriented_reds = tuple(
-            ("r", a, b) for a in range(n) for b in range(n) if a != b
-        )
         self.tints = tuple(range(1, n + 2))
         self.yellow_universe = n + 2
+        self.full_shade = frozenset(range(n + 2))
 
-    def yellow_sets(self):
-        for bits in range(1 << self.yellow_universe):
-            yield frozenset(i for i in range(self.yellow_universe) if bits >> i & 1)
+    @functools.cached_property
+    def oriented_reds(self) -> tuple:
+        n = self.n
+        return tuple(("r", a, b) for a in range(n) for b in range(n) if a != b)
 
-    def edge_colours(self):
+    @functools.cached_property
+    def colours(self) -> tuple:
         """All non-yellow labels usable on an edge, reds oriented."""
-        return self.greens + self.whites + self.oriented_reds
+        n = self.n
+        greens = [("g", i) for i in range(1, n - 1)] + [("g0", i) for i in range(1, n + 2)]
+        return tuple(greens + [("w", i) for i in range(n - 1)]) + self.oriented_reds
+
+    @functools.cached_property
+    def colour_index(self) -> dict:
+        return {c: e for e, c in enumerate(self.colours)}
+
+    @functools.cached_property
+    def colour_codes(self) -> dict:
+        return {colour_code(c): c for c in self.colours}
+
+    @functools.cached_property
+    def shades(self) -> tuple:
+        """Every shade; the shade of bitmask y is shades[y]."""
+        u = self.yellow_universe
+        return tuple(frozenset(i for i in range(u) if bits >> i & 1) for bits in range(1 << u))
+
+    @functools.cached_property
+    def shade_codes(self) -> dict:
+        return {yellow_codeword(S): S for S in self.shades}
+
+    @functools.cached_property
+    def triangle_rows(self) -> dict:
+        return {(a, b): sum(1 << i for i, c in enumerate(self.colours)
+                            if not triangle_violation(a, b, c))
+                for a in self.colours for b in self.colours}
 
     def summary(self) -> dict:
-        return {
-            "n": self.n,
-            "greens": len(self.greens),
-            "whites": len(self.whites),
-            "reds": len(self.red_symbols),
-            "yellows": 1 << self.yellow_universe,
-        }
+        kinds = collections.Counter(c[0] for c in self.colours)
+        return {"n": self.n, "greens": kinds["g"] + kinds["g0"], "whites": kinds["w"],
+                "reds": kinds["r"] // 2, "yellows": 1 << self.yellow_universe}
 
 
+@functools.lru_cache(maxsize=None)
 def signature(n: int) -> RainbowSignature:
+    """The one signature of dimension n, shared with its tables."""
     return RainbowSignature(n)
 
 
@@ -97,43 +131,8 @@ def colour_code(c) -> str:
     raise ValueError(f"bad colour {c!r}")
 
 
-def parse_colour(s: str):
-    if isinstance(s, str):
-        try:
-            if s.startswith("g0^"):
-                return ("g0", int(s[3:]))
-            if s.startswith("g"):
-                return ("g", int(s[1:]))
-            if s.startswith("w"):
-                return ("w", int(s[1:]))
-            if s.startswith("r"):
-                return ("r", int(s[1]), int(s[2:]))
-        except (ValueError, IndexError):
-            pass
-    raise ValueError(f"bad colour code {s!r}")
-
-
 def yellow_codeword(S: frozenset) -> str:
     return "yS:{" + ",".join(str(i) for i in sorted(S)) + "}"
-
-
-def parse_yellow(s: str) -> frozenset:
-    if isinstance(s, str) and s.startswith("yS:{") and s.endswith("}"):
-        try:
-            return frozenset(int(p) for p in s[4:-1].split(",") if p != "")
-        except ValueError:
-            pass
-    raise ValueError(f"bad yellow code {s!r}")
-
-
-def parse_node_tuple(key: str) -> Optional[tuple]:
-    """The node tuple of a JSON key "(u,v,...)", or None if key is not one."""
-    if isinstance(key, str) and key.startswith("(") and key.endswith(")"):
-        try:
-            return tuple(int(p) for p in key[1:-1].split(","))
-        except ValueError:
-            pass
-    return None
 
 
 # -- coloured graphs ------------------------------------------------------
@@ -189,21 +188,19 @@ class ColouredGraph:
         contiguous = self.nodes == tuple(range(len(self.nodes)))
         return {
             "nodes": len(self.nodes) if contiguous else list(self.nodes),
-            "edges": {f"({u},{v})": colour_code(c) for (u, v), c in sorted(self.edges.items())},
-            "yellows": {
-                "(" + ",".join(map(str, k)) + ")": yellow_codeword(s)
-                for k, s in sorted(self.yellows.items())
-            },
+            "edges": {node_key(t): colour_code(c) for t, c in sorted(self.edges.items())},
+            "yellows": {node_key(t): yellow_codeword(S) for t, S in sorted(self.yellows.items())},
         }
 
     @staticmethod
     def from_json(doc: dict, sig: RainbowSignature) -> "ColouredGraph":
         """ValueError naming the field unless doc is an object whose nodes
-        are a count or a list of integers, whose edges map "(u,v)" keys
-        with nodes u < v to colour codes and whose yellows map node tuple
-        keys to yellow codes."""
+        are a count or a list of integers, whose edges map keys (u,v) with
+        nodes u < v to colour codes of sig and whose yellows map sorted node
+        keys to shade codes of sig, each spelled as `to_json` writes it."""
         raw = json_field(doc, dict, "graph").get("nodes")
-        nodes = range(raw) if type(raw) is int else json_ints(raw, "graph nodes")
+        nodes = range(json_size(raw, "graph nodes")) if type(raw) is int \
+            else json_ints(raw, "graph nodes")
         raw_edges, raw_yellows = (json_field(doc.get(name, {}), dict, f"graph {name}")
                                   for name in ("edges", "yellows"))
         members = set(nodes)
@@ -212,13 +209,19 @@ class ColouredGraph:
             t = parse_node_tuple(key) or ()
             if not (len(t) == 2 and t[0] < t[1] and set(t) <= members):
                 raise ValueError(f"graph edge key {key!r} is not (u,v) with nodes u < v")
-            edges[t] = parse_colour(code)
+            if not (isinstance(code, str) and code in sig.colour_codes):
+                raise ValueError(f"bad colour code {code!r} on graph edge {key!r}: "
+                                 f"not a colour code of the n = {sig.n} signature")
+            edges[t] = sig.colour_codes[code]
         yellows = {}
         for key, code in raw_yellows.items():
             t = parse_node_tuple(key)
-            if t is None:
-                raise ValueError(f"graph yellow key {key!r} is not a node tuple")
-            yellows[t] = parse_yellow(code)
+            if t is None or list(t) != sorted(t):
+                raise ValueError(f"graph yellow key {key!r} is not a sorted node tuple")
+            if not (isinstance(code, str) and code in sig.shade_codes):
+                raise ValueError(f"bad yellow code {code!r} on graph yellow key {key!r}: "
+                                 f"not a shade code of the n = {sig.n} signature")
+            yellows[t] = sig.shade_codes[code]
         return ColouredGraph(sig, nodes, edges, yellows)
 
 
@@ -308,12 +311,11 @@ def is_valid_coloured_graph(g: ColouredGraph) -> Verdict:
     """Completeness, forbidden triangles, yellow placement, cone clause."""
     sig = g.sig
     n = sig.n
-    inventory = set(sig.edge_colours())
     for u, v in itertools.combinations(g.nodes, 2):
         c = g.edge(u, v)
         if c is None:
             return Verdict(False, "incomplete", (u, v))
-        if c not in inventory:
+        if c not in sig.colour_index:
             return Verdict(False, "unknown-colour", (u, v))
     for x, y, z in itertools.combinations(g.nodes, 3):
         kind = triangle_violation(g.edge(x, y), g.edge(y, z), g.edge(x, z))
@@ -329,7 +331,7 @@ def is_valid_coloured_graph(g: ColouredGraph) -> Verdict:
             return Verdict(False, "missing-yellow", key)
         if not green_free and label is not None:
             return Verdict(False, "yellow-on-green-tuple", key)
-        if label is not None and not label <= set(range(sig.yellow_universe)):
+        if label is not None and not label <= sig.full_shade:
             return Verdict(False, "yellow-out-of-range", key)
     stray = [k for k in g.yellows if len(k) != n - 1 or len(set(k)) != n - 1
              or not set(k) <= set(g.nodes)]
@@ -412,8 +414,6 @@ class AtomTable:
         if sig.n != 3:
             raise DimUnsupported("atom enumeration is implemented for n = 3 only")
         self.sig = sig
-        self.colours = sig.edge_colours()
-        self.colour_index = {c: e for e, c in enumerate(self.colours)}
         self.codes = _read_only(self._enumerate())
         self.count = int(self.codes.shape[0])
 
@@ -442,7 +442,7 @@ class AtomTable:
             pairs = list(itertools.combinations(nodes, 2))
             weight = {p: sum(PAIR_SLOTS ** (len(PAIRS) - 1 - k) for k, (i, j) in enumerate(PAIRS)
                              if {delta[i], delta[j]} == set(p)) for p in pairs}
-            for colouring in itertools.product(self.colours, repeat=len(pairs)):
+            for colouring in itertools.product(sig.colours, repeat=len(pairs)):
                 g = ColouredGraph(sig, nodes, dict(zip(pairs, colouring)), {})
                 if any(triangle_violation(g.edge(x, y), g.edge(y, z), g.edge(x, z))
                        for x, y, z in itertools.combinations(nodes, 3)):
@@ -490,14 +490,13 @@ class AtomTable:
                 continue
             e, y = divmod(p, PAIR_BASE)
             u, v = node_of[i], node_of[j]
-            colour = self.colours[e]
+            colour = self.sig.colours[e]
             if u > v:
                 u, v = v, u
                 colour = reverse_colour(colour)
             edges[(u, v)] = colour
             if y != YELLOW_NONE:
-                yellows[(u, v)] = frozenset(t for t in range(self.sig.yellow_universe)
-                                            if y >> t & 1)
+                yellows[(u, v)] = self.sig.shades[y]
         g = ColouredGraph(self.sig, range(len(blocks)), edges, yellows)
         return blocks, g
 
@@ -512,16 +511,14 @@ class AtomTable:
             colour = graph.edge(u, v)
             if colour is None:
                 raise ValueError(f"edge ({u},{v}) unlabelled")
-            e = self.colour_index[colour]
+            e = self.sig.colour_index[colour]
             if is_green(colour):
                 y = YELLOW_NONE
             else:
                 S = graph.yellow((u, v))
                 if S is None:
                     raise ValueError(f"pair ({u},{v}) missing its yellow label")
-                y = 0
-                for t in S:
-                    y |= 1 << t
+                y = sum(1 << t for t in S)
             pairs[(i, j)] = e * PAIR_BASE + y
         return pack_atom(kid, pairs)
 
@@ -724,8 +721,6 @@ class RainbowStructure:
 
 
 def build_atom_structure(sig: RainbowSignature) -> RainbowStructure:
-    if sig.n != 3:
-        raise DimUnsupported("atom structure construction supports n = 3 only")
     return RainbowStructure(enumerate_atoms(sig))
 
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -398,6 +399,48 @@ def test_forged_plays_replay_as_refuted(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert code == 0 and err == "", (structure, err)
         assert json.loads(out)["results"] == {"ok": False, "reason": reason, "verdict": "false"}
+
+
+def test_second_key_spellings_replay_as_refuted(tmp_path, capsys):
+    """A play that labels a node tuple under a second spelling of its key, a
+    "( 0,0)" label on fullset:2,2 and a "(0,01)" edge on rainbow:3, replays
+    as ok: false naming the key, with exit 0; the later label no longer
+    overrides the first."""
+    assert dispatch(["game", "solve", "--structure", "fullset:2,2", "--nodes", "5",
+                     "--rounds", "3", "--out", str(tmp_path / "play.json")]) == 0
+    assert dispatch(["game", "script", "--n", "3", "--out", str(tmp_path / "proof.json")]) == 0
+    play = json.loads((tmp_path / "play.json").read_text())["results"]
+    labels = play["principal_play"][1]["exists"]["network"]["labels"]
+    assert labels["(0,0)"] == 0
+    labels["( 0,0)"] = 1
+    graph = json.loads((tmp_path / "proof.json").read_text())["results"]["zeroth_graph"]
+    graph["edges"]["(0,01)"] = "w1"
+    zeroth = {"mode": "F", "nodes": 6, "rounds": 0, "principal_play": [
+        {"round": 0, "forall": {"initial_atom": 0}, "exists": {"network": {"graph": graph}}}]}
+    cases = [("fullset:2,2", play, "round 1: network label key '( 0,0)' is not a tuple of 2 "
+                                   "nodes in its one spelling (u,v,...)"),
+             ("rainbow:3", zeroth,
+              "round 0: graph edge key '(0,01)' is not (u,v) with nodes u < v")]
+    capsys.readouterr()
+    for structure, doc, reason in cases:
+        (tmp_path / "forged.json").write_text(json.dumps(doc))
+        code = dispatch(["game", "verify-transcript", "--transcript", str(tmp_path / "forged.json"),
+                         "--structure", structure])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "", (structure, err)
+        assert json.loads(out)["results"] == {"ok": False, "reason": reason, "verdict": "false"}
+
+
+def test_unsupported_rainbow_dimensions_are_refused_at_once(capsys):
+    """A rainbow dimension other than 3 is refused before any table of it
+    is built: at n = 2000 the red colours alone number about four million."""
+    for argv in (["rainbow", "atoms", "--n", "2000"], ["rainbow", "structure", "--n", "2000"],
+                 ["game", "script", "--n", "2000"], ["bao", "cm", "--structure", "rainbow:2000"]):
+        start = time.perf_counter()
+        code = dispatch(argv)
+        elapsed = time.perf_counter() - start
+        assert code == 2 and capsys.readouterr().err.startswith("error: DimUnsupported:"), argv
+        assert elapsed < 0.5, (argv, elapsed)
 
 
 def test_chang_without_topology_is_a_usage_error(capsys):

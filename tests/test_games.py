@@ -614,7 +614,7 @@ def _brute_force_responses(backend, net, move):
     k = move.k
     free = sorted(v for v in g.nodes if v != k and g.edge(v, k) is None)
     out = []
-    for colours in itertools.product(backend.sig.edge_colours(), repeat=len(free)):
+    for colours in itertools.product(backend.sig.colours, repeat=len(free)):
         h = g.copy()
         for v, c in zip(free, colours):
             h.set_edge(v, k, c)
@@ -660,9 +660,10 @@ def test_response_search_matches_brute_force(rainbow_structure, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_triangle_table_matches_triangle_violation(n):
-    colours = R.signature(n).edge_colours()
-    table = G._triangle_table(n)
-    assert G._triangle_table(n) is table
+    assert R.signature(n) is R.signature(n)
+    colours = R.signature(n).colours
+    table = R.signature(n).triangle_rows
+    assert R.signature(n).triangle_rows is table
     assert set(table) == set(itertools.product(colours, repeat=2))
     for (a, b), mask in table.items():
         for i, c in enumerate(colours):
@@ -674,7 +675,7 @@ def test_responses_with_a_colour_outside_the_inventory(rainbow_structure):
     search prunes there, and the invalid graph has no response."""
     g, move = _apex_position(rainbow_structure)
     g.set_edge(1, 2, ("g", 7))
-    assert (("g", 7), ("g", 7)) not in G._triangle_table(3)
+    assert (("g", 7), ("g", 7)) not in R.signature(3).triangle_rows
     for yellow_mode in ("all", "dominant"):
         assert G.RainbowBackend(rainbow_structure, yellow_mode).responses(g, move) == []
 
@@ -757,14 +758,41 @@ def test_incomplete_network_documents_are_refused_while_read():
                   for rec in res["principal_play"]]
         assert G.verify_transcript(s, dict(res, principal_play=forged)) == \
             {"ok": False, "reason": "round 1: network labels leave (0,1) unlabelled"}
-    # duplicate spellings of one tuple count once
-    with pytest.raises(ValueError, match=r"leave \(1,1\) unlabelled"):
+    # a second spelling of one tuple is no key of the document
+    with pytest.raises(ValueError, match=r"^network label key '\(0, 1\)'"):
         gb.net_from_json({"nodes": [0, 1], "labels": {"(0,0)": 0, "(0,1)": 1, "(0, 1)": 1,
                                                       "(1,0)": 2}})
-    # every README play's networks read back to the networks written
-    for rec in G.solve_bounded(s, 5, 3, "F")["principal_play"]:
-        doc = rec["exists"]["network"]
-        assert gb.net_to_json(gb.net_from_json(doc)) == doc
+
+
+def test_readme_artifacts_round_trip_through_json(rainbow_structure):
+    """Every network of the README's `game script --n 3` proof and `game
+    solve --structure fullset:2,2 --nodes 5 --rounds 3` play reads back
+    through net_from_json and writes the identical document again, and so
+    does the quotient graph of each of a seeded sample of atoms."""
+    rs = rainbow_structure
+    gb = G.GenericBackend(fullset_structure(2, 2))
+    rb = G.RainbowBackend(rs)
+    docs = [(gb, rec["exists"]["network"])
+            for rec in G.solve_bounded(gb.s, 5, 3, "F")["principal_play"]]
+    proof = G.verify_forall_script(rs)
+
+    def collect(node):
+        for rec in node["responses"] if node["responses"] != "dead-end" else []:
+            docs.append((rb, rec["network"]))
+            collect(rec["subtree"])
+
+    collect(proof["tree"])
+    docs.append((rb, {"graph": proof["zeroth_graph"]}))
+    assert len(docs) == 4 + 13
+    for backend, doc in docs:
+        assert backend.net_to_json(backend.net_from_json(doc)) == doc
+    rng = random.Random(25)
+    for i in rng.sample(range(rs.num_atoms), 500):
+        _, g = rs.table.graph_of(int(rs.codes[i]))
+        doc = g.to_json()
+        back = R.ColouredGraph.from_json(doc, rs.sig)
+        assert (back.nodes, back.edges, back.yellows) == (g.nodes, g.edges, g.yellows)
+        assert back.to_json() == doc
 
 
 def test_dominant_yellows_lose_no_line(rainbow_structure):
@@ -804,7 +832,7 @@ def test_dominant_yellows_lose_no_line(rainbow_structure):
 
 
 def _pair(table, colour, yellow=R.YELLOW_NONE):
-    return table.colour_index[colour] * R.PAIR_BASE + yellow
+    return table.sig.colour_index[colour] * R.PAIR_BASE + yellow
 
 
 def test_forged_dead_ends_on_non_atom_demands_rejected(rainbow_structure):

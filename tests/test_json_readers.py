@@ -1,9 +1,12 @@
-"""Property test of the JSON readers: any one mutation of a valid topology,
+"""Property tests of the JSON readers: any one mutation of a valid topology,
 preorder or atom-structure document either parses or is refused with a
-ValueError or a WorkbenchError, never a TypeError or KeyError."""
+ValueError or a WorkbenchError, never a TypeError or KeyError; and a node
+key, colour code or shade code is read only in the one spelling its writer
+writes."""
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -101,3 +104,98 @@ def test_json_booleans_are_not_integers():
         R.ColouredGraph.from_json({"nodes": True}, R.signature(3))
     with pytest.raises(ValueError, match="x must be a list of integers"):
         json_ints([True, False], "x")
+
+
+# Documents whose every token is canonical: multi-digit nodes, every kind of
+# colour code, and shades with no, some and all members.
+SIG = R.signature(3)
+GRAPH = {"nodes": [0, 3, 10, 12],
+         "edges": {"(0,3)": "r01", "(0,10)": "g0^2", "(0,12)": "w1", "(3,10)": "g1",
+                   "(3,12)": "r21", "(10,12)": "w0"},
+         "yellows": {"(0,3)": "yS:{0,3}", "(0,12)": "yS:{}", "(10,12)": "yS:{0,1,2,3,4}"}}
+NETWORK = {"nodes": [0, 10], "labels": {"(0,0)": 0, "(0,10)": 1, "(10,0)": 2, "(10,10)": 3}}
+FULLSET = G.GenericBackend(B.atom_structure_of(
+    S.SetAlgebraSpace(2, 2, T.make_topology(2, preset="discrete"))))
+# name: (canonical document, reader, writer)
+CANONICAL = {"graph": (GRAPH, lambda doc: R.ColouredGraph.from_json(doc, SIG),
+                       lambda g: g.to_json()),
+             "network": (NETWORK, FULLSET.net_from_json, FULLSET.net_to_json)}
+OUTSIDE = {"node key": ["(0,99)", "(0,3,10)", "()", "(0,3"],
+           "colour code": ["g7", "w5", "r33", "g0^9", "g0", "r3", "y"],
+           "shade code": ["yS:{5}", "yS:{0,9}", "yS:{-1}", "yS:{0,}", "yS:0"]}
+NON_STRINGS = {"node key": [3, None, (0, 3)], "colour code": [3, ["w0"], None],
+               "shade code": [3, ["yS:{}"], None]}
+
+
+def _mutate_token(data, kind, token):
+    """token with a space, a + or a 0 inserted, with a shade member repeated
+    or the members reordered, or replaced by a token outside the signature
+    or by a value that is not a string."""
+    ways = ["space", "plus", "zero", "outside", "non-string"]
+    how = data.draw(st.sampled_from(ways + ["repeat", "reorder"] * (kind == "shade code")))
+    if how in ("space", "plus", "zero"):
+        at = data.draw(st.integers(0, len(token)))
+        return token[:at] + {"space": " ", "plus": "+", "zero": "0"}[how] + token[at:]
+    if how in ("outside", "non-string"):
+        return data.draw(st.sampled_from((OUTSIDE if how == "outside" else NON_STRINGS)[kind]))
+    members = token[4:-1].split(",") if token != "yS:{}" else ["0"]
+    if how == "repeat":
+        members.insert(data.draw(st.integers(0, len(members))),
+                       data.draw(st.sampled_from(members)))
+    else:
+        members = data.draw(st.permutations(members))
+    return "yS:{" + ",".join(members) + "}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_tokens_are_refused_unless_they_rewrite_to_themselves(data):
+    """A mutated token is refused with a ValueError, or the document is read
+    to an object that writes it back."""
+    kind = data.draw(st.sampled_from(["node key", "colour code", "shade code"]))
+    if kind == "node key":
+        name, field = data.draw(st.sampled_from(
+            [("graph", "edges"), ("graph", "yellows"), ("network", "labels")]))
+    else:
+        name, field = "graph", "edges" if kind == "colour code" else "yellows"
+    canonical, reader, writer = CANONICAL[name]
+    doc = copy.deepcopy(canonical)
+    key = data.draw(st.sampled_from(sorted(doc[field])))
+    if kind == "node key":
+        doc[field][_mutate_token(data, kind, key)] = doc[field].pop(key)
+    else:
+        doc[field][key] = _mutate_token(data, kind, doc[field][key])
+    try:
+        out = reader(doc)
+    except ValueError:
+        return
+    assert writer(out) == doc
+
+
+def test_second_spellings_and_outside_tokens_are_refused():
+    """The spellings int() and the old prefix readers accepted, each read
+    before as the token it resembles, are refused naming the field: the
+    later of two spellings of (0,1) no longer overrides the first."""
+    for doc, reader, writer in CANONICAL.values():
+        assert writer(reader(doc)) == doc
+    labels = {"(0,0)": 0, "(0,1)": 1, "(1,0)": 2, "(1,1)": 3}
+    with pytest.raises(ValueError, match=r"^network label key '\( 0,\+01\)'"):
+        FULLSET.net_from_json({"nodes": [0, 1], "labels": dict(labels, **{"( 0,+01)": 2})})
+    graph = {"nodes": 3, "edges": {"(0,1)": "w0", "(0,2)": "g1", "(1,2)": "g0^1"},
+             "yellows": {"(0,1)": "yS:{1,2}"}}
+    assert R.ColouredGraph.from_json(graph, SIG).to_json() == graph
+    for field, key, token, reason in (
+            ("edges", "(0,01)", "w1", "graph edge key '(0,01)'"),
+            ("edges", "(0,2)", "g0^01", "bad colour code 'g0^01' on graph edge '(0,2)'"),
+            ("edges", "(0,2)", "r0+1", "bad colour code 'r0+1'"),
+            ("edges", "(0,2)", "g7", "bad colour code 'g7'"),
+            ("edges", "(0,2)", ["w0"], "bad colour code ['w0']"),
+            ("yellows", "(0,1)", "yS:{1,1, 2}", "bad yellow code 'yS:{1,1, 2}' on graph yellow"),
+            ("yellows", "(0,1)", "yS:{2,1}", "bad yellow code 'yS:{2,1}'"),
+            ("yellows", "(1,0)", "yS:{1,2}", "graph yellow key '(1,0)' is not a sorted")):
+        bad = copy.deepcopy(graph)
+        bad[field][key] = token
+        with pytest.raises(ValueError, match="^" + re.escape(reason)):
+            R.ColouredGraph.from_json(bad, SIG)
+    with pytest.raises(ValueError, match="graph nodes must be a non-negative integer, got -3"):
+        R.ColouredGraph.from_json({"nodes": -3}, SIG)

@@ -42,12 +42,12 @@ def test_signature_inventories(sig):
 
 
 def test_colour_codes(sig):
-    for c in sig.edge_colours():
-        assert R.parse_colour(R.colour_code(c)) == c
+    for c in sig.colours:
+        assert sig.colour_codes[R.colour_code(c)] == c
     assert R.colour_code(("g0", 2)) == "g0^2"
     assert R.colour_code(("r", 1, 0)) == "r10"
     S = frozenset({0, 2})
-    assert R.parse_yellow(R.yellow_codeword(S)) == S
+    assert sig.shade_codes[R.yellow_codeword(S)] == S
 
 
 def graph(sig, edges, yellows=None, nodes=3):
@@ -158,7 +158,7 @@ def test_atom_count_independent_formula(sig):
     nongreen = 2 + 6
     per_kernel = greens + nongreen * 32
     total = 1 + 3 * per_kernel
-    colours = list(sig.edge_colours())
+    colours = list(sig.colours)
     for trio in itertools.product(colours, repeat=3):
         e01, e02, e12 = trio
         if R.triangle_violation(e01, e12, e02):
