@@ -39,9 +39,10 @@ no row and prunes at once, which loses nothing: both of its edges are on
 nodes of the graph, and the leaf check rejects any graph with such a
 colour as "unknown-colour" (no JSON reader lets one in). Set bits are
 tried in ascending index order, which is the order of `colours`.
-Every complete colouring, with each free yellow slot through k given each
-allowed shade, is kept only if `is_valid_coloured_graph` accepts the whole
-graph, so the table narrows the search and never decides validity.
+Every complete colouring, with each free yellow slot through k (a
+`rainbow.green_free` (n-1)-set with no yellow yet) given each allowed
+shade, is kept only if `is_valid_coloured_graph` accepts the whole graph,
+so the table narrows the search and never decides validity.
 
 A generic network is its atom vector (`AtomicNetwork`), the one Exists'
 search builds and the canonical form reads. Its responses are
@@ -73,7 +74,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .errors import (BudgetExceeded, ScriptRefuted, json_field, json_ints, node_key,
                      parse_node_tuple)
 from .bao import AtomStructure
-from .rainbow import ColouredGraph, RainbowStructure, is_green, is_valid_coloured_graph
+from .rainbow import ColouredGraph, RainbowStructure, green_free, is_valid_coloured_graph
 
 # caps of one solve_bounded call: rounds, positions visited, Forall moves
 # per position and Exists responses per move; past one, BudgetExceeded
@@ -492,21 +493,12 @@ class RainbowBackend:
             mask ^= low
             g.set_edge(v, k, colours[low.bit_length() - 1])
             self._fill_edges(g, k, free, pos + 1, out, cap)
-        del g.edges[(v, k) if v < k else (k, v)]
+        g.drop_edge(v, k)
 
     def _fill_yellows(self, g, k, out, cap):
-        n = self.n
-        slots = []
-        for K in itertools.combinations(g.nodes, n - 1):
-            if k not in K:
-                continue
-            if any(g.edge(u, v) is None for u, v in itertools.combinations(K, 2)):
-                return
-            green_free = all(not is_green(g.edge(u, v))
-                             for u, v in itertools.combinations(K, 2))
-            key = tuple(sorted(K))
-            if green_free and g.yellows.get(key) is None:
-                slots.append(key)
+        """Each free yellow slot through k takes each allowed shade."""
+        slots = [K for K in itertools.combinations(g.nodes, self.n - 1)
+                 if k in K and K not in g.yellows and green_free(g, K)]
         for combo in itertools.product(self.shades, repeat=len(slots)):
             if cap is not None and len(out) > cap:
                 raise BudgetExceeded("response enumeration cap exceeded")
@@ -667,26 +659,23 @@ def verify_forall_script(structure: RainbowStructure, tints=None) -> dict:
     round_bound = n + 2
     budget_nodes = n + 3
 
-    edges = {}
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            edges[(i, j)] = ("w", 0)
-    for i in range(1, n - 1):
-        edges[(i, n - 1)] = ("g", i)
-    edges[(0, n - 1)] = ("g0", tints[0])
-    yellows = {tuple(range(n - 1)): sig.full_shade}
-    gamma = ColouredGraph(sig, range(n), edges, yellows)
+    # the zeroth graph: the white face 0..n-2, fully shaded, is the base of
+    # a cone of tint tints[0] to the apex n-1
+    face = tuple(range(n - 1))
+    gamma = ColouredGraph(sig, range(n), {p: ("w", 0) for p in itertools.combinations(face, 2)},
+                          {face: sig.full_shade})
+    for i in face:
+        gamma.set_edge(i, n - 1, ("g", i) if i else ("g0", tints[0]))
     verdict = is_valid_coloured_graph(gamma)
     if not verdict:
         raise ScriptRefuted(f"zeroth graph invalid: {verdict!r}")
 
-    face = tuple(range(n - 1))
     zero_atom = structure.table.atom_of_tuple(gamma, tuple(range(n)))
 
     stats = {"exists_nodes": 0, "dead_ends": 0, "max_depth": 0}
 
     def cone_atom(tint: int) -> int:
-        cg = ColouredGraph(sig, range(n), dict(edges), dict(yellows))
+        cg = gamma.copy()
         cg.set_edge(0, n - 1, ("g0", tint))
         return structure.table.atom_of_tuple(cg, tuple(range(n)))
 

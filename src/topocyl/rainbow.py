@@ -11,7 +11,13 @@ cone-bombardment argument needs. Greens and whites are symmetric.
 from n, the triangle rows of Exists' search in `games` among them. A graph's
 JSON is read by inverting its writer: codes are looked up among those the
 signature's colours and shades are written as, and node keys are
-`errors.node_key`.
+`errors.node_key`; a graph that leaves a pair unlabelled is refused.
+
+The validator, the atom table and Exists' search read each graph rule from
+one place: `green_free` (the (n-1)-sets that carry a yellow and may be a
+cone's base), `cones_in`, and `ColouredGraph`, the only code that orients a
+red or sorts a key. The validator reads `triangle_violation`, never the
+triangle rows that prune the search, so it stays an independent check.
 
 This module is the only reader and writer of the packed n = 3 atom code:
 `pack_atom` / `unpack_atom`, `AtomTable.graph_of` (an atom as kernel
@@ -127,7 +133,7 @@ def colour_code(c) -> str:
     if c[0] == "w":
         return f"w{c[1]}"
     if c[0] == "r":
-        return f"r{c[1]}{c[2]}"
+        return f"r{c[1]}{c[2]}" if c[1] < 10 and c[2] < 10 else f"r{c[1]},{c[2]}"
     raise ValueError(f"bad colour {c!r}")
 
 
@@ -175,6 +181,9 @@ class ColouredGraph:
             colour = reverse_colour(colour)
         self.edges[(u, v)] = colour
 
+    def drop_edge(self, u: int, v: int):
+        del self.edges[(u, v) if u < v else (v, u)]
+
     def set_yellow(self, key: Sequence[int], S: frozenset):
         self.yellows[tuple(sorted(key))] = frozenset(S)
 
@@ -196,23 +205,31 @@ class ColouredGraph:
     def from_json(doc: dict, sig: RainbowSignature) -> "ColouredGraph":
         """ValueError naming the field unless doc is an object whose nodes
         are a count or a list of integers, whose edges map keys (u,v) with
-        nodes u < v to colour codes of sig and whose yellows map sorted node
-        keys to shade codes of sig, each spelled as `to_json` writes it."""
+        nodes u < v to colour codes of sig, one for each pair, and whose
+        yellows map sorted node keys to shade codes of sig, each spelled as
+        `to_json` writes it; the first pair left unlabelled is named."""
         raw = json_field(doc, dict, "graph").get("nodes")
-        nodes = range(json_size(raw, "graph nodes")) if type(raw) is int \
-            else json_ints(raw, "graph nodes")
+        if type(raw) is int:
+            nodes = members = range(json_size(raw, "graph nodes"))
+        else:
+            members = set(json_ints(raw, "graph nodes"))
+            nodes = sorted(members)
         raw_edges, raw_yellows = (json_field(doc.get(name, {}), dict, f"graph {name}")
                                   for name in ("edges", "yellows"))
-        members = set(nodes)
         edges = {}
         for key, code in raw_edges.items():
             t = parse_node_tuple(key) or ()
-            if not (len(t) == 2 and t[0] < t[1] and set(t) <= members):
+            if not (len(t) == 2 and t[0] < t[1] and t[0] in members and t[1] in members):
                 raise ValueError(f"graph edge key {key!r} is not (u,v) with nodes u < v")
             if not (isinstance(code, str) and code in sig.colour_codes):
                 raise ValueError(f"bad colour code {code!r} on graph edge {key!r}: "
                                  f"not a colour code of the n = {sig.n} signature")
             edges[t] = sig.colour_codes[code]
+        if len(edges) < len(nodes) * (len(nodes) - 1) // 2:
+            # at most len(edges) pairs precede it; combinations would copy the nodes
+            missing = next((u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]
+                           if (u, v) not in edges)
+            raise ValueError(f"graph edges leave {node_key(missing)} unlabelled")
         yellows = {}
         for key, code in raw_yellows.items():
             t = parse_node_tuple(key)
@@ -266,45 +283,40 @@ def triangle_violation(a, b, c) -> Optional[str]:
     return None
 
 
+def green_free(g: ColouredGraph, nodes: Sequence[int]) -> bool:
+    """Every pair of nodes has an edge and none is green: the (n-1)-sets
+    that carry a yellow, and the bases a cone stands on."""
+    for u, v in itertools.combinations(nodes, 2):
+        c = g.edge(u, v)
+        if c is None or is_green(c):
+            return False
+    return True
+
+
 def cones_in(g: ColouredGraph):
-    """Yield (apex, ordered base tuple, tint) for every cone-shaped n-subset."""
+    """Yield (apex, base, tint) for every cone: an apex and a green-free
+    base of n-1 nodes, in the order of the sorted nodes, whose spokes (the
+    base's edges to the apex) are g_0^tint, g_1, .., g_{n-2}, each once; the
+    base lists the nodes of those spokes in that order."""
     n = g.sig.n
+    slot_of = {("g", j): j for j in range(1, n - 1)}
     for D in itertools.combinations(g.nodes, n):
         for apex in D:
-            base = [v for v in D if v != apex]
-            tint = None
-            slots = {}
-            ok = True
-            for v in base:
+            base = [None] * (n - 1)   # base[j]: the node of the spoke g_j, g_0^tint at 0
+            for v in D:
+                if v == apex:
+                    continue
                 c = g.edge(v, apex)
-                if c is None:
-                    ok = False
-                    break
-                if c[0] == "g0":
-                    if tint is not None:
-                        ok = False
-                        break
-                    tint = c[1]
-                    slots[0] = v
-                elif c[0] == "g":
-                    if c[1] in slots:
-                        ok = False
-                        break
-                    slots[c[1]] = v
+                if c is not None and c[0] == "g0":
+                    j, tint = 0, c[1]
                 else:
-                    ok = False
+                    j = slot_of.get(c)
+                if j is None or base[j] is not None:
                     break
-            if not ok or tint is None or sorted(slots) != list(range(n - 1)):
-                continue
-            internal_green = False
-            for u, v in itertools.combinations(base, 2):
-                c = g.edge(u, v)
-                if c is None or is_green(c):
-                    internal_green = True
-                    break
-            if internal_green:
-                continue
-            yield apex, tuple(slots[j] for j in range(n - 1)), tint
+                base[j] = v
+            else:
+                if green_free(g, base):
+                    yield apex, tuple(base), tint
 
 
 def is_valid_coloured_graph(g: ColouredGraph) -> Verdict:
@@ -322,23 +334,20 @@ def is_valid_coloured_graph(g: ColouredGraph) -> Verdict:
         if kind:
             return Verdict(False, kind, (x, y, z))
     for K in itertools.combinations(g.nodes, n - 1):
-        green_free = all(
-            not is_green(g.edge(u, v)) for u, v in itertools.combinations(K, 2)
-        )
-        key = tuple(sorted(K))
-        label = g.yellows.get(key)
-        if green_free and label is None:
-            return Verdict(False, "missing-yellow", key)
-        if not green_free and label is not None:
-            return Verdict(False, "yellow-on-green-tuple", key)
-        if label is not None and not label <= sig.full_shade:
-            return Verdict(False, "yellow-out-of-range", key)
+        label = g.yellows.get(K)
+        if label is None:
+            if green_free(g, K):
+                return Verdict(False, "missing-yellow", K)
+        elif not green_free(g, K):
+            return Verdict(False, "yellow-on-green-tuple", K)
+        elif not label <= sig.full_shade:
+            return Verdict(False, "yellow-out-of-range", K)
     stray = [k for k in g.yellows if len(k) != n - 1 or len(set(k)) != n - 1
              or not set(k) <= set(g.nodes)]
     if stray:
         return Verdict(False, "bad-yellow-key", tuple(stray[0]))
     for apex, base, tint in cones_in(g):
-        label = g.yellows.get(tuple(sorted(base)))
+        label = g.yellow(base)
         if label is not None and tint not in label:
             return Verdict(False, "cone-tint-outside-shade", (apex, base, tint))
     return Verdict(True)
@@ -421,7 +430,7 @@ class AtomTable:
         """Every kernel's valid quotient graphs, pulled back along the kernel.
 
         A quotient graph is an edge colouring with no forbidden triangle.
-        Each non-green pair may carry every shade that holds the tints of
+        Each green-free pair may carry every shade that holds the tints of
         the cones on it; its yellow enters the code once per code slot the
         pair pulls back to, so each pair adds its shades times one weight.
         A first walk keeps each colouring's base code and the shade vectors
@@ -447,18 +456,20 @@ class AtomTable:
                 if any(triangle_violation(g.edge(x, y), g.edge(y, z), g.edge(x, z))
                        for x, y, z in itertools.combinations(nodes, 3)):
                     continue
-                tints = {p: set() for p, c in g.edges.items() if not is_green(c)}
+                for p in pairs:
+                    if green_free(g, p):
+                        g.set_yellow(p, frozenset())
+                code = self.atom_of_tuple(g, delta)
+                # each yellow now collects the tints its shades must hold
                 for _, base, tint in cones_in(g):
-                    tints[tuple(sorted(base))].add(tint)
-                for p in tints:
-                    g.set_yellow(p, frozenset())
+                    g.set_yellow(base, g.yellow(base) | {tint})
                 vectors = []
-                for p, ts in tints.items():
+                for p, ts in g.yellows.items():
                     key = (sum(1 << t for t in ts), weight[p])
                     if key not in terms:
                         terms[key] = ys[ys & key[0] == key[0]] * key[1]
                     vectors.append(terms[key])
-                plan.append((self.atom_of_tuple(g, delta), vectors))
+                plan.append((code, vectors))
                 total += math.prod(v.shape[0] for v in vectors)
         codes = np.empty(total, dtype=CODE_DTYPE)
         lo = 0
@@ -479,25 +490,15 @@ class AtomTable:
         """Kernel blocks plus the quotient coloured graph on 0..size-1."""
         kid, pairs = unpack_atom(code)
         blocks = KERNELS[kid]
-        node_of = {}
-        for b, block in enumerate(blocks):
-            for idx in block:
-                node_of[idx] = b
-        edges = {}
-        yellows = {}
+        node_of = {i: b for b, block in enumerate(blocks) for i in block}
+        g = ColouredGraph(self.sig, range(len(blocks)), {}, {})
         for (i, j), p in pairs.items():
             if p == IDENT_PAIR:
                 continue
             e, y = divmod(p, PAIR_BASE)
-            u, v = node_of[i], node_of[j]
-            colour = self.sig.colours[e]
-            if u > v:
-                u, v = v, u
-                colour = reverse_colour(colour)
-            edges[(u, v)] = colour
+            g.set_edge(node_of[i], node_of[j], self.sig.colours[e])
             if y != YELLOW_NONE:
-                yellows[(u, v)] = self.sig.shades[y]
-        g = ColouredGraph(self.sig, range(len(blocks)), edges, yellows)
+                g.set_yellow((node_of[i], node_of[j]), self.sig.shades[y])
         return blocks, g
 
     def atom_of_tuple(self, graph: ColouredGraph, delta: Sequence[int]) -> int:
@@ -511,10 +512,8 @@ class AtomTable:
             colour = graph.edge(u, v)
             if colour is None:
                 raise ValueError(f"edge ({u},{v}) unlabelled")
-            e = self.sig.colour_index[colour]
-            if is_green(colour):
-                y = YELLOW_NONE
-            else:
+            e, y = self.sig.colour_index[colour], YELLOW_NONE
+            if green_free(graph, (u, v)):
                 S = graph.yellow((u, v))
                 if S is None:
                     raise ValueError(f"pair ({u},{v}) missing its yellow label")

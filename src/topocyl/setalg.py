@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .errors import IndexOutOfRange, NoChangSystem, NoTopology, NotSubsetOfUnit, TooLarge
+from .errors import (IndexOutOfRange, NoChangSystem, NoTopology, NotSubsetOfUnit, TooLarge,
+                     json_field, json_ints, json_size)
 from .topology import FiniteTopology, bits_of, coproduct, set_of
 
 CODE_CAP = 1 << 24
@@ -79,8 +80,9 @@ class SetAlgebraSpace:
             raise ValueError("topology size must equal the base size")
         if chang is not None and chang.base_size != base_size:
             raise ValueError("Chang system base must equal the base size")
-        if base_size ** dim > CODE_CAP:
-            raise TooLarge(f"u^n = {base_size ** dim} exceeds the cap {CODE_CAP}")
+        # with u >= 2, u^n exceeds the cap from n = 25 on: no larger power is built
+        if base_size ** min(dim, CODE_CAP.bit_length()) > CODE_CAP:
+            raise TooLarge(f"u^n = {base_size}^{dim} exceeds the cap {CODE_CAP}")
         self.dim = dim
         self.base_size = base_size
         self.topology = topology
@@ -187,9 +189,13 @@ class SetAlgebraSpace:
 
     @staticmethod
     def from_json(doc: dict) -> Tuple["SetAlgebraSpace", int]:
-        topo = FiniteTopology.from_json(doc["topology"]) if doc.get("topology") else None
-        sp = SetAlgebraSpace(doc["dim"], doc["base"], topo)
-        return sp, sp.from_codes(doc["members"])
+        """Inverse of to_json; a document of the wrong shape raises
+        ValueError naming the field."""
+        dim, base = (json_size(json_field(doc, dict, "a tuple set").get(name), f'"{name}"')
+                     for name in ("dim", "base"))
+        topo = doc.get("topology")
+        sp = SetAlgebraSpace(dim, base, None if topo is None else FiniteTopology.from_json(topo))
+        return sp, sp.from_codes(json_ints(doc.get("members"), '"members"'))
 
 
 # -- operations ----------------------------------------------------------

@@ -431,6 +431,40 @@ def test_second_key_spellings_replay_as_refuted(tmp_path, capsys):
         assert json.loads(out)["results"] == {"ok": False, "reason": reason, "verdict": "false"}
 
 
+def test_incomplete_graph_documents_are_refused_while_read(tmp_path, capsys):
+    """A graph document labels every pair of its nodes or is refused while it
+    is read, naming the first unlabelled pair, before its node count sizes
+    anything: counts of 10^6 and 10^8 are refused in milliseconds. A forged
+    zeroth graph and a forged round-1 network replay as ok: false, exit 0."""
+    sig = rainbow.signature(3)
+    for count in (10**6, 10**8):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^graph edges leave \(0,1\) unlabelled$"):
+            rainbow.ColouredGraph.from_json({"nodes": count}, sig)
+        assert time.perf_counter() - start < 0.01, count
+    assert dispatch(["game", "script", "--n", "3", "--out", str(tmp_path / "proof.json")]) == 0
+    proof = json.loads((tmp_path / "proof.json").read_text())["results"]
+    tree = proof["tree"]
+    graph = dict(tree["responses"][0]["network"]["graph"])
+    assert graph["nodes"] == 4
+    graph["edges"] = {k: c for k, c in graph["edges"].items() if k != "(1,3)"}
+    zeroth = {"round": 0, "forall": {"initial_atom": proof["zeroth_atom"]},
+              "exists": {"network": {"graph": proof["zeroth_graph"]}}}
+    first = {"round": 1, "forall": tree["forall"], "exists": {"network": {"graph": graph}}}
+    cases = [(dict(proof, zeroth_graph=dict(proof["zeroth_graph"], nodes=10**8)),
+              "graph edges leave (0,3) unlabelled"),
+             ({"mode": "F", "nodes": 6, "rounds": 2, "principal_play": [zeroth, first]},
+              "round 1: graph edges leave (1,3) unlabelled")]
+    capsys.readouterr()
+    for doc, reason in cases:
+        (tmp_path / "forged.json").write_text(json.dumps(doc))
+        code = dispatch(["game", "verify-transcript", "--transcript", str(tmp_path / "forged.json"),
+                         "--structure", "rainbow:3"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "", err
+        assert json.loads(out)["results"] == {"ok": False, "reason": reason, "verdict": "false"}
+
+
 def test_unsupported_rainbow_dimensions_are_refused_at_once(capsys):
     """A rainbow dimension other than 3 is refused before any table of it
     is built: at n = 2000 the red colours alone number about four million."""

@@ -1,8 +1,8 @@
 """Property tests of the JSON readers: any one mutation of a valid topology,
-preorder or atom-structure document either parses or is refused with a
-ValueError or a WorkbenchError, never a TypeError or KeyError; and a node
-key, colour code or shade code is read only in the one spelling its writer
-writes."""
+preorder, atom-structure or tuple-set document either parses or is refused
+with a ValueError or a WorkbenchError, never a TypeError or KeyError; and a
+node key, colour code or shade code is read only in the one spelling its
+writer writes."""
 
 import copy
 import json
@@ -30,14 +30,28 @@ KEYS = st.one_of(st.sampled_from(["x", "-1", "9", "0,5", "1,1", "", "size", "T"]
                  st.text(alphabet="0123456789,", max_size=4))
 
 
+def _rewrite(cls):
+    """Read a document with cls.from_json and write it back."""
+    return lambda doc: cls.from_json(doc).to_json()
+
+
+def _rewrite_tuple_set(doc):
+    space, bits = S.SetAlgebraSpace.from_json(doc)
+    return space.to_json(bits)
+
+
 def _documents():
     sierpinski = T.make_topology(3, [[], [0], [0, 1], [0, 1, 2]])
-    docs = [(T.FiniteTopology.from_json, t.to_json())
+    docs = [(_rewrite(T.FiniteTopology), t.to_json())
             for t in (sierpinski, T.make_topology(2, preset="discrete"))]
-    docs += [(T.Preorder.from_json, p.to_json()) for p in list(T.enumerate_preorders(3))[::7]]
+    docs += [(_rewrite(T.Preorder), p.to_json()) for p in list(T.enumerate_preorders(3))[::7]]
     for space in (S.SetAlgebraSpace(2, 2, T.make_topology(2, preset="indiscrete")),
                   S.SetAlgebraSpace(2, 3, sierpinski)):
-        docs.append((B.AtomStructure.from_json, B.atom_structure_of(space).to_json()))
+        docs.append((_rewrite(B.AtomStructure), B.atom_structure_of(space).to_json()))
+    for space, codes in ((S.SetAlgebraSpace(2, 2, T.make_topology(2, preset="indiscrete")), [2, 3]),
+                         (S.SetAlgebraSpace(2, 3, sierpinski), [0, 4, 8]),
+                         (S.SetAlgebraSpace(3, 2), [])):
+        docs.append((_rewrite_tuple_set, space.to_json(space.from_codes(codes))))
     return docs
 
 
@@ -62,16 +76,16 @@ def _mutate(data, doc):
 
 
 def test_documents_parse_unmutated():
-    for reader, doc in DOCUMENTS:
-        assert reader(doc).to_json() == doc
+    for rewrite, doc in DOCUMENTS:
+        assert rewrite(doc) == doc
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_mutated_documents_parse_or_raise_value_errors(data):
-    reader, doc = data.draw(st.sampled_from(DOCUMENTS))
+    rewrite, doc = data.draw(st.sampled_from(DOCUMENTS))
     try:
-        reader(_mutate(data, doc))
+        rewrite(_mutate(data, doc))
     except (ValueError, WorkbenchError):
         pass
 

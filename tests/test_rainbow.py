@@ -1,11 +1,15 @@
+import collections
 import hashlib
 import itertools
+import json
 import random
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topocyl import rainbow as R
 from topocyl.errors import DimTooSmall, DimUnsupported, IndexOutOfRange
@@ -48,6 +52,24 @@ def test_colour_codes(sig):
     assert R.colour_code(("r", 1, 0)) == "r10"
     S = frozenset({0, 2})
     assert sig.shade_codes[R.yellow_codeword(S)] == S
+
+
+def test_colour_codes_are_one_per_colour():
+    """A red with a two-digit index has its indices separated, so each
+    colour of n = 3..20 has its own code; every code of n <= 10 is r{i}{j},
+    and a graph holding every red of n = 12 reads back."""
+    for n in range(3, 21):
+        sig = R.signature(n)
+        assert len(sig.colour_codes) == len(sig.colours), n
+    assert [R.colour_code(c) for c in R.signature(10).oriented_reds][-3:] == ["r96", "r97", "r98"]
+    assert R.colour_code(("r", 1, 10)) == "r1,10" and R.colour_code(("r", 11, 0)) == "r11,0"
+    sig = R.signature(12)
+    pairs = list(itertools.combinations(range(17), 2))
+    reds = list(sig.oriented_reds) + [("w", 0)] * (len(pairs) - len(sig.oriented_reds))
+    g = R.ColouredGraph(sig, range(17), dict(zip(pairs, reds)), {})
+    doc = g.to_json()
+    assert doc["edges"]["(0,10)"] == "r0,10" and doc["edges"]["(13,15)"] == "r11,10"
+    assert R.ColouredGraph.from_json(doc, sig).edges == g.edges
 
 
 def graph(sig, edges, yellows=None, nodes=3):
@@ -131,6 +153,120 @@ def test_cone_clause(sig):
     assert cones == [(2, (0, 1), 2)]
 
 
+# sha1 of the JSON verdicts of the seeded corpus below, which pins each
+# verdict's kind and witness
+VERDICT_CORPUS_SHA1 = "11ee04d7689e6deed86904bbff3dce673583afc6"
+VERDICT_KINDS = {None, "incomplete", "unknown-colour", "green-triangle", "two-g0-with-w0",
+                 "gi-gi-wi", "red-inconsistent", "missing-yellow", "yellow-on-green-tuple",
+                 "yellow-out-of-range", "bad-yellow-key", "cone-tint-outside-shade"}
+
+
+def _verdict_corpus(n, count, rng):
+    """Random graphs on n-1 .. n+2 nodes, mostly white, half with a planted
+    cone, a shade on each green-free (n-1)-set, then up to two damages: an
+    edge dropped or given a colour outside the signature, a yellow dropped,
+    put on any (n-1)-set, given an index past the universe or a bad key."""
+    sig = R.signature(n)
+    whites = [c for c in sig.colours if c[0] == "w"]
+    greens = [c for c in sig.colours if c[0] in ("g", "g0")]
+    reds = list(sig.oriented_reds)
+    outside = [("g", 0), ("g", 7), ("w", 9)]
+    for _ in range(count):
+        nodes = range(rng.randrange(n - 1, n + 3))
+        pairs = list(itertools.combinations(nodes, 2))
+        edges = {p: rng.choice(rng.choices((whites, greens, reds), (6, 3, 2))[0]) for p in pairs}
+        if len(nodes) >= n and rng.random() < 0.5:
+            apex, *base = rng.sample(nodes, n)
+            spokes = [("g0", rng.choice(sig.tints))] + [("g", j) for j in range(1, n - 1)]
+            for v, c in zip(base, spokes):
+                edges[(min(v, apex), max(v, apex))] = c
+            for u, v in itertools.combinations(sorted(base), 2):
+                edges[(u, v)] = rng.choice(whites)
+        g = R.ColouredGraph(sig, nodes, edges, {})
+        for K in itertools.combinations(nodes, n - 1):
+            if all(g.edge(u, v)[0] not in ("g", "g0") for u, v in itertools.combinations(K, 2)):
+                g.yellows[K] = sig.full_shade if rng.random() < 0.5 else \
+                    frozenset(rng.sample(sorted(sig.full_shade), rng.randrange(n + 3)))
+        damages = ["edge", "colour", "yellow", "green", "range", "key"]
+        for how in rng.sample(damages, rng.randrange(3)):
+            if how == "edge" and pairs and rng.random() < 0.3:
+                del g.edges[rng.choice(pairs)]
+            elif how == "colour" and pairs and rng.random() < 0.3:
+                g.edges[rng.choice(pairs)] = rng.choice(outside)
+            elif how == "yellow" and g.yellows:
+                del g.yellows[rng.choice(sorted(g.yellows))]
+            elif how == "green" and len(nodes) >= n - 1:
+                g.yellows[tuple(sorted(rng.sample(nodes, n - 1)))] = sig.full_shade
+            elif how == "range" and g.yellows:
+                g.yellows[rng.choice(sorted(g.yellows))] = frozenset({0, n + 2 + rng.randrange(3)})
+            elif how == "key":
+                key = rng.sample(range(len(nodes) + 2), rng.choice((n - 2, n - 1, n)))
+                g.yellows[tuple(key)] = frozenset()
+        yield g
+
+
+def test_verdicts_on_a_seeded_corpus_pinned():
+    """2,400 graphs at n = 3 and 4, valid ones and invalid ones of every
+    verdict kind: each verdict, kind and witness is pinned."""
+    rng = random.Random(27)
+    verdicts = [R.is_valid_coloured_graph(g).to_json()
+                for n in (3, 4) for g in _verdict_corpus(n, 1200, rng)]
+    kinds = collections.Counter(v["kind"] for v in verdicts)
+    assert set(kinds) == VERDICT_KINDS and min(kinds.values()) >= 20 and kinds[None] >= 500
+    assert hashlib.sha1(json.dumps(verdicts).encode()).hexdigest() == VERDICT_CORPUS_SHA1
+
+
+def _cones_by_definition(g, n):
+    """Every (apex, base, tint) of g read from the definition: an n-set D
+    and an apex in it, in the order of the sorted nodes, whose base D - apex
+    has every pair labelled and none green, and whose base lists, in some
+    order, the nodes whose spoke to the apex is g_0^tint, g_1, .., g_{n-2}."""
+    def label(u, v):
+        return g.edges.get((min(u, v), max(u, v)))
+
+    out = []
+    for D in itertools.combinations(sorted(g.nodes), n):
+        for apex in D:
+            base = [v for v in D if v != apex]
+            if any(label(u, v) is None or label(u, v)[0] in ("g", "g0")
+                   for u, v in itertools.combinations(base, 2)):
+                continue
+            for order in itertools.permutations(base):
+                first = label(order[0], apex)
+                if first is not None and first[0] == "g0" and all(
+                        label(order[j], apex) == ("g", j) for j in range(1, n - 1)):
+                    out.append((apex, order, first[1]))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cones_in_agrees_with_the_definition(data):
+    """cones_in yields the cones of the definition in the same order, on
+    graphs at n = 3, 4 and 5 with missing edges, greens outside the
+    signature and planted cones."""
+    n = data.draw(st.sampled_from([3, 4, 5]))
+    sig = R.signature(n)
+    nodes = range(data.draw(st.integers(n - 1, n + 1)))
+    greens = [c for c in sig.colours if c[0] in ("g", "g0")]
+    palette = [None, ("g", 0), ("g", 7)] + greens * 2 + list(sig.colours)
+    edges = {p: data.draw(st.sampled_from(palette)) for p in itertools.combinations(nodes, 2)}
+    if len(nodes) >= n and data.draw(st.integers(0, 3)):
+        apex, *base = data.draw(st.permutations(nodes))[:n]
+        spokes = [("g0", data.draw(st.sampled_from([0, *sig.tints, 9])))]
+        for v, c in zip(base, spokes + [("g", j) for j in range(1, n - 1)]):
+            edges[(min(v, apex), max(v, apex))] = c
+        base_pairs = list(itertools.combinations(sorted(base), 2))
+        for p in base_pairs:
+            edges[p] = data.draw(st.sampled_from([("w", 0), ("w", 1), ("r", 0, 1)]))
+        if data.draw(st.booleans()):
+            edges[data.draw(st.sampled_from(base_pairs))] = data.draw(
+                st.sampled_from([None, ("g", 0), ("g", 7), ("g0", 1)]))
+    edges = {p: c for p, c in edges.items() if c is not None}
+    g = R.ColouredGraph(sig, nodes, edges, {})
+    assert list(R.cones_in(g)) == _cones_by_definition(g, n)
+
+
 def test_graph_json_round_trip(sig):
     g = graph(sig, {(0, 1): ("r", 1, 0), (0, 2): ("g0", 3), (1, 2): ("g", 1)},
               {(0, 1): frozenset({0, 3})})
@@ -148,6 +284,25 @@ def test_atom_count_fixture(table):
     # a count and an order do not rule out swapping one atom for another
     widened = table.codes.astype(np.int64)
     assert hashlib.sha1(widened.tobytes()).hexdigest() == ATOM_CODES_SHA1_N3
+
+
+def test_table_holds_exactly_the_valid_quotient_graphs(sig, structure):
+    """A seeded random quotient graph of a kernel, a signature colour on each
+    pair and a shade on each non-green pair, pulls back to an atom of the
+    table exactly when the validator accepts it."""
+    rng = random.Random(27)
+    outcomes = collections.Counter()
+    for _ in range(20000):
+        blocks = rng.choice(R.KERNELS)
+        delta = [b for i in range(3) for b, block in enumerate(blocks) if i in block]
+        nodes = range(len(blocks))
+        edges = {p: rng.choice(sig.colours) for p in itertools.combinations(nodes, 2)}
+        yellows = {p: rng.choice(sig.shades) for p, c in edges.items() if c[0] not in ("g", "g0")}
+        g = R.ColouredGraph(sig, nodes, edges, yellows)
+        valid = bool(R.is_valid_coloured_graph(g))
+        assert structure.is_atom(structure.table.atom_of_tuple(g, delta)) == valid, (edges, yellows)
+        outcomes[valid] += 1
+    assert outcomes[True] >= 500 and outcomes[False] >= 500
 
 
 def test_atom_count_independent_formula(sig):

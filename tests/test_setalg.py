@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from topocyl import setalg as S
 from topocyl import topology as T
-from topocyl.errors import IndexOutOfRange, NoChangSystem, NoTopology, NotSubsetOfUnit
+from topocyl.errors import IndexOutOfRange, NoChangSystem, NoTopology, NotSubsetOfUnit, TooLarge
 
 
 def space(n, u, preset=None):
@@ -348,6 +349,19 @@ def test_element_json():
     for codes in ([4], [-1]):
         with pytest.raises(ValueError, match="outside the unit"):
             S.SetAlgebraSpace.from_json(dict(doc, members=codes))
+    # documents of the wrong shape are refused naming the field
+    no_members = {k: v for k, v in doc.items() if k != "members"}
+    for bad, reason in (([doc], "a tuple set must be an object"),
+                        (no_members, '"members" must be a list of integers, got None'),
+                        (dict(doc, members=["2"]), '"members" must be a list of integers'),
+                        (dict(doc, members=[2.0]), '"members" must be a list of integers'),
+                        (dict(doc, dim=True), '"dim" must be a non-negative integer, got True'),
+                        (dict(doc, topology=[]), "a topology must be an object")):
+        with pytest.raises(ValueError, match="^" + re.escape(reason)):
+            S.SetAlgebraSpace.from_json(bad)
+    # a dimension past the cap is refused without building u^n
+    with pytest.raises(TooLarge, match=r"u\^n = 3\^100000000 exceeds the cap"):
+        S.SetAlgebraSpace.from_json(dict(doc, dim=10**8, base=3, topology=None))
     # the document names the cube, so a generalized unit cannot round-trip:
     # the complement of {(0,0)} would gain (0,1) and (1,0)
     g = S.GeneralizedSpace([space(2, 1, "discrete"), space(2, 1, "discrete")])
