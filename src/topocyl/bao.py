@@ -525,7 +525,10 @@ def check_equation(
     k not in the dimension set of the environment's value for var. Sampled
     environments come from one stream of `alg.draws`, variable by variable,
     environment by environment. Each batch of environments is one
-    environment of a direct power of alg."""
+    environment of a direct power of alg. samples below 1 is refused in
+    every mode: a sampled check of no environment would pass vacuously."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     nvars = len(eq.vars)
     carrier = None
     if mode == "auto":

@@ -46,6 +46,15 @@ def json_ints(value, name: str, size: Optional[int] = None) -> list:
     raise ValueError(f"{name} must be a list of {count}integers, got {reprlib.repr(value)}")
 
 
+def json_nodes(value, name: str) -> list:
+    """value, if it is a strictly increasing list of integers: the one
+    spelling of a node set as a list."""
+    nodes = json_ints(value, name)
+    if any(a >= b for a, b in zip(nodes, nodes[1:])):
+        raise ValueError(f"{name} must be strictly increasing, got {reprlib.repr(value)}")
+    return nodes
+
+
 def json_size(value, name: str) -> int:
     """value, if it is a non-negative integer (true and false are not)."""
     if type(value) is bool or json_field(value, int, name) < 0:

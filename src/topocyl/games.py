@@ -71,8 +71,8 @@ import itertools
 import operator
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import (BudgetExceeded, ScriptRefuted, json_field, json_ints, node_key,
-                     parse_node_tuple)
+from .errors import (BudgetExceeded, ScriptRefuted, json_field, json_ints, json_nodes,
+                     node_key, parse_node_tuple)
 from .bao import AtomStructure
 from .rainbow import ColouredGraph, RainbowStructure, green_free, is_valid_coloured_graph
 
@@ -347,12 +347,13 @@ class GenericBackend:
 
     def net_from_json(self, doc):
         """ValueError naming the field unless doc is an object whose nodes
-        are a list of integers and whose labels map the `node_key` of every
-        n-tuple of those nodes, and no other spelling, to an atom index.
+        are a strictly increasing list of integers and whose labels map the
+        `node_key` of every n-tuple of those nodes, and no other spelling, to
+        an atom index.
         The label count is compared with k^n before any vector is built."""
         n = self.n
         json_field(doc, dict, "network")
-        nodes = tuple(sorted(set(json_ints(doc.get("nodes"), "network nodes"))))
+        nodes = tuple(json_nodes(doc.get("nodes"), "network nodes"))
         raw = json_field(doc.get("labels"), dict, "network labels")
         members = set(nodes)
         labels = {}

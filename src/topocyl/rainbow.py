@@ -24,9 +24,16 @@ This module is the only reader and writer of the packed n = 3 atom code:
 blocks plus its quotient coloured graph), `AtomTable.atom_of_tuple` (the
 atom a graph gives a node tuple), `KERNEL_EQ` (which index pairs a kernel
 identifies), the 9-bit cylindrifier key of each axis (`key_field`,
-`key_of_code`), the tables the cylindrifier works on (`runs` of axes 1
-and 2, `tiles` of axis 0) and the run of codes of each kernel
-(`diag_mask`).
+`key_of_code`), the element layout of the complex algebra (`rows`), the
+tables its cylindrifier works on (`row_keys` of axes 1 and 2, `blocks` of
+axis 0) and the run of codes of each kernel (`diag_mask`).
+
+An element of `RainbowComplexAlgebra` is a `PackedElement`: one row of W
+uint64 words per group of atoms sharing code >> 9, one bit per atom, 2.76
+MB at n = 3 (a bool per atom took 10.9 MB). x[p] with an integer p reads
+canonical atom p. `cm()` builds no table: the rows are built when zero,
+one or a first element is asked for, and the row keys and blocks of an
+axis by its first c_i.
 """
 
 from __future__ import annotations
@@ -35,11 +42,12 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DimTooSmall, DimUnsupported, IndexOutOfRange, json_field, json_ints,
+from .errors import (DimTooSmall, DimUnsupported, IndexOutOfRange, json_field, json_nodes,
                      json_size, node_key, parse_node_tuple)
 from . import bao
 
@@ -204,16 +212,17 @@ class ColouredGraph:
     @staticmethod
     def from_json(doc: dict, sig: RainbowSignature) -> "ColouredGraph":
         """ValueError naming the field unless doc is an object whose nodes
-        are a count or a list of integers, whose edges map keys (u,v) with
-        nodes u < v to colour codes of sig, one for each pair, and whose
-        yellows map sorted node keys to shade codes of sig, each spelled as
-        `to_json` writes it; the first pair left unlabelled is named."""
+        are a count or a strictly increasing list of integers, whose edges
+        map keys (u,v) with nodes u < v to colour codes of sig, one for each
+        pair, and whose yellows map sorted node keys to shade codes of sig,
+        each spelled as `to_json` writes it; the first pair left unlabelled
+        is named."""
         raw = json_field(doc, dict, "graph").get("nodes")
         if type(raw) is int:
             nodes = members = range(json_size(raw, "graph nodes"))
         else:
-            members = set(json_ints(raw, "graph nodes"))
-            nodes = sorted(members)
+            nodes = json_nodes(raw, "graph nodes")
+            members = set(nodes)
         raw_edges, raw_yellows = (json_field(doc.get(name, {}), dict, f"graph {name}")
                                   for name in ("edges", "yellows"))
         edges = {}
@@ -544,20 +553,61 @@ def enumerate_atoms(sig: RainbowSignature) -> AtomTable:
 # -- atom structure and its lazy complex algebra ------------------------------
 
 # Atoms per block in the passes over the atom table that build a derived
-# table: a key field or the group starts. A block's temporaries stay in
-# cache and none is the size of the atom table. The cylindrifier allocates
-# nothing that size but its result.
+# table: a key field, the rows or the axis-0 blocks. A block's temporaries
+# stay in cache and none is the size of the atom table.
 CYL_BLOCK = 1 << 16
 
-# The i-th cylindrifier key is the 9-bit slot (code >> 9i) & 511. The atoms
-# sharing code >> 9 (kid, p01, p02) are consecutive, one group each (68,905
-# groups), and share their keys on axes 1 and 2. For i >= 1 ascending codes
-# so group the key into runs of equal keys (68,645 on axis 1, 784 on axis
-# 2), each a stretch of whole groups, and cyl works on the run table. The
-# lowest slot, axis 0, changes at almost every atom (10,893,996 runs for
-# 10,894,256 atoms), but it repeats in tiles of groups: cyl on axis 0 works
-# on the tile table.
-RUN_AXES = (1, 2)
+# Row g of an element holds group g, the atoms sharing code >> 9 (kid,
+# p01, p02): bit c % WORD of word c // WORD is its c-th atom. At n = 3
+# there are 68,905 groups of 1 to 261 atoms, so W = 5 words, and 2,443
+# axis-0 blocks with 307 distinct key rows.
+WORD = 64
+
+
+def _row_bit(bounds: np.ndarray, p) -> Tuple[int, int, int]:
+    """(row, word, bit) of canonical atom p; a negative p counts from the
+    end, as a numpy index does."""
+    n = int(bounds[-1])
+    p = operator.index(p)
+    if not -n <= p < n:
+        raise IndexError(f"atom {p} is out of range for {n} atoms")
+    p %= n
+    g = int(bounds.searchsorted(p, side="right")) - 1
+    c = p - int(bounds[g])
+    return g, c // WORD, c % WORD
+
+
+class PackedElement(np.ndarray):
+    """An element of RainbowComplexAlgebra: a (groups x W) uint64 matrix.
+
+    x[p] with an integer p is whether x holds canonical atom p; every
+    other index is numpy's. `bounds`, the structure's row bounds, is
+    carried through numpy's operations.
+    """
+
+    bounds = None
+
+    def __array_finalize__(self, obj):
+        self.bounds = getattr(obj, "bounds", None)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)) and not isinstance(key, bool) \
+                and self.bounds is not None:
+            g, word, bit = _row_bit(self.bounds, key)
+            return bool(np.ndarray.__getitem__(self, (g, word)) >> bit & 1)
+        return super().__getitem__(key)
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """The bits of each row of a (rows x W) word matrix, as rows x W*WORD
+    bools, bit c of a row in column c."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little").view(bool)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The inverse of _unpack."""
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
 
 class RainbowStructure:
@@ -568,12 +618,12 @@ class RainbowStructure:
     E_ij holds when the kernel identifies i and j; the interior relations
     are the identity.
 
-    Key fields (uint16), the group starts, the run tables of RUN_AXES, the
-    axis-0 tile table and the diagonal masks are derived from the codes on
-    first use, one at a time, and are read-only. The group starts are the
-    one scan of the codes behind the run and tile tables. A diagonal mask
-    repeats one verdict per kernel over the kernel's run of codes; every
-    d_ii is one shared all-true mask.
+    The key fields (uint16) and the diagonal masks are in canonical atom
+    order. A diagonal mask repeats one verdict per kernel over the
+    kernel's run of codes; every d_ii is one shared all-true mask. The
+    complex algebra's tables are `rows` (the element layout), `row_keys`
+    of axes 1 and 2 and the axis-0 `blocks`. Every table is derived from
+    the codes on first use, one at a time, and is read-only.
     """
 
     def __init__(self, table: AtomTable):
@@ -583,9 +633,9 @@ class RainbowStructure:
         self.codes = table.codes
         self.num_atoms = table.count
         self._keys = {}
-        self._gstarts = None
-        self._runs = {}
-        self._tiles = None
+        self._rows = None
+        self._row_keys = {}
+        self._blocks = None
         self._diag = {}
 
     def key_field(self, i: int) -> np.ndarray:
@@ -600,49 +650,52 @@ class RainbowStructure:
             self._keys[i] = _read_only(out)
         return self._keys[i]
 
-    def _group_starts(self) -> np.ndarray:
-        """Starts of the groups, the maximal runs of equal code >> 9, in code
-        order; found block by block in one scan of the codes."""
-        if self._gstarts is None:
-            codes = self.codes
-            starts = [np.zeros(1, dtype=np.intp)]
-            for lo in range(1, self.num_atoms, CYL_BLOCK):
-                key = codes[lo - 1:lo + CYL_BLOCK] >> 9
-                starts.append(np.flatnonzero(key[1:] != key[:-1]) + lo)
-            self._gstarts = _read_only(np.concatenate(starts))
-        return self._gstarts
-
-    def runs(self, i: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(starts, lengths, keys) of the maximal runs of equal key_field(i)
-        values in code order, for an axis i in RUN_AXES: the stretches of
-        groups whose first atoms carry equal keys. keys is intp."""
-        if i not in self._runs:
-            groups = self._group_starts()
-            keys = (self.codes[groups] >> 9 * i) & (PAIR_SLOTS - 1)
-            first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-            starts = groups[first]
-            self._runs[i] = tuple(_read_only(a) for a in (
-                starts, np.diff(starts, append=self.num_atoms), keys[first].astype(np.intp)))
-        return self._runs[i]
-
-    def tiles(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(starts, shapes, keys) of the axis-0 tiles in code order.
-
-        The atoms of a group list their axis-0 keys in ascending order. A
-        tile is a maximal stretch of groups that list the same keys, and a
-        stretch of consecutive one-group tiles is joined into one single-row
-        tile. Tile t is the m x L slab of atoms from starts[t], shapes[t] =
-        (m, L), and every row of it carries the same L keys. keys (intp) is
-        the tiles' key rows, concatenated.
-        """
-        if self._tiles is None:
+    def rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(bounds, valid) of the element layout. Row g holds the atoms
+        bounds[g] to bounds[g + 1] - 1 (intp), the g-th group; valid
+        (uint64, groups x W, F-ordered so a word column is contiguous) sets
+        the bit of each atom and no padding bit. The group starts are found
+        block by block in one scan of the codes."""
+        if self._rows is None:
             codes, n = self.codes, self.num_atoms
-            starts = self._group_starts()
-            lens = np.diff(starts, append=n)
+            bounds = [np.zeros(1, dtype=np.intp)]
+            for lo in range(1, n, CYL_BLOCK):
+                key = codes[lo - 1:lo + CYL_BLOCK] >> 9
+                bounds.append(np.flatnonzero(key[1:] != key[:-1]) + lo)
+            bounds = np.concatenate(bounds + [np.full(1, n, dtype=np.intp)])
+            widths = np.diff(bounds)
+            # the atoms of each row in word w, 0 to WORD
+            fill = np.clip(widths - WORD * np.arange(-(-int(widths.max()) // WORD))[:, None],
+                           0, WORD).astype(np.uint64)
+            valid = np.where(fill == WORD, ~np.uint64(0), (np.uint64(1) << fill % WORD) - 1)
+            self._rows = (_read_only(bounds), _read_only(valid.T))
+        return self._rows
+
+    def row_keys(self, i: int) -> np.ndarray:
+        """The i-th key of each row (intp), for an axis i on which the atoms
+        of a group share their key: 1 or 2."""
+        if i not in self._row_keys:
+            bounds, _ = self.rows()
+            keys = (self.codes[bounds[:-1]] >> 9 * i) & (PAIR_SLOTS - 1)
+            self._row_keys[i] = _read_only(keys.astype(np.intp))
+        return self._row_keys[i]
+
+    def blocks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(starts, rows, keys) of the axis-0 blocks in code order.
+
+        A block is a maximal stretch of groups that list the same axis-0
+        keys. starts (intp) is each block's first row, and rows (intp) is
+        the index of its key row in keys, the distinct key rows (int16, W *
+        WORD columns): column c holds the key of the c-th atom, and
+        PAIR_SLOTS past the group's width.
+        """
+        if self._blocks is None:
+            codes, n = self.codes, self.num_atoms
+            bounds, valid = self.rows()
+            starts, lens = bounds[:-1], np.diff(bounds)
             # same[g]: group g + 1 lists the keys of group g; the groups
             # are compared in batches of about CYL_BLOCK atoms
             same = np.append(lens[1:] == lens[:-1], False)
-            bounds = np.append(starts, n)
             cuts = np.searchsorted(starts, np.arange(0, n, CYL_BLOCK), side="right") - 1
             cuts = np.unique(cuts).tolist()
             for ga, gb in zip(cuts, cuts[1:] + [starts.shape[0]]):
@@ -652,16 +705,16 @@ class RainbowStructure:
                 eq = (codes[lo:hi] ^ codes[ahead]) & (PAIR_SLOTS - 1) == 0
                 same[ga:gb] &= np.logical_and.reduceat(eq, starts[ga:gb] - lo)
             first = np.flatnonzero(np.r_[True, ~same[:-1]])
-            rows = np.diff(first, append=starts.shape[0])
-            starts, lens = starts[first], lens[first]
-            # consecutive one-row tiles join into one row
-            first = np.flatnonzero(np.r_[True, (rows[1:] > 1) | (rows[:-1] > 1)])
-            starts, rows, lens = starts[first], rows[first], np.add.reduceat(lens, first)
-            at = np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-            keys = codes[at] & (PAIR_SLOTS - 1)
-            self._tiles = tuple(_read_only(a) for a in (
-                starts, np.stack([rows, lens], axis=1), keys.astype(np.intp)))
-        return self._tiles
+            cols = np.arange(WORD * valid.shape[1])
+            at = np.minimum(starts[first, None] + cols, n - 1)
+            keys = np.where(cols < lens[first, None], codes[at] & (PAIR_SLOTS - 1), PAIR_SLOTS)
+            keys = keys.astype(np.int16)
+            ids = {}
+            rows = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in keys],
+                            dtype=np.intp)
+            keys = keys[np.unique(rows, return_index=True)[1]]
+            self._blocks = tuple(_read_only(a) for a in (first, rows, keys))
+        return self._blocks
 
     def groups(self, i: int) -> np.ndarray:
         """T_i class id of every atom: its key field, a value below PAIR_SLOTS.
@@ -726,23 +779,38 @@ def build_atom_structure(sig: RainbowSignature) -> RainbowStructure:
 class RainbowComplexAlgebra(bao.Algebra):
     """Lazy complex algebra over the rainbow structure.
 
-    An element is a C-contiguous numpy bool array of length num_atoms,
-    indexed in canonical atom order. ``cyl`` marks the T_i classes (key
-    values) an element meets in a PAIR_SLOTS-entry table and reads the
-    table back. The path depends on the axis only: on RUN_AXES the codes
-    sort the key into runs, so one OR per run finds the classes met and
-    each run's verdict is repeated over its length; on axis 0 each tile's
-    rows are ORed into its key row, and the verdict of that key row is
-    broadcast over the tile's rows. ``random_element`` draws packed random
-    bits, one per atom.
+    An element is a PackedElement: row g holds the atoms of the g-th group
+    (`RainbowStructure.rows`), one bit each, and every padding bit is 0.
+    x[p] with an integer p reads canonical atom p. plus, times, minus and
+    eq are word operations, and ``random_element`` draws the matrix's
+    words and clears the padding. ``cyl`` marks the T_i classes (key
+    values) an element meets in a PAIR_SLOTS-entry table and writes the
+    table back: on axes 1 and 2 a row's one key is met when the row has a
+    nonzero word, and whole rows are written back; on axis 0 the rows of
+    each block are ORed, the key row of each block is read at its bits,
+    and each key row's packed verdict is repeated over its blocks' rows.
+    zero, one and the diagonals are cached and read-only; the layout
+    tables are built on the first call that reads them, not by cm().
     """
 
     def __init__(self, structure: RainbowStructure):
         self.structure = structure
         self.dim = structure.dim
-        n = structure.num_atoms
-        self.zero = np.zeros(n, dtype=bool)
-        self.one = np.ones(n, dtype=bool)
+        self._dg = {}
+
+    def _element(self, a: np.ndarray) -> PackedElement:
+        x = a.view(PackedElement)
+        x.bounds = self.structure.rows()[0]
+        return x
+
+    @functools.cached_property
+    def zero(self):
+        _, valid = self.structure.rows()
+        return self._element(_read_only(np.zeros(valid.shape, dtype=np.uint64, order="F")))
+
+    @functools.cached_property
+    def one(self):
+        return self._element(self.structure.rows()[1])
 
     def eq(self, a, b):
         return np.array_equal(a, b)
@@ -754,34 +822,38 @@ class RainbowComplexAlgebra(bao.Algebra):
         return a & b
 
     def minus(self, a):
-        return ~a
+        return a ^ self.one
 
     def cyl(self, i, x):
-        hit = np.zeros(PAIR_SLOTS, dtype=bool)
-        if i in RUN_AXES:
-            starts, lens, keys = self.structure.runs(i)
-            hit[keys[np.logical_or.reduceat(x, starts)]] = True
-            return np.repeat(hit[keys], lens)
+        x = np.asarray(x)
+        if i in (1, 2):
+            keys = self.structure.row_keys(i)
+            hit = np.zeros(PAIR_SLOTS, dtype=bool)
+            hit[keys[x.any(axis=1)]] = True
+            return self._element(np.where(hit.take(keys)[:, None], self.one, 0))
         if i != 0:
             raise IndexOutOfRange(f"index {i} outside dimension {self.dim}")
-        starts, shapes, keys = self.structure.tiles()
-        tiles = list(zip(starts.tolist(), shapes.tolist()))
-        met = np.empty(keys.shape[0], dtype=bool)
-        o = 0
-        for a, (m, L) in tiles:
-            np.logical_or.reduce(x[a:a + m * L].reshape(m, L), axis=0, out=met[o:o + L])
-            o += L
-        hit[keys.compress(met)] = True
-        row = hit.take(keys)
-        out = np.empty(x.shape[0], dtype=bool)
-        o = 0
-        for a, (m, L) in tiles:
-            out[a:a + m * L].reshape(m, L)[...] = row[o:o + L]
-            o += L
-        return out
+        starts, rows, keys = self.structure.blocks()
+        met = np.zeros((keys.shape[0], x.shape[1]), dtype=np.uint64)
+        np.bitwise_or.at(met, rows, np.bitwise_or.reduceat(x, starts, axis=0))
+        hit = np.zeros(PAIR_SLOTS + 1, dtype=bool)
+        hit[keys[_unpack(met)]] = True
+        lens = np.diff(starts, append=x.shape[0])
+        return self._element(np.repeat(_pack(hit[keys])[rows].T, lens, axis=1).T)
 
     def dg(self, i, j):
-        return self.structure.diag_mask(i, j)
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexOutOfRange(f"diagonal ({i},{j}) outside dimension")
+        if i == j:
+            return self.one
+        key = (min(i, j), max(i, j))
+        if key not in self._dg:
+            bounds, valid = self.structure.rows()
+            # a row's kernel is its first code's top slot
+            below = np.array([eq[PAIRS.index(key)] for eq in KERNEL_EQ])
+            below = below[self.structure.codes[bounds[:-1]] >> 27]
+            self._dg[key] = self._element(_read_only(np.where(below[:, None], valid, 0)))
+        return self._dg[key]
 
     def interior(self, i, x):
         if not 0 <= i < self.dim:
@@ -789,12 +861,14 @@ class RainbowComplexAlgebra(bao.Algebra):
         return x
 
     def random_element(self, rng):
-        n = self.structure.num_atoms
+        _, valid = self.structure.rows()
         sub = np.random.default_rng(rng.randrange(1 << 32))
-        packed = np.frombuffer(sub.bytes((n + 7) // 8), dtype=np.uint8)
-        return np.unpackbits(packed, count=n).view(bool)
+        words = sub.integers(0, 1 << 64, size=valid.shape[::-1], dtype=np.uint64).T
+        return self._element(words & valid)
 
     def atom_singleton(self, code: int):
-        x = np.zeros(self.structure.num_atoms, dtype=bool)
-        x[self.structure.index_of(code)] = True
-        return x
+        bounds, valid = self.structure.rows()
+        g, word, bit = _row_bit(bounds, self.structure.index_of(code))
+        x = np.zeros(valid.shape, dtype=np.uint64, order="F")
+        x[g, word] = 1 << bit
+        return self._element(x)

@@ -360,10 +360,11 @@ def test_criterion_6_rainbow_construction(rainbow_structure):
                     assert alg.eq(lhs, rhs)                  # CA7, exact
     # commuting cylindrifiers and CA3/CA4 on sampled atom singletons
     for idx in rng.sample(range(s.num_atoms), 40):
-        x = alg.atom_singleton(int(codes[idx]))
+        code = int(codes[idx])
+        x = alg.atom_singleton(code)
         for i in range(3):
             cx = alg.cyl(i, x)
-            assert bool(cx[np.argmax(x)])                    # x <= c_i x
+            assert bool(cx[s.index_of(code)])                # x <= c_i x
             for j in range(i + 1, 3):
                 assert alg.eq(alg.cyl(i, alg.cyl(j, x)), alg.cyl(j, alg.cyl(i, x)))
     # element-level CA suite, sampled

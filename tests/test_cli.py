@@ -281,6 +281,24 @@ def test_countermodel_bounds_below_one_are_usage_errors(tmp_path, capsys):
             f"usage error: {name} must be at least 1, got {value}\n"
 
 
+def test_check_samples_below_one_are_usage_errors(tmp_path, capsys):
+    """A check of no sampled environment checked nothing, so it is refused
+    before any draw, also when the value comes from --config, instead of
+    reporting every axiom vacuous and all_pass true."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 0}))
+    commands = (["bao", "check", "--structure", "fullset:2,2", "--suite", "CA"],
+                ["setalg", "axioms", "--dim", "2", "--base", "2", "--topology", "discrete",
+                 "--suite", "CA"])
+    for argv in commands:
+        for flags, value in ((["--samples", "0"], 0), (["--samples", "-5"], -5),
+                             (["--config", str(cfg)], 0)):
+            code, doc = run(tmp_path, *argv, *flags, "--expect", "true")
+            assert code == 2 and doc is None, (argv, flags)
+            assert capsys.readouterr().err == \
+                f"usage error: samples must be at least 1, got {value}\n"
+
+
 def test_setalg_witnesses(tmp_path):
     code, doc = run(tmp_path, "setalg", "witness-nonadditive", "--expect", "true")
     assert code == 0
@@ -403,9 +421,10 @@ def test_forged_plays_replay_as_refuted(tmp_path, capsys):
 
 def test_second_key_spellings_replay_as_refuted(tmp_path, capsys):
     """A play that labels a node tuple under a second spelling of its key, a
-    "( 0,0)" label on fullset:2,2 and a "(0,01)" edge on rainbow:3, replays
-    as ok: false naming the key, with exit 0; the later label no longer
-    overrides the first."""
+    "( 0,0)" label on fullset:2,2 and a "(0,01)" edge on rainbow:3, or lists
+    its network's nodes out of order, replays as ok: false naming the key
+    or the nodes, with exit 0; the later label no longer overrides the
+    first."""
     assert dispatch(["game", "solve", "--structure", "fullset:2,2", "--nodes", "5",
                      "--rounds", "3", "--out", str(tmp_path / "play.json")]) == 0
     assert dispatch(["game", "script", "--n", "3", "--out", str(tmp_path / "proof.json")]) == 0
@@ -413,12 +432,17 @@ def test_second_key_spellings_replay_as_refuted(tmp_path, capsys):
     labels = play["principal_play"][1]["exists"]["network"]["labels"]
     assert labels["(0,0)"] == 0
     labels["( 0,0)"] = 1
+    reordered = json.loads(json.dumps(play))
+    network = reordered["principal_play"][1]["exists"]["network"]
+    network["nodes"] = network["nodes"][::-1]
     graph = json.loads((tmp_path / "proof.json").read_text())["results"]["zeroth_graph"]
     graph["edges"]["(0,01)"] = "w1"
     zeroth = {"mode": "F", "nodes": 6, "rounds": 0, "principal_play": [
         {"round": 0, "forall": {"initial_atom": 0}, "exists": {"network": {"graph": graph}}}]}
     cases = [("fullset:2,2", play, "round 1: network label key '( 0,0)' is not a tuple of 2 "
                                    "nodes in its one spelling (u,v,...)"),
+             ("fullset:2,2", reordered,
+              f"round 1: network nodes must be strictly increasing, got {network['nodes']}"),
              ("rainbow:3", zeroth,
               "round 0: graph edge key '(0,01)' is not (u,v) with nodes u < v")]
     capsys.readouterr()

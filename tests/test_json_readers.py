@@ -213,3 +213,18 @@ def test_second_spellings_and_outside_tokens_are_refused():
             R.ColouredGraph.from_json(bad, SIG)
     with pytest.raises(ValueError, match="graph nodes must be a non-negative integer, got -3"):
         R.ColouredGraph.from_json({"nodes": -3}, SIG)
+
+
+def test_node_lists_have_one_spelling():
+    """A node list is strictly increasing: a list out of order or with a
+    repeat, which both readers once read as its sorted set and wrote back
+    as a count or as that set, is refused naming the field."""
+    for nodes in ([1, 0], [0, 0, 1], [0, 3, 3]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"graph nodes must be strictly increasing, got {nodes}")):
+            R.ColouredGraph.from_json({"nodes": nodes}, SIG)
+        with pytest.raises(ValueError, match=re.escape(
+                f"network nodes must be strictly increasing, got {nodes}")):
+            FULLSET.net_from_json({"nodes": nodes, "labels": {}})
+    for doc, reader, writer in CANONICAL.values():
+        assert writer(reader(doc)) == doc

@@ -469,14 +469,15 @@ def test_lookups_do_not_widen_the_table(table):
 
 
 def test_derived_tables_are_read_only(table):
-    """The codes and every cached derived table refuse writes, so a caller
-    writing into a diagonal cannot change later verdicts; the three d_ii
-    are one shared all-true mask."""
+    """The codes, every cached derived table, zero, one and the diagonals
+    refuse writes, so a caller writing into a diagonal cannot change later
+    verdicts; the three d_ii are one shared element, one."""
     s = R.RainbowStructure(table)
     alg = s.cm()
     d01 = alg.dg(0, 1)
     expected = d01.copy()
-    tables = [s.codes, s.key_field(0), *s.runs(1), *s.runs(2), *s.tiles(), d01, alg.dg(1, 1)]
+    tables = [s.codes, s.key_field(0), *s.rows(), s.row_keys(1), s.row_keys(2), *s.blocks(),
+              alg.zero, alg.one, d01, alg.dg(1, 1)]
     for k, a in enumerate(tables):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -484,7 +485,31 @@ def test_derived_tables_are_read_only(table):
     with pytest.raises(ValueError):
         d01 |= alg.one
     assert (alg.dg(1, 0) == expected).all()
-    assert alg.dg(0, 0) is alg.dg(1, 1) is alg.dg(2, 2) and alg.dg(0, 0).all()
+    assert alg.dg(0, 0) is alg.dg(1, 1) is alg.dg(2, 2) is alg.one
+
+
+def test_cm_builds_no_layout_table(table):
+    """cm() reads no table, so a caller that never takes c_i (the
+    benchmark's set-up among them) does not pay for the layout. zero and
+    one need only the rows (their shape and padding), and the first c_i on
+    an axis builds that axis' table once per structure."""
+    s = R.RainbowStructure(table)
+    alg = s.cm()
+    assert s._rows is None and not s._row_keys and s._blocks is None
+    alg.zero, alg.one
+    rows = s.rows()
+    assert not s._row_keys and s._blocks is None
+    x = alg.atom_singleton(int(s.codes[-1]))
+    tables = []
+    for i in range(3):
+        alg.cyl(i, x)
+        tables.append(s.blocks() if i == 0 else s.row_keys(i))
+    again = s.cm()
+    for i in range(3):
+        again.cyl(i, again.one)
+    assert s.rows() is rows and s.blocks() is tables[0]
+    assert s.row_keys(1) is tables[1] and s.row_keys(2) is tables[2]
+    assert sorted(s._row_keys) == [1, 2] and not s._keys
 
 
 def test_enumeration_refuses_other_dims():
@@ -492,23 +517,44 @@ def test_enumeration_refuses_other_dims():
         R.enumerate_atoms(R.signature(4))
 
 
+def _bits(x):
+    """The bits of each row of a packed element, bit c % 64 of word
+    c // 64 in column c."""
+    octets = np.ascontiguousarray(x, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little").view(bool)
+
+
+def _canonical(x, valid):
+    """x as one bool per atom in canonical order: its bits read through
+    the valid-bit mask, _bits(alg.one)."""
+    return _bits(x)[valid]
+
+
+def _packed(flags, valid):
+    """The element holding the atoms flagged in canonical order."""
+    bits = np.zeros(valid.shape, dtype=bool)
+    bits[valid] = flags
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
 def test_cylindrifier_oracle_and_random_elements(structure):
     """c_i x is the set of atoms whose pair data away from i is met by x.
 
     The pair field is re-derived here by shifting the packed codes (pair
     slots are 9 bits wide), independently of RainbowStructure.key_field and
-    of the run and tile tables. Inputs include singletons at both ends of a
-    run of equal keys on axes 1 and 2, one atom at every axis-2 run start,
-    singletons at the first and last atom of a multi-row axis-0 tile, in a
-    single-row tile and in the last tile, and one atom at every tile start.
-    Random elements are seeded packed bits, one per atom.
+    of the layout tables, and compared on each element's canonical bool
+    form. Inputs include singletons at both ends of a run of equal keys on
+    axes 1 and 2, one atom at every axis-2 run start, singletons at the
+    first and last atom, at the first and last atom of a many-group axis-0
+    block, of a one-group block and of the last block, and one atom at
+    every block start. Random elements are seeded words, one bit per atom.
     """
     s = structure
     alg = s.cm()
-    x = alg.random_element(random.Random(3))
-    assert (x == alg.random_element(random.Random(3))).all()
-    assert not (x == alg.random_element(random.Random(4))).all()
-    assert x.dtype == np.bool_ and x.flags.c_contiguous
+    valid = _bits(alg.one)
+    x = _canonical(alg.random_element(random.Random(3)), valid)
+    assert (x == _canonical(alg.random_element(random.Random(3)), valid)).all()
+    assert not (x == _canonical(alg.random_element(random.Random(4)), valid)).all()
     assert x.shape == (s.num_atoms,)
     assert 0.49 <= x.mean() <= 0.51
     rng = random.Random(11)
@@ -517,46 +563,72 @@ def test_cylindrifier_oracle_and_random_elements(structure):
     # axis i is opposite the pair (1,2), (0,2), (0,1): slot 0, 1, 2
     fields = [(s.codes >> (9 * i)) & (R.PAIR_SLOTS - 1) for i in range(3)]
     run_starts = {i: np.flatnonzero(fields[i][1:] != fields[i][:-1]) + 1 for i in (1, 2)}
-    ends = [0, s.num_atoms - 1]   # first block and the partial last one
+    ends = [0, s.num_atoms - 1]
     for starts in run_starts.values():
         mid = len(starts) // 2
         ends += [int(starts[mid]), int(starts[mid + 1]) - 1]
-    tile_starts, shapes, _ = s.tiles()
-    tall = int(np.flatnonzero(shapes[:, 0] > 1)[len(shapes) // 4])
-    flat = int(np.flatnonzero(shapes[:, 0] == 1)[-1])
-    for t in (tall, flat, len(shapes) - 1):
-        ends += [int(tile_starts[t]), int(tile_starts[t] + shapes[t].prod()) - 1]
+    bounds, _ = s.rows()
+    first_rows = np.append(s.blocks()[0], len(bounds) - 1)
+    block_starts = bounds[first_rows[:-1]]
+    groups = np.diff(first_rows)
+    tall = int(np.flatnonzero(groups > 1)[len(groups) // 4])
+    flat = int(np.flatnonzero(groups == 1)[-1])
+    for b in (tall, flat, len(groups) - 1):
+        ends += [int(bounds[first_rows[b]]), int(bounds[first_rows[b + 1]]) - 1]
     for idx in ends:
         elements.append(alg.atom_singleton(int(s.codes[idx])))
-    for starts in (np.r_[0, run_starts[2]], tile_starts):
-        sparse = alg.zero.copy()
+    for starts in (np.r_[0, run_starts[2]], block_starts):
+        sparse = np.zeros(s.num_atoms, dtype=bool)
         sparse[starts] = True
-        elements.append(sparse)
+        elements.append(_packed(sparse, valid))
+    canonical = [_canonical(x, valid) for x in elements]
     for i, f in enumerate(fields):
         assert s.key_field(i).dtype == np.uint16 and (s.key_field(i) == f).all()
-        for x in elements:
-            assert (alg.cyl(i, x) == np.isin(f, f[x], kind="table")).all()
+        for x, flags in zip(elements, canonical):
+            assert (_canonical(alg.cyl(i, x), valid) == np.isin(f, f[flags], kind="table")).all()
 
 
-def test_axis0_tiles_cover_the_atoms_in_code_order(table):
-    """The tile table of a fresh structure: tiles follow one another from
-    atom 0 to the last atom, every row of a tile lists the tile's key row
-    (the lowest pair slot, re-derived here from the codes), adjacent tiles
-    list different key rows, and c_0 works without the axis-0 key field."""
+def test_element_layout_covers_the_atoms_in_code_order(table):
+    """The layout of a fresh structure: the rows cover atom 0 to the last
+    atom in code order, one group (code >> 9) each; every row of an axis-0
+    block lists the block's key row (the lowest pair slot, re-derived here
+    from the codes), and adjacent blocks list different key rows; no
+    operation sets a padding bit; x[p] reads canonical atom p; and c_0
+    works without the axis-0 key field."""
     s = R.RainbowStructure(table)
-    starts, shapes, keys = s.tiles()
-    sizes = shapes[:, 0] * shapes[:, 1]
-    assert starts[0] == 0 and (starts[1:] == starts[:-1] + sizes[:-1]).all()
-    assert starts[-1] + sizes[-1] == s.num_atoms
-    assert keys.shape == (int(shapes[:, 1].sum()),)
+    alg = s.cm()
+    bounds, valid = s.rows()
+    widths = np.diff(bounds)
+    assert bounds[0] == 0 and bounds[-1] == s.num_atoms and (widths > 0).all()
+    group = s.codes >> 9
+    assert np.array_equal(np.flatnonzero(group[1:] != group[:-1]) + 1, bounds[1:-1])
+    assert valid.dtype == np.uint64 and valid.shape == (len(widths), 5)
+    assert np.array_equal(_bits(valid), np.arange(5 * 64) < widths[:, None])
+    starts, rows, keys = s.blocks()
     field = s.codes & (R.PAIR_SLOTS - 1)
-    offsets = np.cumsum(shapes[:, 1]) - shapes[:, 1]
-    prev = None
-    for a, (m, L), o in zip(starts.tolist(), shapes.tolist(), offsets.tolist()):
-        row = keys[o:o + L]
-        assert (field[a:a + m * L].reshape(m, L) == row).all()
-        assert prev is None or not np.array_equal(prev, row)
-        prev = row
-    x = s.cm().atom_singleton(int(s.codes[-1]))
-    assert s.cm().cyl(0, x).any()
+    assert starts[0] == 0 and (np.diff(starts) > 0).all() and (rows[1:] != rows[:-1]).all()
+    assert len({k.tobytes() for k in keys}) == len(keys) == rows.max() + 1
+    for a, b, r in zip(starts.tolist(), np.append(starts[1:], len(widths)).tolist(),
+                       rows.tolist()):
+        m, L = b - a, int(widths[a])
+        assert (widths[a:b] == L).all() and (keys[r, L:] == R.PAIR_SLOTS).all()
+        assert (field[bounds[a]:bounds[b]].reshape(m, L) == keys[r, :L]).all()
+    x = alg.random_element(random.Random(7))
+    padded = [alg.minus(x), x, alg.dg(0, 1), alg.dg(1, 2), alg.zero, alg.one,
+              alg.atom_singleton(int(s.codes[-1]))]
+    padded += [alg.cyl(i, y) for i in range(3) for y in (x, padded[-1])]
+    for k, y in enumerate(padded):
+        assert not (y & ~valid).any(), k
+    canon = _canonical(x, _bits(valid))
+    narrow, wide = int(widths.argmin()), int(widths.argmax())
+    positions = random.Random(8).sample(range(s.num_atoms), 1000)
+    positions += [int(bounds[narrow]), int(bounds[narrow + 1]) - 1,
+                  int(bounds[wide]), int(bounds[wide + 1]) - 1, -1]
+    for y, flags in ((x, canon), (alg.minus(x), ~canon)):
+        assert all(y[p] is bool(flags[p]) for p in positions)
+    for p in (s.num_atoms, -s.num_atoms - 1):
+        with pytest.raises(IndexError):
+            x[p]
+    assert x[0, 0] == x.view(np.ndarray)[0, 0] and x[1:3].shape == (2, 5)
+    assert alg.cyl(0, padded[6])[s.num_atoms - 1] is True
     assert 0 not in s._keys
