@@ -31,9 +31,11 @@ axis 0) and the run of codes of each kernel (`diag_mask`).
 An element of `RainbowComplexAlgebra` is a `PackedElement`: one row of W
 uint64 words per group of atoms sharing code >> 9, one bit per atom, 2.76
 MB at n = 3 (a bool per atom took 10.9 MB). x[p] with an integer p reads
-canonical atom p. `cm()` builds no table: the rows are built when zero,
-one or a first element is asked for, and the row keys and blocks of an
-axis by its first c_i.
+canonical atom p. The atom table emits its codes in code order together
+with that layout, the group bounds and the axis-0 blocks, so no table is
+found by a scan of the codes. `cm()` builds no table: the valid bits of
+the rows are built when zero, one or a first element is asked for, and
+the row keys of axes 1 and 2 by their first c_i.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import math
 import operator
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -425,6 +426,128 @@ def unpack_atom(code: int):
     return kid, {(0, 1): p01, (0, 2): p02, (1, 2): p12}
 
 
+# Row g of an element holds group g, the atoms sharing code >> 9 (kid,
+# p01, p02): bit c % WORD of word c // WORD is its c-th atom. At n = 3
+# there are 68,905 groups of 1 to 261 atoms, so W = 5 words, and 2,443
+# axis-0 blocks with 307 distinct key rows.
+WORD = 64
+
+# An entry of the emission packs a code and the need of its p12 shades
+# (its tail) as code << TAIL_BITS | need; YELLOW_NONE as the need marks an
+# entry without one, which is a single atom.
+TAIL_BITS = 6
+
+# Entries in a span of a run, roughly: the emission's working arrays stay
+# that small, so the memory they free is not left resident under the codes.
+SPAN_ENTRIES = 1 << 14
+
+
+def _spans(runs: Sequence[list], tails: list):
+    """The entries of each run (see `_layout`), in spans of whole p01
+    shades of about SPAN_ENTRIES entries, in code order; a span is
+    unsorted."""
+    for run in runs:
+        # the colourings of a run that choose the same shades share them
+        heads = collections.defaultdict(list)
+        for code, needs in run:
+            tail = needs.pop(1, YELLOW_NONE)
+            heads[tuple(sorted(needs.items(), reverse=True))].append(code << TAIL_BITS | tail)
+        parts = []
+        for terms, bases in heads.items():
+            offsets = np.zeros(1, dtype=np.int64)
+            for weight, need in terms:
+                offsets = np.add.outer(offsets, tails[need] * weight).ravel()
+            # heaviest weight first, so the offsets ascend and those of
+            # each shade of p01 (offset >> 18) are one slice
+            cuts = np.searchsorted(offsets, np.arange(YELLOW_NONE + 1) << 18)
+            parts.append((np.array(bases), offsets << TAIL_BITS, cuts))
+        # the run's entries of each shade of p01, cut into spans
+        counts = sum(bases.shape[0] * np.diff(cuts) for bases, _, cuts in parts)
+        ends = (np.flatnonzero(np.diff(np.cumsum(counts) // SPAN_ENTRIES)) + 1).tolist()
+        for lo, hi in zip([0, *ends], [*ends, YELLOW_NONE]):
+            if counts[lo:hi].any():
+                yield np.concatenate([np.add.outer(bases, offsets[cuts[lo]:cuts[hi]]).ravel()
+                                      for bases, offsets, cuts in parts])
+
+
+def _layout(runs: Sequence[list]) -> Tuple[np.ndarray, np.ndarray, tuple]:
+    """(prefixes, bounds, blocks) of the table from its colourings, given
+    as (base code, {weight: shade need}) in runs of ascending codes.
+
+    An entry is a colouring with a shade chosen for every weight but 1,
+    the weight of p12 alone; its atoms are its code plus each shade of its
+    tail. A span's entries, sorted, list its atoms in code order, so a
+    group is a run of entries sharing code >> 9, and a block a run of
+    groups listing the same p12 bases and tails. prefixes is each group's
+    code with p12 cleared, bounds the groups' atom bounds (both
+    CODE_DTYPE), and blocks (starts, rows, keys) are
+    `RainbowStructure.blocks`.
+    """
+    # the shades are the yellows below YELLOW_NONE
+    ys = np.arange(YELLOW_NONE, dtype=np.int64)
+    tails = [ys[ys & need == need] for need in range(YELLOW_NONE)] + [np.zeros(1, np.int64)]
+    tail_widths = np.array([t.shape[0] for t in tails], dtype=CODE_DTYPE)
+    prefixes, ends, firsts, seqs = [], [], [], []
+    ngroups = natoms = cols = 0
+    for entries in _spans(runs, tails):
+        entries.sort()
+        # each entry's group (code >> 9) and token (p12 base and tail,
+        # below 1 << 15), narrowed with no int64 temporary
+        group, tokens = np.empty(entries.shape, CODE_DTYPE), np.empty(entries.shape, np.int16)
+        np.right_shift(entries, 9 + TAIL_BITS, out=group, casting="unsafe")
+        np.bitwise_and(entries, (PAIR_SLOTS << TAIL_BITS) - 1, out=tokens, casting="unsafe")
+        del entries
+        starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+        count = np.diff(starts, append=tokens.shape[0]).astype(CODE_DTYPE)
+        prefixes.append(group[starts] << 9)
+        del group
+        widths = np.add.reduceat(tail_widths[tokens & (1 << TAIL_BITS) - 1], starts)
+        ends.append(np.cumsum(widths, dtype=CODE_DTYPE) + natoms)
+        natoms = int(ends[-1][-1])
+        cols = max(cols, WORD * -(-int(widths.max()) // WORD))
+        # same[g]: group g lists the tokens of group g - 1
+        back = np.repeat(count, count)
+        np.subtract(np.arange(tokens.shape[0], dtype=CODE_DTYPE), back, out=back)
+        same = np.r_[False, count[1:] == count[:-1]]
+        same &= np.logical_and.reduceat(tokens == tokens[back], starts)
+        first = np.flatnonzero(~same)
+        firsts.append(first + ngroups)
+        seqs += [tokens[starts[g]:starts[g] + count[g]].tobytes() for g in first]
+        ngroups += starts.shape[0]
+    # the key row of each token sequence: the p12 of its c-th atom in
+    # column c, PAIR_SLOTS past its width
+    key_rows = {}
+    for seq in seqs:
+        if seq not in key_rows:
+            atoms = np.concatenate([(t >> TAIL_BITS) + tails[t & (1 << TAIL_BITS) - 1]
+                                    for t in np.frombuffer(seq, dtype=np.int16).tolist()])
+            row = np.full(cols, PAIR_SLOTS, dtype=np.int16)
+            row[:atoms.shape[0]] = atoms
+            key_rows[seq] = row.tobytes()
+    # distinct key rows numbered as they first appear; adjacent blocks of
+    # one key row, from two spans or two token sequences, are one block
+    ids = {}
+    rows = np.array([ids.setdefault(key_rows[seq], len(ids)) for seq in seqs], dtype=np.intp)
+    keep = np.r_[True, rows[1:] != rows[:-1]]
+    starts = np.concatenate(firsts).astype(np.intp)[keep]
+    keys = np.frombuffer(b"".join(ids), dtype=np.int16).reshape(len(ids), cols)
+    blocks = tuple(_read_only(a) for a in (starts, rows[keep], keys))
+    bounds = np.concatenate([np.zeros(1, dtype=CODE_DTYPE), *ends])
+    return np.concatenate(prefixes), _read_only(bounds), blocks
+
+
+def _emit(prefixes: np.ndarray, bounds: np.ndarray, blocks: tuple) -> np.ndarray:
+    """The codes in code order: each block's rows are its groups' prefixes
+    plus its key row."""
+    starts, rows, keys = blocks
+    codes = np.empty(int(bounds[-1]), dtype=CODE_DTYPE)
+    for a, b, r in zip(starts, np.append(starts[1:], prefixes.shape[0]), rows):
+        lo, hi = bounds[a], bounds[b]
+        width = (hi - lo) // (b - a)
+        np.add.outer(prefixes[a:b], keys[r, :width], out=codes[lo:hi].reshape(b - a, width))
+    return codes
+
+
 class AtomTable:
     """Canonically ordered enumeration of the n = 3 rainbow atoms."""
 
@@ -432,27 +555,30 @@ class AtomTable:
         if sig.n != 3:
             raise DimUnsupported("atom enumeration is implemented for n = 3 only")
         self.sig = sig
-        self.codes = _read_only(self._enumerate())
+        self.codes, self.bounds, self.blocks = self._enumerate()
         self.count = int(self.codes.shape[0])
 
-    def _enumerate(self) -> np.ndarray:
-        """Every kernel's valid quotient graphs, pulled back along the kernel.
+    def _enumerate(self) -> Tuple[np.ndarray, np.ndarray, tuple]:
+        """Every kernel's valid quotient graphs, pulled back along the
+        kernel, emitted in code order with the group layout: (codes,
+        bounds, blocks), each read-only.
 
         A quotient graph is an edge colouring with no forbidden triangle.
         Each green-free pair may carry every shade that holds the tints of
         the cones on it; its yellow enters the code once per code slot the
         pair pulls back to, so each pair adds its shades times one weight.
-        A first walk keeps each colouring's base code and the shade vectors
-        of its pairs; the codes of a colouring are their outer sum. The
-        table is then allocated once in its final dtype, each colouring's
-        outer sum is written into its own slice, and the table is sorted
-        in place.
+        The walk keeps each colouring's base code and the shade need of
+        each weight, filed under its run: the codes of one kernel and one
+        edge of p01 are one ascending run. `_layout` finds each run's
+        groups and axis-0 blocks from the colourings alone, and `_emit`
+        then allocates the table once, in its final dtype, and writes each
+        block into its final slice; nothing is sorted but the entries.
+        bounds are the groups' atom bounds (CODE_DTYPE, as the count is
+        below CODE_END), and blocks (starts, rows, keys) are
+        `RainbowStructure.blocks`.
         """
         sig = self.sig
-        ys = np.arange(1 << sig.yellow_universe, dtype=CODE_DTYPE)
-        terms = {}   # (shade need, weight) -> the shades times the weight
-        plan = []
-        total = 0
+        runs = collections.defaultdict(list)   # (kid, edge of p01) -> [(code, {weight: need})]
         for kid, blocks in enumerate(KERNELS):
             # delta[i]: the block of index i
             delta = [b for i in range(3) for b, block in enumerate(blocks) if i in block]
@@ -472,26 +598,12 @@ class AtomTable:
                 # each yellow now collects the tints its shades must hold
                 for _, base, tint in cones_in(g):
                     g.set_yellow(base, g.yellow(base) | {tint})
-                vectors = []
-                for p, ts in g.yellows.items():
-                    key = (sum(1 << t for t in ts), weight[p])
-                    if key not in terms:
-                        terms[key] = ys[ys & key[0] == key[0]] * key[1]
-                    vectors.append(terms[key])
-                plan.append((code, vectors))
-                total += math.prod(v.shape[0] for v in vectors)
-        codes = np.empty(total, dtype=CODE_DTYPE)
-        lo = 0
-        for base, vectors in plan:
-            head = np.full(1, base, dtype=CODE_DTYPE)
-            for v in vectors[:-1]:
-                head = np.add.outer(head, v).ravel()
-            last = vectors[-1] if vectors else np.zeros(1, dtype=CODE_DTYPE)
-            hi = lo + head.shape[0] * last.shape[0]
-            np.add.outer(head, last, out=codes[lo:hi].reshape(head.shape[0], last.shape[0]))
-            lo = hi
-        codes.sort()
-        return codes
+                # the pairs of a kernel pull back to distinct weights
+                needs = {weight[p]: sum(1 << t for t in ts) for p, ts in g.yellows.items()}
+                runs[code >> 27, (code >> 18 & PAIR_SLOTS - 1) // PAIR_BASE].append((code, needs))
+        # popped, so that no colouring outlives the layout
+        prefixes, bounds, axis0 = _layout([runs.pop(r) for r in sorted(runs)])
+        return _read_only(_emit(prefixes, bounds, axis0)), bounds, axis0
 
     # decoding ----------------------------------------------------------
 
@@ -552,16 +664,10 @@ def enumerate_atoms(sig: RainbowSignature) -> AtomTable:
 
 # -- atom structure and its lazy complex algebra ------------------------------
 
-# Atoms per block in the passes over the atom table that build a derived
-# table: a key field, the rows or the axis-0 blocks. A block's temporaries
-# stay in cache and none is the size of the atom table.
+# Atoms per block in the pass over the atom table that builds the axis-0
+# key field. A block's temporaries stay in cache and none is the size of
+# the atom table.
 CYL_BLOCK = 1 << 16
-
-# Row g of an element holds group g, the atoms sharing code >> 9 (kid,
-# p01, p02): bit c % WORD of word c // WORD is its c-th atom. At n = 3
-# there are 68,905 groups of 1 to 261 atoms, so W = 5 words, and 2,443
-# axis-0 blocks with 307 distinct key rows.
-WORD = 64
 
 
 def _row_bit(bounds: np.ndarray, p) -> Tuple[int, int, int]:
@@ -622,8 +728,9 @@ class RainbowStructure:
     order. A diagonal mask repeats one verdict per kernel over the
     kernel's run of codes; every d_ii is one shared all-true mask. The
     complex algebra's tables are `rows` (the element layout), `row_keys`
-    of axes 1 and 2 and the axis-0 `blocks`. Every table is derived from
-    the codes on first use, one at a time, and is read-only.
+    of axes 1 and 2 and the axis-0 `blocks`. They are taken from the
+    layout the table emits with its codes, on first use and one at a
+    time, so none scans the codes; every table is read-only.
     """
 
     def __init__(self, table: AtomTable):
@@ -639,14 +746,20 @@ class RainbowStructure:
         self._diag = {}
 
     def key_field(self, i: int) -> np.ndarray:
-        """Packed pair-data away from index i for every atom (uint16)."""
+        """Packed pair-data away from index i for every atom (uint16): on
+        axes 1 and 2 each row's key repeated over its width, on axis 0 one
+        pass over the codes."""
         if i not in self._keys:
             if i not in range(self.dim):
                 raise KeyError(i)
-            codes = self.codes
-            out = np.empty(self.num_atoms, dtype=np.uint16)
-            for lo in range(0, self.num_atoms, CYL_BLOCK):
-                out[lo:lo + CYL_BLOCK] = (codes[lo:lo + CYL_BLOCK] >> 9 * i) & (PAIR_SLOTS - 1)
+            if i:
+                bounds, _ = self.rows()
+                out = np.repeat(self.row_keys(i).astype(np.uint16), np.diff(bounds))
+            else:
+                codes = self.codes
+                out = np.empty(self.num_atoms, dtype=np.uint16)
+                for lo in range(0, self.num_atoms, CYL_BLOCK):
+                    out[lo:lo + CYL_BLOCK] = codes[lo:lo + CYL_BLOCK] & (PAIR_SLOTS - 1)
             self._keys[i] = _read_only(out)
         return self._keys[i]
 
@@ -654,21 +767,16 @@ class RainbowStructure:
         """(bounds, valid) of the element layout. Row g holds the atoms
         bounds[g] to bounds[g + 1] - 1 (intp), the g-th group; valid
         (uint64, groups x W, F-ordered so a word column is contiguous) sets
-        the bit of each atom and no padding bit. The group starts are found
-        block by block in one scan of the codes."""
+        the bit of each atom and no padding bit. The bounds are the
+        table's, widened."""
         if self._rows is None:
-            codes, n = self.codes, self.num_atoms
-            bounds = [np.zeros(1, dtype=np.intp)]
-            for lo in range(1, n, CYL_BLOCK):
-                key = codes[lo - 1:lo + CYL_BLOCK] >> 9
-                bounds.append(np.flatnonzero(key[1:] != key[:-1]) + lo)
-            bounds = np.concatenate(bounds + [np.full(1, n, dtype=np.intp)])
+            bounds = _read_only(self.table.bounds.astype(np.intp))
             widths = np.diff(bounds)
             # the atoms of each row in word w, 0 to WORD
             fill = np.clip(widths - WORD * np.arange(-(-int(widths.max()) // WORD))[:, None],
                            0, WORD).astype(np.uint64)
             valid = np.where(fill == WORD, ~np.uint64(0), (np.uint64(1) << fill % WORD) - 1)
-            self._rows = (_read_only(bounds), _read_only(valid.T))
+            self._rows = (bounds, _read_only(valid.T))
         return self._rows
 
     def row_keys(self, i: int) -> np.ndarray:
@@ -687,33 +795,10 @@ class RainbowStructure:
         keys. starts (intp) is each block's first row, and rows (intp) is
         the index of its key row in keys, the distinct key rows (int16, W *
         WORD columns): column c holds the key of the c-th atom, and
-        PAIR_SLOTS past the group's width.
+        PAIR_SLOTS past the group's width. They are the table's.
         """
         if self._blocks is None:
-            codes, n = self.codes, self.num_atoms
-            bounds, valid = self.rows()
-            starts, lens = bounds[:-1], np.diff(bounds)
-            # same[g]: group g + 1 lists the keys of group g; the groups
-            # are compared in batches of about CYL_BLOCK atoms
-            same = np.append(lens[1:] == lens[:-1], False)
-            cuts = np.searchsorted(starts, np.arange(0, n, CYL_BLOCK), side="right") - 1
-            cuts = np.unique(cuts).tolist()
-            for ga, gb in zip(cuts, cuts[1:] + [starts.shape[0]]):
-                lo, hi = int(bounds[ga]), int(bounds[gb])
-                ahead = np.repeat(np.where(same[ga:gb], lens[ga:gb], 0), lens[ga:gb])
-                ahead += np.arange(lo, hi)
-                eq = (codes[lo:hi] ^ codes[ahead]) & (PAIR_SLOTS - 1) == 0
-                same[ga:gb] &= np.logical_and.reduceat(eq, starts[ga:gb] - lo)
-            first = np.flatnonzero(np.r_[True, ~same[:-1]])
-            cols = np.arange(WORD * valid.shape[1])
-            at = np.minimum(starts[first, None] + cols, n - 1)
-            keys = np.where(cols < lens[first, None], codes[at] & (PAIR_SLOTS - 1), PAIR_SLOTS)
-            keys = keys.astype(np.int16)
-            ids = {}
-            rows = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in keys],
-                            dtype=np.intp)
-            keys = keys[np.unique(rows, return_index=True)[1]]
-            self._blocks = tuple(_read_only(a) for a in (first, rows, keys))
+            self._blocks = self.table.blocks
         return self._blocks
 
     def groups(self, i: int) -> np.ndarray:
@@ -790,7 +875,7 @@ class RainbowComplexAlgebra(bao.Algebra):
     each block are ORed, the key row of each block is read at its bits,
     and each key row's packed verdict is repeated over its blocks' rows.
     zero, one and the diagonals are cached and read-only; the layout
-    tables are built on the first call that reads them, not by cm().
+    tables are taken on the first call that reads them, not by cm().
     """
 
     def __init__(self, structure: RainbowStructure):
