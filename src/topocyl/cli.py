@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import reprlib
 import sys
 
 from . import bao, games, modal, rainbow, setalg, topology
@@ -135,10 +136,14 @@ def cmd_modal_eval(args):
     valuation = {}
     for key, v in json_field(doc.get("valuation"), dict, '"valuation"').items():
         try:
-            valuation[int(key)] = v
+            k = int(key)
         except ValueError:
-            raise ValueError(f"valuation key {key!r}: keys are variable indices "
-                             "(\"0\" for p0)") from None
+            k = -1
+        # one spelling per index, the one countermodel writes: str(k)
+        if k < 0 or str(k) != key:
+            raise ValueError(f"valuation key {reprlib.repr(key)}: keys are variable indices "
+                             "(\"0\" for p0)")
+        valuation[k] = v
     model, evaluate = MODEL_KINDS[kind]
     sat = evaluate(model(doc, valuation), f)
     results = {"formula": modal.unparse(f), "satisfying": sorted(sat)}

@@ -164,12 +164,19 @@ def from_json(doc: dict) -> Formula:
 # -- models --------------------------------------------------------------
 
 
+def _index(value) -> int:
+    """value as an int; true and false are not points or bitmasks."""
+    if type(value) is bool:
+        raise TypeError("a boolean is not an index")
+    return operator.index(value)
+
+
 def _clean_valuation(valuation: Dict[int, Iterable], size: int) -> Dict[int, int]:
     out = {}
     for k, pts in valuation.items():
         try:
-            out[k] = (bits_of(map(operator.index, pts), size) if hasattr(pts, "__iter__")
-                      else operator.index(pts))
+            out[k] = (bits_of(map(_index, pts), size) if hasattr(pts, "__iter__")
+                      else _index(pts))
         except TypeError:
             raise ValueError(f"valuation of p{k} is not a bitmask or a list of points") from None
         if out[k] >> size:

@@ -213,16 +213,19 @@ class ColouredGraph:
     @staticmethod
     def from_json(doc: dict, sig: RainbowSignature) -> "ColouredGraph":
         """ValueError naming the field unless doc is an object whose nodes
-        are a count or a strictly increasing list of integers, whose edges
-        map keys (u,v) with nodes u < v to colour codes of sig, one for each
-        pair, and whose yellows map sorted node keys to shade codes of sig,
-        each spelled as `to_json` writes it; the first pair left unlabelled
-        is named."""
+        are a count k or a strictly increasing list of integers other than
+        0..k-1, whose edges map keys (u,v) with nodes u < v to colour codes
+        of sig, one for each pair, and whose yellows map sorted node keys to
+        shade codes of sig, each spelled as `to_json` writes it; the first
+        pair left unlabelled is named."""
         raw = json_field(doc, dict, "graph").get("nodes")
         if type(raw) is int:
             nodes = members = range(json_size(raw, "graph nodes"))
         else:
             nodes = json_nodes(raw, "graph nodes")
+            if nodes == list(range(len(nodes))):
+                raise ValueError("graph nodes: a list 0..k-1 is written as the count k, "
+                                 f'here "nodes": {len(nodes)}')
             members = set(nodes)
         raw_edges, raw_yellows = (json_field(doc.get(name, {}), dict, f"graph {name}")
                                   for name in ("edges", "yellows"))

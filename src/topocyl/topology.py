@@ -1,5 +1,11 @@
 """Finite topological spaces, preorders, and the constructions between them.
 
+On a finite set the topologies are the Alexandrov topologies of the
+preorders (Alexandroff 1937; McKinsey and Tarski 1944): the opens are the
+up-sets of the specialization preorder, x <= y iff y lies in the least open
+neighbourhood of x. Topologies are enumerated as the images of the preorders;
+interior and closure stay defined by the opens alone.
+
 Points of a space of size u are 0..u-1 and point-sets are int bitmasks
 internally; the public API accepts any iterable of points and returns
 frozensets. Opens are kept deduplicated and sorted, validated eagerly.
@@ -233,37 +239,20 @@ def alexandrov(p: Preorder) -> FiniteTopology:
 
 
 def specialization_preorder(t: FiniteTopology) -> Preorder:
-    """x <= y iff x lies in the closure of {y}; with up-set Alexandrov
-    topologies this inverts alexandrov() exactly."""
-    pairs = []
-    for y in range(t.size):
-        cl = t.closure_bits(1 << y)
-        for x in range(t.size):
-            if cl >> x & 1:
-                pairs.append((x, y))
-    return Preorder(t.size, pairs)
+    """x <= y iff x lies in the closure of {y}, that is iff y lies in the
+    least open neighbourhood of x; this inverts alexandrov() exactly."""
+    return Preorder(t.size, [(x, y) for x, nb in enumerate(t._minnbhd) for y in set_of(nb)])
 
 
 def coproduct(ts: Sequence[FiniteTopology]) -> FiniteTopology:
-    """Disjoint union; open iff each summand trace is open (finest such)."""
+    """Disjoint union, the finest topology whose summand traces are open:
+    its opens are the unions of one shifted open per summand."""
     if not ts:
         raise EmptyList("coproduct of an empty list")
-    offsets = []
-    total = 0
-    for t in ts:
-        offsets.append(total)
-        total += t.size
-    opens = []
-    for m in range(1 << total):
-        ok = True
-        for t, off in zip(ts, offsets):
-            trace = (m >> off) & ((1 << t.size) - 1)
-            if not t.is_open_bits(trace):
-                ok = False
-                break
-        if ok:
-            opens.append(m)
-    return FiniteTopology(total, opens)
+    offsets = list(itertools.accumulate((t.size for t in ts), initial=0))
+    opens = [sum(o << off for o, off in zip(pick, offsets))
+             for pick in itertools.product(*(t.opens for t in ts))]
+    return FiniteTopology(offsets[-1], opens)
 
 
 def subspace(t: FiniteTopology, s: Iterable[int]) -> FiniteTopology:
@@ -282,29 +271,15 @@ def subspace(t: FiniteTopology, s: Iterable[int]) -> FiniteTopology:
 
 
 def enumerate_topologies(size: int) -> Iterator[FiniteTopology]:
-    """All distinct topologies on {0..size-1}, each exactly once (size <= 4)."""
+    """All distinct topologies on {0..size-1}, each exactly once (size <= 4):
+    the Alexandrov images of the preorders, ordered by their families of
+    opens read as bitmasks over the subsets."""
     if size < 0:
         raise ValueError(f"size {size} is negative")
     if size > ENUM_SIZE_CAP:
         raise SizeTooLarge(f"enumerate_topologies capped at size {ENUM_SIZE_CAP}")
-    full = (1 << size) - 1
-    if size == 0:
-        yield FiniteTopology(0, [0])
-        return
-    middles = [m for m in range(1 << size) if m not in (0, full)]
-    for picks in range(1 << len(middles)):
-        fam = [0, full]
-        for i, m in enumerate(middles):
-            if picks >> i & 1:
-                fam.append(m)
-        famset = set(fam)
-        ok = True
-        for a, b in itertools.combinations(fam, 2):
-            if (a | b) not in famset or (a & b) not in famset:
-                ok = False
-                break
-        if ok:
-            yield FiniteTopology(size, fam)
+    yield from sorted(map(alexandrov, enumerate_preorders(size)),
+                      key=lambda t: sum(1 << o for o in t.opens))
 
 
 def enumerate_preorders(size: int) -> Iterator[Preorder]:

@@ -1,6 +1,7 @@
-"""The benchmark's traced run patches names in `topocyl` from outside; a
-refactor that drops or moves one of them must fail here, not only in a
-traced benchmark run. The benchmark files are read, never edited."""
+"""The benchmark's traced run patches names in `topocyl` from outside, and
+its workloads call the program's public API; a refactor that drops or moves
+a name either uses must fail here, not only in a benchmark run. The
+benchmark files are read, never edited."""
 
 import importlib.util
 from pathlib import Path
@@ -9,18 +10,18 @@ from topocyl import bao, games
 from topocyl import setalg as S
 from topocyl import topology as T
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_install_and_uninstall():
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     sites = [(owner, attr) for _, _, points in tracing.PATCH_POINTS for owner, attr in points]
     originals = [tracing._lookup(owner, attr) for owner, attr in sites]
     s = bao.atom_structure_of(S.SetAlgebraSpace(2, 2, T.make_topology(2, preset="discrete")))
@@ -41,7 +42,7 @@ def test_tracer_install_and_uninstall():
 def test_set_algebra_operators_reach_the_traced_kernels():
     """bao.SetAlgebra runs c_i, I_k, d_ij and the Chang box through the
     setalg module functions, so the benchmark's wrappers count them."""
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     topo = T.make_topology(2, preset="indiscrete")
     sp = S.SetAlgebraSpace(2, 2, topo, S.chang_from_topology(topo))
     tracer = tracing.Tracer()
@@ -55,3 +56,16 @@ def test_set_algebra_operators_reach_the_traced_kernels():
     snap = tracer.snapshot()
     for name in ("setalg.cyl", "setalg.interior_op", "setalg.diag", "setalg.box_op"):
         assert snap[f"{name}.calls"] > 0, name
+
+
+def test_each_workload_task_kind_passes_its_own_check():
+    """Every workload builds at seed 1, and the first task of each kind
+    runs and passes the check the benchmark applies to it."""
+    workloads = _load_bench("workloads")
+    for name in workloads.WORKLOADS:
+        first = {}
+        for task in workloads.build(name, 1):
+            first.setdefault(task.kind, task)
+        for task in first.values():
+            ok, _ = task.check(task.run())
+            assert ok, f"{name}: {task.name}"

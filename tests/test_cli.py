@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import reprlib
 import shlex
 import time
 from pathlib import Path
@@ -608,6 +609,42 @@ def test_modal_eval_valuation_keys_are_variable_indices(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "usage error: valuation key 'x': keys are variable indices (\"0\" for p0)\n"
+
+
+def _eval_valuation(tmp_path, valuation, formula="p0"):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "kind": "topo",
+        "topology": {"size": 2, "opens": [[], [0], [0, 1]]},
+        "valuation": valuation,
+    }))
+    return run(tmp_path, "modal", "eval", "--formula", formula, "--model", str(model))
+
+
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0", "-1",
+                                 pytest.param("1" * 5000, id="5000-digits")])
+def test_modal_eval_valuation_keys_have_one_spelling(tmp_path, capsys, key):
+    """int() reads each of these keys as an index, or refuses one too long
+    to convert with a message naming no field; only str(k), the key
+    countermodel writes, names p{k}."""
+    code, _ = _eval_valuation(tmp_path, {key: [0]}, "p1")
+    assert code == 2
+    assert capsys.readouterr().err == (f"usage error: valuation key {reprlib.repr(key)}: "
+                                       "keys are variable indices (\"0\" for p0)\n")
+
+
+def test_modal_eval_reads_the_keys_countermodel_writes(tmp_path):
+    code, doc = _eval_valuation(tmp_path, {"0": [0], "10": 2}, "p10 & ~p0")
+    assert code == 0 and doc["results"]["satisfying"] == [1]
+
+
+@pytest.mark.parametrize("value", [True, [True], [0, False]])
+def test_modal_eval_valuations_refuse_json_booleans(tmp_path, capsys, value):
+    """true is neither the bitmask 1 nor the point 1."""
+    code, _ = _eval_valuation(tmp_path, {"0": value})
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "usage error: valuation of p0 is not a bitmask or a list of points\n")
 
 
 def test_bao_commands_on_rainbow_are_usage_errors(capsys):

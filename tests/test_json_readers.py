@@ -228,3 +228,17 @@ def test_node_lists_have_one_spelling():
             FULLSET.net_from_json({"nodes": nodes, "labels": {}})
     for doc, reader, writer in CANONICAL.values():
         assert writer(reader(doc)) == doc
+
+
+def test_contiguous_graph_nodes_are_written_as_a_count():
+    """A graph's node list 0..k-1, which the reader once read and wrote back
+    as the count k, is refused naming the count to write; any other node
+    list is still read and written back as a list."""
+    for nodes in ([], [0], [0, 1], [0, 1, 2]):
+        with pytest.raises(ValueError, match=re.escape(
+                f'graph nodes: a list 0..k-1 is written as the count k, here "nodes": {len(nodes)}')):
+            R.ColouredGraph.from_json({"nodes": nodes, "edges": {"(0,1)": "w0"}}, SIG)
+    graph = {"nodes": 2, "edges": {"(0,1)": "w0"}, "yellows": {}}
+    assert R.ColouredGraph.from_json(graph, SIG).to_json() == graph
+    assert R.ColouredGraph.from_json({"nodes": [1, 2], "edges": {"(1,2)": "w0"}},
+                                     SIG).to_json()["nodes"] == [1, 2]

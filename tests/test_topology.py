@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from topocyl import topology as T
@@ -156,11 +158,19 @@ def test_subspace():
     assert T.subspace(t, [1, 2]) == T.make_topology(2, [[], [0], [0, 1]])
 
 
+# labelled topologies on n points, equally the labelled preorders: OEIS A000798
+A000798 = (1, 1, 4, 29, 355, 6942)
+
+
 def test_enumeration_counts():
-    assert sum(1 for _ in T.enumerate_topologies(0)) == 1
-    assert sum(1 for _ in T.enumerate_topologies(1)) == 1
-    assert sum(1 for _ in T.enumerate_topologies(2)) == 4
-    assert sum(1 for _ in T.enumerate_topologies(3)) == 29
+    """Both enumerations give the labelled counts of OEIS A000798, with no
+    repeats: topologies up to the cap, preorders up to size 5."""
+    for size, count in enumerate(A000798):
+        preorders = [p.up for p in T.enumerate_preorders(size)]
+        assert len(preorders) == len(set(preorders)) == count
+        if size <= T.ENUM_SIZE_CAP:
+            topologies = [t.opens for t in T.enumerate_topologies(size)]
+            assert len(topologies) == len(set(topologies)) == count
     with pytest.raises(SizeTooLarge):
         list(T.enumerate_topologies(5))
 
@@ -174,6 +184,53 @@ def test_enumeration_refuses_negative_sizes():
 def test_enumeration_distinct():
     tops = list(T.enumerate_topologies(3))
     assert len({t.opens for t in tops}) == len(tops)
+
+
+def brute_topologies(size):
+    """Independent oracle: every family of the sets other than {} and the
+    base that, with those two, is closed under union and intersection, in
+    the order of a counter over the families (set m is bit m - 1)."""
+    full = (1 << size) - 1
+    out = []
+    for picks in range(1 << max(full - 1, 0)):
+        fam = {0, full} | {m for m in range(1, full) if picks >> (m - 1) & 1}
+        if all(a | b in fam and a & b in fam for a in fam for b in fam):
+            out.append(tuple(sorted(fam)))
+    return out
+
+
+def test_enumerate_topologies_equals_the_family_search():
+    for size in range(5):
+        assert [t.opens for t in T.enumerate_topologies(size)] == brute_topologies(size)
+
+
+def test_coproduct_opens_are_the_sets_with_open_traces():
+    """Brute force over all subsets of the disjoint union: a set is open
+    iff its trace on every summand is open there."""
+    rng = random.Random(30)
+    tops = {size: list(T.enumerate_topologies(size)) for size in range(4)}
+    for _ in range(40):
+        parts, offsets, total = [], [], 0
+        for _ in range(rng.randint(1, 4)):
+            t = rng.choice(tops[rng.randint(0, min(3, 6 - total))])
+            parts.append(t)
+            offsets.append(total)
+            total += t.size
+        expect = tuple(m for m in range(1 << total)
+                       if all((m >> off) & ((1 << t.size) - 1) in t.opens
+                              for t, off in zip(parts, offsets)))
+        assert T.coproduct(parts).opens == expect
+
+
+def test_specialization_preorder_is_the_closure_order():
+    """x <= y iff x lies in the closure of {y}, the closure taken through
+    the interior of the complement."""
+    for size in range(5):
+        for t in T.enumerate_topologies(size):
+            p = T.specialization_preorder(t)
+            for x in range(size):
+                for y in range(size):
+                    assert p.leq(x, y) == bool(t.closure_bits(1 << y) >> x & 1)
 
 
 def test_json_round_trip():
