@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import (
     IndexOutOfRange,
     NotClosed,
+    SizeTooLarge,
     TooLarge,
     TooLargeForExhaustive,
     TooManyAtoms,
@@ -34,7 +35,7 @@ from .errors import (
     json_size,
 )
 from . import setalg as sa
-from .topology import enumerate_topologies, make_topology, set_of
+from .topology import FRAME_SIZE_CAP, enumerate_topologies, make_topology, set_of
 
 MATERIALIZE_CAP = 20
 # the representation search's largest structure: 2^8 = 256 elements
@@ -193,9 +194,6 @@ class Algebra:
 
     def eq(self, a, b) -> bool:
         return a == b
-
-    def le(self, a, b) -> bool:
-        return self.eq(self.times(a, b), a)
 
     def q(self, i, a):
         return self.minus(self.cyl(i, self.minus(a)))
@@ -800,7 +798,11 @@ class Representation(NamedTuple):
 def try_represent(structure: AtomStructure, max_base: int = 3) -> dict:
     """Bounded search for an embedding of cm(structure) into a full
     topological set algebra of base at most max_base: the discrete
-    topology first, then the others in enumeration order.
+    topology first, then the others in enumeration order. Only the closure
+    condition reads the topology, and with identity interiors it holds on
+    the discrete one, so such a structure tries the discrete one alone.
+    Any other structure is refused at a base past FRAME_SIZE_CAP, the last
+    size whose topologies are enumerated.
 
     Failure is a bounded-search-exhausted report, never a proof of
     non-representability. A represented algebra satisfies every CA axiom,
@@ -811,7 +813,14 @@ def try_represent(structure: AtomStructure, max_base: int = 3) -> dict:
         raise TooLarge(f"representation search capped at {REPRESENT_CAP} atoms")
     for u in range(1, max_base + 1):
         discrete = make_topology(u, preset="discrete")
-        for topo in [discrete] + [t for t in enumerate_topologies(u) if t != discrete]:
+        topologies = [discrete]
+        if any(desc is not None for desc in structure.interior):
+            if u > FRAME_SIZE_CAP:
+                raise SizeTooLarge(f"a structure with an interior table is searched "
+                                   f"on bases up to {FRAME_SIZE_CAP}")
+            topologies = itertools.chain(
+                topologies, (t for t in enumerate_topologies(u) if t != discrete))
+        for topo in topologies:
             space = sa.SetAlgebraSpace(structure.dim, u, topo)
             rep = _search_assignment(structure, space)
             if rep is not None:
@@ -833,14 +842,18 @@ def _search_assignment(structure: AtomStructure, space) -> Optional[Representati
     A code's candidates are the atoms whose D-membership is the code's
     diagonal pattern. Labelling code c with atom a leaves to each later code
     of c's i-fiber (the codes differing from c only at i) the candidates in
-    both[i][a], and once a fiber is labelled every atom x with T_i(x, b) for
-    a label b must label one of its codes. These cuts, like the count of
-    atoms still unused, drop only labellings that _embeds refuses: the map
-    must send D_ij to d_ij, c_i of a code's label must hold the labels of
-    its fiber-mates, and each code labelled b lies in c_i of the image of
-    every x with T_i(x, b)."""
-    k, ncodes, n = structure.num_atoms, space.ncodes, structure.dim
-    both, T = structure.both, structure.T
+    both[i][a]. Every atom x with T_i(x, b) for a label b of a fiber must
+    label one of its codes, so while the fiber fills, the atoms still needed
+    must fit its unlabelled codes, each one a candidate of such a code.
+    With an interior table, a closed fiber must also meet the closure
+    condition on its own points. These cuts, like the count of atoms still
+    unused, drop only labellings that _embeds refuses: the map must send
+    D_ij to d_ij, c_i of a code's label must hold the labels of its
+    fiber-mates, each code labelled b lies in c_i of the image of every x
+    with T_i(x, b), and C_i of an atom's image is the image of its
+    closure."""
+    k, ncodes, n, u = structure.num_atoms, space.ncodes, structure.dim, space.base_size
+    both, T, closure = structure.both, structure.T, structure.converse
     fibers = [[sa.cyl(space, i, 1 << c) for i in range(n)] for c in range(ncodes)]
     candidates = []
     for c in range(ncodes):
@@ -855,14 +868,26 @@ def _search_assignment(structure: AtomStructure, space) -> Optional[Representati
         label[c] = a
         rest = candidates[:]
         for i in range(n):
-            later = fibers[c][i] >> c + 1 << c + 1
-            for f in set_of(later):
+            later, reach = set_of(fibers[c][i] >> c + 1 << c + 1), 0
+            for f in later:
                 rest[f] &= both[i][a]
                 if not rest[f]:
                     return None
-            if not later:  # c closes its i-fiber: the back condition
-                labels = sum({1 << label[f] for f in set_of(fibers[c][i])})
-                if any(T[i][x] & labels for x in range(k) if not labels >> x & 1):
+                reach |= rest[f]
+            # the back condition on the fiber so far: equal to the check
+            # of the whole fiber once c closes it
+            labels = sum({1 << label[f] for f in set_of(fibers[c][i] & (2 << c) - 1)})
+            need = sum(1 << x for x in range(k) if T[i][x] & labels) & ~labels
+            if need.bit_count() > len(later) or need & ~reach:
+                return None
+            if not later and closure[i] is not None:
+                # c closes its i-fiber: C_i acts on each fiber alone, as
+                # the closure of the points where each atom lies
+                points = [0] * k
+                for f in set_of(fibers[c][i]):
+                    points[label[f]] |= 1 << f // u ** i % u
+                if any(space.topology.closure_bits(points[x]) != sum(
+                        points[b] for b in set_of(closure[i][x])) for x in range(k)):
                     return None
         return rest
 

@@ -9,7 +9,10 @@ semantics. A satisfaction set is an int bitmask over the points of one
 model, or, for a batch, a bool array (V, size) with one row per valuation,
 or, in the countermodel search, a uint8 array of point masks with one entry
 per frame and valuation. `~` on an int or a uint8 also sets every bit above
-the base, so those results are masked once with `full &`.
+the base, so those results are masked once with `full &`. The interiors are
+stated once, `FiniteTopology.interior_bits` and `_kripke_interior_bits`;
+batches and the search read them through cached per-frame tables, and
+`topology.FRAME_SIZE_CAP` bounds the search.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 
 from .errors import NotContinuous, SizeTooLarge
 from .topology import (
+    FRAME_SIZE_CAP,
     FiniteTopology,
     Preorder,
     bits_of,
@@ -251,30 +255,13 @@ def _eval(f: Formula, val, zero, interior, preimage=None):
     return ~a | b
 
 
-def _kripke_interior_bits(up, sat: int) -> int:
-    """Points all of whose successors lie in sat."""
+def _kripke_interior_bits(up, sat):
+    """Points all of whose successors lie in sat, elementwise: sat and each
+    successor mask up[x] may be arrays, e.g. over point-sets and frames."""
     out = 0
     for x, succ in enumerate(up):
-        if succ & ~sat == 0:
-            out |= 1 << x
+        out |= (succ & ~sat == 0) << x
     return out
-
-
-def _bool_rows(masks, size: int) -> np.ndarray:
-    """Bool matrix whose row r holds the bits of masks[r]."""
-    return (np.array(masks)[:, None] >> np.arange(size) & 1).astype(bool)
-
-
-def _topo_interior_array(t: FiniteTopology):
-    """Union of the opens inside each row; the bool matmuls cannot overflow."""
-    opens = _bool_rows(t.opens, t.size)
-    return lambda sat: ~(~sat @ opens.T) @ opens
-
-
-def _kripke_interior_array(p: Preorder):
-    """Rows' points with no successor outside the row."""
-    reach = _bool_rows(p.up, p.size)
-    return lambda sat: ~(~sat @ reach.T)
 
 
 def eval_topo(m: TopoModel, f: Formula) -> frozenset:
@@ -297,24 +284,38 @@ def eval_dynamic(m: DynamicModel, f: Formula) -> frozenset:
 # -- batched evaluation (one pass over many valuations) ------------------
 
 
-def _empty_rows(vals: Dict[int, np.ndarray], size: int) -> np.ndarray:
-    return np.zeros(next(iter(vals.values())).shape if vals else (1, size), dtype=bool)
+@lru_cache(maxsize=None)
+def _interior_rows(frame) -> np.ndarray:
+    """Bool row s: the interior of point-set s in `frame`, a topology
+    (`interior_bits`) or a preorder (`_kripke_interior_bits`)."""
+    sets = np.arange(1 << frame.size)
+    masks = (np.vectorize(frame.interior_bits)(sets) if isinstance(frame, FiniteTopology)
+             else _kripke_interior_bits(frame.up, sets))
+    rows = (masks[:, None] >> np.arange(frame.size) & 1).astype(bool)
+    rows.flags.writeable = False
+    return rows
+
+
+def _eval_rows(frame, vals: Dict[int, np.ndarray], f: Formula) -> np.ndarray:
+    """Both batch evaluators: a row's interior is the row of its point-set
+    in the frame's cached interior rows."""
+    rows = _interior_rows(frame)
+    zero = np.zeros_like(next(iter(vals.values()), rows[:1]))
+    return _eval(f, vals, zero, lambda sat: rows[sat @ (1 << np.arange(frame.size))])
 
 
 def eval_kripke_batch(p: Preorder, vals: Dict[int, np.ndarray], f: Formula) -> np.ndarray:
     """vals maps atom -> bool array (V, size); returns bool array (V, size)."""
-    return _eval(f, vals, _empty_rows(vals, p.size), _kripke_interior_array(p))
+    return _eval_rows(p, vals, f)
 
 
 def eval_topo_batch(t: FiniteTopology, vals: Dict[int, np.ndarray], f: Formula) -> np.ndarray:
     """vals maps atom -> bool array (V, size); returns bool array (V, size)."""
-    return _eval(f, vals, _empty_rows(vals, t.size), _topo_interior_array(t))
+    return _eval_rows(t, vals, f)
 
 
 # -- countermodel search --------------------------------------------------
 
-TOPO_SEARCH_CAP = 4
-KRIPKE_SEARCH_CAP = 5
 # frame x valuation cells evaluated at once: bounds the search's arrays and
 # keeps its early exit close to the first refuting frame
 _BLOCK_CELLS = 1 << 15
@@ -324,18 +325,16 @@ _BLOCK_CELLS = 1 << 15
 def _frame_table(size: int, mode: str) -> Tuple[tuple, np.ndarray]:
     """Every frame of one size, in enumeration order, and their interior
     table: row k, column s is the interior of point-set s in the k-th
-    topology (`FiniteTopology.interior_bits`, the union of opens) or the
-    k-th preorder (the successor rows: bit x of row s is set iff
-    up[x] & ~s == 0, one array expression over every preorder). The table
-    is read-only: the cache hands the same array to every search."""
-    sets = range(1 << size)
+    topology (`FiniteTopology.interior_bits`) or the k-th preorder (one
+    `_kripke_interior_bits` call over every preorder's successor columns).
+    The table is read-only: the cache hands the same array to every search."""
     if mode == "topo":
         frames = tuple(enumerate_topologies(size))
-        rows = [[t.interior_bits(s) for s in sets] for t in frames]
+        rows = [[t.interior_bits(s) for s in range(1 << size)] for t in frames]
     else:
         frames = tuple(enumerate_preorders(size))
-        up = np.array([p.up for p in frames]).reshape(-1, 1, size)
-        rows = ((up & ~np.array(sets)[:, None] == 0) << np.arange(size)).sum(axis=2)
+        up = np.array([p.up for p in frames]).T[:, :, None]
+        rows = _kripke_interior_bits(up, np.arange(1 << size))
     table = np.array(rows, dtype=np.uint8)
     table.flags.writeable = False
     return frames, table
@@ -394,9 +393,8 @@ def find_countermodel(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     topo = mode == "topo"
-    cap = TOPO_SEARCH_CAP if topo else KRIPKE_SEARCH_CAP
-    if max_size > cap:
-        raise SizeTooLarge(f"{mode} search capped at size {cap}")
+    if max_size > FRAME_SIZE_CAP:
+        raise SizeTooLarge(f"{mode} search capped at size {FRAME_SIZE_CAP}")
     alphabet = tuple(sorted(atoms_of(f)))
     exhaustive = len(alphabet) <= 2
     rng = random.Random(seed)

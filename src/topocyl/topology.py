@@ -4,7 +4,9 @@ On a finite set the topologies are the Alexandrov topologies of the
 preorders (Alexandroff 1937; McKinsey and Tarski 1944): the opens are the
 up-sets of the specialization preorder, x <= y iff y lies in the least open
 neighbourhood of x. Topologies are enumerated as the images of the preorders;
-interior and closure stay defined by the opens alone.
+interior and closure stay defined by the opens alone (`interior_bits`; the
+preorder's box is `modal._kripke_interior_bits`). FRAME_SIZE_CAP bounds both
+enumerations and the modal countermodel search.
 
 Points of a space of size u are 0..u-1 and point-sets are int bitmasks
 internally; the public API accepts any iterable of points and returns
@@ -29,7 +31,7 @@ from .errors import (
     json_size,
 )
 
-ENUM_SIZE_CAP = 4
+FRAME_SIZE_CAP = 5  # 6,942 labelled preorders, and as many topologies
 
 
 def bits_of(points: Iterable[int], size: int) -> int:
@@ -271,23 +273,23 @@ def subspace(t: FiniteTopology, s: Iterable[int]) -> FiniteTopology:
 
 
 def enumerate_topologies(size: int) -> Iterator[FiniteTopology]:
-    """All distinct topologies on {0..size-1}, each exactly once (size <= 4):
+    """All distinct topologies on {0..size-1}, each exactly once:
     the Alexandrov images of the preorders, ordered by their families of
     opens read as bitmasks over the subsets."""
     if size < 0:
         raise ValueError(f"size {size} is negative")
-    if size > ENUM_SIZE_CAP:
-        raise SizeTooLarge(f"enumerate_topologies capped at size {ENUM_SIZE_CAP}")
+    if size > FRAME_SIZE_CAP:
+        raise SizeTooLarge(f"enumerate_topologies capped at size {FRAME_SIZE_CAP}")
     yield from sorted(map(alexandrov, enumerate_preorders(size)),
                       key=lambda t: sum(1 << o for o in t.opens))
 
 
 def enumerate_preorders(size: int) -> Iterator[Preorder]:
-    """All labelled preorders on {0..size-1} (small sizes only)."""
+    """All labelled preorders on {0..size-1}."""
     if size < 0:
         raise ValueError(f"size {size} is negative")
-    if size > 5:
-        raise SizeTooLarge("enumerate_preorders capped at size 5")
+    if size > FRAME_SIZE_CAP:
+        raise SizeTooLarge(f"enumerate_preorders capped at size {FRAME_SIZE_CAP}")
     if size == 0:
         yield Preorder(0, [])
         return

@@ -15,6 +15,7 @@ from topocyl import setalg as S
 from topocyl import topology as T
 from topocyl.errors import (
     IndexOutOfRange,
+    SizeTooLarge,
     TooLarge,
     TooLargeForExhaustive,
     TooManyAtoms,
@@ -499,6 +500,82 @@ def test_try_represent_refuses_more_than_eight_atoms():
             B.try_represent(s)
 
 
+def latin_structure(k, interior=None):
+    """G_k: dimension 2, k atoms, T_0 = T_1 the full relation, atom 0 alone
+    on d_01 and d_10 and every atom on d_00 and d_11. Each of atoms 1..k-1
+    needs an image with full projections, so u(u - 1) >= (k - 1)u on base u,
+    and the table of a group of order k, a Latin square, represents it on
+    base k: its least base is exactly k."""
+    full = (1 << k) - 1
+    return B.AtomStructure(2, k, [[full] * k] * 2,
+                           {(0, 0): full, (1, 1): full, (0, 1): 1, (1, 0): 1}, interior)
+
+
+def test_latin_structures_are_found_on_their_least_base():
+    for k in range(2, 9):
+        start = time.perf_counter()
+        res = B.try_represent(latin_structure(k), max_base=k)
+        assert time.perf_counter() - start < 5, k
+        rep = res["representation"]
+        assert rep.space.base_size == k, k
+        assert k > 5 or is_embedding(latin_structure(k), rep), k
+
+
+def test_latin_structures_have_no_representation_below_their_least_base():
+    """The fiber cut empties the search below base k; try_represent then
+    runs the exhaustive CA check (k <= 6), and the discrete search alone
+    is asked on bases 1..k-1 for k = 7 and 8."""
+    for k in range(2, 7):
+        assert B.try_represent(latin_structure(k), max_base=k - 1) == {
+            "found": False, "reason": "bounded search exhausted", "max_base": k - 1}
+    for k in (7, 8):
+        for u in range(1, k):
+            space = S.SetAlgebraSpace(2, u, T.make_topology(u, preset="discrete"))
+            assert B._search_assignment(latin_structure(k), space) is None, (k, u)
+
+
+def test_identity_interiors_search_the_discrete_topology_only(monkeypatch):
+    calls = []
+    monkeypatch.setattr(B, "enumerate_topologies",
+                        lambda u, enum=T.enumerate_topologies: calls.append(u) or enum(u))
+    assert B.try_represent(latin_structure(5), max_base=5)["found"]
+    assert not B.try_represent(latin_structure(4), max_base=3)["found"]
+    assert calls == []
+    # an interior table searches the other topologies too
+    assert not B.try_represent(latin_structure(3, [[7] * 3] * 2), max_base=2)["found"]
+    assert calls == [1, 2]
+
+
+def test_closed_fibers_meet_the_closure_condition(monkeypatch):
+    """With an interior table, each fiber is checked against the closure
+    condition as it closes, so every labelling that reaches _embeds is
+    accepted: G_4 with a chain as interior relation on both axes is
+    exhausted on bases 1 to 4, over every topology, without one call."""
+    calls = []
+    embeds = B._embeds
+    monkeypatch.setattr(B, "_embeds", lambda *args: calls.append(args) or embeds(*args))
+    s = latin_structure(4, [[15 >> a << a for a in range(4)]] * 2)
+    assert B.try_represent(s, max_base=4)["reason"] == "bounded search exhausted"
+    assert calls == []
+
+
+def test_interior_tables_are_refused_past_the_frame_size_cap(monkeypatch):
+    """A structure with an interior table is searched on every topology of
+    each base up to FRAME_SIZE_CAP and refused past it, before the discrete
+    search there. The cap is patched to 2 to keep the test short; the one
+    atom is off d_01 while the code (0, 0) is on every diagonal, so no base
+    represents it."""
+    s = B.AtomStructure(2, 1, [[1], [1]], {(0, 0): 1, (1, 1): 1, (0, 1): 0, (1, 0): 0},
+                        [[1], [1]])
+    monkeypatch.setattr(B, "FRAME_SIZE_CAP", 2)
+    assert B.try_represent(s, max_base=2)["reason"] == "CA axiom fails"
+    searched = []
+    monkeypatch.setattr(B, "_search_assignment", lambda s, space: searched.append(space))
+    with pytest.raises(SizeTooLarge, match="searched on bases up to 2"):
+        B.try_represent(s, max_base=3)
+    assert [space.base_size for space in searched] == [1, 2, 2, 2, 2]
+
+
 def test_interior_refuses_an_index_outside_the_dimension():
     """interior refuses an index outside 0..n-1 naming it, as cyl and dg
     do, instead of answering the last axis for index -1."""
@@ -520,7 +597,7 @@ def test_ca_consequences_rederived():
         y = alg.random_element(rng)
         for i in range(2):
             cx = alg.cyl(i, x)
-            assert alg.le(x, cx)
+            assert alg.times(x, cx) == x
             assert alg.cyl(i, cx) == cx
             assert alg.cyl(i, alg.plus(x, y)) == alg.plus(cx, alg.cyl(i, y))
 

@@ -29,6 +29,13 @@ def test_topo_enum(tmp_path):
     assert doc["version"]
 
 
+def test_topo_enum_reaches_the_frame_size_cap(tmp_path):
+    code, doc = run(tmp_path, "topo", "enum", "--max-size", "5")
+    assert code == 0
+    assert doc["results"]["count"] == 6942 and doc["results"]["topologies"] == "elided"
+    assert dispatch(["topo", "enum", "--max-size", "6"]) == 2
+
+
 def test_expectation_mismatch_gives_one(tmp_path):
     code, _ = run(tmp_path, "topo", "enum", "--max-size", "2", "--expect", "5")
     assert code == 1
@@ -331,6 +338,18 @@ def test_bao_commands(tmp_path):
     code, doc = run(tmp_path, "bao", "represent", "--structure", "fullset:2,2",
                     "--max-base", "2", "--expect", "true")
     assert code == 0
+
+
+def test_bao_represent_reaches_base_five_with_identity_interiors(tmp_path):
+    """G_5 (T_0 = T_1 full, atom 0 alone on d_01 and d_10) has least base 5;
+    with identity interiors only the discrete topology is searched."""
+    dump = tmp_path / "G5.json"
+    dump.write_text(json.dumps(B.AtomStructure(
+        2, 5, [[31] * 5] * 2, {(0, 0): 31, (1, 1): 31, (0, 1): 1, (1, 0): 1}).to_json()))
+    code, doc = run(tmp_path, "bao", "represent", "--structure", str(dump),
+                    "--max-base", "5", "--expect", "true")
+    assert code == 0 and doc["results"]["found"] is True
+    assert doc["results"]["representation"]["base"] == 5
 
 
 def test_bao_represent_reports_the_violated_axioms(tmp_path):

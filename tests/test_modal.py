@@ -183,8 +183,9 @@ def test_countermodels():
     assert M.find_countermodel(M.parse("(I I p0 -> I p0) & (I p0 -> I I p0)"),
                                3, "topo") is None
     assert M.find_countermodel(M.parse("I p0 -> p0"), 4, "kripke") is None
-    with pytest.raises(SizeTooLarge):
-        M.find_countermodel(M.parse("p0"), 5, "topo")
+    for mode in ("topo", "kripke"):
+        with pytest.raises(SizeTooLarge, match=f"{mode} search capped at size 5"):
+            M.find_countermodel(M.parse("p0"), T.FRAME_SIZE_CAP + 1, mode)
     # the search order is part of the contract: the same formula, mode and
     # seed give the same frame, valuation and point (3 atoms are sampled,
     # up to 2 are enumerated)
@@ -273,12 +274,12 @@ def test_frame_tables_are_built_once_per_size_and_mode(monkeypatch):
 
 
 def test_s4_schemes_have_no_countermodel_within_the_bound():
-    """Bounded search only: no Kripke countermodel on up to 5 points and no
-    topological one on up to 4. This is not a validity proof."""
+    """Bounded search only: no Kripke or topological countermodel on up to
+    FRAME_SIZE_CAP points. This is not a validity proof."""
     for text in ("I(p0 -> p1) -> (I p0 -> I p1)", "I p0 -> p0", "I p0 -> I I p0"):
         f = M.parse(text)
-        assert M.find_countermodel(f, M.KRIPKE_SEARCH_CAP, "kripke") is None, text
-        assert M.find_countermodel(f, M.TOPO_SEARCH_CAP, "topo") is None, text
+        for mode in ("kripke", "topo"):
+            assert M.find_countermodel(f, T.FRAME_SIZE_CAP, mode) is None, (text, mode)
 
 
 def test_s4_axioms_hold_topologically():
@@ -341,6 +342,31 @@ def test_batches_match_single_models_on_nine_points():
             assert set(np.flatnonzero(topo[r])) == want, (text, bits)
             assert set(np.flatnonzero(kripke[r])) == want, (text, bits)
             assert M.eval_kripke(M.KripkeModel(p, val), f) == want, (text, bits)
+
+
+def test_batches_match_single_models_on_every_small_frame():
+    """Every preorder on 1 to 3 points and its Alexandrov topology, every
+    valuation of p0 and p1, seeded formulas that also name p2 and p3, which
+    have no valuation: each batch row is the single model's satisfaction
+    set on that row's valuation, in each semantics."""
+    rng = random.Random(31)
+    formulas = [M.random_formula(rng, 4, 3) for _ in range(10)] + [M.parse("I p3 | ~I~p2")]
+    for size in (1, 2, 3):
+        grid = list(itertools.product(range(1 << size), repeat=2))
+        vals = {a: np.array([[row[a] >> x & 1 for x in range(size)] for row in grid], bool)
+                for a in (0, 1)}
+        for p in T.enumerate_preorders(size):
+            t = T.alexandrov(p)
+            for f in formulas:
+                kripke = M.eval_kripke_batch(p, vals, f)
+                topo = M.eval_topo_batch(t, vals, f)
+                assert kripke.shape == topo.shape == (len(grid), size)
+                for row, val in enumerate(grid):
+                    val = dict(enumerate(val))
+                    assert set(np.flatnonzero(kripke[row])) == \
+                        M.eval_kripke(M.KripkeModel(p, val), f), (p, val, M.unparse(f))
+                    assert set(np.flatnonzero(topo[row])) == \
+                        M.eval_topo(M.TopoModel(t, val), f), (t, val, M.unparse(f))
 
 
 def test_kripke_frame_tables_match_the_scalar_rows():

@@ -163,16 +163,17 @@ A000798 = (1, 1, 4, 29, 355, 6942)
 
 
 def test_enumeration_counts():
-    """Both enumerations give the labelled counts of OEIS A000798, with no
-    repeats: topologies up to the cap, preorders up to size 5."""
+    """Both enumerations give the labelled counts of OEIS A000798 up to the
+    one frame-size cap, with no repeats, and refuse the next size."""
+    assert T.FRAME_SIZE_CAP == len(A000798) - 1
     for size, count in enumerate(A000798):
         preorders = [p.up for p in T.enumerate_preorders(size)]
         assert len(preorders) == len(set(preorders)) == count
-        if size <= T.ENUM_SIZE_CAP:
-            topologies = [t.opens for t in T.enumerate_topologies(size)]
-            assert len(topologies) == len(set(topologies)) == count
-    with pytest.raises(SizeTooLarge):
-        list(T.enumerate_topologies(5))
+        topologies = [t.opens for t in T.enumerate_topologies(size)]
+        assert len(topologies) == len(set(topologies)) == count
+    for enumerate_ in (T.enumerate_topologies, T.enumerate_preorders):
+        with pytest.raises(SizeTooLarge, match="capped at size 5"):
+            list(enumerate_(T.FRAME_SIZE_CAP + 1))
 
 
 def test_enumeration_refuses_negative_sizes():
