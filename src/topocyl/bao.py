@@ -11,6 +11,23 @@ check_equation checks B environments as one environment of A^B. An element
 of A^B packs B elements into one int, row r from bit r * W on, W being the
 element width rounded up to whole bytes (the bits between rows stay 0); the
 row repunit `rep`, with bit r * W set for every row, replicates constants.
+
+A bitmask algebra builds each batch as one packed column per variable,
+with no Python object per environment. Sampled: random_element of width
+w <= 32 is getrandbits(w), the top w bits of one 32-bit Mersenne Twister
+word, and getrandbits(32 * m) is m such words, the first lowest. So one
+call per batch draws the words of its rows * nvars elements in the order
+the per-element draws take them, environment by environment and variable
+by variable, and variable v's column is every nvars-th word from word v:
+a strided cut of the words' top bytes, one shift and an AND with the
+power's unit. The stream, the values and every verdict are those of the
+per-element draws; a wider element is still one getrandbits. Exhaustive:
+itertools.product order varies variable v every |C|^(nvars-1-v)
+environments, so v's column is a slice of the carrier's bytes, each
+element repeated over its run, built once per check, or of the two runs a
+batch meets when a run is longer than the batch. rows_differ folds each
+row onto its low byte and reads those bytes as binary digits. Any other
+algebra is its own power of one row and takes its environments one by one.
 """
 
 from __future__ import annotations
@@ -43,6 +60,8 @@ REPRESENT_CAP = 8
 EXHAUSTIVE_CAP = 1 << 24
 # bits per packed batch of environments in check_equation
 BATCH_BITS = 1 << 16
+# a row's low byte, once its row is folded onto it -> the digit of its row
+_ROW_DIFFERS = b"0" + b"1" * 255
 
 
 class AtomStructure:
@@ -187,10 +206,10 @@ def _converse(table) -> List[int]:
 
 class Algebra:
     """Protocol: dim, zero, one, plus, times, minus, cyl, dg, interior, eq.
-    By default an algebra packs no rows: it is its own power of one row."""
+    By default an algebra packs no rows: it is its own power of one row,
+    and each batch of environments is one environment."""
 
     dim: int
-    rows_per_batch = 1
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -216,15 +235,26 @@ class Algebra:
     def random_element(self, rng: random.Random):
         raise NotImplementedError
 
-    def draws(self, rng: random.Random, count: int):
-        """`count` successive random_element(rng) draws, lazily."""
-        return map(self.random_element, itertools.repeat(rng, count))
+    def sampled_batches(self, rng: random.Random, samples: int, nvars: int):
+        """`samples` environments of `nvars` variables as batches (rows,
+        columns): column v holds variable v's values in the power of `rows`
+        rows. The values are successive random_element(rng) draws, variable
+        by variable, environment by environment."""
+        for _ in range(samples):
+            yield 1, [self.random_element(rng) for _ in range(nvars)]
+
+    def enumerated_batches(self, carrier: Sequence, nvars: int):
+        """Every environment of `nvars` variables over carrier, in
+        itertools.product order (the last variable fastest), as batches
+        (rows, columns)."""
+        return ((1, list(env)) for env in itertools.product(carrier, repeat=nvars))
 
     def power(self, rows: int) -> "Algebra":
         return self
 
-    def pack(self, xs: Sequence):
-        return xs[0]
+    def row(self, x, r: int):
+        """Row r of an element of this power."""
+        return x
 
     def rows_differ(self, a, b) -> int:
         """Bitmask of the rows where a and b differ."""
@@ -233,9 +263,11 @@ class Algebra:
 
 class BitmaskAlgebra(Algebra):
     """Elements are int bitmasks of `width` bits; `power(rows)` is the
-    direct power whose elements pack `rows` of them (module docstring)."""
+    direct power whose elements pack `rows` of them, and its batches of
+    environments are built as whole columns (module docstring)."""
 
     rep = 1
+    rows = 1
 
     def __init__(self, width: int):
         self.width = width
@@ -257,8 +289,58 @@ class BitmaskAlgebra(Algebra):
     def random_element(self, rng):
         return self.one & rng.getrandbits(self.width)
 
-    def draws(self, rng, count):
-        return map(self.one.__and__, map(rng.getrandbits, itertools.repeat(self.width, count)))
+    def _batch_sizes(self, total):
+        for start in range(0, total, self.rows_per_batch):
+            yield start, min(self.rows_per_batch, total - start)
+
+    def sampled_batches(self, rng, samples, nvars):
+        nb, width = self.row_bytes, self.width
+        # getrandbits(w) for w <= 32 is the top w bits of one 32-bit word:
+        # each word's top nb bytes are one unit of an nb-byte view of the
+        # words (for nb = 3, the word less its low byte)
+        view = "BHII"[nb - 1] if width <= 32 else None
+        for _, rows in self._batch_sizes(samples):
+            p = self.power(rows)
+            if view is None:
+                draws = [self.random_element(rng) for _ in range(rows * nvars)]
+                yield rows, [p.pack(draws[v::nvars]) for v in range(nvars)]
+                continue
+            words = memoryview(rng.getrandbits(32 * rows * nvars)
+                               .to_bytes(4 * rows * nvars, "little")).cast(view)
+            per = 4 // words.itemsize
+            cols = []
+            for v in range(nvars):
+                cut = words[per * v + per - 1::per * nvars]
+                if nb == 3:
+                    cut = bytearray(cut)
+                    del cut[::4]
+                cols.append(int.from_bytes(cut, "little") >> 8 * nb - width & p.one)
+            yield rows, cols
+
+    def enumerated_batches(self, carrier, nvars):
+        nb, size = self.row_bytes, len(carrier)
+        total = size ** nvars
+        elems = [x.to_bytes(nb, "little") for x in carrier]
+        blocks = {}
+        for start, rows in self._batch_sizes(total):
+            end, cols = start + rows, []
+            for v in range(nvars):
+                # variable v's value changes every `run` environments
+                run = size ** (nvars - 1 - v)
+                if run < rows:
+                    # a slice of whole periods of carrier runs, built once
+                    period = size * run
+                    if v not in blocks:
+                        blocks[v] = b"".join(e * run for e in elems) * (rows // period + 2)
+                    at = start % period * nb
+                    cut = blocks[v][at:at + rows * nb]
+                else:
+                    # the batch meets at most two runs
+                    cut = b"".join(
+                        elems[i % size] * (min(end, (i + 1) * run) - max(start, i * run))
+                        for i in range(start // run, (end - 1) // run + 1))
+                cols.append(int.from_bytes(cut, "little"))
+            yield rows, cols
 
     def power(self, rows):
         """The power of `rows` rows, built once per instance."""
@@ -267,7 +349,7 @@ class BitmaskAlgebra(Algebra):
             p = self._powers[rows] = copy.copy(self)
             stride = 8 * self.row_bytes
             p.rep = ((1 << rows * stride) - 1) // ((1 << stride) - 1)
-            p.one, p._powers = self.one * p.rep, {}
+            p.one, p.rows, p._powers = self.one * p.rep, rows, {}
         return p
 
     def pack(self, xs):
@@ -275,15 +357,21 @@ class BitmaskAlgebra(Algebra):
         return int.from_bytes(b"".join(map(int.to_bytes, xs, itertools.repeat(n),
                                            itertools.repeat("little"))), "little")
 
-    def rows_differ(self, a, b):
+    def row(self, x, r):
         stride = 8 * self.row_bytes
-        bits = format(a ^ b, "b")[::-1]
-        rows = 0
-        pos = bits.find("1")
-        while pos >= 0:
-            rows |= 1 << pos // stride
-            pos = bits.find("1", pos - pos % stride + stride)
-        return rows
+        return (x >> r * stride) & ((1 << stride) - 1)
+
+    def rows_differ(self, a, b):
+        nb = self.row_bytes
+        x, folded = a ^ b, 1
+        while folded < nb:
+            # OR each row's bytes onto its low byte, never past the row
+            step = min(folded, nb - folded)
+            x |= x >> 8 * step
+            folded += step
+        # the low byte of every row, the last row first
+        low = x.to_bytes(self.rows * nb, "big")[nb - 1::nb]
+        return int(low.translate(_ROW_DIFFERS), 2)
 
 
 class ComplexAlgebra(BitmaskAlgebra):
@@ -521,9 +609,10 @@ def check_equation(
 ) -> dict:
     """Verdict plus counterexample. guards are (var, k) pairs demanding
     k not in the dimension set of the environment's value for var. Sampled
-    environments come from one stream of `alg.draws`, variable by variable,
-    environment by environment. Each batch of environments is one
-    environment of a direct power of alg. samples below 1 is refused in
+    environments come from one random.Random(seed) stream of
+    random_element draws, variable by variable, environment by environment.
+    Each batch of environments is one environment of a direct power of alg
+    (`sampled_batches`, `enumerated_batches`). samples below 1 is refused in
     every mode: a sampled check of no environment would pass vacuously."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -542,23 +631,19 @@ def check_equation(
             raise TooLargeForExhaustive(
                 f"{len(carrier)}^{nvars} environments exceed the exhaustive cap"
             )
-        envs = itertools.product(carrier, repeat=nvars)
+        batches = alg.enumerated_batches(carrier, nvars)
     elif mode == "sampled":
-        draws = alg.draws(random.Random(seed), samples * nvars)
-        envs = zip(*[draws] * nvars) if nvars else itertools.repeat((), samples)
+        batches = alg.sampled_batches(random.Random(seed), samples, nvars)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     tested = 0
-    while True:
-        batch = list(itertools.islice(envs, alg.rows_per_batch))
-        if not batch:
-            return {"verdict": "holds" if tested else "vacuous", "mode": mode, "tested": tested}
-        p = alg.power(len(batch))
-        env = {v: p.pack(col) for v, col in zip(eq.vars, zip(*batch))}
+    for rows, cols in batches:
+        p = alg.power(rows)
+        env = dict(zip(eq.vars, cols))
         skip = 0
         for v, k in guards:
             skip |= p.rows_differ(p.cyl(k, env[v]), env[v])
-        if skip == (1 << len(batch)) - 1:
+        if skip == (1 << rows) - 1:
             continue
         a = eval_term(p, eq.lhs, env)
         b = eval_term(p, eq.rhs, env)
@@ -568,8 +653,9 @@ def check_equation(
             r = (fails & -fails).bit_length() - 1
             tested += r + 1 - (skip & ((1 << r) - 1)).bit_count()
             return {"verdict": "fails", "mode": mode, "tested": tested,
-                    "counterexample": dict(zip(eq.vars, batch[r]))}
-        tested += len(batch) - skip.bit_count()
+                    "counterexample": {v: p.row(x, r) for v, x in env.items()}}
+        tested += rows - skip.bit_count()
+    return {"verdict": "holds" if tested else "vacuous", "mode": mode, "tested": tested}
 
 
 # -- axiom suites -------------------------------------------------------------
@@ -854,19 +940,13 @@ def _search_assignment(structure: AtomStructure, space) -> Optional[Representati
     closure."""
     k, ncodes, n, u = structure.num_atoms, space.ncodes, structure.dim, space.base_size
     both, T, closure = structure.both, structure.T, structure.converse
-    fibers = [[sa.cyl(space, i, 1 << c) for i in range(n)] for c in range(ncodes)]
-    candidates = []
-    for c in range(ncodes):
-        m = (1 << k) - 1
-        for (i, j), d in structure.D.items():
-            m &= d if sa.diag(space, i, j) >> c & 1 else ~d
-        candidates.append(m)
+    fibers, candidates = _code_tables(n, u, k, tuple(structure.D.items()))
     label = [0] * ncodes
 
     def labelled(c, a, candidates):
         """The candidates once c is labelled a, or None if a cut fires."""
         label[c] = a
-        rest = candidates[:]
+        rest = list(candidates)
         for i in range(n):
             later, reach = set_of(fibers[c][i] >> c + 1 << c + 1), 0
             for f in later:
@@ -906,6 +986,24 @@ def _search_assignment(structure: AtomStructure, space) -> Optional[Representati
         return None
 
     return backtrack(0, candidates, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _code_tables(dim: int, u: int, num_atoms: int, diagonals: tuple) -> tuple:
+    """Per code of the cube of dimension dim over u points: its i-fiber for
+    each axis i, and its candidates among num_atoms atoms with diagonal
+    atom sets `diagonals` ((i, j), D_ij). Neither reads a topology, so the
+    search builds them once per base and reads them on every topology."""
+    space = sa.SetAlgebraSpace(dim, u)
+    fibers = tuple(tuple(sa.cyl(space, i, 1 << c) for i in range(dim))
+                   for c in range(space.ncodes))
+    candidates = []
+    for c in range(space.ncodes):
+        m = (1 << num_atoms) - 1
+        for (i, j), d in diagonals:
+            m &= d if sa.diag(space, i, j) >> c & 1 else ~d
+        candidates.append(m)
+    return fibers, tuple(candidates)
 
 
 def _embeds(structure: AtomStructure, space, images) -> bool:

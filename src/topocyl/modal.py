@@ -257,10 +257,11 @@ def _eval(f: Formula, val, zero, interior, preimage=None):
 
 def _kripke_interior_bits(up, sat):
     """Points all of whose successors lie in sat, elementwise: sat and each
-    successor mask up[x] may be arrays, e.g. over point-sets and frames."""
-    out = 0
+    successor mask up[x] may be arrays, e.g. over point-sets and frames. On
+    no points every entry of sat has the empty interior."""
+    out = sat & 0
     for x, succ in enumerate(up):
-        out |= (succ & ~sat == 0) << x
+        out = out | (succ & ~sat == 0) << x
     return out
 
 

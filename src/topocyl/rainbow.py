@@ -950,8 +950,10 @@ class RainbowComplexAlgebra(bao.Algebra):
 
     def random_element(self, rng):
         _, valid = self.structure.rows()
+        # the raw PCG64 words: NumPy keeps the bit stream of a seeded bit
+        # generator fixed across releases, but not Generator.integers
         sub = np.random.default_rng(rng.randrange(1 << 32))
-        words = sub.integers(0, 1 << 64, size=valid.shape[::-1], dtype=np.uint64).T
+        words = sub.bit_generator.random_raw(size=valid.shape[::-1]).T
         return self._element(words & valid)
 
     def atom_singleton(self, code: int):

@@ -648,7 +648,9 @@ def _power_cases():
 
 
 def test_direct_power_is_rowwise():
-    """Every operation of the direct power acts on each row on its own."""
+    """Every operation of the direct power acts on each row on its own, and
+    rows_differ marks the rows that differ at any bit, for every width up
+    to 81 bits."""
     rng = random.Random(12)
     for alg in _power_cases():
         p = alg.power(5)
@@ -672,25 +674,131 @@ def test_direct_power_is_rowwise():
             for j in range(alg.dim):
                 assert p.dg(i, j) == p.pack([alg.dg(i, j)] * 5)
                 assert p.s(i, j, x) == rowwise(lambda v: alg.s(i, j, v), xs)
+        assert [p.row(x, r) for r in range(5)] == xs
         ys[0], ys[2] = xs[0], xs[2]
         want = sum(1 << r for r in range(5) if xs[r] != ys[r])
         assert p.rows_differ(x, p.pack(ys)) == want
+    for width in range(82):
+        alg = B.BitmaskAlgebra(width)
+        for rows in (1, 2, 3, 9, 40):
+            p = alg.power(rows)
+            for _ in range(4):
+                xs = [alg.random_element(rng) for _ in range(rows)]
+                # equal rows, rows one bit apart at any bit, unrelated rows
+                ys = [rng.choice([x, x ^ 1 << rng.randrange(width) if width else x,
+                                  alg.random_element(rng)]) for x in xs]
+                want = sum(1 << r for r in range(rows) if xs[r] != ys[r])
+                assert p.rows_differ(p.pack(xs), p.pack(ys)) == want, (width, rows)
+
+
+def _generalized_space():
+    return S.GeneralizedSpace([S.SetAlgebraSpace(2, u, T.make_topology(u, preset="indiscrete"))
+                               for u in (1, 2)])
+
+
+def _column_cases():
+    """Bare bitmask algebras of the widths around each byte and word edge,
+    a complex algebra, a cube and a generalized space."""
+    indiscrete = T.make_topology(2, preset="indiscrete")
+    yield from map(B.BitmaskAlgebra, (0, 1, 7, 8, 9, 16, 17, 27, 32, 33, 64))
+    yield B.cm(B.atom_structure_of(S.SetAlgebraSpace(2, 2, indiscrete)))
+    yield B.SetAlgebra(S.SetAlgebraSpace(3, 2, indiscrete))
+    yield B.SetAlgebra(_generalized_space())
+
+
+def _reference_batches(alg, envs):
+    """envs in batches of rows_per_batch, each variable's values packed."""
+    out = []
+    for start in range(0, len(envs), alg.rows_per_batch):
+        batch = envs[start:start + alg.rows_per_batch]
+        p = alg.power(len(batch))
+        out.append((len(batch), [p.pack(col) for col in zip(*batch)]))
+    return out
 
 
 def test_draws_are_successive_random_elements():
-    """`draws(rng, k)` is k successive random_element(rng) calls, for a
-    complex algebra, a cube and a generalized space, and stays below the
-    unit."""
-    indiscrete = T.make_topology(2, preset="indiscrete")
-    g = S.GeneralizedSpace([S.SetAlgebraSpace(2, u, T.make_topology(u, preset="indiscrete"))
-                            for u in (1, 2)])
-    for alg in (B.cm(B.atom_structure_of(S.SetAlgebraSpace(2, 2, indiscrete))),
-                B.SetAlgebra(S.SetAlgebraSpace(3, 2, indiscrete)), B.SetAlgebra(g)):
-        for seed in range(3):
-            rng = random.Random(seed)
-            want = [alg.random_element(rng) for _ in range(40)]
-            assert list(alg.draws(random.Random(seed), 40)) == want
-            assert all(x & ~alg.one == 0 for x in want)
+    """Sampled batches hold successive random_element(rng) calls, variable
+    by variable, environment by environment, each column packed as `pack`
+    packs it, for every width around a byte and word edge (one getrandbits
+    per batch up to 32 bits, one per element beyond), 0 to 3 variables and
+    sample counts that end mid-batch and cross batches. Every value stays
+    below the unit."""
+    for alg in _column_cases():
+        for rows_per_batch in (alg.rows_per_batch, 5):
+            alg.rows_per_batch = rows_per_batch
+            for nvars, samples in itertools.product(range(4), (1, 12, rows_per_batch + 3)):
+                seed = samples + 10 * nvars
+                rng = random.Random(seed)
+                draws = [alg.random_element(rng) for _ in range(samples * nvars)]
+                envs = [tuple(draws[e * nvars:(e + 1) * nvars]) for e in range(samples)]
+                got = list(alg.sampled_batches(random.Random(seed), samples, nvars))
+                assert got == _reference_batches(alg, envs), (alg.width, nvars, samples)
+                assert all(x & ~alg.one == 0 for x in draws)
+
+
+def test_enumerated_batches_are_the_product():
+    """Exhaustive batches are itertools.product over the carrier, the last
+    variable fastest, packed: for plain ranges and a generalized space's
+    carrier, 0 to 3 variables, and batches shorter and longer than a
+    variable's run of equal values."""
+    cases = [(B.BitmaskAlgebra(w), list(range(1 << w))) for w in (0, 1, 2, 3, 9)]
+    g = B.SetAlgebra(_generalized_space())
+    cases.append((g, g.carrier_list()))
+    for alg, carrier in cases:
+        for rows_per_batch in (alg.rows_per_batch, 1, 5, 7, 64):
+            alg.rows_per_batch = rows_per_batch
+            for nvars in range(4):
+                if len(carrier) ** nvars > 1 << 15:
+                    continue
+                envs = list(itertools.product(carrier, repeat=nvars))
+                assert list(alg.enumerated_batches(carrier, nvars)) == \
+                    _reference_batches(alg, envs), (alg.width, rows_per_batch, nvars)
+
+
+def _reference_check(alg, eq, envs, guards):
+    """check_equation's verdict, one environment of alg at a time."""
+    tested = 0
+    for env in envs:
+        env = dict(zip(eq.vars, env))
+        if any(alg.cyl(k, env[v]) != env[v] for v, k in guards):
+            continue
+        tested += 1
+        a, b = B.eval_term(alg, eq.lhs, env), B.eval_term(alg, eq.rhs, env)
+        if (alg.times(a, b) if eq.rel == "le" else b) != a:
+            return {"verdict": "fails", "tested": tested, "counterexample": env}
+    return {"verdict": "holds" if tested else "vacuous", "tested": tested}
+
+
+def test_batched_checks_match_one_environment_at_a_time():
+    """Verdicts, counts and counterexamples of the batched check, guards
+    included, equal those of checking each environment on its own, sampled
+    and exhaustive, with batches short enough that failures and skipped
+    rows fall in later batches."""
+    sierpinski = T.make_topology(2, [[], [0], [0, 1]])
+    chang = S.SetAlgebraSpace(2, 2, sierpinski, S.chang_from_topology(sierpinski))
+    algebras = [B.SetAlgebra(chang, boxes="chang"),
+                B.SetAlgebra(_generalized_space()),
+                *itertools.islice(_power_cases(), 3, 5)]
+    checks = [(name, eq, guards) for suite in ("TCA", "S5Chang", "CA")
+              for name, eq, guards in B.axioms_for(suite, 2)]
+    checks.append(("c0(x.y)=x", B.Equation(("cyl", 0, ("times", B.var(0), B.var(1))), B.var(0)),
+                   ((1, 0), (0, 1))))
+    for alg in algebras:
+        for rows_per_batch in (alg.rows_per_batch, 3):
+            alg.rows_per_batch = rows_per_batch
+            for idx, (name, eq, guards) in enumerate(checks):
+                nvars = len(eq.vars)
+                rng = random.Random(idx)
+                draws = [alg.random_element(rng) for _ in range(40 * nvars)]
+                sampled = [draws[e * nvars:(e + 1) * nvars] for e in range(40)]
+                runs = [("sampled", sampled)]
+                if len(alg.carrier_list()) ** nvars <= 1 << 10:
+                    runs.append(("exhaustive", itertools.product(alg.carrier_list(), repeat=nvars)))
+                for mode, envs in runs:
+                    got = B.check_equation(alg, eq, mode=mode, samples=40, seed=idx,
+                                           guards=guards)
+                    assert got.pop("mode") == mode
+                    assert got == _reference_check(alg, eq, envs, guards), (name, mode)
 
 
 def test_powers_are_built_once_per_algebra():
@@ -753,6 +861,16 @@ def test_check_equation_results_pinned():
               for a in rep["axioms"] if a["verdict"] != "holds"]
     assert failed == [("S5Chang6[-B0-p<=B0-B0-p]", 3, {"v0": "2"}),
                       ("S5Chang6[-B1-p<=B1-B1-p]", 5, {"v0": "4"})]
+
+
+def test_three_variable_axiom_checked_exhaustively_on_fullset_three_two():
+    """auto mode checks a three-variable CA axiom of the 256-element cm of
+    fullset:3,2 on all 256^3 environments, the exhaustive cap exactly."""
+    alg = B.cm(B.atom_structure_of(S.SetAlgebraSpace(
+        3, 2, T.make_topology(2, preset="discrete"))))
+    _, eq, guards = next(a for a in B.axioms_for("CA", 3) if a[0] == "BA distr")
+    assert B.check_equation(alg, eq, guards=guards) == {
+        "verdict": "holds", "mode": "exhaustive", "tested": 16777216}
 
 
 def test_set_algebra_modules_do_not_import_numpy():

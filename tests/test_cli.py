@@ -352,6 +352,18 @@ def test_bao_represent_reaches_base_five_with_identity_interiors(tmp_path):
     assert doc["results"]["representation"]["base"] == 5
 
 
+def test_bao_represent_exhausts_fullset_three_two_on_base_one(tmp_path):
+    """fullset:3,2 needs base 2, so with --max-base 1 the search comes up
+    empty and the exhaustive CA check runs, its three-variable axioms over
+    256^3 environments each; the report is the one recorded while that
+    check built one tuple per environment and the command took 32 s."""
+    code, doc = run(tmp_path, "bao", "represent", "--structure", "fullset:3,2",
+                    "--max-base", "1", "--expect", "false")
+    assert code == 0
+    assert doc["results"] == {"found": False, "reason": "bounded search exhausted",
+                              "max_base": 1, "verdict": "false"}
+
+
 def test_bao_represent_reports_the_violated_axioms(tmp_path):
     """A structure that fails the CA suite is reported with the axioms it
     violates and the search bound, as try_represent returns them."""

@@ -345,13 +345,13 @@ def test_batches_match_single_models_on_nine_points():
 
 
 def test_batches_match_single_models_on_every_small_frame():
-    """Every preorder on 1 to 3 points and its Alexandrov topology, every
+    """Every preorder on 0 to 3 points and its Alexandrov topology, every
     valuation of p0 and p1, seeded formulas that also name p2 and p3, which
     have no valuation: each batch row is the single model's satisfaction
     set on that row's valuation, in each semantics."""
     rng = random.Random(31)
     formulas = [M.random_formula(rng, 4, 3) for _ in range(10)] + [M.parse("I p3 | ~I~p2")]
-    for size in (1, 2, 3):
+    for size in (0, 1, 2, 3):
         grid = list(itertools.product(range(1 << size), repeat=2))
         vals = {a: np.array([[row[a] >> x & 1 for x in range(size)] for row in grid], bool)
                 for a in (0, 1)}

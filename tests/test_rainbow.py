@@ -559,6 +559,16 @@ def _packed(flags, valid):
     return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
 
+def test_random_element_pinned(structure):
+    """A seeded random element is its sub-seed's raw PCG64 words with the
+    padding cleared: a sha1 of its (68,905 x 5) words in row order,
+    recorded while the words were drawn with Generator.integers."""
+    x = structure.cm().random_element(random.Random(5))
+    assert np.asarray(x).shape == (68905, 5)
+    assert hashlib.sha1(np.asarray(x).tobytes()).hexdigest() == \
+        "b906dec2f7975893fafc690a898ace9d39db69ed"
+
+
 def test_cylindrifier_oracle_and_random_elements(structure):
     """c_i x is the set of atoms whose pair data away from i is met by x.
 
