@@ -9,8 +9,9 @@ are machine ops.
 An equation holds in A exactly when it holds in a direct power A^B, so
 check_equation checks B environments as one environment of A^B. An element
 of A^B packs B elements into one int, row r from bit r * W on, W being the
-element width rounded up to whole bytes (the bits between rows stay 0); the
-row repunit `rep`, with bit r * W set for every row, replicates constants.
+element width rounded up to a power-of-two number of bytes (the bits
+between rows stay 0); the row repunit `rep`, with bit r * W set for every
+row, replicates constants.
 
 A bitmask algebra builds each batch as one packed column per variable,
 with no Python object per environment. Sampled: random_element of width
@@ -271,7 +272,7 @@ class BitmaskAlgebra(Algebra):
 
     def __init__(self, width: int):
         self.width = width
-        self.row_bytes = (width + 7) // 8 or 1
+        self.row_bytes = 1 << max(0, (width - 1).bit_length() - 3)
         self.rows_per_batch = max(1, BATCH_BITS // (8 * self.row_bytes))
         self.zero = 0
         self.one = (1 << width) - 1
@@ -296,9 +297,8 @@ class BitmaskAlgebra(Algebra):
     def sampled_batches(self, rng, samples, nvars):
         nb, width = self.row_bytes, self.width
         # getrandbits(w) for w <= 32 is the top w bits of one 32-bit word:
-        # each word's top nb bytes are one unit of an nb-byte view of the
-        # words (for nb = 3, the word less its low byte)
-        view = "BHII"[nb - 1] if width <= 32 else None
+        # each word's top nb bytes are one unit of an nb-byte view of it
+        view = {1: "B", 2: "H", 4: "I"}.get(nb)
         for _, rows in self._batch_sizes(samples):
             p = self.power(rows)
             if view is None:
@@ -311,9 +311,6 @@ class BitmaskAlgebra(Algebra):
             cols = []
             for v in range(nvars):
                 cut = words[per * v + per - 1::per * nvars]
-                if nb == 3:
-                    cut = bytearray(cut)
-                    del cut[::4]
                 cols.append(int.from_bytes(cut, "little") >> 8 * nb - width & p.one)
             yield rows, cols
 
@@ -363,12 +360,10 @@ class BitmaskAlgebra(Algebra):
 
     def rows_differ(self, a, b):
         nb = self.row_bytes
-        x, folded = a ^ b, 1
-        while folded < nb:
-            # OR each row's bytes onto its low byte, never past the row
-            step = min(folded, nb - folded)
-            x |= x >> 8 * step
-            folded += step
+        x = a ^ b
+        # OR each row's bytes onto its low byte, never past the row
+        for k in range(nb.bit_length() - 1):
+            x |= x >> (8 << k)
         # the low byte of every row, the last row first
         low = x.to_bytes(self.rows * nb, "big")[nb - 1::nb]
         return int(low.translate(_ROW_DIFFERS), 2)
@@ -895,6 +890,8 @@ def try_represent(structure: AtomStructure, max_base: int = 3) -> dict:
     so the CA check runs only after the search is exhausted: a structure
     that fails it is reported with the violated axioms.
     """
+    if max_base < 1:
+        raise ValueError(f"max_base must be at least 1, got {max_base}")
     if structure.num_atoms > REPRESENT_CAP:
         raise TooLarge(f"representation search capped at {REPRESENT_CAP} atoms")
     for u in range(1, max_base + 1):

@@ -175,11 +175,11 @@ def cmd_modal_countermodel(args):
 
 
 def cmd_modal_equiv(args):
-    for flag, value in (("--max-size", args.max_size),
-                        ("--formulas-per-frame", args.formulas_per_frame),
-                        ("--samples", args.samples)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+    for flag, value, least in (("--max-size", args.max_size, 1),
+                               ("--formulas-per-frame", args.formulas_per_frame, 1),
+                               ("--samples", args.samples, 1), ("--depth", args.depth, 0)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
     mismatches = []
     checked = 0

@@ -19,17 +19,17 @@ cone's base), `cones_in`, and `ColouredGraph`, the only code that orients a
 red or sorts a key. The validator reads `triangle_violation`, never the
 triangle rows that prune the search, so it stays an independent check.
 
-This module is the only reader and writer of the packed n = 3 atom code:
-`pack_atom` / `unpack_atom`, `AtomTable.graph_of` (an atom as kernel
-blocks plus its quotient coloured graph), `AtomTable.atom_of_tuple` (the
-atom a graph gives a node tuple), `KERNEL_EQ` (which index pairs a kernel
-identifies), the 9-bit cylindrifier key of each axis (`key_field`,
-`key_of_code`), the element layout of the complex algebra (`rows`), the
-tables its cylindrifier works on (`row_keys` of axes 1 and 2, `blocks` of
-axis 0) and the run of codes of each kernel (`diag_mask`).
+The packed n = 3 atom code is stated once, in the codec section, and read
+only through it: `AtomTable.graph_of` (an atom as kernel blocks plus its
+quotient coloured graph), `AtomTable.atom_of_tuple` (the atom a graph
+gives a node tuple), `KERNEL_EQ` (which index pairs a kernel identifies),
+the cylindrifier key of each axis (`key_field`, `key_of_code`), the
+element layout of the complex algebra (`rows`), the tables its
+cylindrifier works on (`row_keys` of axes 1 and 2, `blocks` of axis 0) and
+the run of codes of each kernel (`diag_mask`).
 
 An element of `RainbowComplexAlgebra` is a `PackedElement`: one row of W
-uint64 words per group of atoms sharing code >> 9, one bit per atom, 2.76
+uint64 words per group of atoms (equal `group_of`), one bit per atom, 2.76
 MB at n = 3 (a bool per atom took 10.9 MB). x[p] with an integer p reads
 canonical atom p. The atom table emits its codes in code order together
 with that layout, the group bounds and the axis-0 blocks, so no table is
@@ -366,19 +366,19 @@ def is_valid_coloured_graph(g: ColouredGraph) -> Verdict:
     return Verdict(True)
 
 
-# -- the n = 3 atom table ---------------------------------------------------
+# -- the packed n = 3 atom code ----------------------------------------------
 #
 # Atoms are surjections a: 3 -> M onto valid coloured graphs, quotiented by
 # label agreement; equivalently, a kernel partition of {0,1,2} plus the
-# pulled-back pair data. Packed atom code:
-#   code = ((kid*512 + p01)*512 + p02)*512 + p12
-# where pXY = edge*33 + yellow, edge in 0..12 (13 = identified slot),
-# yellow in 0..31 (32 = none). Ascending code order is the canonical atom
-# order (kernel class major, then pair data lexicographically). Every code
-# is below 5 << 27, so the table is CODE_DTYPE (int32), and a code to look
-# up is first refused unless 0 <= code < CODE_END, then taken to that dtype:
-# numpy compares an int32 table with a Python int by copying the whole table
-# to int64.
+# pulled-back pair data, packed as
+#   code = kid << 3 * KEY_BITS | p01 << 2 * KEY_BITS | p02 << KEY_BITS | p12
+# where pXY = pair_value(edge, yellow), IDENT_PAIR on an identified pair
+# and yellow YELLOW_NONE on a pair with no yellow. Each width below is
+# derived from signature(3) and PAIRS; pair_value, slot, key_of, group_of
+# and kernel_of work on Python ints and numpy arrays alike. Ascending code
+# order is the canonical atom order. A code to look up is first refused
+# unless 0 <= code < CODE_END, then taken to CODE_DTYPE: numpy compares an
+# int32 table with a Python int by copying the whole table to int64.
 
 KERNELS = (
     ((0, 1, 2),),
@@ -388,20 +388,71 @@ KERNELS = (
     ((0,), (1,), (2,)),
 )
 
-# the index pairs in the order of their slots, p01 highest
+# the index pairs in the order of their slots, p01 highest; AXIS_OF[pair]
+# is the axis whose key the pair is, the index it leaves out
 PAIRS = ((0, 1), (0, 2), (1, 2))
+AXIS_OF = {pair: len(PAIRS) - 1 - k for k, pair in enumerate(PAIRS)}
 
 # KERNEL_EQ[kid]: whether kernel kid identifies each pair of PAIRS
 KERNEL_EQ = tuple(tuple(any(i in block and j in block for block in blocks) for i, j in PAIRS)
                   for blocks in KERNELS)
 
-PAIR_BASE = 33
-PAIR_SLOTS = 512
-EDGE_NONE = 13
-YELLOW_NONE = 32
+EDGE_NONE = len(signature(3).colours)
+YELLOW_NONE = 1 << signature(3).yellow_universe
+PAIR_BASE = YELLOW_NONE + 1
 IDENT_PAIR = EDGE_NONE * PAIR_BASE + YELLOW_NONE
-CODE_DTYPE = np.int32
+KEY_BITS = IDENT_PAIR.bit_length()
+PAIR_SLOTS = 1 << KEY_BITS
+# An entry of the emission packs a code and the need of its p12 shades (its
+# tail) as code << TAIL_BITS | need; YELLOW_NONE as the need marks an entry
+# without one, which is a single atom. A token is a p12 base and its tail.
+TAIL_BITS = YELLOW_NONE.bit_length()
+# the table's codes; the tokens and the axis-0 key rows
+CODE_DTYPE, TOKEN_DTYPE = np.int32, np.int16
 CODE_END = int(np.iinfo(CODE_DTYPE).max) + 1
+if (len(KERNELS) << len(PAIRS) * KEY_BITS > CODE_END
+        or PAIR_SLOTS << TAIL_BITS > int(np.iinfo(TOKEN_DTYPE).max) + 1):
+    raise OverflowError("the packed n = 3 atom code outgrows CODE_DTYPE or TOKEN_DTYPE")
+
+
+def pair_value(edge, yellow):
+    return edge * PAIR_BASE + yellow
+
+
+def pair_parts(p):
+    return divmod(p, PAIR_BASE)
+
+
+def slot(i, value):
+    """value as the key of axis i, or as the kernel at i = len(PAIRS)."""
+    return value << KEY_BITS * i
+
+
+def key_of(i, code):
+    # no shift on axis 0, which would copy an array
+    return (code >> KEY_BITS * i if i else code) & PAIR_SLOTS - 1
+
+
+def group_of(code):
+    return code >> KEY_BITS
+
+
+def kernel_of(code):
+    return code >> len(PAIRS) * KEY_BITS
+
+
+def pack_atom(kid: int, pairs: Dict[Tuple[int, int], int]) -> int:
+    code = kid
+    for pair in PAIRS:
+        code = (code << KEY_BITS) + pairs.get(pair, IDENT_PAIR)
+    return code
+
+
+def unpack_atom(code: int):
+    return kernel_of(code), {pair: key_of(i, code) for pair, i in AXIS_OF.items()}
+
+
+# -- the n = 3 atom table ---------------------------------------------------
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -412,33 +463,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def pack_atom(kid: int, pairs: Dict[Tuple[int, int], int]) -> int:
-    code = kid
-    for key in PAIRS:
-        code = code * PAIR_SLOTS + pairs.get(key, IDENT_PAIR)
-    return code
-
-
-def unpack_atom(code: int):
-    p12 = code % PAIR_SLOTS
-    code //= PAIR_SLOTS
-    p02 = code % PAIR_SLOTS
-    code //= PAIR_SLOTS
-    p01 = code % PAIR_SLOTS
-    kid = code // PAIR_SLOTS
-    return kid, {(0, 1): p01, (0, 2): p02, (1, 2): p12}
-
-
-# Row g of an element holds group g, the atoms sharing code >> 9 (kid,
+# Row g of an element holds group g, the atoms sharing group_of(code) (kid,
 # p01, p02): bit c % WORD of word c // WORD is its c-th atom. At n = 3
 # there are 68,905 groups of 1 to 261 atoms, so W = 5 words, and 2,443
 # axis-0 blocks with 307 distinct key rows.
 WORD = 64
-
-# An entry of the emission packs a code and the need of its p12 shades
-# (its tail) as code << TAIL_BITS | need; YELLOW_NONE as the need marks an
-# entry without one, which is a single atom.
-TAIL_BITS = 6
 
 # Entries in a span of a run, roughly: the emission's working arrays stay
 # that small, so the memory they free is not left resident under the codes.
@@ -461,8 +490,8 @@ def _spans(runs: Sequence[list], tails: list):
             for weight, need in terms:
                 offsets = np.add.outer(offsets, tails[need] * weight).ravel()
             # heaviest weight first, so the offsets ascend and those of
-            # each shade of p01 (offset >> 18) are one slice
-            cuts = np.searchsorted(offsets, np.arange(YELLOW_NONE + 1) << 18)
+            # each shade of p01 (the key of axis 2) are one slice
+            cuts = np.searchsorted(offsets, slot(2, np.arange(YELLOW_NONE + 1)))
             parts.append((np.array(bases), offsets << TAIL_BITS, cuts))
         # the run's entries of each shade of p01, cut into spans
         counts = sum(bases.shape[0] * np.diff(cuts) for bases, _, cuts in parts)
@@ -480,7 +509,7 @@ def _layout(runs: Sequence[list]) -> Tuple[np.ndarray, np.ndarray, tuple]:
     An entry is a colouring with a shade chosen for every weight but 1,
     the weight of p12 alone; its atoms are its code plus each shade of its
     tail. A span's entries, sorted, list its atoms in code order, so a
-    group is a run of entries sharing code >> 9, and a block a run of
+    group is a run of entries sharing group_of(code), and a block a run of
     groups listing the same p12 bases and tails. prefixes is each group's
     code with p12 cleared, bounds the groups' atom bounds (both
     CODE_DTYPE), and blocks (starts, rows, keys) are
@@ -494,15 +523,15 @@ def _layout(runs: Sequence[list]) -> Tuple[np.ndarray, np.ndarray, tuple]:
     ngroups = natoms = cols = 0
     for entries in _spans(runs, tails):
         entries.sort()
-        # each entry's group (code >> 9) and token (p12 base and tail,
-        # below 1 << 15), narrowed with no int64 temporary
-        group, tokens = np.empty(entries.shape, CODE_DTYPE), np.empty(entries.shape, np.int16)
-        np.right_shift(entries, 9 + TAIL_BITS, out=group, casting="unsafe")
+        # each entry's group (group_of its code) and token (p12 base and
+        # tail), narrowed with no int64 temporary
+        group, tokens = np.empty(entries.shape, CODE_DTYPE), np.empty(entries.shape, TOKEN_DTYPE)
+        np.right_shift(entries, KEY_BITS + TAIL_BITS, out=group, casting="unsafe")
         np.bitwise_and(entries, (PAIR_SLOTS << TAIL_BITS) - 1, out=tokens, casting="unsafe")
         del entries
         starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
         count = np.diff(starts, append=tokens.shape[0]).astype(CODE_DTYPE)
-        prefixes.append(group[starts] << 9)
+        prefixes.append(slot(1, group[starts]))
         del group
         widths = np.add.reduceat(tail_widths[tokens & (1 << TAIL_BITS) - 1], starts)
         ends.append(np.cumsum(widths, dtype=CODE_DTYPE) + natoms)
@@ -523,8 +552,8 @@ def _layout(runs: Sequence[list]) -> Tuple[np.ndarray, np.ndarray, tuple]:
     for seq in seqs:
         if seq not in key_rows:
             atoms = np.concatenate([(t >> TAIL_BITS) + tails[t & (1 << TAIL_BITS) - 1]
-                                    for t in np.frombuffer(seq, dtype=np.int16).tolist()])
-            row = np.full(cols, PAIR_SLOTS, dtype=np.int16)
+                                    for t in np.frombuffer(seq, dtype=TOKEN_DTYPE).tolist()])
+            row = np.full(cols, PAIR_SLOTS, dtype=TOKEN_DTYPE)
             row[:atoms.shape[0]] = atoms
             key_rows[seq] = row.tobytes()
     # distinct key rows numbered as they first appear; adjacent blocks of
@@ -533,7 +562,7 @@ def _layout(runs: Sequence[list]) -> Tuple[np.ndarray, np.ndarray, tuple]:
     rows = np.array([ids.setdefault(key_rows[seq], len(ids)) for seq in seqs], dtype=np.intp)
     keep = np.r_[True, rows[1:] != rows[:-1]]
     starts = np.concatenate(firsts).astype(np.intp)[keep]
-    keys = np.frombuffer(b"".join(ids), dtype=np.int16).reshape(len(ids), cols)
+    keys = np.frombuffer(b"".join(ids), dtype=TOKEN_DTYPE).reshape(len(ids), cols)
     blocks = tuple(_read_only(a) for a in (starts, rows[keep], keys))
     bounds = np.concatenate([np.zeros(1, dtype=CODE_DTYPE), *ends])
     return np.concatenate(prefixes), _read_only(bounds), blocks
@@ -581,13 +610,13 @@ class AtomTable:
         `RainbowStructure.blocks`.
         """
         sig = self.sig
-        runs = collections.defaultdict(list)   # (kid, edge of p01) -> [(code, {weight: need})]
+        runs = collections.defaultdict(list)   # (kid, base p01) -> [(code, {weight: need})]
         for kid, blocks in enumerate(KERNELS):
             # delta[i]: the block of index i
             delta = [b for i in range(3) for b, block in enumerate(blocks) if i in block]
             nodes = range(len(blocks))
             pairs = list(itertools.combinations(nodes, 2))
-            weight = {p: sum(PAIR_SLOTS ** (len(PAIRS) - 1 - k) for k, (i, j) in enumerate(PAIRS)
+            weight = {p: sum(slot(AXIS_OF[i, j], 1) for i, j in PAIRS
                              if {delta[i], delta[j]} == set(p)) for p in pairs}
             for colouring in itertools.product(sig.colours, repeat=len(pairs)):
                 g = ColouredGraph(sig, nodes, dict(zip(pairs, colouring)), {})
@@ -603,7 +632,9 @@ class AtomTable:
                     g.set_yellow(base, g.yellow(base) | {tint})
                 # the pairs of a kernel pull back to distinct weights
                 needs = {weight[p]: sum(1 << t for t in ts) for p, ts in g.yellows.items()}
-                runs[code >> 27, (code >> 18 & PAIR_SLOTS - 1) // PAIR_BASE].append((code, needs))
+                # the base code's p01 stands for its edge: its yellow is 0,
+                # or none on a green edge
+                runs[kid, key_of(2, code)].append((code, needs))
         # popped, so that no colouring outlives the layout
         prefixes, bounds, axis0 = _layout([runs.pop(r) for r in sorted(runs)])
         return _read_only(_emit(prefixes, bounds, axis0)), bounds, axis0
@@ -619,7 +650,7 @@ class AtomTable:
         for (i, j), p in pairs.items():
             if p == IDENT_PAIR:
                 continue
-            e, y = divmod(p, PAIR_BASE)
+            e, y = pair_parts(p)
             g.set_edge(node_of[i], node_of[j], self.sig.colours[e])
             if y != YELLOW_NONE:
                 g.set_yellow((node_of[i], node_of[j]), self.sig.shades[y])
@@ -642,7 +673,7 @@ class AtomTable:
                 if S is None:
                     raise ValueError(f"pair ({u},{v}) missing its yellow label")
                 y = sum(1 << t for t in S)
-            pairs[(i, j)] = e * PAIR_BASE + y
+            pairs[(i, j)] = pair_value(e, y)
         return pack_atom(kid, pairs)
 
     def first_atoms(self, limit: int) -> list:
@@ -762,7 +793,7 @@ class RainbowStructure:
                 codes = self.codes
                 out = np.empty(self.num_atoms, dtype=np.uint16)
                 for lo in range(0, self.num_atoms, CYL_BLOCK):
-                    out[lo:lo + CYL_BLOCK] = codes[lo:lo + CYL_BLOCK] & (PAIR_SLOTS - 1)
+                    out[lo:lo + CYL_BLOCK] = key_of(0, codes[lo:lo + CYL_BLOCK])
             self._keys[i] = _read_only(out)
         return self._keys[i]
 
@@ -787,7 +818,7 @@ class RainbowStructure:
         of a group share their key: 1 or 2."""
         if i not in self._row_keys:
             bounds, _ = self.rows()
-            keys = (self.codes[bounds[:-1]] >> 9 * i) & (PAIR_SLOTS - 1)
+            keys = key_of(i, self.codes[bounds[:-1]])
             self._row_keys[i] = _read_only(keys.astype(np.intp))
         return self._row_keys[i]
 
@@ -812,9 +843,8 @@ class RainbowStructure:
         """
         return self.key_field(i)
 
-    def key_of_code(self, i: int, code: int) -> int:
-        """The i-th cylindrifier key of one atom, as in key_field."""
-        return (code >> 9 * i) & (PAIR_SLOTS - 1)
+    # the i-th cylindrifier key of one atom, as in key_field
+    key_of_code = staticmethod(key_of)
 
     def ti_related(self, i: int, a_code: int, b_code: int) -> bool:
         return bool(self.key_of_code(i, a_code) == self.key_of_code(i, b_code))
@@ -824,10 +854,10 @@ class RainbowStructure:
             raise IndexOutOfRange(f"diagonal ({i},{j}) outside dimension")
         key = None if i == j else (min(i, j), max(i, j))
         if key not in self._diag:
-            # each kernel's atoms are one run of codes, from kid << 27 on
+            # each kernel's atoms are one run of codes, from slot(len(PAIRS), kid) on
             verdicts = [key is None or eq[PAIRS.index(key)] for eq in KERNEL_EQ]
             kids = np.arange(len(KERNELS) + 1, dtype=self.codes.dtype)
-            bounds = np.searchsorted(self.codes, kids << 27)
+            bounds = np.searchsorted(self.codes, slot(len(PAIRS), kids))
             self._diag[key] = _read_only(np.repeat(verdicts, np.diff(bounds)))
         return self._diag[key]
 
@@ -937,9 +967,9 @@ class RainbowComplexAlgebra(bao.Algebra):
         key = (min(i, j), max(i, j))
         if key not in self._dg:
             bounds, valid = self.structure.rows()
-            # a row's kernel is its first code's top slot
+            # a row's kernel is that of its first code
             below = np.array([eq[PAIRS.index(key)] for eq in KERNEL_EQ])
-            below = below[self.structure.codes[bounds[:-1]] >> 27]
+            below = below[kernel_of(self.structure.codes[bounds[:-1]])]
             self._dg[key] = self._element(_read_only(np.where(below[:, None], valid, 0)))
         return self._dg[key]
 

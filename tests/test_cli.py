@@ -241,6 +241,19 @@ def test_equiv_bounds_below_one_are_usage_errors(tmp_path, capsys):
         assert capsys.readouterr().err == f"usage error: {flag} must be at least 1, got {value}\n"
 
 
+def test_equiv_negative_depth_is_a_usage_error(tmp_path, capsys):
+    """A negative depth would run depth-0 formulas as if asked for; depth 0
+    itself is a check of atoms and constants."""
+    for value in ("-1", "-3"):
+        code, doc = run(tmp_path, "modal", "equiv", "--max-size", "2", "--depth", value,
+                        "--expect", "true")
+        assert code == 2 and doc is None, value
+        assert capsys.readouterr().err == f"usage error: --depth must be at least 0, got {value}\n"
+    code, doc = run(tmp_path, "modal", "equiv", "--max-size", "2", "--depth", "0",
+                    "--expect", "true")
+    assert code == 0 and doc["results"]["equal"] is True
+
+
 def test_rainbow_negative_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
     """--limit counts atoms from the first: 0 lists none, and a negative
     value is refused before the 10.9M-atom table is built."""
@@ -362,6 +375,17 @@ def test_bao_represent_exhausts_fullset_three_two_on_base_one(tmp_path):
     assert code == 0
     assert doc["results"] == {"found": False, "reason": "bounded search exhausted",
                               "max_base": 1, "verdict": "false"}
+
+
+def test_bao_represent_base_below_one_is_a_usage_error(tmp_path, capsys):
+    """A search over no base searched nothing, so it is refused instead of
+    reported as a bounded search exhausted."""
+    for value in ("0", "-2"):
+        code, doc = run(tmp_path, "bao", "represent", "--structure", "fullset:2,2",
+                        "--max-base", value, "--expect", "false")
+        assert code == 2 and doc is None, value
+        assert capsys.readouterr().err == \
+            f"usage error: max_base must be at least 1, got {value}\n"
 
 
 def test_bao_represent_reports_the_violated_axioms(tmp_path):

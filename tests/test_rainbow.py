@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -372,6 +373,34 @@ def test_pullback_round_trip(table):
                 node_of[i] = b
         delta = tuple(node_of[i] for i in range(3))
         assert table.atom_of_tuple(g, delta) == code
+
+
+def test_codec_constants_and_rules(table):
+    """The packed code's widths are derived from the n = 3 signature and
+    PAIRS; a code round-trips through unpack_atom, and the key, group and
+    kernel rules read the code array as they read each code."""
+    assert (R.EDGE_NONE, R.YELLOW_NONE, R.PAIR_BASE, R.IDENT_PAIR, R.PAIR_SLOTS,
+            R.TAIL_BITS) == (13, 32, 33, 461, 512, 6)
+    assert R.pair_parts(R.pair_value(12, 31)) == (12, 31)
+    codes = table.codes
+    rng = random.Random(35)
+    idx = [0, *sorted(rng.sample(range(1, table.count - 1), 300)), table.count - 1]
+    sample = codes[idx].tolist()
+    for code in sample:
+        kid, pairs = R.unpack_atom(code)
+        assert R.pack_atom(kid, pairs) == code
+        # an identified pair is the default, exactly where the kernel says
+        assert [pairs[p] == R.IDENT_PAIR for p in R.PAIRS] == list(R.KERNEL_EQ[kid])
+        assert R.pack_atom(kid, {p: v for p, v in pairs.items() if v != R.IDENT_PAIR}) == code
+        assert [R.key_of(i, code) for i in range(3)] == [pairs[p] for p in R.PAIRS[::-1]]
+        assert R.slot(1, R.group_of(code)) + R.key_of(0, code) == code
+    for rule in [functools.partial(R.key_of, i) for i in range(3)] + [R.group_of, R.kernel_of]:
+        assert rule(codes)[idx].tolist() == [rule(code) for code in sample]
+    # the kernels ascend over five runs, in KERNELS order
+    kids = R.kernel_of(codes)
+    assert (np.diff(kids) >= 0).all()
+    assert kids[np.r_[0, np.flatnonzero(np.diff(kids)) + 1]].tolist() == \
+        list(range(len(R.KERNELS)))
 
 
 def test_equivalence_invariance_under_relabelling(table):
