@@ -44,13 +44,12 @@ Every complete colouring, with each free yellow slot through k (a
 shade, is kept only if `is_valid_coloured_graph` accepts the whole graph,
 so the table narrows the search and never decides validity.
 
-A generic network is its atom vector (`AtomicNetwork`), the one Exists'
-search builds and the canonical form reads. Its responses are
-found by backtracking over the undetermined tuples, most constrained first;
-the domain of a tuple is a bitmask of atoms, its diagonal mask narrowed by
-one table row per labelled axis neighbour. The tables that depend only on
-(n, node count), among them one itemgetter per node permutation that the
-canonical form reads a vector through, are built on first use and shared.
+A generic network is its atom vector (`AtomicNetwork`). Exists' search
+(`_complete`) fills the None entries of a label vector on the same
+positions, most constrained first; a position's domain is a bitmask of
+atoms, its diagonal mask narrowed by one table row per labelled axis
+neighbour. Tables that depend only on shapes (the itemgetters the canonical
+form reads a vector through, the positions of `responses`) are shared.
 Its JSON labels are keyed by `errors.node_key`, whose reader refuses every
 other spelling of a tuple.
 
@@ -59,9 +58,9 @@ truncation and says so in its artifacts. In F-mode Forall may pick a node
 already in play, which restricts the network to the remaining nodes before
 extending (the literal "M contains N" is impossible under reuse); G-mode
 demands globally fresh nodes. The solver's memo keeps one boolean per
-position, and its principal play is one walk after the search that
-follows Exists' first surviving line or Forall's first winning one
-(`solve_bounded`).
+position with rounds left (one with none is Exists'), and its principal
+play is one walk after the search that follows Exists' first surviving
+line or Forall's first winning one (`solve_bounded`).
 """
 
 from __future__ import annotations
@@ -170,6 +169,24 @@ def _shape_tables(n: int, k: int):
     return tuples, neighbours, getters
 
 
+@functools.lru_cache(maxsize=None)
+def _embedding(n: int, p: int, rank: int, reused: bool) -> tuple:
+    """Per n-tuple of p sorted nodes, its position among the tuples of the
+    nodes with k of the given rank among them, or None if it passes through
+    k, one of the old nodes when `reused`."""
+    digit, new = [d if reused or d < rank else d + 1 for d in range(p)], range(p + (not reused))
+    return tuple(None if reused and rank in t else _position(new, [digit[d] for d in t])
+                 for t in itertools.product(range(p), repeat=n))
+
+
+def _position(nodes, t) -> int:
+    """The index of the node tuple t among the sorted nodes^n in product order."""
+    j = 0
+    for v in t:
+        j = j * len(nodes) + nodes.index(v)
+    return j
+
+
 def _least_relabelling(n: int, k: int, vec) -> tuple:
     """The canonical form of a network on k nodes whose atoms, read over its
     node n-tuples in product order, are vec: k and the least such vector
@@ -190,12 +207,7 @@ class GenericBackend:
         return self.s.is_atom(b) and bool(self.s.T[i][a] >> b & 1)
 
     def atom_of(self, net: AtomicNetwork, t) -> int:
-        """The vector entry of t: the positions of its nodes among the
-        sorted nodes, read as the digits of an index base len(nodes)."""
-        j = 0
-        for v in t:
-            j = j * len(net.nodes) + net.nodes.index(v)
-        return net.atoms[j]
+        return net.atoms[_position(net.nodes, t)]
 
     def _diag_masks(self, k: int) -> List[int]:
         """Per index of range(k)^n, the atoms meeting every diagonal the
@@ -207,15 +219,10 @@ class GenericBackend:
             reflexive = (1 << self.s.num_atoms) - 1
             for t in self.s.T:
                 reflexive &= sum(1 << a for a, img in enumerate(t) if img >> a & 1)
-            masks = []
-            for t in _shape_tables(n, k)[0]:
-                m = reflexive
-                for i in range(n):
-                    for j in range(n):
-                        if t[i] == t[j]:
-                            m &= D[(i, j)]
-                masks.append(m)
-            self._diags[k] = masks
+            masks = self._diags[k] = [
+                functools.reduce(operator.and_, [D[(i, j)] for i in range(n) for j in range(n)
+                                                 if t[i] == t[j]], reflexive)
+                for t in _shape_tables(n, k)[0]]
         return masks
 
     def initial_networks(self, atom: int, budget: int) -> List[AtomicNetwork]:
@@ -224,8 +231,7 @@ class GenericBackend:
         n = self.n
         rel = {(i, j) for i in range(n) for j in range(n) if self.s.D[(i, j)] >> atom & 1}
         symmetric = all((j, i) in rel for (i, j) in rel)
-        transitive = all((i, k) in rel
-                         for (i, j) in rel for (j2, k) in rel if j == j2)
+        transitive = all((i, k) in rel for (i, j) in rel for (j2, k) in rel if j == j2)
         if symmetric and transitive:
             dbar = [-1] * n
             nxt = 0
@@ -238,44 +244,42 @@ class GenericBackend:
                 nxt += 1
         else:
             dbar = list(range(n))
-        nodes = sorted(set(dbar))
+        nodes = tuple(sorted(set(dbar)))
         if len(nodes) > budget:
             return []
-        return self._complete(nodes, {tuple(dbar): atom})
+        labels: List[Optional[int]] = [None] * len(nodes) ** n
+        labels[_position(nodes, dbar)] = atom
+        return self._complete(nodes, labels)
 
-    def _complete(self, nodes, pinned, cap: Optional[int] = None) -> List[AtomicNetwork]:
-        """All total labelings extending `pinned` under the network
-        conditions; most-constrained-first with forward checking.
-
-        A tuple's domain is a bitmask of atoms: its diagonal mask ANDed with
-        the structure's both[i][b], the labels an i-neighbour of a tuple
-        labelled b may carry, for every labelled i-neighbour, labelled b."""
+    def _complete(self, nodes, labels, cap: Optional[int] = None) -> List[AtomicNetwork]:
+        """The networks on the sorted `nodes` whose atom vector agrees with
+        `labels` (None at a free tuple), most-constrained-first with forward
+        checking. A position's domain is a bitmask of atoms: its diagonal
+        mask ANDed with both[i][b], the atoms an i-neighbour of a tuple
+        labelled b may carry, for every labelled i-neighbour."""
         n, both = self.n, self.s.both
-        nodes = tuple(sorted(nodes))
         neighbours = _shape_tables(n, len(nodes))[1]
-        where = dict(zip(itertools.product(nodes, repeat=n), range(len(neighbours))))
         diag = self._diag_masks(len(nodes))
-        assign: List[Optional[int]] = [None] * len(neighbours)
+        pinned, free = [], []
         # the diagonal test comes first: it also turns away atoms outside the
         # structure before they index `both`
-        for t, a in pinned.items():
-            j = where[t]
-            if not diag[j] >> a & 1:
+        for j, a in enumerate(labels):
+            if a is None:
+                free.append(j)
+            elif diag[j] >> a & 1:
+                pinned.append((j, a))
+            else:
                 return []
-            assign[j] = a
-
-        def narrow(dom, j, a):
+        # narrowing written out here and in bt: a call costs more than its work
+        dom = list(diag)
+        for j, a in pinned:
             for i, us in neighbours[j]:
                 m = both[i][a]
                 for u in us:
                     dom[u] &= m
-
-        dom = list(diag)
-        for j, a in enumerate(assign):
-            if a is not None:
-                narrow(dom, j, a)
-        if any(a is not None and not dom[j] >> a & 1 for j, a in enumerate(assign)):
+        if any(not dom[j] >> a & 1 for j, a in pinned):
             return []
+        assign = list(labels)
         out: List[AtomicNetwork] = []
 
         def bt(dom, free):
@@ -286,25 +290,24 @@ class GenericBackend:
                 return
             best, size = 0, dom[free[0]].bit_count()
             for p in range(1, len(free)):
-                if not size:
-                    break
                 c = dom[free[p]].bit_count()
                 if c < size:
                     best, size = p, c
-            j = free[best]
-            rest = free[:best] + free[best + 1:]
+            j, rest = free[best], free[:best] + free[best + 1:]
             m = dom[j]
             while m:
                 low = m & -m
-                a = low.bit_length() - 1
+                assign[j] = a = low.bit_length() - 1
                 m ^= low
-                assign[j] = a
-                sub = dom.copy()
-                narrow(sub, j, a)
+                # the last atom narrows dom itself: no later branch reads it
+                sub = dom.copy() if m else dom
+                for i, us in neighbours[j]:
+                    mask = both[i][a]
+                    for u in us:
+                        sub[u] &= mask
                 bt(sub, rest)
-            assign[j] = None
 
-        bt(dom, [j for j, a in enumerate(assign) if a is None])
+        bt(dom, free)
         return out
 
     def forall_moves(self, nets, budget, used, mode, cap=None) -> List[Move]:
@@ -330,12 +333,16 @@ class GenericBackend:
 
     def responses(self, net: AtomicNetwork, move: Move, cap=None) -> List[AtomicNetwork]:
         """The networks on net's nodes and k that keep the atom of every
-        tuple avoiding k and give the demanded tuple the move's atom."""
-        k = move.k
-        pinned = {t: a for t, a in zip(itertools.product(net.nodes, repeat=self.n), net.atoms)
-                  if k not in t}
-        pinned[insert_at(move.face, move.l, k)] = move.atom
-        return self._complete(set(net.nodes) | {k}, pinned, cap=cap)
+        tuple avoiding k (moved to its new position by `_embedding`) and
+        give the demanded tuple the move's atom."""
+        k, reused = move.k, move.k in net.nodes
+        nodes = net.nodes if reused else tuple(sorted(net.nodes + (k,)))
+        labels: List[Optional[int]] = [None] * len(nodes) ** self.n
+        for j, a in zip(_embedding(self.n, len(net.nodes), nodes.index(k), reused), net.atoms):
+            if j is not None:
+                labels[j] = a
+        labels[_position(nodes, insert_at(move.face, move.l, k))] = move.atom
+        return self._complete(nodes, labels, cap=cap)
 
     def canonical(self, net: AtomicNetwork):
         return _least_relabelling(self.n, len(net.nodes), net.atoms)
@@ -548,14 +555,15 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F") -> dict:
     """Minimax over the r-round truncation with memoization on
     canonicalized states. The report is explicitly a truncation verdict.
 
-    The memo holds one boolean per position: Exists survives it. The
-    principal play is one walk after the search that re-enumerates Forall's
-    moves each round (round 0: the initial networks); a move's `keep` is
-    Exists' first surviving response. If Exists wins, the walk takes the
-    first move with a keep and she answers keep. If Forall wins, it opens
-    with the losing atom, takes his first move without a keep, and she
-    answers her first response or "dead-end". `states_explored` counts the
-    search's positions, plus the walk's when Exists wins."""
+    The memo holds one boolean per position: Exists survives it. One with no
+    rounds left is hers, a state (for the cap too) with no canonical form or
+    memo entry. The principal play is one walk after the search that
+    re-enumerates Forall's moves each round (round 0: the initial networks);
+    a move's `keep` is Exists' first surviving response. If Exists wins, the
+    walk takes the first move with a keep and she answers keep. If Forall
+    wins, it opens with the losing atom, takes his first move without a keep,
+    and she answers her first response or "dead-end". `states_explored`
+    counts the search's positions, plus the walk's when Exists wins."""
     if mode not in ("F", "G"):
         raise ValueError(f"mode must be 'F' or 'G', got {mode!r}")
     if rounds < 0:
@@ -584,9 +592,11 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F") -> dict:
         states += 1
         if states > SOLVE_STATES_CAP:
             raise BudgetExceeded("state budget exceeded")
+        if not remaining:
+            return True
         key = _state_key(backend, mode, nets, used, remaining)
         if key not in memo:
-            memo[key] = remaining == 0 or all(
+            memo[key] = all(
                 any(value(nets + [r], used | set(r.nodes), remaining - 1) for r in resps)
                 for _, resps in replies(nets, used))
         return memo[key]
@@ -684,27 +694,17 @@ def verify_forall_script(structure: RainbowStructure, tints=None) -> dict:
         stats["exists_nodes"] += 1
         stats["max_depth"] = max(stats["max_depth"], round_no)
         if round_no - 1 >= len(tints) - 1 or round_no > round_bound:
-            raise ScriptRefuted(
-                f"Exists survived {round_no} rounds; script exhausted")
+            raise ScriptRefuted(f"Exists survived {round_no} rounds; script exhausted")
         tint = tints[round_no]
         k = n - 1 + round_no
         if k >= budget_nodes:
             raise ScriptRefuted("script would exceed the node budget")
         move = Move(0, face, k, cone_atom(tint), n - 1)
         responses = backend.responses(net, move)
-        node = {"round": round_no, "forall": move.to_json(),
-                "tint": tint, "responses": []}
-        if not responses:
-            stats["dead_ends"] += 1
-            node["responses"] = "dead-end"
-            return node
-        for resp in responses:
-            sub = expand(resp, round_no + 1)
-            node["responses"].append({
-                "network": backend.net_to_json(resp),
-                "subtree": sub,
-            })
-        return node
+        stats["dead_ends"] += not responses
+        return {"round": round_no, "forall": move.to_json(), "tint": tint, "responses": [
+            {"network": backend.net_to_json(resp), "subtree": expand(resp, round_no + 1)}
+            for resp in responses] or "dead-end"}
 
     tree = expand(gamma, 1)
     return {
@@ -734,13 +734,13 @@ def verify_transcript(structure, artifact: dict) -> dict:
     """Replay a game artifact. `nodes` must be an int in 1..n+3, the budgets
     solve_bounded accepts; the records must be numbered 0, 1, 2, ... and
     number at most `rounds` + 1; the initial atom must be an atom and the
-    round-0 network one of its minimal networks; every Forall move must be
-    legal, every Exists network valid, meeting the demand and extending the
-    network it answers (its nodes are that network's plus k, and every tuple
-    of the other nodes keeps its atom), and a dead-end claim must end the
-    play and leave Exists no response, which a search for the first one
-    checks. A document of the wrong shape replays as not ok, with the field
-    named in the reason."""
+    round-0 network one of its minimal networks up to relabelling; every
+    Forall move must be legal, every Exists network valid, on nodes in
+    0..nodes - 1, meeting the demand and extending the network it answers
+    (its nodes are that network's plus k, and every tuple of the other
+    nodes keeps its atom), and a dead-end claim must end the play and leave
+    Exists no response, which a search for the first one checks. A document
+    of the wrong shape replays as not ok, with the field named in the reason."""
     try:
         kind = json_field(artifact, dict, "a game artifact").get("kind", "play")
     except ValueError as exc:
@@ -824,19 +824,18 @@ def verify_transcript(structure, artifact: dict) -> dict:
                         "reason": f"round {r} network does not extend the network it answers"}
             if backend.atom_of(net, insert_at(move.face, move.l, move.k)) != move.atom:
                 return {"ok": False, "reason": f"round {r} ignores the demand"}
+        stray = [v for v in net.nodes if not 0 <= v < m]
+        if stray:
+            return {"ok": False, "reason": f"round {r} network node {stray[0]} is past 0..{m - 1}"}
         history.append(net)
         used |= set(net.nodes)
     return {"ok": True, "rounds_checked": len(play) - 1}
 
 
 def _move_is_legal(backend, net, move, m, used, mode):
-    if len(move.face) != backend.n - 1 or move.l not in range(backend.n):
-        return False
-    if move.k in move.face or not 0 <= move.k < m:
-        return False
-    if mode == "G" and move.k in used:
-        return False
-    if any(f not in net.nodes for f in move.face):
+    if (len(move.face) != backend.n - 1 or move.l not in range(backend.n)
+            or move.k in move.face or not 0 <= move.k < m or (mode == "G" and move.k in used)
+            or any(f not in net.nodes for f in move.face)):
         return False
     base = backend.atom_of(net, insert_at(move.face, move.l, net.nodes[0]))
     return backend.ti_rel(move.l, base, move.atom)

@@ -180,11 +180,17 @@ def test_solver_forall_wins_on_broken_structure():
 
 def _all_networks(s, nodes, pinned):
     """Every total labelling of nodes^n extending `pinned` that
-    validate_network accepts, by brute force."""
+    validate_network accepts, by brute force. A free tuple ranges over the
+    atoms on every diagonal it lies on, a condition validate_network checks
+    of each tuple on its own, so no labelling it accepts is skipped."""
     tuples = list(itertools.product(nodes, repeat=s.dim))
     free = [t for t in tuples if t not in pinned]
     found = set()
-    for labels in itertools.product(range(s.num_atoms), repeat=len(free)):
+    pairs = list(itertools.product(range(s.dim), repeat=2))
+    on_diagonals = [[a for a in range(s.num_atoms)
+                     if all(s.D[(i, j)] >> a & 1 for i, j in pairs if t[i] == t[j])]
+                    for t in free]
+    for labels in itertools.product(*on_diagonals):
         full = {**pinned, **dict(zip(free, labels))}
         net = G.AtomicNetwork(nodes, tuple(full[t] for t in tuples))
         if G.validate_network(s, net)["ok"]:
@@ -220,6 +226,13 @@ def _structure(spec):
     return fullset_structure(*spec[1:])
 
 
+def _complete(s, nodes, pinned):
+    """The search on the label vector of tuple-keyed pins: each pinned
+    atom at its tuple's position, None elsewhere."""
+    labels = [pinned.get(t) for t in itertools.product(nodes, repeat=s.dim)]
+    return G.GenericBackend(s)._complete(nodes, labels)
+
+
 @pytest.mark.parametrize("structure, nodes, pinned", [
     (("fullset", 2, 2, "discrete"), (0, 1), {}),
     (("fullset", 2, 2, "discrete"), (0, 2, 3), {(2, 3): 1}),
@@ -233,7 +246,7 @@ def _structure(spec):
 ])
 def test_complete_matches_brute_force(structure, nodes, pinned):
     s = _structure(structure)
-    nets = G.GenericBackend(s)._complete(nodes, pinned)
+    nets = _complete(s, nodes, pinned)
     found = [frozenset(_labels(net, s.dim).items()) for net in nets]
     assert len(set(found)) == len(found)
     assert set(found) == _all_networks(s, nodes, pinned)
@@ -253,10 +266,72 @@ def test_complete_order_pinned():
     ]
     for spec, nodes, pinned, count, digest in pins:
         s = _structure(spec)
-        nets = G.GenericBackend(s)._complete(nodes, pinned)
+        nets = _complete(s, nodes, pinned)
         doc = [sorted(_labels(net, s.dim).items()) for net in nets]
         assert len(nets) == count
         assert hashlib.sha1(json.dumps(doc).encode()).hexdigest() == digest, spec
+
+
+# per structure, the number of seeded networks per shape and the shapes
+# (nodes, budget) whose every legal Forall move is answered: on (1, 3) with
+# budget 5 a fresh k falls below, between and above the nodes, or k reuses
+# one; on (1,) with budget 3 a fresh k falls below or above, and (0, 1) with
+# budget 2 allows reused ones only. Networks on (0, 1) are drawn from those
+# the brute force found for earlier moves; the others from every network.
+POSITION_CASES = [
+    (("fullset", 2, 2), 2, [((1, 3), 5)]),
+    (("fullset", 2, 3), 2, [((1,), 3), ((0, 1), 2)]),
+    (("fullset", 3, 2), 1, [((1,), 3), ((0, 1), 2)]),
+    (("loose",), 2, [((1, 3), 5)]),
+    (("broken",), 2, [((1, 3), 5)]),
+    (("nonreflexive",), 2, [((1, 3), 5)]),
+]
+
+
+def test_responses_match_brute_force_on_every_move():
+    """Exists' responses are exactly the networks on net's nodes and k that
+    validate_network accepts, keep every tuple avoiding k and meet the
+    demand, each once, on every legal Forall move of seeded networks. Both
+    presets of a full set algebra give the same T and D (they differ in
+    interiors, which no network reads) and the same responses. The order of
+    all responses is pinned by a digest recorded before the search read
+    label vectors."""
+    rng = random.Random(36)
+    doc, where = [], set()
+    for spec, seeds, shapes in POSITION_CASES:
+        s = _structure(spec + ("discrete",) if spec[0] == "fullset" else spec)
+        twin = _structure(spec + ("indiscrete",)) if spec[0] == "fullset" else s
+        assert (twin.T, twin.D) == (s.T, s.D)
+        gb, tb = G.GenericBackend(s), G.GenericBackend(twin)
+        found = {}  # the networks the brute force found, by node tuple
+        for nodes, budget in shapes:
+            if nodes not in found:
+                found[nodes] = _all_networks(s, nodes, {})
+            tuples = list(itertools.product(nodes, repeat=s.dim))
+            nets = sorted(G.AtomicNetwork(nodes, tuple(dict(f)[t] for t in tuples))
+                          for f in found[nodes])
+            for net in rng.sample(nets, min(seeds, len(nets))):
+                for move in gb.forall_moves([net], budget, set(), "F"):
+                    k = move.k
+                    pinned = {t: a for t, a in _labels(net, s.dim).items() if k not in t}
+                    pinned[G.insert_at(move.face, move.l, k)] = move.atom
+                    new = tuple(sorted(set(nodes) | {k}))
+                    expected = _all_networks(s, new, pinned)
+                    found.setdefault(new, set()).update(expected)
+                    resps = gb.responses(net, move)
+                    got = [frozenset(_labels(r, s.dim).items()) for r in resps]
+                    assert len(set(got)) == len(got), (spec, net, move)
+                    assert set(got) == expected, (spec, net, move)
+                    assert all(r.nodes == new for r in resps)
+                    assert tb.responses(net, move) == resps
+                    where.add((s.dim, "reused" if k in nodes else
+                               ("below", "between", "above")[(k > nodes[0]) + (k > nodes[-1])]))
+                    doc.append([list(r.atoms) for r in resps])
+    assert where == {(2, "below"), (2, "between"), (2, "above"), (2, "reused"),
+                     (3, "below"), (3, "above"), (3, "reused")}
+    assert (len(doc), sum(map(len, doc))) == (292, 1000)
+    assert hashlib.sha1(json.dumps(doc).encode()).hexdigest() == \
+        "1a5881891b71a59639a93744c8aa8ef39159724b"
 
 
 def _labels(net, n):
@@ -1183,6 +1258,46 @@ def test_malformed_play_records_and_mode_are_refused():
         chk = G.verify_transcript(s, dict(res, mode=mode))
         assert not chk["ok"] and chk["reason"].startswith("mode "), mode
     # every pinned solver play still replays
+    for (structure, m, r, mode) in SOLVER_PINS:
+        s = _structure(structure)
+        chk = G.verify_transcript(s, G.solve_bounded(s, m, r, mode))
+        assert chk["ok"], (structure, m, r, mode, chk)
+
+
+def test_leaves_count_against_the_state_cap(monkeypatch):
+    """A position with no rounds left gets no canonical form or memo entry
+    but still counts as a state: a cap one below a pinned solve's
+    states_explored stops it, and a cap at that count gives the pinned
+    report."""
+    (spec, m, r, mode), (states, digest) = next(iter(SOLVER_PINS.items()))
+    s = _structure(spec)
+    monkeypatch.setattr(G, "SOLVE_STATES_CAP", states - 1)
+    with pytest.raises(BudgetExceeded, match="state budget exceeded"):
+        G.solve_bounded(s, m, r, mode)
+    monkeypatch.setattr(G, "SOLVE_STATES_CAP", states)
+    res = G.solve_bounded(s, m, r, mode)
+    assert res["winner"] == "exists" and res["states_explored"] == states
+    assert hashlib.sha1(json.dumps(res, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_play_stays_on_the_budget_nodes():
+    """Round 0 is bound to the initial atom only up to a relabelling, so
+    its network could sit on nodes past the budget and the play grow past
+    it; every Exists network must lie on nodes 0..nodes - 1."""
+    s = fullset_structure(2, 2)
+    gb = G.GenericBackend(s)
+    net0 = gb.initial_networks(1, 2)[0]
+    assert net0.nodes == (0, 1)
+    moved = G.AtomicNetwork((10, 11), net0.atoms)
+    move = G.Move(0, (10,), 0, 1, 1)
+    answer = gb.responses(moved, move)[0]
+    assert answer.nodes == (0, 10, 11) and G.validate_network(s, answer)["ok"]
+    play = [{"round": 0, "forall": {"initial_atom": 1},
+             "exists": {"network": gb.net_to_json(moved)}},
+            {"round": 1, "forall": move.to_json(),
+             "exists": {"network": gb.net_to_json(answer)}}]
+    chk = G.verify_transcript(s, {"mode": "F", "nodes": 2, "rounds": 1, "principal_play": play})
+    assert chk == {"ok": False, "reason": "round 0 network node 10 is past 0..1"}
     for (structure, m, r, mode) in SOLVER_PINS:
         s = _structure(structure)
         chk = G.verify_transcript(s, G.solve_bounded(s, m, r, mode))
