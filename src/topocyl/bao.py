@@ -164,9 +164,13 @@ class AtomStructure:
     @staticmethod
     def from_json(doc: dict) -> "AtomStructure":
         """Inverse of to_json; an omitted "interior" is the identity. A
-        document of the wrong shape raises ValueError naming the field."""
+        document of the wrong shape, or of more than setalg.CODE_CAP table
+        entries (dim by atoms), raises ValueError naming the field."""
         json_field(doc, dict, "an atom structure")
         dim, k = (json_size(doc.get(name), f'"{name}"') for name in ("dim", "atoms"))
+        if max(dim, 1) * k > sa.CODE_CAP:
+            raise ValueError(f'"atoms": {k} atoms in dimension {dim} exceed the cap '
+                             f"of {sa.CODE_CAP} table entries")
         for i, pairs in enumerate(json_field(doc.get("T"), list, '"T"', dim)):
             for pair in json_field(pairs, list, f"T[{i}]"):
                 json_ints(pair, f"a pair of T[{i}]", 2)

@@ -570,6 +570,8 @@ def solve_bounded(structure, m: int, rounds: int, mode: str = "F") -> dict:
         raise ValueError(f"rounds must be at least 0, got {rounds}")
     if m < 1:
         raise ValueError(f"node budget must be at least 1, got {m}")
+    if not structure.num_atoms:
+        raise ValueError("the structure has no atoms: a play opens on one")
     if rounds > SOLVE_ROUNDS_CAP:
         raise BudgetExceeded(f"rounds capped at {SOLVE_ROUNDS_CAP}")
     if m > structure.dim + 3:

@@ -25,8 +25,9 @@ quotient coloured graph), `AtomTable.atom_of_tuple` (the atom a graph
 gives a node tuple), `KERNEL_EQ` (which index pairs a kernel identifies),
 the cylindrifier key of each axis (`key_field`, `key_of_code`), the
 element layout of the complex algebra (`rows`), the tables its
-cylindrifier works on (`row_keys` of axes 1 and 2, `blocks` of axis 0) and
-the run of codes of each kernel (`diag_mask`).
+cylindrifier works on (`row_keys` of axes 1 and 2, `blocks` of axis 0),
+the kernels below each diagonal (`diagonal_kernels`) and the run of codes
+of each kernel (`diag_mask`).
 
 An element of `RainbowComplexAlgebra` is a `PackedElement`: one row of W
 uint64 words per group of atoms (equal `group_of`), one bit per atom, 2.76
@@ -35,7 +36,9 @@ canonical atom p. The atom table emits its codes in code order together
 with that layout, the group bounds and the axis-0 blocks, so no table is
 found by a scan of the codes. `cm()` builds no table: the valid bits of
 the rows are built when zero, one or a first element is asked for, and
-the row keys of axes 1 and 2 by their first c_i.
+the row keys of axes 1 and 2 by their first c_i, and both are kept; the
+per-atom views `key_field`, `groups` and `diag_mask` are expanded from
+the layout on each call and kept by no one but the caller.
 """
 
 from __future__ import annotations
@@ -429,8 +432,7 @@ def slot(i, value):
 
 
 def key_of(i, code):
-    # no shift on axis 0, which would copy an array
-    return (code >> KEY_BITS * i if i else code) & PAIR_SLOTS - 1
+    return (code >> KEY_BITS * i) & PAIR_SLOTS - 1
 
 
 def group_of(code):
@@ -568,16 +570,19 @@ def _layout(runs: Sequence[list]) -> Tuple[np.ndarray, np.ndarray, tuple]:
     return np.concatenate(prefixes), _read_only(bounds), blocks
 
 
-def _emit(prefixes: np.ndarray, bounds: np.ndarray, blocks: tuple) -> np.ndarray:
-    """The codes in code order: each block's rows are its groups' prefixes
-    plus its key row."""
+def _emit(bounds: np.ndarray, blocks: tuple, dtype, prefixes=None) -> np.ndarray:
+    """One dtype value per atom in code order: each block's rows are its
+    groups' prefixes plus its key row (the codes), or with no prefixes
+    its key row alone (the axis-0 key field)."""
     starts, rows, keys = blocks
-    codes = np.empty(int(bounds[-1]), dtype=CODE_DTYPE)
-    for a, b, r in zip(starts, np.append(starts[1:], prefixes.shape[0]), rows):
-        lo, hi = bounds[a], bounds[b]
-        width = (hi - lo) // (b - a)
-        np.add.outer(prefixes[a:b], keys[r, :width], out=codes[lo:hi].reshape(b - a, width))
-    return codes
+    out = np.empty(int(bounds[-1]), dtype=dtype)
+    for a, b, r in zip(starts, np.append(starts[1:], bounds.shape[0] - 1), rows):
+        view = out[bounds[a]:bounds[b]].reshape(b - a, -1)
+        if prefixes is None:
+            view[...] = keys[r, :view.shape[1]]
+        else:
+            np.add.outer(prefixes[a:b], keys[r, :view.shape[1]], out=view)
+    return out
 
 
 class AtomTable:
@@ -637,7 +642,7 @@ class AtomTable:
                 runs[kid, key_of(2, code)].append((code, needs))
         # popped, so that no colouring outlives the layout
         prefixes, bounds, axis0 = _layout([runs.pop(r) for r in sorted(runs)])
-        return _read_only(_emit(prefixes, bounds, axis0)), bounds, axis0
+        return _read_only(_emit(bounds, axis0, CODE_DTYPE, prefixes)), bounds, axis0
 
     # decoding ----------------------------------------------------------
 
@@ -698,11 +703,6 @@ def enumerate_atoms(sig: RainbowSignature) -> AtomTable:
 
 # -- atom structure and its lazy complex algebra ------------------------------
 
-# Atoms per block in the pass over the atom table that builds the axis-0
-# key field. A block's temporaries stay in cache and none is the size of
-# the atom table.
-CYL_BLOCK = 1 << 16
-
 
 def _row_bit(bounds: np.ndarray, p) -> Tuple[int, int, int]:
     """(row, word, bit) of canonical atom p; a negative p counts from the
@@ -759,12 +759,13 @@ class RainbowStructure:
     are the identity.
 
     The key fields (uint16) and the diagonal masks are in canonical atom
-    order. A diagonal mask repeats one verdict per kernel over the
-    kernel's run of codes; every d_ii is one shared all-true mask. The
-    complex algebra's tables are `rows` (the element layout), `row_keys`
-    of axes 1 and 2 and the axis-0 `blocks`. They are taken from the
-    layout the table emits with its codes, on first use and one at a
-    time, so none scans the codes; every table is read-only.
+    order, expanded from the layout on each call and kept by the caller:
+    a diagonal mask repeats one verdict per kernel over the kernel's run
+    of codes. The complex algebra's tables are `rows` (the element
+    layout), `row_keys` of axes 1 and 2 and the axis-0 `blocks`. They are
+    taken from the layout the table emits with its codes, so none scans
+    the codes; rows and row keys are built on first use, one at a time,
+    and kept. Every table is read-only.
     """
 
     def __init__(self, table: AtomTable):
@@ -773,29 +774,19 @@ class RainbowStructure:
         self.dim = 3
         self.codes = table.codes
         self.num_atoms = table.count
-        self._keys = {}
         self._rows = None
         self._row_keys = {}
-        self._blocks = None
-        self._diag = {}
 
     def key_field(self, i: int) -> np.ndarray:
         """Packed pair-data away from index i for every atom (uint16): on
-        axes 1 and 2 each row's key repeated over its width, on axis 0 one
-        pass over the codes."""
-        if i not in self._keys:
-            if i not in range(self.dim):
-                raise KeyError(i)
-            if i:
-                bounds, _ = self.rows()
-                out = np.repeat(self.row_keys(i).astype(np.uint16), np.diff(bounds))
-            else:
-                codes = self.codes
-                out = np.empty(self.num_atoms, dtype=np.uint16)
-                for lo in range(0, self.num_atoms, CYL_BLOCK):
-                    out[lo:lo + CYL_BLOCK] = key_of(0, codes[lo:lo + CYL_BLOCK])
-            self._keys[i] = _read_only(out)
-        return self._keys[i]
+        axes 1 and 2 each row's key repeated over its width, on axis 0 each
+        block's key row written over its rows."""
+        if i not in range(self.dim):
+            raise KeyError(i)
+        if i:
+            bounds, _ = self.rows()
+            return _read_only(np.repeat(self.row_keys(i).astype(np.uint16), np.diff(bounds)))
+        return _read_only(_emit(self.table.bounds, self.table.blocks, np.uint16))
 
     def rows(self) -> Tuple[np.ndarray, np.ndarray]:
         """(bounds, valid) of the element layout. Row g holds the atoms
@@ -831,9 +822,7 @@ class RainbowStructure:
         WORD columns): column c holds the key of the c-th atom, and
         PAIR_SLOTS past the group's width. They are the table's.
         """
-        if self._blocks is None:
-            self._blocks = self.table.blocks
-        return self._blocks
+        return self.table.blocks
 
     def groups(self, i: int) -> np.ndarray:
         """T_i class id of every atom: its key field, a value below PAIR_SLOTS.
@@ -849,17 +838,19 @@ class RainbowStructure:
     def ti_related(self, i: int, a_code: int, b_code: int) -> bool:
         return bool(self.key_of_code(i, a_code) == self.key_of_code(i, b_code))
 
-    def diag_mask(self, i: int, j: int) -> np.ndarray:
+    def diagonal_kernels(self, i: int, j: int) -> np.ndarray:
+        """Whether each kernel of KERNELS lies below d_ij, identifying i
+        and j (bool); every kernel lies below d_ii."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexOutOfRange(f"diagonal ({i},{j}) outside dimension")
-        key = None if i == j else (min(i, j), max(i, j))
-        if key not in self._diag:
-            # each kernel's atoms are one run of codes, from slot(len(PAIRS), kid) on
-            verdicts = [key is None or eq[PAIRS.index(key)] for eq in KERNEL_EQ]
-            kids = np.arange(len(KERNELS) + 1, dtype=self.codes.dtype)
-            bounds = np.searchsorted(self.codes, slot(len(PAIRS), kids))
-            self._diag[key] = _read_only(np.repeat(verdicts, np.diff(bounds)))
-        return self._diag[key]
+        return np.array([i == j or eq[PAIRS.index((min(i, j), max(i, j)))] for eq in KERNEL_EQ])
+
+    def diag_mask(self, i: int, j: int) -> np.ndarray:
+        below = self.diagonal_kernels(i, j)
+        # each kernel's atoms are one run of codes, from slot(len(PAIRS), kid) on
+        kids = np.arange(len(KERNELS) + 1, dtype=self.codes.dtype)
+        bounds = np.searchsorted(self.codes, slot(len(PAIRS), kids))
+        return _read_only(np.repeat(below, np.diff(bounds)))
 
     def _position(self, code: int) -> int:
         """Where code sits in the table, or -1 if it is not an atom."""
@@ -960,15 +951,13 @@ class RainbowComplexAlgebra(bao.Algebra):
         return self._element(np.repeat(_pack(hit[keys])[rows].T, lens, axis=1).T)
 
     def dg(self, i, j):
-        if not (0 <= i < self.dim and 0 <= j < self.dim):
-            raise IndexOutOfRange(f"diagonal ({i},{j}) outside dimension")
+        below = self.structure.diagonal_kernels(i, j)   # refuses i or j outside 0..2
         if i == j:
             return self.one
         key = (min(i, j), max(i, j))
         if key not in self._dg:
             bounds, valid = self.structure.rows()
             # a row's kernel is that of its first code
-            below = np.array([eq[PAIRS.index(key)] for eq in KERNEL_EQ])
             below = below[kernel_of(self.structure.codes[bounds[:-1]])]
             self._dg[key] = self._element(_read_only(np.where(below[:, None], valid, 0)))
         return self._dg[key]

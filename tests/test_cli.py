@@ -160,6 +160,27 @@ def test_structure_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_structures_the_commands_cannot_take_are_usage_errors(tmp_path, capsys):
+    """A structure document of more table entries than setalg.CODE_CAP,
+    and one with no atoms given to the game solver, are refused with one
+    line naming the cause, exit 2, not a MemoryError or IndexError
+    traceback with exit 1, the code of a verdict mismatch."""
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"dim": 1, "atoms": 10**12, "T": [[]], "D": {"0,0": []}}))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"dim": 2, "atoms": 0, "T": [[], []],
+                                 "D": {"0,0": [], "0,1": [], "1,0": [], "1,1": []}}))
+    solve = ["game", "solve", "--nodes", "2", "--rounds", "1", "--structure"]
+    for argv, named in ((["bao", "cm", "--structure", str(huge)], '"atoms": 1000000000000'),
+                        (["bao", "check", "--structure", str(huge)], '"atoms": 1000000000000'),
+                        (solve + [str(huge)], '"atoms": 1000000000000'),
+                        (solve + [str(empty)], "the structure has no atoms")):
+        code = dispatch(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("usage error: ") and named in err and err.count("\n") == 1, err
+
+
 def test_game_solve_rejects_negative_rounds(tmp_path, capsys):
     for mode in ("F", "G"):
         code = dispatch(["game", "solve", "--structure", "fullset:2,2", "--nodes", "3",

@@ -580,6 +580,15 @@ def test_solver_rejects_negative_rounds_and_empty_budget():
         G.solve_bounded(s, 3, 1, "X")
 
 
+def test_solver_refuses_a_structure_with_no_atoms():
+    """A play opens on an atom, so a structure with none is refused like
+    the solver's other arguments, not met by an IndexError."""
+    s = B.AtomStructure(2, 0, [[], []], {(i, j): 0 for i in range(2) for j in range(2)})
+    for mode in "FG":
+        with pytest.raises(ValueError, match="the structure has no atoms"):
+            G.solve_bounded(s, 2, 1, mode)
+
+
 def test_certificate_networks_validate():
     s = fullset_structure(2, 2)
     res = G.solve_bounded(s, 5, 3, "F")

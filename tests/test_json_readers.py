@@ -242,3 +242,21 @@ def test_contiguous_graph_nodes_are_written_as_a_count():
     assert R.ColouredGraph.from_json(graph, SIG).to_json() == graph
     assert R.ColouredGraph.from_json({"nodes": [1, 2], "edges": {"(1,2)": "w0"}},
                                      SIG).to_json()["nodes"] == [1, 2]
+
+
+def test_structures_past_the_cube_cap_are_refused_before_any_table():
+    """An atom-structure document of dim by atoms table entries beyond
+    setalg.CODE_CAP, the largest cube the workbench builds, is refused
+    naming "atoms" before any table is built (10^12 atoms once ended in a
+    MemoryError); a document at the cap reaches the fields after it, and
+    the documents above still load."""
+    for dim, k in ((1, 10**12), (0, S.CODE_CAP + 1), (2, S.CODE_CAP // 2 + 1)):
+        doc = {"dim": dim, "atoms": k, "T": [[]] * dim,
+               "D": {f"{i},{j}": [] for i in range(dim) for j in range(dim)}}
+        with pytest.raises(ValueError, match=re.escape(f'"atoms": {k} atoms in dimension {dim}')):
+            B.AtomStructure.from_json(doc)
+    for dim, k in ((1, S.CODE_CAP), (2, S.CODE_CAP // 2)):
+        with pytest.raises(ValueError, match="D key 'x'"):
+            B.AtomStructure.from_json({"dim": dim, "atoms": k, "T": [[]] * dim, "D": {"x": []}})
+    for rewrite, doc in DOCUMENTS:
+        assert rewrite(doc) == doc

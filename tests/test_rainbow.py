@@ -517,18 +517,24 @@ def test_derived_tables_are_read_only(table):
     assert alg.dg(0, 0) is alg.dg(1, 1) is alg.dg(2, 2) is alg.one
 
 
-def test_cm_builds_no_layout_table(table):
+def test_cm_builds_no_layout_table(table, monkeypatch):
     """cm() reads no table, so a caller that never takes c_i (the
     benchmark's set-up among them) does not pay for the layout. zero and
-    one need only the rows (their shape and padding), and the first c_i on
-    an axis builds that axis' table once per structure."""
+    one need only the rows (their shape and padding), the first c_i on
+    axis 1 or 2 builds that axis' row keys once per structure, c_0 reads
+    the table's own blocks, and no c_i expands a key field."""
     s = R.RainbowStructure(table)
     alg = s.cm()
-    assert s._rows is None and not s._row_keys and s._blocks is None
+    assert s._rows is None and not s._row_keys
     alg.zero, alg.one
     rows = s.rows()
-    assert not s._row_keys and s._blocks is None
+    assert not s._row_keys
     x = alg.atom_singleton(int(s.codes[-1]))
+
+    def no_key_field(self, i):
+        raise AssertionError(f"c_i expanded the key field of axis {i}")
+
+    monkeypatch.setattr(R.RainbowStructure, "key_field", no_key_field)
     tables = []
     for i in range(3):
         alg.cyl(i, x)
@@ -536,9 +542,29 @@ def test_cm_builds_no_layout_table(table):
     again = s.cm()
     for i in range(3):
         again.cyl(i, again.one)
-    assert s.rows() is rows and s.blocks() is tables[0]
+    assert s.rows() is rows and s.blocks() is tables[0] is table.blocks
     assert s.row_keys(1) is tables[1] and s.row_keys(2) is tables[2]
-    assert sorted(s._row_keys) == [1, 2] and not s._keys
+    assert sorted(s._row_keys) == [1, 2]
+
+
+def test_structure_retains_nothing_per_atom(table):
+    """The key fields, groups and diagonal masks are expanded on each call
+    and kept by the caller: once the cached rows and row keys are built,
+    every groups(i) and diag_mask(i, j) of a fresh structure, results
+    dropped, leaves tracemalloc's current size (which counts numpy's data
+    buffers) within 1 MB of where it was; caching them kept about 104 MiB."""
+    s = R.RainbowStructure(table)
+    s.rows(), s.row_keys(1), s.row_keys(2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(3):
+            s.groups(i)
+        for i, j in itertools.product(range(3), repeat=2):
+            s.diag_mask(i, j)
+        assert tracemalloc.get_traced_memory()[0] - before < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 # tracemalloc's peak while enumerate_atoms(signature(3)) builds a table,
@@ -652,13 +678,18 @@ def test_cylindrifier_oracle_and_random_elements(structure):
             assert (_canonical(alg.cyl(i, x), valid) == met[f]).all()
 
 
-def test_element_layout_covers_the_atoms_in_code_order(table):
+def test_element_layout_covers_the_atoms_in_code_order(table, monkeypatch):
     """The layout of a fresh structure: the rows cover atom 0 to the last
     atom in code order, one group (code >> 9) each; every row of an axis-0
     block lists the block's key row (the lowest pair slot, re-derived here
     from the codes), and adjacent blocks list different key rows; no
     operation sets a padding bit; x[p] reads canonical atom p; and c_0
     works without the axis-0 key field."""
+
+    def no_key_field(self, i):
+        raise AssertionError(f"the key field of axis {i} was expanded")
+
+    monkeypatch.setattr(R.RainbowStructure, "key_field", no_key_field)
     s = R.RainbowStructure(table)
     alg = s.cm()
     bounds, valid = s.rows()
@@ -695,4 +726,3 @@ def test_element_layout_covers_the_atoms_in_code_order(table):
             x[p]
     assert x[0, 0] == x.view(np.ndarray)[0, 0] and x[1:3].shape == (2, 5)
     assert alg.cyl(0, padded[6])[s.num_atoms - 1] is True
-    assert 0 not in s._keys
