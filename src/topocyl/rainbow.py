@@ -29,16 +29,19 @@ cylindrifier works on (`row_keys` of axes 1 and 2, `blocks` of axis 0),
 the kernels below each diagonal (`diagonal_kernels`) and the run of codes
 of each kernel (`diag_mask`).
 
-An element of `RainbowComplexAlgebra` is a `PackedElement`: one row of W
-uint64 words per group of atoms (equal `group_of`), one bit per atom, 2.76
-MB at n = 3 (a bool per atom took 10.9 MB). x[p] with an integer p reads
-canonical atom p. The atom table emits its codes in code order together
-with that layout, the group bounds and the axis-0 blocks, so no table is
-found by a scan of the codes. `cm()` builds no table: the valid bits of
-the rows are built when zero, one or a first element is asked for, and
-the row keys of axes 1 and 2 by their first c_i, and both are kept; the
-per-atom views `key_field`, `groups` and `diag_mask` are expanded from
-the layout on each call and kept by no one but the caller.
+An element of `RainbowComplexAlgebra` is a `PackedElement`: one flat uint64
+buffer, one bit per atom, each group of atoms (equal `group_of`) in as few
+words as its atoms need, in width-class panels (`ElementLayout`): 230,624
+words, 1.84 MB at n = 3 (a bool per atom took 10.9 MB, and five words for
+every group 2.76 MB). x[p] with an integer p reads canonical atom p, and
+the algebra's `flags` and `element` convert between an element and one
+bool per atom in canonical order. The atom table emits its codes in code
+order together with the group bounds and the axis-0 blocks, so no table is
+found by a scan of the codes. `cm()` builds no table: the element layout
+is built from the bounds and blocks when zero, one or a first element is
+asked for, and the row keys of axes 1 and 2 by their first c_i, and both
+are kept; the per-atom views `key_field`, `groups` and `diag_mask` are
+expanded from the layout on each call and kept by no one but the caller.
 """
 
 from __future__ import annotations
@@ -465,10 +468,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Row g of an element holds group g, the atoms sharing group_of(code) (kid,
+# A row of an element holds a group, the atoms sharing group_of(code) (kid,
 # p01, p02): bit c % WORD of word c // WORD is its c-th atom. At n = 3
-# there are 68,905 groups of 1 to 261 atoms, so W = 5 words, and 2,443
-# axis-0 blocks with 307 distinct key rows.
+# there are 68,905 groups of 1 to 261 atoms, in rows of 1, 2, 4 or 5 words,
+# and 2,443 axis-0 blocks with 307 distinct key rows.
 WORD = 64
 
 # Entries in a span of a run, roughly: the emission's working arrays stay
@@ -704,40 +707,6 @@ def enumerate_atoms(sig: RainbowSignature) -> AtomTable:
 # -- atom structure and its lazy complex algebra ------------------------------
 
 
-def _row_bit(bounds: np.ndarray, p) -> Tuple[int, int, int]:
-    """(row, word, bit) of canonical atom p; a negative p counts from the
-    end, as a numpy index does."""
-    n = int(bounds[-1])
-    p = operator.index(p)
-    if not -n <= p < n:
-        raise IndexError(f"atom {p} is out of range for {n} atoms")
-    p %= n
-    g = int(bounds.searchsorted(p, side="right")) - 1
-    c = p - int(bounds[g])
-    return g, c // WORD, c % WORD
-
-
-class PackedElement(np.ndarray):
-    """An element of RainbowComplexAlgebra: a (groups x W) uint64 matrix.
-
-    x[p] with an integer p is whether x holds canonical atom p; every
-    other index is numpy's. `bounds`, the structure's row bounds, is
-    carried through numpy's operations.
-    """
-
-    bounds = None
-
-    def __array_finalize__(self, obj):
-        self.bounds = getattr(obj, "bounds", None)
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)) and not isinstance(key, bool) \
-                and self.bounds is not None:
-            g, word, bit = _row_bit(self.bounds, key)
-            return bool(np.ndarray.__getitem__(self, (g, word)) >> bit & 1)
-        return super().__getitem__(key)
-
-
 def _unpack(words: np.ndarray) -> np.ndarray:
     """The bits of each row of a (rows x W) word matrix, as rows x W*WORD
     bools, bit c of a row in column c."""
@@ -748,6 +717,115 @@ def _unpack(words: np.ndarray) -> np.ndarray:
 def _pack(bits: np.ndarray) -> np.ndarray:
     """The inverse of _unpack."""
     return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+class ElementLayout:
+    """Where an element of the complex algebra keeps each atom: a flat
+    uint64 buffer of width-class panels, built from the table's group
+    bounds and axis-0 blocks.
+
+    A group (equal `group_of`) of L atoms is one row of -(-L // WORD)
+    words, its c-th atom bit c % WORD of word c // WORD; only a row's last
+    word has padding. A panel holds the rows of one word count in code
+    order, F-ordered, so each of its word columns is contiguous; panels
+    follow each other by word count. `bounds` are the table's group bounds
+    (intp), `order` the group of each row (intp), and `panels` (words, lo,
+    hi, off) says that rows lo to hi - 1 fill the buffer's words off to
+    off + words * (hi - lo) - 1, of `size` words in all. `one` sets the
+    bit of every atom and no padding bit.
+
+    An axis-0 block has one width, so its rows are a run of one panel:
+    `block_rows` is the first row of each block in row order (intp),
+    `block_spans` each panel's run of blocks in it, `by_key` the stable
+    sort of those blocks by key row and `key_cuts` where each key row's
+    run starts in it, `key_row` the key row of each row, and `keys` the
+    key rows (`RainbowStructure.blocks`) as intp. Every table is
+    read-only.
+    """
+
+    def __init__(self, bounds: np.ndarray, blocks: tuple):
+        self.bounds = _read_only(bounds.astype(np.intp))
+        widths = np.diff(self.bounds)
+        words = -(-widths // WORD)
+        self.order = _read_only(np.argsort(words, kind="stable"))
+        panels, lo, off = [], 0, 0
+        for w, count in enumerate(np.bincount(words).tolist()):
+            if count:
+                panels.append((w, lo, lo + count, off))
+                lo, off = lo + count, off + w * count
+        self.panels, self.size = tuple(panels), off
+        one = np.full(self.size, ~np.uint64(0))
+        for (w, lo, hi, _), view in zip(self.panels, self.split(one)):
+            view[-1] >>= (WORD * w - widths[self.order[lo:hi]]).astype(np.uint64)
+        self.one = _read_only(one)
+        starts, key_rows, keys = blocks
+        row = np.empty_like(self.order)
+        row[self.order] = np.arange(len(row))
+        by_row = np.argsort(row[starts])
+        self.block_rows = _read_only(row[starts[by_row]])
+        self.block_spans = tuple(tuple(self.block_rows.searchsorted((lo, hi)).tolist())
+                                 for _, lo, hi, _ in self.panels)
+        key_rows = key_rows[by_row]
+        self.by_key = _read_only(np.argsort(key_rows, kind="stable"))
+        self.key_cuts = _read_only(np.flatnonzero(np.diff(key_rows[self.by_key], prepend=-1)))
+        self.key_row = _read_only(np.repeat(key_rows, np.diff(self.block_rows, append=len(row))))
+        self.keys = _read_only(keys.astype(np.intp))
+
+    def split(self, flat: np.ndarray) -> list:
+        """The panels of a flat element, each a (words x rows) view."""
+        return [flat[off:off + w * (hi - lo)].reshape(w, hi - lo)
+                for w, lo, hi, off in self.panels]
+
+    def locate(self, p) -> Tuple[int, int]:
+        """(word, bit) of canonical atom p in the buffer; a negative p
+        counts from the end, as a numpy index does."""
+        bounds = self.bounds
+        n = int(bounds[-1])
+        p = operator.index(p)
+        if not -n <= p < n:
+            raise IndexError(f"atom {p} is out of range for {n} atoms")
+        p %= n
+        g = int(bounds.searchsorted(p, side="right")) - 1
+        c = p - int(bounds[g])
+        words = -(-int(bounds[g + 1] - bounds[g]) // WORD)
+        _, lo, hi, off = next(panel for panel in self.panels if panel[0] == words)
+        return off + c // WORD * (hi - lo) + int(self.order[lo:hi].searchsorted(g)), c % WORD
+
+    def atom_views(self, flags: np.ndarray, bits: list):
+        """Pairs of views, one pair per axis-0 block: its atoms' stretch of
+        flags (one bool per atom in canonical order) as (groups x width),
+        and the same atoms in bits (one bool per bit of a panel's rows, rows
+        x words * WORD, as `_unpack` gives them)."""
+        for (_, lo, hi, _), (a, b), panel in zip(self.panels, self.block_spans, bits):
+            rows = self.block_rows[a:b]
+            ends = np.append(rows[1:], hi)
+            firsts = self.bounds[self.order[rows]]
+            lasts = self.bounds[self.order[rows] + ends - rows]
+            for r, end, first, last in zip(*(t.tolist() for t in (rows, ends, firsts, lasts))):
+                width = (last - first) // (end - r)
+                yield flags[first:last].reshape(end - r, width), panel[r - lo:end - lo, :width]
+
+
+class PackedElement(np.ndarray):
+    """An element of RainbowComplexAlgebra: its flat uint64 buffer, laid
+    out as `layout` (the structure's `ElementLayout`) says.
+
+    x[p] with an integer p is whether x holds canonical atom p; every
+    other index is numpy's. `layout` is carried through numpy's
+    operations.
+    """
+
+    layout = None
+
+    def __array_finalize__(self, obj):
+        self.layout = getattr(obj, "layout", None)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)) and not isinstance(key, bool) \
+                and self.layout is not None:
+            word, bit = self.layout.locate(key)
+            return bool(np.ndarray.__getitem__(self, word) >> bit & 1)
+        return super().__getitem__(key)
 
 
 class RainbowStructure:
@@ -762,10 +840,11 @@ class RainbowStructure:
     order, expanded from the layout on each call and kept by the caller:
     a diagonal mask repeats one verdict per kernel over the kernel's run
     of codes. The complex algebra's tables are `rows` (the element
-    layout), `row_keys` of axes 1 and 2 and the axis-0 `blocks`. They are
-    taken from the layout the table emits with its codes, so none scans
-    the codes; rows and row keys are built on first use, one at a time,
-    and kept. Every table is read-only.
+    layout, its width-class panels and the tables c_0 reads), `row_keys`
+    of axes 1 and 2 and the axis-0 `blocks`. They are taken from the
+    bounds and blocks the table emits with its codes, so none scans the
+    codes; rows and row keys are built on first use, one at a time, and
+    kept. Every table is read-only.
     """
 
     def __init__(self, table: AtomTable):
@@ -779,37 +858,32 @@ class RainbowStructure:
 
     def key_field(self, i: int) -> np.ndarray:
         """Packed pair-data away from index i for every atom (uint16): on
-        axes 1 and 2 each row's key repeated over its width, on axis 0 each
-        block's key row written over its rows."""
+        axes 1 and 2 each group's key repeated over its width, on axis 0
+        each block's key row written over its groups."""
         if i not in range(self.dim):
             raise KeyError(i)
+        bounds = self.table.bounds
         if i:
-            bounds, _ = self.rows()
-            return _read_only(np.repeat(self.row_keys(i).astype(np.uint16), np.diff(bounds)))
-        return _read_only(_emit(self.table.bounds, self.table.blocks, np.uint16))
+            keys = key_of(i, self.codes[bounds[:-1]]).astype(np.uint16)
+            return _read_only(np.repeat(keys, np.diff(bounds)))
+        return _read_only(_emit(bounds, self.table.blocks, np.uint16))
 
-    def rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(bounds, valid) of the element layout. Row g holds the atoms
-        bounds[g] to bounds[g + 1] - 1 (intp), the g-th group; valid
-        (uint64, groups x W, F-ordered so a word column is contiguous) sets
-        the bit of each atom and no padding bit. The bounds are the
-        table's, widened."""
+    def rows(self) -> ElementLayout:
+        """The element layout (`ElementLayout`): built from the table's
+        bounds and blocks on first use, once per structure, and kept; it
+        says which words of an element hold which group's atoms, and holds
+        `one` and the tables c_0 reads."""
         if self._rows is None:
-            bounds = _read_only(self.table.bounds.astype(np.intp))
-            widths = np.diff(bounds)
-            # the atoms of each row in word w, 0 to WORD
-            fill = np.clip(widths - WORD * np.arange(-(-int(widths.max()) // WORD))[:, None],
-                           0, WORD).astype(np.uint64)
-            valid = np.where(fill == WORD, ~np.uint64(0), (np.uint64(1) << fill % WORD) - 1)
-            self._rows = (bounds, _read_only(valid.T))
+            self._rows = ElementLayout(self.table.bounds, self.table.blocks)
         return self._rows
 
     def row_keys(self, i: int) -> np.ndarray:
-        """The i-th key of each row (intp), for an axis i on which the atoms
-        of a group share their key: 1 or 2."""
+        """The i-th key of each row of the element layout (intp, in row
+        order), for an axis i on which the atoms of a group share their
+        key: 1 or 2."""
         if i not in self._row_keys:
-            bounds, _ = self.rows()
-            keys = key_of(i, self.codes[bounds[:-1]])
+            layout = self.rows()
+            keys = key_of(i, self.codes[layout.bounds[layout.order]])
             self._row_keys[i] = _read_only(keys.astype(np.intp))
         return self._row_keys[i]
 
@@ -817,10 +891,11 @@ class RainbowStructure:
         """(starts, rows, keys) of the axis-0 blocks in code order.
 
         A block is a maximal stretch of groups that list the same axis-0
-        keys. starts (intp) is each block's first row, and rows (intp) is
-        the index of its key row in keys, the distinct key rows (int16, W *
-        WORD columns): column c holds the key of the c-th atom, and
-        PAIR_SLOTS past the group's width. They are the table's.
+        keys. starts (intp) is each block's first group in code order, and
+        rows (intp) is the index of its key row in keys, the distinct key
+        rows (int16, WORD times the most words of a group columns): column
+        c holds the key of the c-th atom, and PAIR_SLOTS past the group's
+        width. They are the table's.
         """
         return self.table.blocks
 
@@ -888,18 +963,22 @@ def build_atom_structure(sig: RainbowSignature) -> RainbowStructure:
 class RainbowComplexAlgebra(bao.Algebra):
     """Lazy complex algebra over the rainbow structure.
 
-    An element is a PackedElement: row g holds the atoms of the g-th group
-    (`RainbowStructure.rows`), one bit each, and every padding bit is 0.
-    x[p] with an integer p reads canonical atom p. plus, times, minus and
-    eq are word operations, and ``random_element`` draws the matrix's
-    words and clears the padding. ``cyl`` marks the T_i classes (key
-    values) an element meets in a PAIR_SLOTS-entry table and writes the
-    table back: on axes 1 and 2 a row's one key is met when the row has a
-    nonzero word, and whole rows are written back; on axis 0 the rows of
-    each block are ORed, the key row of each block is read at its bits,
-    and each key row's packed verdict is repeated over its blocks' rows.
-    zero, one and the diagonals are cached and read-only; the layout
-    tables are taken on the first call that reads them, not by cm().
+    An element is a PackedElement: one bit per atom in the flat word buffer
+    of `RainbowStructure.rows()`, one width-class panel after another, and
+    every padding bit is 0. x[p] with an integer p reads canonical atom p,
+    and `flags` and `element` convert between an element and one bool per
+    atom in canonical order. plus, times, minus and eq are one word
+    operation over the buffer, and ``random_element`` draws a (5 x groups)
+    word matrix, gathers each panel's words from it and clears the padding.
+    ``cyl`` marks the T_i classes (key values) an element meets in a
+    PAIR_SLOTS-entry table and writes the table back, panel by panel: on
+    axes 1 and 2 a row's one key is met when the row has a nonzero word,
+    and whole rows are written back; on axis 0 the rows of each block are
+    ORed, the block results are ORed by key row (sorted by key row, one
+    reduceat), each key row is read at its bits, and each key row's packed
+    verdict is written over its blocks' rows. zero, one and the diagonals
+    are cached and read-only; the layout is built on the first call that
+    reads it, not by cm().
     """
 
     def __init__(self, structure: RainbowStructure):
@@ -909,17 +988,29 @@ class RainbowComplexAlgebra(bao.Algebra):
 
     def _element(self, a: np.ndarray) -> PackedElement:
         x = a.view(PackedElement)
-        x.bounds = self.structure.rows()[0]
+        x.layout = self.structure.rows()
         return x
+
+    def _rows_where(self, keep: np.ndarray) -> PackedElement:
+        """The element holding every atom of the rows where keep is set."""
+        layout = self.structure.rows()
+        words = keep.astype(np.uint64)
+        np.negative(words, out=words)   # every bit of a kept row's word, else 0
+        out = np.empty(layout.size, dtype=np.uint64)
+        for (_, lo, hi, _), view, one in zip(layout.panels, layout.split(out),
+                                             layout.split(layout.one)):
+            # only a row's last word has padding
+            view[:-1] = words[lo:hi]
+            np.bitwise_and(one[-1], words[lo:hi], out=view[-1])
+        return self._element(out)
 
     @functools.cached_property
     def zero(self):
-        _, valid = self.structure.rows()
-        return self._element(_read_only(np.zeros(valid.shape, dtype=np.uint64, order="F")))
+        return self._element(_read_only(np.zeros(self.structure.rows().size, dtype=np.uint64)))
 
     @functools.cached_property
     def one(self):
-        return self._element(self.structure.rows()[1])
+        return self._element(self.structure.rows().one)
 
     def eq(self, a, b):
         return np.array_equal(a, b)
@@ -934,21 +1025,32 @@ class RainbowComplexAlgebra(bao.Algebra):
         return a ^ self.one
 
     def cyl(self, i, x):
+        layout = self.structure.rows()
         x = np.asarray(x)
         if i in (1, 2):
             keys = self.structure.row_keys(i)
+            met = np.empty(keys.shape, dtype=bool)
+            for (_, lo, hi, _), view in zip(layout.panels, layout.split(x)):
+                np.logical_or.reduce(view, axis=0, out=met[lo:hi])
             hit = np.zeros(PAIR_SLOTS, dtype=bool)
-            hit[keys[x.any(axis=1)]] = True
-            return self._element(np.where(hit.take(keys)[:, None], self.one, 0))
+            hit[keys[met]] = True
+            return self._rows_where(hit.take(keys))
         if i != 0:
             raise IndexOutOfRange(f"index {i} outside dimension {self.dim}")
-        starts, rows, keys = self.structure.blocks()
-        met = np.zeros((keys.shape[0], x.shape[1]), dtype=np.uint64)
-        np.bitwise_or.at(met, rows, np.bitwise_or.reduceat(x, starts, axis=0))
+        words = layout.panels[-1][0]
+        blocks = np.zeros((words, len(layout.block_rows)), dtype=np.uint64)
+        for (w, lo, _, _), (a, b), view in zip(layout.panels, layout.block_spans,
+                                               layout.split(x)):
+            np.bitwise_or.reduceat(view, layout.block_rows[a:b] - lo, axis=1,
+                                   out=blocks[:w, a:b])
+        met = np.bitwise_or.reduceat(blocks[:, layout.by_key], layout.key_cuts, axis=1)
         hit = np.zeros(PAIR_SLOTS + 1, dtype=bool)
-        hit[keys[_unpack(met)]] = True
-        lens = np.diff(starts, append=x.shape[0])
-        return self._element(np.repeat(_pack(hit[keys])[rows].T, lens, axis=1).T)
+        hit[layout.keys[_unpack(met.T)]] = True
+        verdicts = _pack(hit[layout.keys]).T
+        out = np.empty(layout.size, dtype=np.uint64)
+        for (w, lo, hi, _), view in zip(layout.panels, layout.split(out)):
+            np.take(verdicts[:w], layout.key_row[lo:hi], axis=1, out=view, mode="clip")
+        return self._element(out)
 
     def dg(self, i, j):
         below = self.structure.diagonal_kernels(i, j)   # refuses i or j outside 0..2
@@ -956,10 +1058,10 @@ class RainbowComplexAlgebra(bao.Algebra):
             return self.one
         key = (min(i, j), max(i, j))
         if key not in self._dg:
-            bounds, valid = self.structure.rows()
+            layout = self.structure.rows()
             # a row's kernel is that of its first code
-            below = below[kernel_of(self.structure.codes[bounds[:-1]])]
-            self._dg[key] = self._element(_read_only(np.where(below[:, None], valid, 0)))
+            below = below[kernel_of(self.structure.codes[layout.bounds[layout.order]])]
+            self._dg[key] = _read_only(self._rows_where(below))
         return self._dg[key]
 
     def interior(self, i, x):
@@ -968,16 +1070,38 @@ class RainbowComplexAlgebra(bao.Algebra):
         return x
 
     def random_element(self, rng):
-        _, valid = self.structure.rows()
+        layout = self.structure.rows()
         # the raw PCG64 words: NumPy keeps the bit stream of a seeded bit
         # generator fixed across releases, but not Generator.integers
         sub = np.random.default_rng(rng.randrange(1 << 32))
-        words = sub.bit_generator.random_raw(size=valid.shape[::-1]).T
-        return self._element(words & valid)
+        words = sub.bit_generator.random_raw(size=(layout.panels[-1][0], len(layout.order)))
+        out = np.empty(layout.size, dtype=np.uint64)
+        for (w, lo, hi, _), view, one in zip(layout.panels, layout.split(out),
+                                             layout.split(layout.one)):
+            np.take(words[:w], layout.order[lo:hi], axis=1, out=view, mode="clip")
+            view[-1] &= one[-1]
+        return self._element(out)
 
     def atom_singleton(self, code: int):
-        bounds, valid = self.structure.rows()
-        g, word, bit = _row_bit(bounds, self.structure.index_of(code))
-        x = np.zeros(valid.shape, dtype=np.uint64, order="F")
-        x[g, word] = 1 << bit
+        layout = self.structure.rows()
+        word, bit = layout.locate(self.structure.index_of(code))
+        x = np.zeros(layout.size, dtype=np.uint64)
+        x[word] = 1 << bit
         return self._element(x)
+
+    def flags(self, x) -> np.ndarray:
+        """x as one bool per atom in canonical order; `element` inverts it."""
+        layout = self.structure.rows()
+        flags = np.empty(self.structure.num_atoms, dtype=bool)
+        bits = [_unpack(view.T) for view in layout.split(np.asarray(x))]
+        for atoms, row_bits in layout.atom_views(flags, bits):
+            atoms[...] = row_bits
+        return flags
+
+    def element(self, flags) -> PackedElement:
+        """The element holding the atoms flagged in canonical order."""
+        layout = self.structure.rows()
+        bits = [np.zeros((hi - lo, w * WORD), dtype=bool) for w, lo, hi, _ in layout.panels]
+        for atoms, row_bits in layout.atom_views(np.asarray(flags, dtype=bool), bits):
+            row_bits[...] = atoms
+        return self._element(np.concatenate([_pack(b).T.ravel() for b in bits]))

@@ -505,8 +505,10 @@ def test_derived_tables_are_read_only(table):
     alg = s.cm()
     d01 = alg.dg(0, 1)
     expected = d01.copy()
-    tables = [s.codes, s.key_field(0), *s.rows(), s.row_keys(1), s.row_keys(2), *s.blocks(),
-              alg.zero, alg.one, d01, alg.dg(1, 1)]
+    layout = s.rows()
+    tables = [s.codes, s.key_field(0), layout.bounds, layout.order, layout.one,
+              layout.block_rows, layout.by_key, layout.key_cuts, layout.key_row, layout.keys,
+              s.row_keys(1), s.row_keys(2), *s.blocks(), alg.zero, alg.one, d01, alg.dg(1, 1)]
     for k, a in enumerate(tables):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
@@ -520,15 +522,16 @@ def test_derived_tables_are_read_only(table):
 def test_cm_builds_no_layout_table(table, monkeypatch):
     """cm() reads no table, so a caller that never takes c_i (the
     benchmark's set-up among them) does not pay for the layout. zero and
-    one need only the rows (their shape and padding), the first c_i on
+    one build the element layout, once per structure; the first c_i on
     axis 1 or 2 builds that axis' row keys once per structure, c_0 reads
-    the table's own blocks, and no c_i expands a key field."""
+    the layout and the table's own blocks, and no c_i expands a key
+    field."""
     s = R.RainbowStructure(table)
     alg = s.cm()
     assert s._rows is None and not s._row_keys
     alg.zero, alg.one
-    rows = s.rows()
-    assert not s._row_keys
+    layout = s.rows()
+    assert not s._row_keys and alg.one.base is layout.one
     x = alg.atom_singleton(int(s.codes[-1]))
 
     def no_key_field(self, i):
@@ -541,8 +544,8 @@ def test_cm_builds_no_layout_table(table, monkeypatch):
         tables.append(s.blocks() if i == 0 else s.row_keys(i))
     again = s.cm()
     for i in range(3):
-        again.cyl(i, again.one)
-    assert s.rows() is rows and s.blocks() is tables[0] is table.blocks
+        assert again.cyl(i, again.one).layout is layout
+    assert s.rows() is layout and s.blocks() is tables[0] is table.blocks
     assert s.row_keys(1) is tables[1] and s.row_keys(2) is tables[2]
     assert sorted(s._row_keys) == [1, 2]
 
@@ -594,34 +597,32 @@ def test_enumeration_refuses_other_dims():
         R.enumerate_atoms(R.signature(4))
 
 
-def _bits(x):
-    """The bits of each row of a packed element, bit c % 64 of word
-    c // 64 in column c."""
-    octets = np.ascontiguousarray(x, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=1, bitorder="little").view(bool)
-
-
-def _canonical(x, valid):
-    """x as one bool per atom in canonical order: its bits read through
-    the valid-bit mask, _bits(alg.one)."""
-    return _bits(x)[valid]
-
-
-def _packed(flags, valid):
-    """The element holding the atoms flagged in canonical order."""
-    bits = np.zeros(valid.shape, dtype=bool)
-    bits[valid] = flags
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+# the words of an n = 3 element: each of the 68,905 groups in as many
+# words as its atoms need (784 of 1 word, 36,872 of 2, 149 of 4 and 31,100
+# of 5); every group in 5 words took 344,525
+ELEMENT_WORDS_N3 = 230624
 
 
 def test_random_element_pinned(structure):
-    """A seeded random element is its sub-seed's raw PCG64 words with the
-    padding cleared: a sha1 of its (68,905 x 5) words in row order,
-    recorded while the words were drawn with Generator.integers."""
-    x = structure.cm().random_element(random.Random(5))
-    assert np.asarray(x).shape == (68905, 5)
-    assert hashlib.sha1(np.asarray(x).tobytes()).hexdigest() == \
-        "b906dec2f7975893fafc690a898ace9d39db69ed"
+    """A seeded random element is its sub-seed's raw PCG64 words, one
+    (5 x groups) matrix, with each group's bits read from its own column:
+    a sha1 of its canonical atoms, packed, recorded from the element the
+    (groups x 5) word matrix held. The conversion to canonical atoms agrees
+    with x[p] and with atom_singleton, which do not go through it, and
+    inverts `element`."""
+    s = structure
+    alg = s.cm()
+    x = alg.random_element(random.Random(5))
+    flags = alg.flags(x)
+    assert flags.dtype == bool and flags.shape == (s.num_atoms,)
+    assert hashlib.sha1(np.packbits(flags).tobytes()).hexdigest() == \
+        "99176f194f2a894fe0d783375dd13c36484fff12"
+    assert alg.eq(alg.element(flags), x)
+    positions = random.Random(6).sample(range(s.num_atoms), 2000) + [0, s.num_atoms - 1]
+    assert all(x[p] is bool(flags[p]) for p in positions)
+    for p in positions[:16] + positions[-2:]:
+        single = alg.flags(alg.atom_singleton(int(s.codes[p])))
+        assert np.flatnonzero(single).tolist() == [p]
 
 
 def test_cylindrifier_oracle_and_random_elements(structure):
@@ -629,19 +630,20 @@ def test_cylindrifier_oracle_and_random_elements(structure):
 
     The pair field is re-derived here by shifting the packed codes (pair
     slots are 9 bits wide), independently of RainbowStructure.key_field and
-    of the layout tables, and compared on each element's canonical bool
-    form. Inputs include singletons at both ends of a run of equal keys on
-    axes 1 and 2, one atom at every axis-2 run start, singletons at the
-    first and last atom, at the first and last atom of a many-group axis-0
-    block, of a one-group block and of the last block, and one atom at
-    every block start. Random elements are seeded words, one bit per atom.
+    of the layout tables, and compared on each element's canonical atoms,
+    read and written through the algebra's conversion (`flags`,
+    `element`). Inputs include singletons at both ends of a run of equal
+    keys on axes 1 and 2, one atom at every axis-2 run start, singletons at
+    the first and last atom, at the first and last atom of a many-group
+    axis-0 block, of a one-group block and of the last block, and one atom
+    at every block start. Random elements are seeded words, one bit per
+    atom.
     """
     s = structure
     alg = s.cm()
-    valid = _bits(alg.one)
-    x = _canonical(alg.random_element(random.Random(3)), valid)
-    assert (x == _canonical(alg.random_element(random.Random(3)), valid)).all()
-    assert not (x == _canonical(alg.random_element(random.Random(4)), valid)).all()
+    x = alg.flags(alg.random_element(random.Random(3)))
+    assert (x == alg.flags(alg.random_element(random.Random(3)))).all()
+    assert not (x == alg.flags(alg.random_element(random.Random(4)))).all()
     assert x.shape == (s.num_atoms,)
     assert 0.49 <= x.mean() <= 0.51
     rng = random.Random(11)
@@ -654,37 +656,58 @@ def test_cylindrifier_oracle_and_random_elements(structure):
     for starts in run_starts.values():
         mid = len(starts) // 2
         ends += [int(starts[mid]), int(starts[mid + 1]) - 1]
-    bounds, _ = s.rows()
-    first_rows = np.append(s.blocks()[0], len(bounds) - 1)
-    block_starts = bounds[first_rows[:-1]]
-    groups = np.diff(first_rows)
+    bounds = s.table.bounds
+    first_groups = np.append(s.blocks()[0], len(bounds) - 1)
+    block_starts = bounds[first_groups[:-1]]
+    groups = np.diff(first_groups)
     tall = int(np.flatnonzero(groups > 1)[len(groups) // 4])
     flat = int(np.flatnonzero(groups == 1)[-1])
     for b in (tall, flat, len(groups) - 1):
-        ends += [int(bounds[first_rows[b]]), int(bounds[first_rows[b + 1]]) - 1]
+        ends += [int(bounds[first_groups[b]]), int(bounds[first_groups[b + 1]]) - 1]
     for idx in ends:
         elements.append(alg.atom_singleton(int(s.codes[idx])))
     for starts in (np.r_[0, run_starts[2]], block_starts):
         sparse = np.zeros(s.num_atoms, dtype=bool)
         sparse[starts] = True
-        elements.append(_packed(sparse, valid))
-    canonical = [_canonical(x, valid) for x in elements]
+        elements.append(alg.element(sparse))
+    # each element's canonical atoms, packed
+    held = [np.packbits(alg.flags(x)) for x in elements]
     for i, f in enumerate(fields):
-        assert s.key_field(i).dtype == np.uint16 and (s.key_field(i) == f).all()
-        for x, flags in zip(elements, canonical):
+        key_field = s.key_field(i)
+        assert key_field.dtype == np.uint16 and np.array_equal(key_field, f)
+        if i:
+            # f is constant on each of its runs in code order: 68,645 on
+            # axis 1 and 784 on axis 2
+            starts = np.r_[0, run_starts[i]]
+            keys, lens = f[starts], np.diff(starts, append=s.num_atoms)
+        else:
+            # nearly every atom is a run of its own, so each atom is looked
+            # up alone; the field is widened to intp once, not by each take
+            f = f.astype(np.intp)
+        for x, packed in zip(elements, held):
+            atoms = np.unpackbits(packed, count=s.num_atoms).view(bool)
             # the keys x meets, as a PAIR_SLOTS-entry membership table
             met = np.zeros(R.PAIR_SLOTS, dtype=bool)
-            met[f[flags]] = True
-            assert (_canonical(alg.cyl(i, x), valid) == met[f]).all()
+            if i:
+                met[keys[np.logical_or.reduceat(atoms, starts)]] = True
+                expected = np.repeat(met[keys], lens)
+            else:
+                met[f.take(np.flatnonzero(atoms))] = True
+                expected = met.take(f)
+            assert alg.eq(alg.cyl(i, x), alg.element(expected))
 
 
 def test_element_layout_covers_the_atoms_in_code_order(table, monkeypatch):
-    """The layout of a fresh structure: the rows cover atom 0 to the last
-    atom in code order, one group (code >> 9) each; every row of an axis-0
-    block lists the block's key row (the lowest pair slot, re-derived here
-    from the codes), and adjacent blocks list different key rows; no
-    operation sets a padding bit; x[p] reads canonical atom p; and c_0
-    works without the axis-0 key field."""
+    """The layout of a fresh structure: the groups cover atom 0 to the last
+    atom in code order, one group (code >> 9) each; each group is one row
+    of as many words as its atoms need, and the panels hold the rows of one
+    word count each, in code order, ELEMENT_WORDS_N3 words in all; `one`
+    sets exactly each row's atoms; every row of an axis-0 block lists the
+    block's key row (the lowest pair slot, re-derived here from the
+    codes), adjacent blocks list different key rows, and a block's rows
+    are one run of one panel; no operation sets a padding bit; x[p] reads
+    canonical atom p at both ends of a group in every panel; and no c_i
+    expands a key field."""
 
     def no_key_field(self, i):
         raise AssertionError(f"the key field of axis {i} was expanded")
@@ -692,13 +715,28 @@ def test_element_layout_covers_the_atoms_in_code_order(table, monkeypatch):
     monkeypatch.setattr(R.RainbowStructure, "key_field", no_key_field)
     s = R.RainbowStructure(table)
     alg = s.cm()
-    bounds, valid = s.rows()
+    layout = s.rows()
+    bounds = layout.bounds
     widths = np.diff(bounds)
     assert bounds[0] == 0 and bounds[-1] == s.num_atoms and (widths > 0).all()
     group = s.codes >> 9
     assert np.array_equal(np.flatnonzero(group[1:] != group[:-1]) + 1, bounds[1:-1])
-    assert valid.dtype == np.uint64 and valid.shape == (len(widths), 5)
-    assert np.array_equal(_bits(valid), np.arange(5 * 64) < widths[:, None])
+    words = -(-widths // 64)
+    assert layout.size == ELEMENT_WORDS_N3 == words.sum()
+    assert alg.one.dtype == alg.zero.dtype == np.uint64
+    assert alg.one.shape == alg.zero.shape == (ELEMENT_WORDS_N3,)
+    assert [w for w, *_ in layout.panels] == [1, 2, 4, 5]
+    assert sorted(layout.order.tolist()) == list(range(len(widths)))
+    row = 0
+    for (w, lo, hi, off), view in zip(layout.panels, layout.split(alg.one)):
+        rows = layout.order[lo:hi]
+        assert lo == row and (words[rows] == w).all() and (np.diff(rows) > 0).all()
+        assert view.shape == (w, hi - lo) and np.shares_memory(view, alg.one[off:off + 1])
+        bits = np.unpackbits(np.ascontiguousarray(view.T).view(np.uint8), axis=1,
+                             bitorder="little").view(bool)
+        assert np.array_equal(bits, np.arange(64 * w) < widths[rows][:, None])
+        row = hi
+    assert row == len(widths)
     starts, rows, keys = s.blocks()
     field = s.codes & (R.PAIR_SLOTS - 1)
     assert starts[0] == 0 and (np.diff(starts) > 0).all() and (rows[1:] != rows[:-1]).all()
@@ -708,21 +746,27 @@ def test_element_layout_covers_the_atoms_in_code_order(table, monkeypatch):
         m, L = b - a, int(widths[a])
         assert (widths[a:b] == L).all() and (keys[r, L:] == R.PAIR_SLOTS).all()
         assert (field[bounds[a]:bounds[b]].reshape(m, L) == keys[r, :L]).all()
+        first = int(np.flatnonzero(layout.order == a)[0])
+        assert np.array_equal(layout.order[first:first + m], np.arange(a, b))
+        assert first in layout.block_rows and (layout.key_row[first:first + m] == r).all()
+        assert any(lo <= first and first + m <= hi for _, lo, hi, _ in layout.panels)
     x = alg.random_element(random.Random(7))
     padded = [alg.minus(x), x, alg.dg(0, 1), alg.dg(1, 2), alg.zero, alg.one,
               alg.atom_singleton(int(s.codes[-1]))]
     padded += [alg.cyl(i, y) for i in range(3) for y in (x, padded[-1])]
+    padded += [alg.times(x, alg.one), alg.plus(x, alg.zero)]
     for k, y in enumerate(padded):
-        assert not (y & ~valid).any(), k
-    canon = _canonical(x, _bits(valid))
-    narrow, wide = int(widths.argmin()), int(widths.argmax())
-    positions = random.Random(8).sample(range(s.num_atoms), 1000)
-    positions += [int(bounds[narrow]), int(bounds[narrow + 1]) - 1,
-                  int(bounds[wide]), int(bounds[wide + 1]) - 1, -1]
-    for y, flags in ((x, canon), (alg.minus(x), ~canon)):
-        assert all(y[p] is bool(flags[p]) for p in positions)
+        assert not (y & ~alg.one).any(), k
+    flags = alg.flags(x)
+    positions = random.Random(8).sample(range(s.num_atoms), 1000) + [-1]
+    for _, lo, hi, _ in layout.panels:
+        for g in (layout.order[lo], layout.order[hi - 1]):
+            positions += [int(bounds[g]), int(bounds[g + 1]) - 1]
+    for y, canon in ((x, flags), (alg.minus(x), ~flags)):
+        assert all(y[p] is bool(canon[p]) for p in positions)
     for p in (s.num_atoms, -s.num_atoms - 1):
         with pytest.raises(IndexError):
             x[p]
-    assert x[0, 0] == x.view(np.ndarray)[0, 0] and x[1:3].shape == (2, 5)
+    assert x[np.int64(-1)] is bool(flags[-1])
+    assert x[1:3].shape == (2,) and x[True].shape == (1, ELEMENT_WORDS_N3)
     assert alg.cyl(0, padded[6])[s.num_atoms - 1] is True
